@@ -111,12 +111,12 @@ def random_conserved_momenta(rng: random.Random, g: Graph) -> dict[str, parametr
 
 
 def random_poly(rng: random.Random, variables: list[str], terms: int = 3) -> MultiPoly:
-    total = MultiPoly.zero()
-    for _ in range(terms):
+    def term() -> MultiPoly:
         coeff = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
         exps = {v: rng.randint(0, 2) for v in variables}
-        total = total + MultiPoly.from_exponents({v: e for v, e in exps.items() if e}, coeff)
-    return total
+        return MultiPoly.from_exponents({v: e for v, e in exps.items() if e}, coeff)
+
+    return MultiPoly.sum(term() for _ in range(terms))
 
 
 def _random_entry(rng: random.Random, over_polys: bool) -> MultiPoly:

@@ -38,10 +38,6 @@ def _poly_json(p: MultiPoly) -> dict:
     }
 
 
-def _load(path: str) -> Graph | RibbonGraph:
-    return load_fixture(path)
-
-
 def _as_graph(g: Graph | RibbonGraph) -> Graph:
     return g.underlying() if isinstance(g, RibbonGraph) else g
 
@@ -73,7 +69,7 @@ class _Report:
 
 def _cmd_poly(args) -> tuple[int, list[str]]:
     rep = _Report()
-    fixture = _load(args.fixture)
+    fixture = load_fixture(args.fixture)
     g = _as_graph(fixture)
     op = args.operation
     if op == "tutte":
@@ -150,7 +146,7 @@ def _momenta_for(args, g: Graph) -> dict:
 
 def _cmd_param(args) -> tuple[int, list[str]]:
     rep = _Report()
-    fixture = _load(args.fixture)
+    fixture = load_fixture(args.fixture)
     g = _as_graph(fixture)
     op = args.operation
     p = None
@@ -240,7 +236,7 @@ def _cmd_param(args) -> tuple[int, list[str]]:
 
 def _cmd_hopf(args) -> tuple[int, list[str]]:
     rep = _Report()
-    fixture = _load(args.fixture)
+    fixture = load_fixture(args.fixture)
     if args.model == "gw":
         g: Graph | RibbonGraph = _need_ribbon(fixture, "the gw model")
     else:

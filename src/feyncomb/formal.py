@@ -1,10 +1,11 @@
 """Formal renormalization expressions: sums of products of Phi and T atoms.
 
-A FormalAmplitude is kept in normal form: an integer combination of
-products, where each product multiplies Phi(<graph label>) atoms and
-T[...] atoms.  The projection T is linear and treats previously produced
-counterterms as scalars: T applied to a sum distributes, and any T[...]
-factor inside the argument is pulled out front,
+A FormalAmplitude is an integer combination (a `poly.LinComb`) of products,
+where each product multiplies Phi(<graph label>) atoms and T[...] atoms;
+sums and products come from the shared base, and a product's atoms are kept
+sorted, so every amplitude is in normal form.  The projection T is linear
+and treats previously produced counterterms as scalars: T applied to a sum
+distributes, and any T[...] factor inside the argument is pulled out front,
 
     T[ c * Phi(a) * T[x] * ... ]  ->  c * T[x] * ... * T[ Phi(a) * ... ].
 
@@ -18,6 +19,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
+from .poly import LinComb, signed_sum_text
+
 # An atom is ("phi", label) or ("T", nf) where nf is a canonical normal form:
 # a tuple of (term, coeff) pairs, each term a tuple of atoms.
 Atom = tuple
@@ -27,31 +30,15 @@ Term = tuple
 def _atom_text(atom: Atom) -> str:
     if atom[0] == "phi":
         return f"Phi({atom[1]})"
-    return "T[" + _nf_text(atom[1]) + "]"
+    return "T[" + signed_sum_text((_term_body(t), c) for t, c in atom[1]) + "]"
 
 
-def _term_text(term: Term, coeff: int) -> str:
-    if not term:
-        return str(coeff)
-    body = "*".join(_atom_text(a) for a in term)
-    if coeff == 1:
-        return body
-    if coeff == -1:
-        return "-" + body
-    return f"{coeff}*{body}"
+def _term_body(term: Term) -> str:
+    return "*".join(_atom_text(a) for a in term)
 
 
-def _nf_text(nf: tuple) -> str:
-    if not nf:
-        return "0"
-    pieces = []
-    for i, (term, coeff) in enumerate(nf):
-        mag = _term_text(term, abs(coeff))
-        if i == 0:
-            pieces.append(mag if coeff > 0 else "-" + mag)
-        else:
-            pieces.append((" + " if coeff > 0 else " - ") + mag)
-    return "".join(pieces)
+def _term_order(term: Term) -> tuple[str, ...]:
+    return tuple(_atom_text(a) for a in term)
 
 
 def _sort_term(atoms: Iterable[Atom]) -> Term:
@@ -59,80 +46,33 @@ def _sort_term(atoms: Iterable[Atom]) -> Term:
 
 
 def _canonical_nf(terms: dict[Term, int]) -> tuple:
-    items = [(t, c) for t, c in terms.items() if c != 0]
-    items.sort(key=lambda tc: tuple(_atom_text(a) for a in tc[0]))
-    return tuple(items)
+    return tuple((t, terms[t]) for t in sorted(terms, key=_term_order) if terms[t])
 
 
-class FormalAmplitude:
+class FormalAmplitude(LinComb):
     """Integer combination of Phi/T products, always in normal form."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms: dict[Term, int] | None = None):
-        clean = {t: c for t, c in (terms or {}).items() if c != 0}
-        object.__setattr__(self, "terms", clean)
+    _key_mul = staticmethod(lambda t1, t2: _sort_term(t1 + t2))
+    _sort_key = staticmethod(_term_order)
+    _key_text = staticmethod(_term_body)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("FormalAmplitude is immutable")
+    # The shared operations bound in this class's own namespace, where
+    # perfbench/tracing.py instruments the formal layer alone.
+    __add__ = LinComb.__add__
+    __mul__ = __rmul__ = LinComb.__mul__
+    render = LinComb.render
 
     # -- constructors ---------------------------------------------------
-
-    @staticmethod
-    def zero() -> FormalAmplitude:
-        return FormalAmplitude()
 
     @staticmethod
     def one() -> FormalAmplitude:
         return FormalAmplitude({(): 1})
 
     @staticmethod
-    def integer(n: int) -> FormalAmplitude:
-        return FormalAmplitude({(): n})
-
-    @staticmethod
     def phi(label: str) -> FormalAmplitude:
         return FormalAmplitude({(("phi", label),): 1})
-
-    # -- algebra -----------------------------------------------------------
-
-    def __add__(self, other: FormalAmplitude) -> FormalAmplitude:
-        terms = dict(self.terms)
-        for t, c in other.terms.items():
-            terms[t] = terms.get(t, 0) + c
-        return FormalAmplitude(terms)
-
-    def __neg__(self) -> FormalAmplitude:
-        return FormalAmplitude({t: -c for t, c in self.terms.items()})
-
-    def __sub__(self, other: FormalAmplitude) -> FormalAmplitude:
-        return self + (-other)
-
-    def __mul__(self, other: FormalAmplitude | int) -> FormalAmplitude:
-        if isinstance(other, int):
-            return FormalAmplitude({t: c * other for t, c in self.terms.items()})
-        out: dict[Term, int] = {}
-        for t1, c1 in self.terms.items():
-            for t2, c2 in other.terms.items():
-                t = _sort_term(t1 + t2)
-                out[t] = out.get(t, 0) + c1 * c2
-        return FormalAmplitude(out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FormalAmplitude):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(self.normal_form())
-
-    def __repr__(self) -> str:
-        return f"FormalAmplitude({self.render()})"
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     # -- the projection ----------------------------------------------------------
 
@@ -151,10 +91,3 @@ class FormalAmplitude:
 
     def normal_form(self) -> tuple:
         return _canonical_nf(self.terms)
-
-    def render(self) -> str:
-        return _nf_text(self.normal_form())
-
-
-def project(amp: FormalAmplitude) -> FormalAmplitude:
-    return amp.project()

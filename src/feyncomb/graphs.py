@@ -355,10 +355,16 @@ def graph_from_json_dict(data: dict) -> Graph:
             raise ValueError(f"fixture missing field {field!r}")
     if data["type"] != "graph":
         raise ValueError(f"expected type 'graph', got {data['type']!r}")
-    edges = [
-        Edge(e["id"], e["tail"], e["head"]) for e in data["edges"]
-    ]
-    legs = [
-        Leg(x["id"], x["vertex"], x["dir"]) for x in data.get("external", [])
-    ]
-    return Graph(data["vertices"], edges, legs)
+    vertices = _json_list(data, "vertices", str)
+    edges = [Edge(e["id"], e["tail"], e["head"]) for e in _json_list(data, "edges", dict)]
+    legs = [Leg(x["id"], x["vertex"], x["dir"]) for x in _json_list(data, "external", dict)]
+    return Graph(vertices, edges, legs)
+
+
+def _json_list(data: dict, field: str, item_type: type) -> list:
+    """A fixture field that must be a list of strings or of objects."""
+    value = data.get(field, [])
+    if not isinstance(value, list) or not all(isinstance(x, item_type) for x in value):
+        kind = "strings" if item_type is str else "objects"
+        raise ValueError(f"fixture field {field!r} must be a list of {kind}")
+    return value

@@ -1,10 +1,13 @@
 """Connes-Kreimer Hopf algebra of 1PI graphs and the BPHZ machinery.
 
 The algebra is the free commutative algebra on isomorphism classes of 1PI
-graphs; elements are integer combinations of multisets of canonical labels
-(GraphSum), the empty multiset being the unit.  The coproduct sums over
-families of vertex-disjoint divergent subgraphs; a family of size two or
-more stands for the disjoint union (product) of its members.
+graphs.  Its elements (GraphSum) are integer combinations of multisets of
+canonical labels, the empty multiset being the unit; those of its tensor
+square (TensorSum) combine ordered pairs of such multisets.  Both are
+`poly.LinComb` subclasses that define only the product and the text of a
+key.  The coproduct sums over families of vertex-disjoint divergent
+subgraphs; a family of size two or more stands for the disjoint union
+(product) of its members.
 
 Divergence models:
   phi4  connected 1PI subgraphs with one or more internal edges and exactly
@@ -21,10 +24,11 @@ face, so the gw model stays inside ribbon graphs.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .formal import FormalAmplitude
 from .graphs import Edge, EdgeSubset, Graph, Leg
+from .poly import LinComb
 from .ribbon import RibbonGraph, Token, is_leg_token
 
 GraphLike = Graph | RibbonGraph
@@ -41,21 +45,17 @@ def underlying(g: GraphLike) -> Graph:
 # -- free commutative algebra elements -----------------------------------------
 
 
-class GraphSum:
+def _mono_text(mono: Mono) -> str:
+    return "*".join(f"[{l}]" for l in mono) if mono else "1"
+
+
+class GraphSum(LinComb):
     """Integer combination of multisets of canonical graph labels."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms: Mapping[Mono, int] | None = None):
-        clean = {m: c for m, c in (terms or {}).items() if c != 0}
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GraphSum is immutable")
-
-    @staticmethod
-    def zero() -> GraphSum:
-        return GraphSum()
+    _key_mul = staticmethod(lambda m1, m2: tuple(sorted(m1 + m2)))
+    _key_text = staticmethod(_mono_text)
 
     @staticmethod
     def unit() -> GraphSum:
@@ -69,74 +69,20 @@ class GraphSum:
     def monomial(mono: Iterable[str]) -> GraphSum:
         return GraphSum({tuple(sorted(mono)): 1})
 
-    def __add__(self, other: GraphSum) -> GraphSum:
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            terms[m] = terms.get(m, 0) + c
-        return GraphSum(terms)
-
-    def __neg__(self) -> GraphSum:
-        return GraphSum({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: GraphSum) -> GraphSum:
-        return self + (-other)
-
-    def __mul__(self, other: GraphSum | int) -> GraphSum:
-        if isinstance(other, int):
-            return GraphSum({m: c * other for m, c in self.terms.items()})
-        out: dict[Mono, int] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(sorted(m1 + m2))
-                out[m] = out.get(m, 0) + c1 * c2
-        return GraphSum(out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GraphSum):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def counit(self) -> int:
         """epsilon: coefficient of the empty multiset."""
         return self.terms.get((), 0)
 
-    def render(self) -> str:
-        if not self.terms:
-            return "0"
-        pieces = []
-        for mono, coeff in sorted(self.terms.items()):
-            body = "*".join(f"[{l}]" for l in mono) if mono else "1"
-            mag = body if abs(coeff) == 1 else f"{abs(coeff)}*{body}"
-            if not pieces:
-                pieces.append(mag if coeff > 0 else "-" + mag)
-            else:
-                pieces.append((" + " if coeff > 0 else " - ") + mag)
-        return "".join(pieces)
 
-    def __repr__(self) -> str:
-        return f"GraphSum({self.render()})"
-
-
-class TensorSum:
+class TensorSum(LinComb):
     """Integer combination of ordered pairs of GraphSum monomials."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms: Mapping[tuple[Mono, Mono], int] | None = None):
-        clean = {k: c for k, c in (terms or {}).items() if c != 0}
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TensorSum is immutable")
-
-    @staticmethod
-    def zero() -> TensorSum:
-        return TensorSum()
+    _key_mul = staticmethod(
+        lambda k1, k2: (tuple(sorted(k1[0] + k2[0])), tuple(sorted(k1[1] + k2[1])))
+    )
+    _key_text = staticmethod(lambda k: f"{_mono_text(k[0])} (x) {_mono_text(k[1])}")
 
     @staticmethod
     def unit() -> TensorSum:
@@ -145,49 +91,6 @@ class TensorSum:
     @staticmethod
     def tensor(left: Iterable[str], right: Iterable[str], coeff: int = 1) -> TensorSum:
         return TensorSum({(tuple(sorted(left)), tuple(sorted(right))): coeff})
-
-    def __add__(self, other: TensorSum) -> TensorSum:
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            terms[k] = terms.get(k, 0) + c
-        return TensorSum(terms)
-
-    def __mul__(self, other: TensorSum | int) -> TensorSum:
-        if isinstance(other, int):
-            return TensorSum({k: c * other for k, c in self.terms.items()})
-        out: dict[tuple[Mono, Mono], int] = {}
-        for (l1, r1), c1 in self.terms.items():
-            for (l2, r2), c2 in other.terms.items():
-                k = (tuple(sorted(l1 + l2)), tuple(sorted(r1 + r2)))
-                out[k] = out.get(k, 0) + c1 * c2
-        return TensorSum(out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TensorSum):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def render(self) -> str:
-        if not self.terms:
-            return "0"
-
-        def monotext(m: Mono) -> str:
-            return "*".join(f"[{l}]" for l in m) if m else "1"
-
-        pieces = []
-        for (a, b), coeff in sorted(self.terms.items()):
-            body = f"{monotext(a)} (x) {monotext(b)}"
-            mag = body if abs(coeff) == 1 else f"{abs(coeff)}*{body}"
-            if not pieces:
-                pieces.append(mag if coeff > 0 else "-" + mag)
-            else:
-                pieces.append((" + " if coeff > 0 else " - ") + mag)
-        return "".join(pieces)
-
-    def __repr__(self) -> str:
-        return f"TensorSum({self.render()})"
 
 
 # -- structural subgraph machinery ------------------------------------------------
@@ -226,11 +129,16 @@ def _cut_leg_id(edge_id: str, end: str) -> str:
     return f"cut.{edge_id}.{end}"
 
 
-def _host_token_of_leg(leg_id: str) -> Token:
-    if leg_id.startswith("cut."):
-        eid, end = leg_id[4:].rsplit(".", 1)
-        return (eid, end)
-    return (leg_id, "x")
+def _host_token_of_leg(leg_id: str, host_legs: set[str]) -> Token:
+    """The host half-edge a subgraph leg stands for.
+
+    A host that is itself a stored subgraph already has legs named "cut.*";
+    those stay legs.  Every other "cut.*" leg is a cut end of a host edge.
+    """
+    if leg_id in host_legs or not leg_id.startswith("cut."):
+        return (leg_id, "x")
+    eid, end = leg_id[4:].rsplit(".", 1)
+    return (eid, end)
 
 
 def member_graph(g: GraphLike, member: EdgeSubset) -> GraphLike:
@@ -304,6 +212,7 @@ def cograph(g: GraphLike, family: Iterable[EdgeSubset]) -> GraphLike:
     if isinstance(g, Graph):
         return shrunk
     rot = {v: g.rotation[v] for v in base.vertices if v not in vmap}
+    host_legs = {l.id for l in base.legs}
     for m, nid in zip(members, new_ids):
         sub = member_graph(g, m)
         assert isinstance(sub, RibbonGraph)
@@ -315,7 +224,7 @@ def cograph(g: GraphLike, family: Iterable[EdgeSubset]) -> GraphLike:
                     "ribbon shrink needs all subgraph legs on one boundary face"
                 )
             for lid in broken[0].leg_ids():
-                seq.append(_host_token_of_leg(lid))
+                seq.append(_host_token_of_leg(lid, host_legs))
         rot[nid] = tuple(seq)
     return RibbonGraph(shrunk, rot)
 
@@ -599,10 +508,6 @@ class HopfAlgebra:
         grow(0, [], frozenset())
         return out
 
-    # The coproduct's summation index: families of vertex-disjoint divergent
-    # subgraphs (size >= 2 means the disjoint union).
-    divergent_subgraphs = families
-
     def zimmermann_forests(self, g: GraphLike) -> list[tuple[EdgeSubset, ...]]:
         """All sets of divergent subgraphs that are pairwise nested or disjoint."""
         members = self.divergent_members(g)
@@ -626,8 +531,11 @@ class HopfAlgebra:
 
     # -- coproduct, counit, antipode ----------------------------------------------
 
-    def _family_monomial(self, g: GraphLike, family: tuple[EdgeSubset, ...]) -> Mono:
-        return tuple(sorted(self.label(member_graph(g, m)) for m in family))
+    def _splits(self, g: GraphLike) -> Iterator[tuple[Mono, str]]:
+        """(labels of the members, label of the cograph) for every family."""
+        for fam in self.families(g):
+            mono = tuple(sorted(self.label(member_graph(g, m)) for m in fam))
+            yield mono, self.label(cograph(g, fam))
 
     def coproduct(self, g: GraphLike) -> TensorSum:
         base = underlying(g)
@@ -637,11 +545,12 @@ class HopfAlgebra:
         cached = self._coproducts.get(lbl)
         if cached is not None:
             return cached
-        total = TensorSum.tensor((lbl,), ()) + TensorSum.tensor((), (lbl,))
-        for fam in self.families(g):
-            left = self._family_monomial(g, fam)
-            right = self.label(cograph(g, fam))
-            total = total + TensorSum.tensor(left, (right,))
+        total = TensorSum.sum(
+            itertools.chain(
+                (TensorSum.tensor((lbl,), ()), TensorSum.tensor((), (lbl,))),
+                (TensorSum.tensor(mono, (co,)) for mono, co in self._splits(g)),
+            )
+        )
         self._coproducts[lbl] = total
         return total
 
@@ -663,12 +572,15 @@ class HopfAlgebra:
         cached = self._antipodes.get(lbl)
         if cached is not None:
             return cached
-        g = self.graph_of(lbl)
-        total = -GraphSum.from_label(lbl)
-        for fam in self.families(g):
-            mono = self._family_monomial(g, fam)
-            co = self.label(cograph(g, fam))
-            total = total - self.antipode_monomial(mono) * GraphSum.from_label(co)
+        total = -GraphSum.sum(
+            itertools.chain(
+                (GraphSum.from_label(lbl),),
+                (
+                    self.antipode_monomial(mono) * GraphSum.from_label(co)
+                    for mono, co in self._splits(self.graph_of(lbl))
+                ),
+            )
+        )
         self._antipodes[lbl] = total
         return total
 
@@ -697,25 +609,21 @@ class HopfAlgebra:
 
     def check_counit(self, g: GraphLike) -> bool:
         lbl = self.label(g)
-        delta = self.coproduct(g)
-        from_left = GraphSum.zero()
-        from_right = GraphSum.zero()
-        for (a, b), c in delta.terms.items():
-            if not a:
-                from_left = from_left + GraphSum.monomial(b) * c
-            if not b:
-                from_right = from_right + GraphSum.monomial(a) * c
+        terms = self.coproduct(g).terms.items()
+        from_left = GraphSum.sum(GraphSum.monomial(b) * c for (a, b), c in terms if not a)
+        from_right = GraphSum.sum(GraphSum.monomial(a) * c for (a, b), c in terms if not b)
         want = GraphSum.from_label(lbl)
         return from_left == want and from_right == want
 
     def check_hopf_axioms(self, g: GraphLike) -> bool:
         """m (S x id) Delta = u eps = m (id x S) Delta, both sides."""
-        delta = self.coproduct(g)
-        left = GraphSum.zero()
-        right = GraphSum.zero()
-        for (a, b), c in delta.terms.items():
-            left = left + self.antipode_monomial(a) * GraphSum.monomial(b) * c
-            right = right + GraphSum.monomial(a) * self.antipode_monomial(b) * c
+        terms = self.coproduct(g).terms.items()
+        left = GraphSum.sum(
+            self.antipode_monomial(a) * GraphSum.monomial(b) * c for (a, b), c in terms
+        )
+        right = GraphSum.sum(
+            GraphSum.monomial(a) * self.antipode_monomial(b) * c for (a, b), c in terms
+        )
         return left.is_zero() and right.is_zero()
 
     def check_grading(self, g: GraphLike) -> bool:
@@ -740,13 +648,7 @@ class HopfAlgebra:
         cached = self._phi_minus.get(lbl)
         if cached is not None:
             return cached
-        g = self.graph_of(lbl)
-        inner = FormalAmplitude.phi(lbl)
-        for fam in self.families(g):
-            mono = self._family_monomial(g, fam)
-            co = self.label(cograph(g, fam))
-            inner = inner + self.twisted_antipode_monomial(mono) * FormalAmplitude.phi(co)
-        result = -(inner.project())
+        result = -(self._rbar(self.graph_of(lbl), lbl).project())
         self._phi_minus[lbl] = result
         return result
 
@@ -763,10 +665,8 @@ class HopfAlgebra:
         g: GraphLike,
     ) -> FormalAmplitude:
         """(f * h)(Gamma) = m (f x h) Delta(Gamma)."""
-        total = FormalAmplitude.zero()
-        for (a, b), c in self.coproduct(g).terms.items():
-            total = total + c * (f(a) * h(b))
-        return total
+        terms = self.coproduct(g).terms.items()
+        return FormalAmplitude.sum(c * (f(a) * h(b)) for (a, b), c in terms)
 
     def renormalized(self, g: GraphLike) -> FormalAmplitude:
         """phi_plus = phi_minus convolved with phi."""
@@ -774,18 +674,23 @@ class HopfAlgebra:
 
     def bogoliubov_hopf(self, g: GraphLike) -> FormalAmplitude:
         """Rbar(Gamma) = phi(Gamma) + sum phi_minus(gamma) phi(Gamma/gamma)."""
-        lbl = self.label(g)
-        total = FormalAmplitude.phi(lbl)
-        for fam in self.families(g):
-            mono = self._family_monomial(g, fam)
-            co = self.label(cograph(g, fam))
-            total = total + self.twisted_antipode_monomial(mono) * FormalAmplitude.phi(co)
-        return total
+        return self._rbar(g, self.label(g))
+
+    def _rbar(self, g: GraphLike, lbl: str) -> FormalAmplitude:
+        return FormalAmplitude.sum(
+            itertools.chain(
+                (FormalAmplitude.phi(lbl),),
+                (
+                    self.twisted_antipode_monomial(mono) * FormalAmplitude.phi(co)
+                    for mono, co in self._splits(g)
+                ),
+            )
+        )
 
     def bogoliubov_forest(self, g: GraphLike) -> FormalAmplitude:
         """Rbar as the Zimmermann forest sum of counterterm products."""
-        total = FormalAmplitude.zero()
-        for forest in self.zimmermann_forests(g):
+
+        def forest_term(forest: tuple[EdgeSubset, ...]) -> FormalAmplitude:
             maximal = [m for m in forest if not any(m < other for other in forest)]
             if maximal:
                 outer = self.label(cograph(g, maximal))
@@ -798,6 +703,6 @@ class HopfAlgebra:
                 sub = member_graph(g, m)
                 shrunk = cograph(sub, inner_max) if inner_max else sub
                 term = term * FormalAmplitude.phi(self.label(shrunk)).project()
-            sign = -1 if len(forest) % 2 else 1
-            total = total + sign * term
-        return total
+            return -term if len(forest) % 2 else term
+
+        return FormalAmplitude.sum(forest_term(f) for f in self.zimmermann_forests(g))

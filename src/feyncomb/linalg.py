@@ -106,14 +106,13 @@ def det_cofactor(matrix: Sequence[Sequence]) -> MultiPoly:
             return MultiPoly.one()
         if m == 1:
             return rows[0][0]
-        total = MultiPoly.zero()
-        for j in range(m):
-            if rows[0][j].is_zero():
-                continue
+
+        def cofactor(j: int) -> MultiPoly:
             minor = [[row[c] for c in range(m) if c != j] for row in rows[1:]]
             piece = rows[0][j] * rec(minor)
-            total = total + (piece if j % 2 == 0 else -piece)
-        return total
+            return piece if j % 2 == 0 else -piece
+
+        return MultiPoly.sum(cofactor(j) for j in range(m) if not rows[0][j].is_zero())
 
     return rec(a)
 
@@ -142,13 +141,14 @@ def pfaffian(matrix: Sequence[Sequence]) -> MultiPoly:
     n = len(a)
     if n % 2 == 1:
         return MultiPoly.zero()
-    total = MultiPoly.zero()
-    for pairing, sign in _pairings_with_sign(tuple(range(n))):
-        term = MultiPoly.const(sign)
+
+    def term(pairing: list[tuple[int, int]], sign: int) -> MultiPoly:
+        out = MultiPoly.const(sign)
         for i, j in pairing:
-            term = term * a[i][j]
-        total = total + term
-    return total
+            out = out * a[i][j]
+        return out
+
+    return MultiPoly.sum(term(p, s) for p, s in _pairings_with_sign(tuple(range(n))))
 
 
 def _pairings_with_sign(items: tuple[int, ...]):
@@ -176,15 +176,14 @@ def pfaffian_recursive(matrix: Sequence[Sequence]) -> MultiPoly:
         m = len(rows)
         if m == 0:
             return MultiPoly.one()
-        total = MultiPoly.zero()
-        for j in range(1, m):
-            if rows[0][j].is_zero():
-                continue
+
+        def expansion_term(j: int) -> MultiPoly:
             keep = [k for k in range(1, m) if k != j]
             minor = [[rows[r][c] for c in keep] for r in keep]
             piece = rows[0][j] * rec(minor)
-            total = total + (piece if j % 2 == 1 else -piece)
-        return total
+            return piece if j % 2 == 1 else -piece
+
+        return MultiPoly.sum(expansion_term(j) for j in range(1, m) if not rows[0][j].is_zero())
 
     return rec(a)
 

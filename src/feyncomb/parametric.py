@@ -13,13 +13,14 @@ polynomial is rendered.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
 from . import linalg
 from .graphs import Graph
-from .poly import MultiPoly, Rational
+from .poly import LinComb, Monomial, MultiPoly, Rational
 from .polynomials import multivariate_br, multivariate_tutte
 from .ribbon import RibbonGraph
 
@@ -88,15 +89,20 @@ def load_momenta_json(g: Graph, data: Mapping) -> dict[str, Momentum]:
 
     Components may be ints or "n/d" strings; floats are rejected.
     """
+    if not isinstance(data, dict):
+        raise ValueError("momenta must be a JSON object")
     ext: dict[str, Momentum] = {}
     for lid, entry in data.items():
-        if "p" not in entry:
-            raise ValueError(f"momenta entry {lid!r} missing field 'p'")
+        if not isinstance(entry, dict) or not isinstance(entry.get("p"), list):
+            raise ValueError(f"momenta entry {lid!r} needs a list field 'p'")
         comps = []
         for c in entry["p"]:
-            if isinstance(c, bool) or isinstance(c, float):
+            if not isinstance(c, (int, str)) or isinstance(c, bool):
                 raise ValueError(f"momenta for {lid!r} must be exact (int or 'n/d' string)")
-            comps.append(Fraction(c))
+            try:
+                comps.append(Fraction(c))
+            except (ValueError, ZeroDivisionError):
+                raise ValueError(f"momenta for {lid!r}: {c!r} is not an exact rational") from None
         ext[lid] = momentum(comps)
         want = g.leg(lid).dir if any(l.id == lid for l in g.legs) else None
         if want is not None and "dir" in entry and entry["dir"] != want:
@@ -109,10 +115,8 @@ def load_momenta_json(g: Graph, data: Mapping) -> dict[str, Momentum]:
 
 def symanzik_u(g: Graph) -> MultiPoly:
     """First Symanzik polynomial: sum over spanning trees of the complement product."""
-    total = MultiPoly.zero()
-    for tree in g.spanning_trees():
-        total = total + alpha_product(g.all_edges() - tree)
-    return total
+    all_ids = g.all_edges()
+    return MultiPoly.sum(alpha_product(all_ids - tree) for tree in g.spanning_trees())
 
 
 def symanzik_v(
@@ -128,19 +132,18 @@ def symanzik_v(
     """
     momenta = validate_assignment(g, ext)
     pick = 0 if component == "auto" else int(component)
-    total = MultiPoly.zero()
-    for tt in g.spanning_two_trees():
-        legs = tt.legs[pick]
+    all_ids = g.all_edges()
+
+    def term(tt) -> MultiPoly:
         flow = [Fraction(0)] * 4
-        for lid in legs:
+        for lid in tt.legs[pick]:
             sign = g.leg(lid).sign
             for i in range(4):
                 flow[i] += sign * momenta[lid][i]
         coeff = dot(tuple(flow), tuple(flow))  # type: ignore[arg-type]
-        if coeff == 0:
-            continue
-        total = total + MultiPoly.const(coeff) * alpha_product(g.all_edges() - tt.edges)
-    return total
+        return alpha_product(all_ids - tt.edges) * coeff
+
+    return MultiPoly.sum(term(tt) for tt in g.spanning_two_trees())
 
 
 def symanzik_u_via_det(g: Graph, drop_vertex: str | None = None) -> MultiPoly:
@@ -213,11 +216,10 @@ def u_from_multivariate_tutte(g: Graph) -> MultiPoly:
     beta_vars = [f"b.{e.id}" for e in g.edges]
     forest = spanning.lowest_homogeneous_part(beta_vars) if not spanning.is_zero() else spanning
     all_ids = g.all_edges()
-    total = MultiPoly.zero()
-    for mono, coeff in forest.terms.items():
-        tree_ids = {v[2:] for v, _ in mono}
-        total = total + MultiPoly.const(coeff) * alpha_product(all_ids - tree_ids)
-    return total
+    return MultiPoly.sum(
+        alpha_product(all_ids - {v[2:] for v, _ in mono}) * coeff
+        for mono, coeff in forest.terms.items()
+    )
 
 
 @dataclass(frozen=True)
@@ -230,87 +232,55 @@ class Integrand:
 
 
 def parametric_integrand(g: Graph, ext: Mapping[str, Momentum], m2: Rational) -> Integrand:
-    mass = MultiPoly.zero()
-    for e in g.edges:
-        mass = mass + alpha_var(e.id)
+    mass = MultiPoly.sum(alpha_var(e.id) for e in g.edges)
     return Integrand(symanzik_u(g), symanzik_v(g, ext), MultiPoly.const(m2) * mass)
 
 
 # -- theta-power tracking ------------------------------------------------------------
 
 
-class ThetaTracked:
+class ThetaTracked(LinComb):
     """A finite sum of (theta/2)^n times theta-free polynomials.
 
+    A `poly.LinComb` keyed by the power n, with MultiPoly coefficients.
     Negative n is legal while assembling (edge factors contribute
     2 alpha/theta) but rendering to a true polynomial requires every
     surviving power to be nonnegative.
     """
 
-    __slots__ = ("parts",)
+    __slots__ = ()
+
+    _scalars = (MultiPoly, int, Fraction)
+    _key_mul = staticmethod(operator.add)
 
     def __init__(self, parts: Mapping[int, MultiPoly] | None = None):
-        clean: dict[int, MultiPoly] = {}
-        if parts:
-            for n, p in parts.items():
-                if THETA in p.variables():
-                    raise ValueError("ThetaTracked payloads must be theta-free")
-                if not p.is_zero():
-                    clean[n] = p
-        object.__setattr__(self, "parts", clean)
+        if parts and any(THETA in p.variables() for p in parts.values()):
+            raise ValueError("ThetaTracked payloads must be theta-free")
+        super().__init__(parts)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ThetaTracked is immutable")
-
-    @staticmethod
-    def zero() -> ThetaTracked:
-        return ThetaTracked()
+    @property
+    def parts(self) -> dict[int, MultiPoly]:
+        return self.terms
 
     @staticmethod
     def from_poly(p: MultiPoly, power: int = 0) -> ThetaTracked:
         return ThetaTracked({power: p})
 
-    def __add__(self, other: ThetaTracked) -> ThetaTracked:
-        parts = dict(self.parts)
-        for n, p in other.parts.items():
-            parts[n] = parts.get(n, MultiPoly.zero()) + p
-        return ThetaTracked(parts)
-
-    def __mul__(self, other: ThetaTracked | MultiPoly | Rational) -> ThetaTracked:
-        if isinstance(other, ThetaTracked):
-            parts: dict[int, MultiPoly] = {}
-            for n1, p1 in self.parts.items():
-                for n2, p2 in other.parts.items():
-                    n = n1 + n2
-                    parts[n] = parts.get(n, MultiPoly.zero()) + p1 * p2
-            return ThetaTracked(parts)
-        return ThetaTracked({n: p * other for n, p in self.parts.items()})
-
-    __rmul__ = __mul__
-
     def shift(self, k: int) -> ThetaTracked:
         """Multiply by (theta/2)^k."""
-        return ThetaTracked({n + k: p for n, p in self.parts.items()})
-
-    def is_zero(self) -> bool:
-        return not self.parts
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ThetaTracked):
-            return NotImplemented
-        return self.parts == other.parts
+        return ThetaTracked({n + k: p for n, p in self.terms.items()})
 
     def __repr__(self) -> str:
         return f"ThetaTracked({self.to_poly().canonical_string()})"
 
     def to_poly(self) -> MultiPoly:
         """Expand into a polynomial in alpha and theta; negative powers error."""
-        total = MultiPoly.zero()
-        for n, p in self.parts.items():
+        for n in self.terms:
             if n < 0:
                 raise ValueError(f"negative theta power {n} cannot be rendered")
-            total = total + MultiPoly.var(THETA, n) * Fraction(1, 2**n) * p
-        return total
+        return MultiPoly.sum(
+            MultiPoly.var(THETA, n) * Fraction(1, 2**n) * p for n, p in self.terms.items()
+        )
 
 
 # -- Moyal-space polynomials -------------------------------------------------------------
@@ -327,13 +297,15 @@ def nc_u(rg: RibbonGraph) -> ThetaTracked:
         raise ValueError("nc_u requires a connected ribbon graph")
     b = _b_exponent(rg)
     n_edges = len(rg.edges)
-    total = ThetaTracked.zero()
-    for qt in rg.quasi_trees():
+    all_ids = rg.all_edges()
+
+    def term(qt: frozenset[str]) -> ThetaTracked:
         power = b - (n_edges - len(qt))
         if power < 0:
             raise AssertionError(f"negative theta power {power} for quasi-tree {sorted(qt)}")
-        total = total + ThetaTracked.from_poly(alpha_product(rg.all_edges() - qt), power)
-    return total
+        return ThetaTracked.from_poly(alpha_product(all_ids - qt), power)
+
+    return ThetaTracked.sum(term(qt) for qt in rg.quasi_trees())
 
 
 def nc_u_delcon(rg: RibbonGraph) -> ThetaTracked:
@@ -383,8 +355,9 @@ def nc_v_real(
     momenta = validate_assignment(rg.graph, ext)
     b = _b_exponent(rg)
     n_edges = len(rg.edges)
-    total = ThetaTracked.zero()
-    for tq in rg.two_quasi_trees():
+    all_ids = rg.all_edges()
+
+    def term(tq) -> ThetaTracked:
         if face_choice == "auto":
             keys = [min(f.leg_ids()) if f.leg_ids() else "~" for f in tq.faces]
             face = tq.faces[0] if keys[0] <= keys[1] else tq.faces[1]
@@ -395,13 +368,10 @@ def nc_v_real(
             for i in range(4):
                 flow[i] += sign * momenta[lid][i]
         coeff = dot(tuple(flow), tuple(flow))  # type: ignore[arg-type]
-        if coeff == 0:
-            continue
         power = (b + 1) - (n_edges - len(tq.edges))
-        total = total + ThetaTracked.from_poly(
-            MultiPoly.const(coeff) * alpha_product(rg.all_edges() - tq.edges), power
-        )
-    return total
+        return ThetaTracked.from_poly(alpha_product(all_ids - tq.edges) * coeff, power)
+
+    return ThetaTracked.sum(term(tq) for tq in rg.two_quasi_trees())
 
 
 def phase_psi(
@@ -434,17 +404,14 @@ def nc_v_imag(rg: RibbonGraph, ext: Mapping[str, Momentum]) -> ThetaTracked:
     momenta = validate_assignment(rg.graph, ext)
     b = _b_exponent(rg)
     n_edges = len(rg.edges)
-    total = ThetaTracked.zero()
-    for qt in rg.quasi_trees():
-        face = rg.faces(qt)[0]
-        psi = phase_psi(rg.face_boundary_order(face), momenta)
-        if psi == 0:
-            continue
+    all_ids = rg.all_edges()
+
+    def term(qt: frozenset[str]) -> ThetaTracked:
+        psi = phase_psi(rg.face_boundary_order(rg.faces(qt)[0]), momenta)
         power = b - (n_edges - len(qt))
-        total = total + ThetaTracked.from_poly(
-            MultiPoly.const(psi) * alpha_product(rg.all_edges() - qt), power
-        )
-    return total
+        return ThetaTracked.from_poly(alpha_product(all_ids - qt) * psi, power)
+
+    return ThetaTracked.sum(term(qt) for qt in rg.quasi_trees())
 
 
 def nc_u_from_multivariate_br(rg: RibbonGraph) -> ThetaTracked:
@@ -461,11 +428,10 @@ def nc_u_from_multivariate_br(rg: RibbonGraph) -> ThetaTracked:
     one_face = z3.substitute({"x": MultiPoly.one()}).coefficient_of("z", 1)
     shift = 1 - len(rg.vertices)
     all_ids = rg.all_edges()
-    total = ThetaTracked.zero()
-    for mono, coeff in one_face.terms.items():
+
+    def term(mono: Monomial, coeff: Fraction) -> ThetaTracked:
         subset_ids = {v[2:] for v, _ in mono}
         power = len(subset_ids) + shift
-        total = total + ThetaTracked.from_poly(
-            MultiPoly.const(coeff) * alpha_product(all_ids - subset_ids), power
-        )
-    return total
+        return ThetaTracked.from_poly(alpha_product(all_ids - subset_ids) * coeff, power)
+
+    return ThetaTracked.sum(term(mono, coeff) for mono, coeff in one_face.terms.items())

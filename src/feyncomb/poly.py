@@ -1,4 +1,18 @@
-"""Exact sparse multivariate polynomials over the rationals.
+"""Exact linear combinations, and sparse multivariate polynomials over the rationals.
+
+`LinComb` is the one implementation of the algebra the package's values
+live in: a finite sum of keys with nonzero coefficients, added termwise and
+multiplied through a product of keys.  Its subclasses supply only the key
+product and the rendering of a key:
+
+  MultiPoly        monomials                      (this module)
+  GraphSum         multisets of graph labels      (hopf)
+  TensorSum        pairs of such multisets        (hopf)
+  FormalAmplitude  products of Phi/T atoms        (formal)
+  ThetaTracked     powers of theta/2              (parametric)
+
+`LinComb.sum` adds any number of elements into one dict, so a sum built
+term by term never copies its partial sums.
 
 A polynomial is a mapping from monomials to nonzero Fraction coefficients.
 A monomial is stored as a tuple of (variable, exponent) pairs, sorted by
@@ -10,8 +24,9 @@ Variables are plain strings.  By convention the rest of the package uses
 "x", "y", "z", "q", "w", "k", "theta" for global polynomial variables and
 "a.<edge>" / "b.<edge>" for the per-edge alpha/beta variables.
 
-No floating point is used anywhere.  Division exists only as exact monomial
-division (`divexact_monomial`) and exact rational coefficient arithmetic.
+No floating point is used anywhere: the MultiPoly constructor rejects float,
+bool and str coefficients.  Division exists only as exact monomial division
+(`divexact_monomial`) and exact rational coefficient arithmetic.
 """
 
 from __future__ import annotations
@@ -22,6 +37,145 @@ from typing import Iterable, Mapping
 Monomial = tuple[tuple[str, int], ...]
 
 Rational = int | Fraction
+
+
+def signed_sum_text(pairs: Iterable[tuple[str, object]]) -> str:
+    """Render (body, coeff) pairs as a signed sum, e.g. "-x + 2*y - 3".
+
+    An empty body stands for the constant: its magnitude prints alone.  A
+    unit magnitude prints the body alone.  The empty sum is "0".
+    """
+    pieces: list[str] = []
+    for body, c in pairs:
+        mag = abs(c)
+        text = str(mag) if not body else body if mag == 1 else f"{mag}*{body}"
+        if pieces:
+            pieces.append((" + " if c > 0 else " - ") + text)
+        else:
+            pieces.append(text if c > 0 else "-" + text)
+    return "".join(pieces) or "0"
+
+
+class LinComb:
+    """Immutable finite combination of keys with nonzero coefficients.
+
+    Subclasses set `_key_mul` (the product of two keys), `_scalars` (the
+    types `*` scales every coefficient by), `_sort_key` (the render order
+    of keys; None is the keys' own order) and `_key_text` (the text of one
+    key, empty for the unit key).
+    """
+
+    __slots__ = ("terms", "_hash")
+
+    _scalars: tuple[type, ...] = (int,)
+    _sort_key = None
+
+    def __init__(self, terms: Mapping | None = None):
+        clean = {k: c for k, c in terms.items() if c} if terms else {}
+        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "_hash", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @classmethod
+    def zero(cls):
+        return cls()
+
+    @classmethod
+    def sum(cls, items: Iterable):
+        """The sum of `items`, all of this type, accumulated in one dict."""
+        acc: dict = {}
+        get = acc.get
+        for item in items:
+            for k, c in item.terms.items():
+                c0 = get(k)
+                acc[k] = c if c0 is None else c0 + c
+        return cls(acc)
+
+    @classmethod
+    def _coerce(cls, x):
+        """`x` as an element of this type, or None if it is not one."""
+        return x if type(x) is cls else None
+
+    # -- ring structure ------------------------------------------------
+
+    def __add__(self, other):
+        if type(other) is not self.__class__:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        out = dict(self.terms)
+        get = out.get
+        for k, c in other.terms.items():
+            c0 = get(k)
+            out[k] = c if c0 is None else c0 + c
+        return self.__class__(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self.__class__({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other + (-self)
+
+    def __mul__(self, other):
+        cls = self.__class__
+        if type(other) is cls:
+            key_mul = cls._key_mul
+            out: dict = {}
+            get = out.get
+            for k1, c1 in self.terms.items():
+                for k2, c2 in other.terms.items():
+                    k = key_mul(k1, k2)
+                    c0 = get(k)
+                    out[k] = c1 * c2 if c0 is None else c0 + c1 * c2
+            return cls(out)
+        if isinstance(other, cls._scalars):
+            return cls({k: c * other for k, c in self.terms.items()})
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other) -> bool:
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash(frozenset(self.terms.items()))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    # -- canonical output ----------------------------------------------
+
+    def render(self) -> str:
+        """Deterministic signed-sum rendering, keys in `_sort_key` order."""
+        key_text = self._key_text
+        terms = self.terms
+        return signed_sum_text((key_text(k), terms[k]) for k in sorted(terms, key=self._sort_key))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.render()})"
 
 
 def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
@@ -39,29 +193,59 @@ def _mono_degree(m: Monomial) -> int:
     return sum(e for _, e in m)
 
 
-class MultiPoly:
+def _exact(c) -> Fraction:
+    """The coefficient coercion of MultiPoly: int or Fraction, nothing else."""
+    if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
+        raise TypeError(f"polynomial coefficients must be int or Fraction, not {type(c).__name__}")
+    return Fraction(c)
+
+
+class MultiPoly(LinComb):
     """Immutable exact multivariate polynomial with rational coefficients."""
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ()
+
+    _scalars = (int, Fraction)
+    _key_mul = staticmethod(_mono_mul)
+
+    @staticmethod
+    def _sort_key(mono: Monomial):
+        """Descending total degree, then the (variable, exponent) sequence."""
+        return (-_mono_degree(mono), mono)
+
+    @staticmethod
+    def _key_text(mono: Monomial) -> str:
+        return "*".join(v if e == 1 else f"{v}^{e}" for v, e in mono)
 
     def __init__(self, terms: Mapping[Monomial, Rational] | None = None):
         clean: dict[Monomial, Fraction] = {}
         if terms:
-            for mono, coeff in terms.items():
-                c = Fraction(coeff)
-                if c != 0:
+            for mono, c in terms.items():
+                if type(c) is not Fraction:
+                    c = _exact(c)
+                if c:
                     clean[mono] = c
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_hash", None)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("MultiPoly is immutable")
+    @classmethod
+    def _coerce(cls, x):
+        if type(x) is MultiPoly:
+            return x
+        if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
+            return MultiPoly({(): x})
+        return None
+
+    # The shared operations bound in this class's own namespace, where
+    # perfbench/tracing.py instruments the polynomial layer alone.
+    __add__ = __radd__ = LinComb.__add__
+    __mul__ = __rmul__ = LinComb.__mul__
+
+    # Examples: "0", "x^2 + x + y", "x*y - x - y + 1", "1/4*theta^2"; the
+    # golden-file contract of the CLI.
+    canonical_string = LinComb.render
 
     # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def zero() -> MultiPoly:
-        return MultiPoly()
 
     @staticmethod
     def one() -> MultiPoly:
@@ -69,7 +253,7 @@ class MultiPoly:
 
     @staticmethod
     def const(c: Rational) -> MultiPoly:
-        return MultiPoly({(): Fraction(c)})
+        return MultiPoly({(): c})
 
     @staticmethod
     def var(name: str, power: int = 1) -> MultiPoly:
@@ -86,48 +270,7 @@ class MultiPoly:
         if any(e < 0 for e in exps.values()):
             raise ValueError("negative exponent not representable")
         mono = tuple(sorted((v, e) for v, e in exps.items() if e > 0))
-        return MultiPoly({mono: Fraction(coeff)})
-
-    # -- ring structure ------------------------------------------------
-
-    def __add__(self, other: MultiPoly | Rational) -> MultiPoly:
-        other = _promote(other)
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = out.get(mono, Fraction(0)) + c
-            if s == 0:
-                out.pop(mono, None)
-            else:
-                out[mono] = s
-        return MultiPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> MultiPoly:
-        return MultiPoly({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: MultiPoly | Rational) -> MultiPoly:
-        return self + (-_promote(other))
-
-    def __rsub__(self, other: MultiPoly | Rational) -> MultiPoly:
-        return _promote(other) + (-self)
-
-    def __mul__(self, other: MultiPoly | Rational) -> MultiPoly:
-        other = _promote(other)
-        if not self.terms or not other.terms:
-            return MultiPoly.zero()
-        out: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = _mono_mul(m1, m2)
-                s = out.get(mono, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(mono, None)
-                else:
-                    out[mono] = s
-        return MultiPoly(out)
-
-    __rmul__ = __mul__
+        return MultiPoly({mono: coeff})
 
     def __pow__(self, n: int) -> MultiPoly:
         if n < 0:
@@ -137,47 +280,10 @@ class MultiPoly:
             acc = acc * self
         return acc
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.const(other)
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self) -> int:
-        h = object.__getattribute__(self, "_hash")
-        if h is None:
-            h = hash(frozenset(self.terms.items()))
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __repr__(self) -> str:
-        return f"MultiPoly({self.canonical_string()})"
-
     # -- queries --------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def variables(self) -> set[str]:
         return {v for mono in self.terms for v, _ in mono}
-
-    def total_degree(self) -> int:
-        """Max total degree over monomials; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(_mono_degree(m) for m in self.terms)
-
-    def degree_in(self, var: str) -> int:
-        deg = 0
-        for mono in self.terms:
-            for v, e in mono:
-                if v == var:
-                    deg = max(deg, e)
-        return deg
 
     def constant_term(self) -> Fraction:
         return self.terms.get((), Fraction(0))
@@ -190,16 +296,14 @@ class MultiPoly:
         Variables absent from `bindings` are left alone.
         """
         subs = {v: _promote(p) for v, p in bindings.items()}
-        total = MultiPoly.zero()
-        for mono, coeff in self.terms.items():
+
+        def image(mono: Monomial, coeff: Fraction) -> MultiPoly:
             term = MultiPoly.const(coeff)
             for v, e in mono:
-                if v in subs:
-                    term = term * subs[v] ** e
-                else:
-                    term = term * MultiPoly.var(v, e)
-            total = total + term
-        return total
+                term = term * (subs[v] ** e if v in subs else MultiPoly.var(v, e))
+            return term
+
+        return MultiPoly.sum(image(mono, coeff) for mono, coeff in self.terms.items())
 
     def coefficient_of(self, var: str, power: int) -> MultiPoly:
         """Coefficient polynomial of var**power (var removed from the result)."""
@@ -250,46 +354,13 @@ class MultiPoly:
             out[tuple(sorted(cur.items()))] = coeff
         return MultiPoly(out)
 
-    def canonical_string(self) -> str:
-        """Deterministic rendering; the golden-file contract of the CLI.
-
-        Monomials are ordered by descending total degree, then
-        lexicographically by their (variable, exponent) sequence.  Examples:
-        "0", "x^2 + x + y", "x*y - x - y + 1", "1/4*theta^2".
-        """
-        if not self.terms:
-            return "0"
-        keyed = sorted(self.terms.items(), key=lambda kv: (-_mono_degree(kv[0]), kv[0]))
-        pieces: list[str] = []
-        for i, (mono, coeff) in enumerate(keyed):
-            mag = _term_string(mono, abs(coeff))
-            if i == 0:
-                pieces.append(mag if coeff > 0 else "-" + mag)
-            else:
-                pieces.append((" + " if coeff > 0 else " - ") + mag)
-        return "".join(pieces)
-
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         """Terms in canonical_string order."""
-        return sorted(self.terms.items(), key=lambda kv: (-_mono_degree(kv[0]), kv[0]))
-
-
-def _term_string(mono: Monomial, coeff: Fraction) -> str:
-    if not mono:
-        return str(coeff)
-    body = "*".join(v if e == 1 else f"{v}^{e}" for v, e in mono)
-    if coeff == 1:
-        return body
-    return f"{coeff}*{body}"
+        return [(m, self.terms[m]) for m in sorted(self.terms, key=self._sort_key)]
 
 
 def _promote(p: MultiPoly | Rational) -> MultiPoly:
-    if isinstance(p, MultiPoly):
-        return p
-    if isinstance(p, (int, Fraction)):
-        return MultiPoly.const(p)
-    raise TypeError(f"cannot coerce {type(p).__name__} to MultiPoly")
-
-
-ZERO = MultiPoly.zero()
-ONE = MultiPoly.one()
+    q = MultiPoly._coerce(p)
+    if q is None:
+        raise TypeError(f"cannot coerce {type(p).__name__} to MultiPoly")
+    return q

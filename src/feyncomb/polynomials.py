@@ -12,6 +12,8 @@ External legs are ignored by everything in this module.
 
 from __future__ import annotations
 
+from typing import Iterable, Iterator
+
 from .graphs import Graph
 from .poly import MultiPoly
 from .ribbon import RibbonGraph
@@ -25,6 +27,17 @@ K = MultiPoly.var("k")
 
 def beta_var(edge_id: str) -> MultiPoly:
     return MultiPoly.var(f"b.{edge_id}")
+
+
+def _beta_product(edge_ids: Iterable[str]) -> MultiPoly:
+    return MultiPoly.from_exponents({f"b.{e}": 1 for e in edge_ids})
+
+
+def _edge_subsets(g: Graph | RibbonGraph) -> Iterator[frozenset[str]]:
+    """Every subset of the edge ids."""
+    ids = sorted(g.all_edges())
+    for mask in range(1 << len(ids)):
+        yield frozenset(ids[i] for i in range(len(ids)) if mask >> i & 1)
 
 
 # -- Tutte polynomial ------------------------------------------------------------
@@ -45,12 +58,9 @@ def _tutte_subset(g: Graph) -> MultiPoly:
     r_all = g.rank()
     xm = X - 1
     ym = Y - 1
-    total = MultiPoly.zero()
-    ids = sorted(g.all_edges())
-    for mask in range(1 << len(ids)):
-        subset = [ids[i] for i in range(len(ids)) if mask >> i & 1]
-        total = total + xm ** (r_all - g.rank(subset)) * ym ** g.nullity(subset)
-    return total
+    return MultiPoly.sum(
+        xm ** (r_all - g.rank(subset)) * ym ** g.nullity(subset) for subset in _edge_subsets(g)
+    )
 
 
 def _tutte_delcon(g: Graph, memo: dict[str, MultiPoly] | None) -> MultiPoly:
@@ -78,15 +88,9 @@ def multivariate_tutte(g: Graph, method: str = "subset") -> MultiPoly:
     if len(g.vertices) == 0:
         raise ValueError("multivariate_tutte requires at least one vertex")
     if method == "subset":
-        ids = sorted(g.all_edges())
-        total = MultiPoly.zero()
-        for mask in range(1 << len(ids)):
-            subset = [ids[i] for i in range(len(ids)) if mask >> i & 1]
-            term = Q ** g.components(subset)
-            for eid in subset:
-                term = term * beta_var(eid)
-            total = total + term
-        return total
+        return MultiPoly.sum(
+            Q ** g.components(subset) * _beta_product(subset) for subset in _edge_subsets(g)
+        )
     if method == "delcon":
         return _ztutte_delcon(g)
     raise ValueError(f"unknown method {method!r}")
@@ -215,14 +219,13 @@ def _br_subset(rg: RibbonGraph) -> MultiPoly:
     g = rg.graph
     r_all = g.rank()
     xm = X - 1
-    ids = sorted(rg.all_edges())
-    total = MultiPoly.zero()
-    for mask in range(1 << len(ids)):
-        subset = frozenset(ids[i] for i in range(len(ids)) if mask >> i & 1)
+
+    def term(subset: frozenset[str]) -> MultiPoly:
         n_h = g.nullity(subset)
         zexp = g.components(subset) - rg.face_count(subset) + n_h
-        total = total + xm ** (r_all - g.rank(subset)) * Y**n_h * Z**zexp
-    return total
+        return xm ** (r_all - g.rank(subset)) * Y**n_h * Z**zexp
+
+    return MultiPoly.sum(term(subset) for subset in _edge_subsets(rg))
 
 
 def _br_delcon(rg: RibbonGraph, memo: dict[str, MultiPoly] | None) -> MultiPoly:
@@ -251,14 +254,14 @@ def _br_terminal(rg: RibbonGraph) -> MultiPoly:
     for v in rg.vertices:
         seq = tuple(t for t in rg.rotation[v] if t[1] != "x")
         loop_ids = sorted({t[0] for t in seq})
-        vertex_sum = MultiPoly.zero()
-        for mask in range(1 << len(loop_ids)):
+
+        def term(mask: int) -> MultiPoly:
             chosen = frozenset(loop_ids[i] for i in range(len(loop_ids)) if mask >> i & 1)
             local = tuple(t for t in seq if t[0] in chosen)
-            f = _one_vertex_face_count(local)
-            two_genus = 1 + len(chosen) - f
-            vertex_sum = vertex_sum + Y ** len(chosen) * Z**two_genus
-        total = total * vertex_sum
+            two_genus = 1 + len(chosen) - _one_vertex_face_count(local)
+            return Y ** len(chosen) * Z**two_genus
+
+        total = total * MultiPoly.sum(term(mask) for mask in range(1 << len(loop_ids)))
     return total
 
 
@@ -285,15 +288,10 @@ def multivariate_br(rg: RibbonGraph) -> MultiPoly:
     if len(rg.vertices) == 0:
         raise ValueError("multivariate_br requires at least one vertex")
     g = rg.graph
-    ids = sorted(rg.all_edges())
-    total = MultiPoly.zero()
-    for mask in range(1 << len(ids)):
-        subset = frozenset(ids[i] for i in range(len(ids)) if mask >> i & 1)
-        term = X ** g.components(subset) * Z ** rg.face_count(subset)
-        for eid in sorted(subset):
-            term = term * beta_var(eid)
-        total = total + term
-    return total
+    return MultiPoly.sum(
+        X ** g.components(subset) * Z ** rg.face_count(subset) * _beta_product(subset)
+        for subset in _edge_subsets(rg)
+    )
 
 
 def check_br_tutte_specialization(rg: RibbonGraph) -> bool:

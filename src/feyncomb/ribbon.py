@@ -358,8 +358,8 @@ def ribbon_from_json_dict(data: dict) -> RibbonGraph:
     """Parse the fixture format with type "ribbon" (rotation required)."""
     if data.get("type") != "ribbon":
         raise ValueError(f"expected type 'ribbon', got {data.get('type')!r}")
-    if "rotation" not in data:
-        raise ValueError("ribbon fixture missing field 'rotation'")
+    if not isinstance(data.get("rotation"), dict):
+        raise ValueError("ribbon fixture field 'rotation' must be an object")
     base = dict(data)
     base["type"] = "graph"
     from .graphs import graph_from_json_dict
@@ -393,6 +393,8 @@ def load_fixture(path_or_data: str | dict) -> Graph | RibbonGraph:
                 data = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"malformed JSON in {path_or_data}: {exc}") from None
+    if not isinstance(data, dict):
+        raise ValueError("a fixture must be a JSON object")
     kind = data.get("type")
     if kind == "graph":
         if "rotation" in data:

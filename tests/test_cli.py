@@ -86,6 +86,22 @@ def test_exit_code_2_on_bad_input(tmp_path):
     )
     code, text = run("poly", "chromatic", str(disc))
     assert code == 2 and "connected" in text
+    # malformed structure: a top-level array, a string of vertices, and a
+    # momentum component with a zero denominator
+    array = tmp_path / "array.json"
+    array.write_text(json.dumps([fixtures.FIXTURES["k3"]]), encoding="utf-8")
+    code, text = run("poly", "tutte", str(array))
+    assert (code, text) == (2, "error: a fixture must be a JSON object\n")
+    letters = tmp_path / "letters.json"
+    letters.write_text(json.dumps({"type": "graph", "vertices": "ab", "edges": []}), encoding="utf-8")
+    code, text = run("poly", "tutte", str(letters))
+    assert (code, text) == (2, "error: fixture field 'vertices' must be a list of strings\n")
+    momenta = tmp_path / "momenta.json"
+    momenta.write_text(
+        json.dumps({"f1": {"p": ["1/0", 0, 0, 0]}, "f2": {"p": [0, 0, 0, 0]}}), encoding="utf-8"
+    )
+    code, text = run("param", "v", path("fig6"), "--momenta", str(momenta))
+    assert code == 2 and text.startswith("error: ") and text.count("\n") == 1 and "1/0" in text
 
 
 def test_unknown_flags_rejected():

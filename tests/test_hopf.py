@@ -212,8 +212,8 @@ def test_convolution_examples(h):
 def test_grading_and_divergent_subgraphs_aliases(h):
     assert HopfAlgebra.grading(fig4()) == 1
     assert HopfAlgebra.grading(fig5()) == 3
-    assert h.divergent_subgraphs(fig4()) == []
-    assert h.divergent_subgraphs(fig5()) == [(GAMMA5,)]
+    assert h.families(fig4()) == []
+    assert h.families(fig5()) == [(GAMMA5,)]
 
 
 def test_renormalized_is_id_minus_t_of_rbar(h):
@@ -381,3 +381,31 @@ def test_core_model_is_wider_than_phi4(h):
     assert frozenset({"e3", "e5", "e6"}) in core_members  # a 5-leg triangle
     assert h_core.check_coassociativity(g5)
     assert h_core.check_hopf_axioms(g5)
+
+
+def test_gw_shrinks_inside_a_stored_subgraph_with_cut_legs():
+    # A 2-leg ribbon graph whose divergent members, stored as standalone
+    # graphs, carry legs named "cut.*"; shrinking inside one of them must
+    # keep those legs as legs, not read them as host edge ends.
+    rg = RibbonGraph(
+        Graph(
+            ["v1", "v2", "v3"],
+            [
+                ("e1", "v1", "v2"),
+                ("e2", "v3", "v1"),
+                ("e3", "v3", "v1"),
+                ("e4", "v2", "v3"),
+                ("e5", "v3", "v2"),
+            ],
+            [("f1", "v1", "out"), ("f2", "v2", "out")],
+        ),
+        {
+            "v1": (("f1", "x"), ("e2", "h"), ("e3", "h"), ("e1", "t")),
+            "v2": (("e4", "t"), ("e1", "h"), ("f2", "x"), ("e5", "h")),
+            "v3": (("e4", "h"), ("e5", "t"), ("e3", "t"), ("e2", "t")),
+        },
+    )
+    h_gw = HopfAlgebra("gw")
+    assert not h_gw.antipode(rg).is_zero()
+    assert h_gw.check_coassociativity(rg)
+    assert h_gw.check_hopf_axioms(rg)

@@ -139,3 +139,28 @@ def test_negative_powers_rejected():
         MultiPoly.var("x", -1)
     with pytest.raises(ValueError):
         X ** (-1)
+
+
+def test_inexact_coefficients_rejected():
+    for bad in (0.5, 1.0, True, "1/2"):
+        with pytest.raises(TypeError):
+            MultiPoly({(): bad})
+        with pytest.raises(TypeError):
+            MultiPoly.const(bad)
+    with pytest.raises(TypeError):
+        X + 0.5
+    with pytest.raises(TypeError):
+        X * 0.5
+    assert MultiPoly({(): Fraction(1, 2)}) == Fraction(1, 2)
+    assert X + 1 == 1 + X
+
+
+def test_sum_matches_repeated_addition():
+    rng = random.Random(17)
+    for _ in range(20):
+        parts = [_random_poly(rng) for _ in range(rng.randint(0, 5))]
+        total = MultiPoly.zero()
+        for p in parts:
+            total = total + p
+        assert MultiPoly.sum(parts) == total
+    assert MultiPoly.sum([X, Y, -X]).terms == {(("y", 1),): 1}
