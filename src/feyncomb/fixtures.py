@@ -220,10 +220,6 @@ def build(name: str) -> Graph | RibbonGraph:
     return load_fixture(FIXTURES[name])
 
 
-def graph_fixture_names() -> list[str]:
-    return [n for n in names() if FIXTURES[n]["type"] == "graph"]
-
-
 def ribbon_fixture_names() -> list[str]:
     return [n for n in names() if FIXTURES[n]["type"] == "ribbon"]
 

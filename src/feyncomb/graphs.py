@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Hashable, Iterable, Sequence
 
 EdgeSubset = frozenset[str]
 
@@ -128,9 +128,6 @@ class Graph:
     def all_edges(self) -> EdgeSubset:
         return frozenset(e.id for e in self.edges)
 
-    def legs_at(self, vertex: str) -> list[Leg]:
-        return [l for l in self.legs if l.vertex == vertex]
-
     def degree(self, vertex: str) -> int:
         """Number of half-edges at the vertex, legs included; loops count twice."""
         d = 0
@@ -194,9 +191,7 @@ class Graph:
 
     def is_one_pi(self) -> bool:
         """1PI: connected and bridgeless.  Disconnected graphs are not 1PI."""
-        if not self.is_connected():
-            return False
-        return all(self.classify_edge(e.id) != "bridge" for e in self.edges)
+        return bridgeless_connected(self.vertices, [(e.tail, e.head) for e in self.edges])
 
     def delete_edge(self, edge_id: str) -> Graph:
         self.edge(edge_id)
@@ -329,6 +324,44 @@ class Graph:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=False) + "\n"
 
 
+def bridgeless_connected(verts: Iterable[Hashable], ends: Sequence[tuple]) -> bool:
+    """Whether the graph on `verts` (indices or ids) with the (tail, head)
+    edges `ends` is connected and bridgeless.
+
+    One iterative DFS with low-links (Tarjan 1974).  The edge a vertex was
+    reached by is skipped by its index, so a parallel edge closes a cycle.
+    Self-loops are never bridges; an empty vertex set is not connected.
+    """
+    adj: dict[Hashable, list[tuple[Hashable, int]]] = {v: [] for v in verts}
+    for i, (a, b) in enumerate(ends):
+        if a != b:
+            adj[a].append((b, i))
+            adj[b].append((a, i))
+    if not adj:
+        return False
+    root = next(iter(adj))
+    disc = {root: 0}
+    low = {root: 0}
+    stack = [(root, -1, iter(adj[root]))]
+    while stack:
+        v, via, todo = stack[-1]
+        for w, i in todo:
+            if w not in disc:
+                disc[w] = low[w] = len(disc)
+                stack.append((w, i, iter(adj[w])))
+                break
+            if i != via:
+                low[v] = min(low[v], disc[w])
+        else:
+            stack.pop()
+            if stack:
+                u = stack[-1][0]
+                if low[v] > disc[u]:
+                    return False  # the tree edge u-v is a bridge
+                low[u] = min(low[u], low[v])
+    return len(disc) == len(adj)
+
+
 def _signature_bijections(vertices: list[str], sig: dict[str, tuple]):
     """Yield vertex -> position maps compatible with the degree signatures."""
     classes: dict[tuple, list[str]] = {}
@@ -356,8 +389,8 @@ def graph_from_json_dict(data: dict) -> Graph:
     if data["type"] != "graph":
         raise ValueError(f"expected type 'graph', got {data['type']!r}")
     vertices = _json_list(data, "vertices", str)
-    edges = [Edge(e["id"], e["tail"], e["head"]) for e in _json_list(data, "edges", dict)]
-    legs = [Leg(x["id"], x["vertex"], x["dir"]) for x in _json_list(data, "external", dict)]
+    edges = [Edge(*e) for e in _json_records(data, "edges", "edge", ("id", "tail", "head"))]
+    legs = [Leg(*x) for x in _json_records(data, "external", "leg", ("id", "vertex", "dir"))]
     return Graph(vertices, edges, legs)
 
 
@@ -368,3 +401,16 @@ def _json_list(data: dict, field: str, item_type: type) -> list:
         kind = "strings" if item_type is str else "objects"
         raise ValueError(f"fixture field {field!r} must be a list of {kind}")
     return value
+
+
+def _json_records(data: dict, field: str, kind: str, keys: tuple[str, ...]) -> list[tuple[str, ...]]:
+    """The string fields `keys` of every object in a fixture list field."""
+    out = []
+    for i, item in enumerate(_json_list(data, field, dict)):
+        for key in keys:
+            if key not in item:
+                raise ValueError(f"fixture {kind} {i} is missing field {key!r}")
+            if not isinstance(item[key], str):
+                raise ValueError(f"fixture {kind} {i} field {key!r} must be a string")
+        out.append(tuple(item[key] for key in keys))
+    return out

@@ -16,18 +16,21 @@ Divergence models:
   core  every connected 1PI subgraph with at least one internal edge
 
 Subgraphs are edge subsets; their external legs are the cut half-edges plus
-the host's own legs attached inside.  Shrinking a subgraph keeps ribbon
-structure by reading the cut half-edges off the subgraph's single broken
-face, so the gw model stays inside ribbon graphs.
+the host's own legs attached inside.  The search tests each edge subset for
+tadpoles, then the leg count, then 1PI-ness, then (gw) planarity.
+
+Shrinking a subgraph keeps ribbon structure by reading the cut half-edges
+off the subgraph's single broken face, so the gw model stays inside ribbon
+graphs.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .formal import FormalAmplitude
-from .graphs import Edge, EdgeSubset, Graph, Leg
+from .graphs import Edge, EdgeSubset, Graph, Leg, bridgeless_connected
 from .poly import LinComb
 from .ribbon import RibbonGraph, Token, is_leg_token
 
@@ -420,6 +423,7 @@ class HopfAlgebra:
         self.include_tadpoles = include_tadpoles
         self.products = products
         self._graphs: dict[str, GraphLike] = {}
+        self._split_cache: dict[str, list[tuple[Mono, str]]] = {}
         self._coproducts: dict[str, TensorSum] = {}
         self._antipodes: dict[str, GraphSum] = {}
         self._phi_minus: dict[str, FormalAmplitude] = {}
@@ -451,43 +455,30 @@ class HopfAlgebra:
     # -- divergent subgraphs ---------------------------------------------------
 
     def divergent_members(self, g: GraphLike) -> list[EdgeSubset]:
-        """Connected 1PI proper subgraphs that are divergent under the model."""
+        """Connected 1PI proper subgraphs that are divergent under the model,
+        in (size, sorted ids) order."""
         if self.model == "gw" and not isinstance(g, RibbonGraph):
             raise ValueError("the gw model is defined on ribbon graphs")
         base = underlying(g)
-        ids = sorted(base.all_edges())
+        deg = {v: base.degree(v) for v in base.vertices}
+        edges = sorted(base.edges, key=lambda e: e.id)
+        ends = [(e.tail, e.head) for e in edges]
+        loops = {i for i, e in enumerate(edges) if e.is_loop}
         out = []
-        for r in range(1, len(ids)):
-            for combo in itertools.combinations(ids, r):
-                member = frozenset(combo)
-                if self._member_ok(g, member):
-                    out.append(member)
-        out.sort(key=lambda m: (len(m), sorted(m)))
+        for r in range(1, len(edges)):
+            for combo in itertools.combinations(range(len(edges)), r):
+                if not self.include_tadpoles and loops.intersection(combo):
+                    continue
+                verts = {v for i in combo for v in ends[i]}
+                if self.model != "core" and sum(deg[v] for v in verts) - 2 * r not in (2, 4):
+                    continue
+                if not bridgeless_connected(verts, [ends[i] for i in combo]):
+                    continue
+                member = frozenset(edges[i].id for i in combo)
+                if self.model == "gw" and not member_graph(g, member).is_planar_regular():
+                    continue
+                out.append(member)
         return out
-
-    def _member_ok(self, g: GraphLike, member: EdgeSubset) -> bool:
-        base = underlying(g)
-        if not self.include_tadpoles and any(base.edge(eid).is_loop for eid in member):
-            return False
-        mv = member_vertices(g, member)
-        plain = Graph(
-            [v for v in base.vertices if v in mv],
-            [e for e in base.edges if e.id in member],
-        )
-        if not plain.is_one_pi():
-            return False
-        if self.model == "core":
-            return True
-        legs = subgraph_external_legs(g, member)
-        if legs not in (2, 4):
-            return False
-        if self.model == "gw":
-            if not isinstance(g, RibbonGraph):
-                raise ValueError("the gw model is defined on ribbon graphs")
-            sub = member_graph(g, member)
-            assert isinstance(sub, RibbonGraph)
-            return sub.is_planar_regular()
-        return True
 
     def families(self, g: GraphLike) -> list[tuple[EdgeSubset, ...]]:
         """Nonempty sets of pairwise vertex-disjoint divergent subgraphs."""
@@ -531,11 +522,17 @@ class HopfAlgebra:
 
     # -- coproduct, counit, antipode ----------------------------------------------
 
-    def _splits(self, g: GraphLike) -> Iterator[tuple[Mono, str]]:
-        """(labels of the members, label of the cograph) for every family."""
-        for fam in self.families(g):
-            mono = tuple(sorted(self.label(member_graph(g, m)) for m in fam))
-            yield mono, self.label(cograph(g, fam))
+    def _splits(self, g: GraphLike, lbl: str) -> list[tuple[Mono, str]]:
+        """(labels of the members, label of the cograph) for every family.
+
+        Kept per label of `g`, since isomorphic graphs have the same splits.
+        """
+        if lbl not in self._split_cache:
+            self._split_cache[lbl] = [
+                (tuple(sorted(self.label(member_graph(g, m)) for m in fam)), self.label(cograph(g, fam)))
+                for fam in self.families(g)
+            ]
+        return self._split_cache[lbl]
 
     def coproduct(self, g: GraphLike) -> TensorSum:
         base = underlying(g)
@@ -548,7 +545,7 @@ class HopfAlgebra:
         total = TensorSum.sum(
             itertools.chain(
                 (TensorSum.tensor((lbl,), ()), TensorSum.tensor((), (lbl,))),
-                (TensorSum.tensor(mono, (co,)) for mono, co in self._splits(g)),
+                (TensorSum.tensor(mono, (co,)) for mono, co in self._splits(g, lbl)),
             )
         )
         self._coproducts[lbl] = total
@@ -577,7 +574,7 @@ class HopfAlgebra:
                 (GraphSum.from_label(lbl),),
                 (
                     self.antipode_monomial(mono) * GraphSum.from_label(co)
-                    for mono, co in self._splits(self.graph_of(lbl))
+                    for mono, co in self._splits(self.graph_of(lbl), lbl)
                 ),
             )
         )
@@ -682,7 +679,7 @@ class HopfAlgebra:
                 (FormalAmplitude.phi(lbl),),
                 (
                     self.twisted_antipode_monomial(mono) * FormalAmplitude.phi(co)
-                    for mono, co in self._splits(g)
+                    for mono, co in self._splits(g, lbl)
                 ),
             )
         )

@@ -369,6 +369,8 @@ def ribbon_from_json_dict(data: dict) -> RibbonGraph:
     leg_ids = {l.id for l in graph.legs}
     rotation: dict[str, list[Token]] = {}
     for v, toks in data["rotation"].items():
+        if not isinstance(toks, list) or not all(isinstance(t, str) for t in toks):
+            raise ValueError(f"ribbon fixture rotation of vertex {v!r} must be a list of strings")
         seq = []
         for txt in toks:
             if txt in leg_ids:

@@ -102,6 +102,31 @@ def test_exit_code_2_on_bad_input(tmp_path):
     )
     code, text = run("param", "v", path("fig6"), "--momenta", str(momenta))
     assert code == 2 and text.startswith("error: ") and text.count("\n") == 1 and "1/0" in text
+    # malformed nested fields: a rotation entry, an edge id, a missing edge
+    # id and a missing leg direction
+    host = fixtures.FIXTURES["ribbonhost"]
+    bad_nested = {
+        "rotation": (
+            {**host, "rotation": {**host["rotation"], "v1": [1, "e1.h"]}},
+            "ribbon fixture rotation of vertex 'v1' must be a list of strings",
+        ),
+        "edge_id": (
+            {**host, "edges": [{**host["edges"][0], "id": ["e1"]}] + host["edges"][1:]},
+            "fixture edge 0 field 'id' must be a string",
+        ),
+        "no_edge_id": (
+            {**host, "edges": [{"tail": "v1", "head": "v1"}] + host["edges"][1:]},
+            "fixture edge 0 is missing field 'id'",
+        ),
+        "no_leg_dir": (
+            {**host, "external": [host["external"][0], {"id": "f2", "vertex": "v2"}]},
+            "fixture leg 1 is missing field 'dir'",
+        ),
+    }
+    for name, (doc, message) in bad_nested.items():
+        f = tmp_path / f"{name}.json"
+        f.write_text(json.dumps(doc), encoding="utf-8")
+        assert run("poly", "tutte", str(f)) == (2, f"error: {message}\n"), name
 
 
 def test_unknown_flags_rejected():

@@ -139,6 +139,63 @@ def test_is_one_pi():
     two = Graph(["a", "b"], [], [])
     assert not two.is_one_pi()
     assert Graph(["a"], []).is_one_pi()
+    assert not Graph([], []).is_one_pi()
+    assert Graph(["a", "b"], [("e1", "a", "b"), ("e2", "b", "a")]).is_one_pi()
+    assert Graph(["a"], [("e1", "a", "a")]).is_one_pi()
+
+
+def _one_pi_by_classification(g):
+    return g.is_connected() and all(g.classify_edge(e.id) != "bridge" for e in g.edges)
+
+
+def _multigraph(n_vertices, pairs):
+    verts = [f"v{i}" for i in range(n_vertices)]
+    return Graph(verts, [(f"e{i}", verts[a], verts[b]) for i, (a, b) in enumerate(pairs)])
+
+
+def test_is_one_pi_matches_bridge_classification():
+    rng = random.Random(1974)
+    corpus = [Graph([], [])]
+    for _ in range(400):
+        n = rng.randint(1, 6)
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 10))]
+        corpus.append(_multigraph(n, pairs))
+    seen = set()
+    for g in corpus:
+        expected = _one_pi_by_classification(g)
+        assert g.is_one_pi() == expected, g.to_json()
+        touched = {v for e in g.edges for v in (e.tail, e.head)}
+        pairs = [frozenset((e.tail, e.head)) for e in g.edges]
+        seen |= {
+            ("one_pi", expected),
+            ("self_loop", any(e.is_loop for e in g.edges)),
+            ("parallel", len(set(pairs)) < len(pairs)),
+            ("isolated", len(g.vertices) > 1 and len(touched) < len(g.vertices)),
+            ("disconnected", g.components() > 1),
+            ("empty", not g.vertices),
+        }
+    assert all((kind, True) in seen for kind in ("self_loop", "parallel", "isolated", "disconnected", "empty"))
+    assert ("one_pi", False) in seen and ("one_pi", True) in seen
+
+
+def test_is_one_pi_matches_bridge_classification_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def multigraphs(draw):
+        n = draw(st.integers(0, 6))
+        if not n:
+            return Graph([], [])
+        index = st.integers(0, n - 1)
+        return _multigraph(n, draw(st.lists(st.tuples(index, index), max_size=10)))
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(multigraphs())
+    def check(g):
+        assert g.is_one_pi() == _one_pi_by_classification(g)
+
+    check()
 
 
 def test_reorient_preserves_structure():

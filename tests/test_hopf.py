@@ -1,5 +1,6 @@
 """Connes-Kreimer machinery: coproduct, antipode, forests, BPHZ, insertion."""
 
+import itertools
 import random
 
 import pytest
@@ -409,3 +410,77 @@ def test_gw_shrinks_inside_a_stored_subgraph_with_cut_legs():
     assert not h_gw.antipode(rg).is_zero()
     assert h_gw.check_coassociativity(rg)
     assert h_gw.check_hopf_axioms(rg)
+
+
+def _brute_divergent_members(g, model, include_tadpoles=True):
+    """The divergent-subgraph search built from whole induced graphs."""
+    base = g.graph if isinstance(g, RibbonGraph) else g
+    ids = sorted(base.all_edges())
+    out = []
+    for r in range(1, len(ids)):
+        for combo in itertools.combinations(ids, r):
+            member = frozenset(combo)
+            edges = [base.edge(eid) for eid in combo]
+            if not include_tadpoles and any(e.is_loop for e in edges):
+                continue
+            plain = Graph(sorted({v for e in edges for v in (e.tail, e.head)}), edges)
+            if plain.components() != 1 or any(plain.classify_edge(e.id) == "bridge" for e in edges):
+                continue
+            if model != "core" and subgraph_external_legs(g, member) not in (2, 4):
+                continue
+            if model == "gw" and not member_graph(g, member).is_planar_regular():
+                continue
+            out.append(member)
+    out.sort(key=lambda m: (len(m), sorted(m)))
+    return out
+
+
+def _ribbonize(g, rng):
+    rotation = {v: [] for v in g.vertices}
+    for e in g.edges:
+        rotation[e.tail].append((e.id, "t"))
+        rotation[e.head].append((e.id, "h"))
+    for l in g.legs:
+        rotation[l.vertex].append((l.id, "x"))
+    for seq in rotation.values():
+        rng.shuffle(seq)
+    return RibbonGraph(g, {v: tuple(seq) for v, seq in rotation.items()})
+
+
+def _relabelled(g, rng):
+    """An isomorphic copy with new ids, shuffled lists and flipped edges."""
+    verts = list(g.vertices)
+    ren = dict(zip(verts, rng.sample([f"w{i}" for i in range(len(verts))], len(verts))))
+    edges = [
+        (f"d{i}", ren[e.head], ren[e.tail]) if rng.random() < 0.5 else (f"d{i}", ren[e.tail], ren[e.head])
+        for i, e in enumerate(rng.sample(g.edges, len(g.edges)))
+    ]
+    legs = [(f"k{i}", ren[l.vertex], l.dir) for i, l in enumerate(g.legs)]
+    return Graph(rng.sample(list(ren.values()), len(verts)), edges, legs)
+
+
+def test_divergent_members_match_brute_force():
+    rng = random.Random(1102)
+    tadpoles_mattered = False
+    for _ in range(30):
+        g = random_phi4_graph(rng, max_loops=5)
+        for model in ("phi4", "core"):
+            assert HopfAlgebra(model).divergent_members(g) == _brute_divergent_members(g, model)
+        without = HopfAlgebra("phi4", include_tadpoles=False).divergent_members(g)
+        assert without == _brute_divergent_members(g, "phi4", include_tadpoles=False)
+        tadpoles_mattered |= without != HopfAlgebra("phi4").divergent_members(g)
+        rg = _ribbonize(g, rng)
+        assert HopfAlgebra("gw").divergent_members(rg) == _brute_divergent_members(rg, "gw")
+    assert tadpoles_mattered
+
+
+def test_split_cache_is_shared_by_isomorphic_graphs():
+    rng = random.Random(4231)
+    for _ in range(6):
+        g = random_phi4_graph(rng, max_loops=3)
+        for model in ("phi4", "core"):
+            fresh, primed = HopfAlgebra(model), HopfAlgebra(model)
+            primed.antipode(_relabelled(g, rng))
+            assert primed.coproduct(g).render() == fresh.coproduct(g).render()
+            assert primed.antipode(g).render() == fresh.antipode(g).render()
+            assert primed.bogoliubov_hopf(g).render() == fresh.bogoliubov_hopf(g).render()
