@@ -535,27 +535,32 @@ class HopfAlgebra:
         return self._split_cache[lbl]
 
     def coproduct(self, g: GraphLike) -> TensorSum:
-        base = underlying(g)
-        if not base.is_one_pi():
+        if not underlying(g).is_one_pi():
             raise ValueError("coproduct requires a 1PI graph")
-        lbl = self.label(g)
+        return self._coproduct_label(self.label(g))
+
+    def _coproduct_label(self, lbl: str) -> TensorSum:
         cached = self._coproducts.get(lbl)
         if cached is not None:
             return cached
         total = TensorSum.sum(
             itertools.chain(
                 (TensorSum.tensor((lbl,), ()), TensorSum.tensor((), (lbl,))),
-                (TensorSum.tensor(mono, (co,)) for mono, co in self._splits(g, lbl)),
+                (TensorSum.tensor(mono, (co,)) for mono, co in self._splits(self.graph_of(lbl), lbl)),
             )
         )
         self._coproducts[lbl] = total
         return total
 
     def coproduct_monomial(self, mono: Mono) -> TensorSum:
-        """Multiplicative extension: Delta(ab) = Delta(a) Delta(b)."""
+        """Multiplicative extension: Delta(ab) = Delta(a) Delta(b).
+
+        The labels are those of registered 1PI graphs: members and cographs
+        of coproduct terms.
+        """
         total = TensorSum.unit()
         for lbl in mono:
-            total = total * self.coproduct(self.graph_of(lbl))
+            total = total * self._coproduct_label(lbl)
         return total
 
     @staticmethod

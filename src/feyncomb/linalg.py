@@ -9,11 +9,11 @@ perfect matchings, with a recursive first-row expansion as the second route.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import heapq
 from typing import Sequence
 
 from .graphs import Graph
-from .poly import Monomial, MultiPoly, _promote
+from .poly import Monomial, MultiPoly, Rational, _mono_mul, _promote, exact_div
 
 PolyMatrix = list[list[MultiPoly]]
 
@@ -29,43 +29,68 @@ def promote_matrix(rows: Sequence[Sequence]) -> PolyMatrix:
 # -- exact division (internal; divisor known to divide) -----------------------
 
 
-def _mono_key(mono: Monomial, var_order: list[str]) -> tuple[int, ...]:
-    exps = dict(mono)
-    return tuple(exps.get(v, 0) for v in var_order)
-
-
-def _leading(p: MultiPoly, var_order: list[str]):
-    return max(p.terms.items(), key=lambda kv: _mono_key(kv[0], var_order))
-
-
 def divexact(p: MultiPoly, d: MultiPoly) -> MultiPoly:
-    """Exact polynomial quotient p / d; raises if d does not divide p."""
+    """Exact polynomial quotient p / d; raises if d does not divide p.
+
+    Lexicographic long division.  The remainder is one dict, updated in
+    place by each quotient term times d.  Its monomials wait in a heap of
+    lexicographic keys, each key built once, when its monomial enters the
+    remainder; a monomial that has since cancelled is skipped when popped.
+    """
     if d.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     if p.is_zero():
         return MultiPoly.zero()
-    var_order = sorted(p.variables() | d.variables())
-    lm_d, lc_d = _leading(d, var_order)
+    rank = {v: i for i, v in enumerate(sorted(p.variables() | d.variables()))}
+    end = len(rank)
+
+    def entry(mono: Monomial) -> tuple:
+        # (rank, -exponent) per variable, then `end`, which exceeds every
+        # rank: at the first difference the lexicographically larger
+        # monomial has the smaller entry.  The monomial itself comes last.
+        key: list = []
+        for v, e in mono:
+            key += (rank[v], -e)
+        key += (end, mono)
+        return tuple(key)
+
+    lm_d = min(map(entry, d.terms))[-1]
+    lc_d = d.terms[lm_d]
     exps_d = dict(lm_d)
-    quot: dict[Monomial, Fraction] = {}
-    rem = p
-    while not rem.is_zero():
-        lm_r, lc_r = _leading(rem, var_order)
-        exps_r = dict(lm_r)
-        qexps = {}
+    rest_d = [(m, c) for m, c in d.terms.items() if m != lm_d]
+    rem = dict(p.terms)
+    heap = list(map(entry, rem))
+    heapq.heapify(heap)
+    quot: dict[Monomial, Rational] = {}
+    while rem:
+        lm_r = heapq.heappop(heap)[-1]
+        lc_r = rem.pop(lm_r, None)
+        if lc_r is None:
+            continue
+        qexps = dict(lm_r)
         for v, e in exps_d.items():
-            have = exps_r.get(v, 0)
+            have = qexps.get(v, 0)
             if have < e:
                 raise ValueError("polynomial division is inexact")
             if have > e:
                 qexps[v] = have - e
-        for v, e in exps_r.items():
-            if v not in exps_d and e:
-                qexps[v] = e
+            else:
+                del qexps[v]
         qmono = tuple(sorted(qexps.items()))
-        qcoeff = lc_r / lc_d
-        quot[qmono] = quot.get(qmono, Fraction(0)) + qcoeff
-        rem = rem - MultiPoly({qmono: qcoeff}) * d
+        qcoeff = exact_div(lc_r, lc_d)
+        quot[qmono] = qcoeff
+        for m, c in rest_d:
+            m = _mono_mul(qmono, m)
+            c0 = rem.get(m)
+            if c0 is None:
+                rem[m] = -qcoeff * c
+                heapq.heappush(heap, entry(m))
+            else:
+                c0 -= qcoeff * c
+                if c0:
+                    rem[m] = c0
+                else:
+                    del rem[m]
     return MultiPoly(quot)
 
 

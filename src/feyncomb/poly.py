@@ -14,7 +14,13 @@ product and the rendering of a key:
 `LinComb.sum` adds any number of elements into one dict, so a sum built
 term by term never copies its partial sums.
 
-A polynomial is a mapping from monomials to nonzero Fraction coefficients.
+A polynomial is a mapping from monomials to nonzero exact rational
+coefficients, stored int-first: every integer-valued coefficient is an
+`int` (a Fraction with denominator 1 is normalised to its numerator) and a
+`Fraction` appears only where a true denominator does.  Almost every
+coefficient in the package is an integer, and int arithmetic is several
+times cheaper than Fraction arithmetic.
+
 A monomial is stored as a tuple of (variable, exponent) pairs, sorted by
 variable name, with zero exponents omitted.  The empty tuple is the constant
 monomial.  This representation is canonical: two MultiPoly objects are equal
@@ -25,8 +31,11 @@ Variables are plain strings.  By convention the rest of the package uses
 "a.<edge>" / "b.<edge>" for the per-edge alpha/beta variables.
 
 No floating point is used anywhere: the MultiPoly constructor rejects float,
-bool and str coefficients.  Division exists only as exact monomial division
-(`divexact_monomial`) and exact rational coefficient arithmetic.
+bool and str coefficients, and coefficients are divided only through
+`exact_div`, which returns an int when the quotient is integral and a
+Fraction otherwise (`/` on two ints would give a float).  Polynomial
+division exists only as exact monomial division (`divexact_monomial`) and
+`linalg.divexact`.
 """
 
 from __future__ import annotations
@@ -179,25 +188,41 @@ class LinComb:
 
 
 def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
+    # Stored exponents are positive, so no sum of two of them vanishes.
     if not m1:
         return m2
     if not m2:
         return m1
     exps: dict[str, int] = dict(m1)
+    get = exps.get
     for v, e in m2:
-        exps[v] = exps.get(v, 0) + e
-    return tuple(sorted((v, e) for v, e in exps.items() if e != 0))
+        exps[v] = get(v, 0) + e
+    return tuple(sorted(exps.items()))
 
 
 def _mono_degree(m: Monomial) -> int:
     return sum(e for _, e in m)
 
 
-def _exact(c) -> Fraction:
-    """The coefficient coercion of MultiPoly: int or Fraction, nothing else."""
-    if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
+def _exact(c) -> Rational:
+    """The coefficient coercion of MultiPoly: int or Fraction, nothing else.
+
+    Integer values come back as int; a Fraction only keeps a denominator > 1.
+    """
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    if isinstance(c, bool) or not isinstance(c, int):
         raise TypeError(f"polynomial coefficients must be int or Fraction, not {type(c).__name__}")
-    return Fraction(c)
+    return int(c)
+
+
+def exact_div(a: Rational, b: Rational) -> Rational:
+    """The exact quotient a / b of two coefficients: an int when b divides a."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    return _exact(Fraction(a) / b)
 
 
 class MultiPoly(LinComb):
@@ -218,10 +243,10 @@ class MultiPoly(LinComb):
         return "*".join(v if e == 1 else f"{v}^{e}" for v, e in mono)
 
     def __init__(self, terms: Mapping[Monomial, Rational] | None = None):
-        clean: dict[Monomial, Fraction] = {}
+        clean: dict[Monomial, Rational] = {}
         if terms:
             for mono, c in terms.items():
-                if type(c) is not Fraction:
+                if type(c) is not int:
                     c = _exact(c)
                 if c:
                     clean[mono] = c
@@ -273,20 +298,15 @@ class MultiPoly(LinComb):
         return MultiPoly({mono: coeff})
 
     def __pow__(self, n: int) -> MultiPoly:
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        acc = MultiPoly.one()
-        for _ in range(n):
-            acc = acc * self
-        return acc
+        return Powers(self)[n]
 
     # -- queries --------------------------------------------------------
 
     def variables(self) -> set[str]:
         return {v for mono in self.terms for v, _ in mono}
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get((), Fraction(0))
+    def constant_term(self) -> Rational:
+        return self.terms.get((), 0)
 
     # -- the operations the rest of the package is built on -------------
 
@@ -295,24 +315,24 @@ class MultiPoly(LinComb):
 
         Variables absent from `bindings` are left alone.
         """
-        subs = {v: _promote(p) for v, p in bindings.items()}
+        subs = {v: Powers(_promote(p)) for v, p in bindings.items()}
 
-        def image(mono: Monomial, coeff: Fraction) -> MultiPoly:
+        def image(mono: Monomial, coeff: Rational) -> MultiPoly:
             term = MultiPoly.const(coeff)
             for v, e in mono:
-                term = term * (subs[v] ** e if v in subs else MultiPoly.var(v, e))
+                term = term * (subs[v][e] if v in subs else MultiPoly.var(v, e))
             return term
 
         return MultiPoly.sum(image(mono, coeff) for mono, coeff in self.terms.items())
 
     def coefficient_of(self, var: str, power: int) -> MultiPoly:
         """Coefficient polynomial of var**power (var removed from the result)."""
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Rational] = {}
         for mono, coeff in self.terms.items():
             exps = dict(mono)
             if exps.pop(var, 0) == power:
                 rest = tuple(sorted(exps.items()))
-                out[rest] = out.get(rest, Fraction(0)) + coeff
+                out[rest] = out.get(rest, 0) + coeff
         return MultiPoly(out)
 
     def lowest_homogeneous_part(self, vars: Iterable[str]) -> MultiPoly:
@@ -340,7 +360,7 @@ class MultiPoly(LinComb):
     def divexact_monomial(self, exps: Mapping[str, int]) -> MultiPoly:
         """Divide by a monomial, erroring if any term is not divisible."""
         div = {v: e for v, e in exps.items() if e != 0}
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Rational] = {}
         for mono, coeff in self.terms.items():
             cur = dict(mono)
             for v, e in div.items():
@@ -354,9 +374,30 @@ class MultiPoly(LinComb):
             out[tuple(sorted(cur.items()))] = coeff
         return MultiPoly(out)
 
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Monomial, Rational]]:
         """Terms in canonical_string order."""
         return [(m, self.terms[m]) for m in sorted(self.terms, key=self._sort_key)]
+
+
+class Powers(dict):
+    """The powers of one polynomial by exponent, each computed once on demand.
+
+    `table[n]` is base**n.  The table always holds the exponents 0 .. len - 1,
+    and a missing one is reached by one multiplication per step up.
+    """
+
+    __slots__ = ("base",)
+
+    def __init__(self, base: MultiPoly):
+        super().__init__({0: MultiPoly.one()})
+        self.base = base
+
+    def __missing__(self, n: int) -> MultiPoly:
+        if n < 0:
+            raise ValueError("negative power of a polynomial")
+        for k in range(len(self), n + 1):
+            self[k] = self[k - 1] * self.base
+        return self[n]
 
 
 def _promote(p: MultiPoly | Rational) -> MultiPoly:

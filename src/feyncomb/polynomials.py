@@ -12,10 +12,11 @@ External legs are ignored by everything in this module.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Iterable, Iterator
 
 from .graphs import Graph
-from .poly import MultiPoly
+from .poly import MultiPoly, Powers
 from .ribbon import RibbonGraph
 
 X = MultiPoly.var("x")
@@ -56,11 +57,13 @@ def tutte(g: Graph, method: str = "subset", memoize: bool = True) -> MultiPoly:
 
 def _tutte_subset(g: Graph) -> MultiPoly:
     r_all = g.rank()
-    xm = X - 1
-    ym = Y - 1
-    return MultiPoly.sum(
-        xm ** (r_all - g.rank(subset)) * ym ** g.nullity(subset) for subset in _edge_subsets(g)
-    )
+    counts: Counter[tuple[int, int]] = Counter()
+    for subset in _edge_subsets(g):
+        rank = g.rank(subset)
+        counts[r_all - rank, len(subset) - rank] += 1
+    xp = Powers(X - 1)
+    yp = Powers(Y - 1)
+    return MultiPoly.sum(xp[a] * yp[b] * n for (a, b), n in counts.items())
 
 
 def _tutte_delcon(g: Graph, memo: dict[str, MultiPoly] | None) -> MultiPoly:
@@ -88,8 +91,9 @@ def multivariate_tutte(g: Graph, method: str = "subset") -> MultiPoly:
     if len(g.vertices) == 0:
         raise ValueError("multivariate_tutte requires at least one vertex")
     if method == "subset":
+        qp = Powers(Q)
         return MultiPoly.sum(
-            Q ** g.components(subset) * _beta_product(subset) for subset in _edge_subsets(g)
+            qp[g.components(subset)] * _beta_product(subset) for subset in _edge_subsets(g)
         )
     if method == "delcon":
         return _ztutte_delcon(g)
@@ -217,15 +221,18 @@ def bollobas_riordan(rg: RibbonGraph, method: str = "subset", memoize: bool = Tr
 
 def _br_subset(rg: RibbonGraph) -> MultiPoly:
     g = rg.graph
+    n_v = len(g.vertices)
     r_all = g.rank()
-    xm = X - 1
-
-    def term(subset: frozenset[str]) -> MultiPoly:
-        n_h = g.nullity(subset)
-        zexp = g.components(subset) - rg.face_count(subset) + n_h
-        return xm ** (r_all - g.rank(subset)) * Y**n_h * Z**zexp
-
-    return MultiPoly.sum(term(subset) for subset in _edge_subsets(rg))
+    counts: Counter[tuple[int, int, int]] = Counter()
+    for subset in _edge_subsets(rg):
+        k_h = g.components(subset)
+        rank = n_v - k_h
+        n_h = len(subset) - rank
+        counts[r_all - rank, n_h, k_h - rg.face_count(subset) + n_h] += 1
+    xp = Powers(X - 1)
+    yp = Powers(Y)
+    zp = Powers(Z)
+    return MultiPoly.sum(xp[a] * yp[b] * zp[c] * n for (a, b, c), n in counts.items())
 
 
 def _br_delcon(rg: RibbonGraph, memo: dict[str, MultiPoly] | None) -> MultiPoly:
@@ -288,8 +295,10 @@ def multivariate_br(rg: RibbonGraph) -> MultiPoly:
     if len(rg.vertices) == 0:
         raise ValueError("multivariate_br requires at least one vertex")
     g = rg.graph
+    xp = Powers(X)
+    zp = Powers(Z)
     return MultiPoly.sum(
-        X ** g.components(subset) * Z ** rg.face_count(subset) * _beta_product(subset)
+        xp[g.components(subset)] * zp[rg.face_count(subset)] * _beta_product(subset)
         for subset in _edge_subsets(rg)
     )
 

@@ -97,6 +97,20 @@ def test_coproduct_examples(h):
     assert h.coproduct_monomial(()) == TensorSum.unit()  # Delta(1) = 1 (x) 1
 
 
+def test_coproduct_monomial_reuses_labels(h, monkeypatch):
+    g5 = fig5()
+    mono = tuple(sorted({lbl for (left, _), _ in h.coproduct(g5).terms.items() for lbl in left}))
+    assert len(mono) == 2
+    expected = h.coproduct_monomial(mono)
+    calls = []
+    canonical_form = Graph.canonical_form
+    monkeypatch.setattr(Graph, "canonical_form", lambda g: calls.append(g) or canonical_form(g))
+    assert h.coproduct_monomial(mono) == expected
+    assert calls == []
+    with pytest.raises(ValueError):
+        h.coproduct(Graph(["a", "b"], [("e1", "a", "b")]))
+
+
 def test_counit(h):
     g4 = fig4()
     l4 = h.label(g4)

@@ -73,6 +73,64 @@ def test_divexact():
         divexact(x, MultiPoly.zero())
 
 
+DIVISION_VARS = ["x", "y", "z"]
+
+
+def _check_divexact_round_trip(p: MultiPoly, d: MultiPoly) -> None:
+    assert divexact(p * d, d) == p
+    if not p.is_zero():
+        # x to one more than its top degree in p divides no term of p
+        top = max(dict(mono).get("x", 0) for mono in p.terms)
+        with pytest.raises(ValueError):
+            divexact(p, MultiPoly.var("x", top + 1))
+
+
+def test_divexact_round_trip():
+    rng = random.Random(2027)
+    for _ in range(80):
+        p = random_poly(rng, DIVISION_VARS, terms=rng.randint(0, 5))
+        d = random_poly(rng, DIVISION_VARS, terms=rng.randint(1, 4))
+        if not d.is_zero():
+            _check_divexact_round_trip(p, d)
+
+
+def test_divexact_round_trip_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    monomials = st.dictionaries(st.sampled_from(DIVISION_VARS), st.integers(1, 3), max_size=3)
+    polys = st.lists(st.tuples(monomials, coeffs), max_size=5).map(
+        lambda terms: MultiPoly.sum(MultiPoly.from_exponents(m, c) for m, c in terms)
+    )
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(polys, polys.filter(bool))
+    def check(p, d):
+        _check_divexact_round_trip(p, d)
+
+    check()
+
+
+def test_det_matches_cofactor_with_fraction_entries():
+    rng = random.Random(97)
+
+    def entry() -> MultiPoly:
+        # odd over even: never an integer
+        return MultiPoly.sum(
+            MultiPoly.from_exponents({"x": k}, Fraction(2 * rng.randint(-3, 3) + 1, 2 * rng.randint(1, 3)))
+            for k in range(rng.randint(1, 2))
+        )
+
+    for _ in range(12):
+        n = rng.randint(1, 4)
+        m = [[entry() for _ in range(n)] for _ in range(n)]
+        assert det(m) == det_cofactor(m)
+    # a zero pivot forces the row swap
+    zero = MultiPoly.zero()
+    m = [[zero, entry(), entry()], [entry(), entry(), entry()], [entry(), zero, entry()]]
+    assert det(m) == det_cofactor(m)
+
+
 def test_pfaffian_small_cases():
     a = MultiPoly.var("a")
     zero = MultiPoly.zero()

@@ -1,11 +1,30 @@
-"""Exact polynomial ring: examples and ring-axiom properties."""
+"""Exact polynomial ring: examples, ring-axiom properties and int-first coefficients."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from feyncomb.poly import MultiPoly
+from feyncomb.checks import (
+    random_conserved_momenta,
+    random_diag_matrix,
+    random_multigraph,
+    random_poly,
+    random_ribbon_graph,
+    random_skew_matrix,
+)
+from feyncomb.linalg import det, pfaffian
+from feyncomb.parametric import (
+    ThetaTracked,
+    nc_u,
+    nc_v_imag,
+    nc_v_real,
+    symanzik_u,
+    symanzik_u_via_det,
+    symanzik_v,
+)
+from feyncomb.poly import MultiPoly, exact_div
+from feyncomb.polynomials import bollobas_riordan, tutte
 
 X = MultiPoly.var("x")
 Y = MultiPoly.var("y")
@@ -164,3 +183,66 @@ def test_sum_matches_repeated_addition():
             total = total + p
         assert MultiPoly.sum(parts) == total
     assert MultiPoly.sum([X, Y, -X]).terms == {(("y", 1),): 1}
+
+
+# -- int-first coefficients -----------------------------------------------------
+
+
+def test_int_first_storage():
+    two = MultiPoly({(): Fraction(4, 2)}).terms[()]
+    assert type(two) is int and two == 2
+    assert type(MultiPoly.const(Fraction(1, 2)).terms[()]) is Fraction
+    assert type((Fraction(1, 2) * (2 * X)).terms[(("x", 1),)]) is int
+    assert type((MultiPoly.const(Fraction(1, 3)) * 3).terms[()]) is int
+    assert type(X.constant_term()) is int and X.constant_term() == 0
+    assert type((X * Y + Fraction(3, 3) * X).coefficient_of("y", 0).terms[(("x", 1),)]) is int
+
+
+def test_exact_div():
+    assert type(exact_div(6, 3)) is int and exact_div(6, 3) == 2
+    assert exact_div(-7, 2) == Fraction(-7, 2)
+    assert type(exact_div(Fraction(3, 2), Fraction(1, 2))) is int
+    assert exact_div(Fraction(3, 2), 2) == Fraction(3, 4)
+    assert exact_div(5, Fraction(5, 2)) == 2
+    with pytest.raises(ZeroDivisionError):
+        exact_div(1, 0)
+
+
+def _coefficients(value) -> list:
+    """Every stored coefficient of a MultiPoly or a ThetaTracked."""
+    if isinstance(value, ThetaTracked):
+        polys = [*value.parts.values(), value.to_poly()]
+    else:
+        polys = [value]
+    return [c for p in polys for c in p.terms.values()]
+
+
+def test_no_float_and_no_integral_fraction_in_results():
+    rng = random.Random(2011)
+    results = []
+    for _ in range(25):
+        g = random_multigraph(rng, max_vertices=4, max_edges=6, connected=True)
+        results += [tutte(g), tutte(g, method="delcon"), symanzik_u(g), symanzik_u_via_det(g)]
+    for _ in range(20):
+        rg = random_ribbon_graph(rng, max_vertices=3, max_edges=4, max_legs=4)
+        ext = random_conserved_momenta(rng, rg.graph)
+        results += [
+            bollobas_riordan(rg),
+            bollobas_riordan(rg, method="delcon"),
+            symanzik_v(rg.graph, ext),
+            nc_u(rg),
+            nc_v_real(rg, ext),
+            nc_v_imag(rg, ext),
+        ]
+    for _ in range(10):
+        n = rng.randint(1, 4)
+        over_polys = rng.random() < 0.5
+        results += [
+            det(random_diag_matrix(rng, n, over_polys)),
+            det([[random_poly(rng, ["x", "y"], terms=2) for _ in range(n)] for _ in range(n)]),
+            pfaffian(random_skew_matrix(rng, 2 * n, over_polys)),
+        ]
+    coeffs = [c for r in results for c in _coefficients(r)]
+    assert all(type(c) is int or (type(c) is Fraction and c.denominator != 1) for c in coeffs)
+    # both kinds occur, so the check above is not vacuous
+    assert {type(c) for c in coeffs} == {int, Fraction}
