@@ -14,7 +14,7 @@ from fractions import Fraction
 from . import fixtures, linalg, parametric, polynomials
 from .formal import FormalAmplitude
 from .graphs import Graph
-from .hopf import HopfAlgebra
+from .hopf import HopfAlgebra, underlying
 from .poly import MultiPoly
 from .ribbon import RibbonGraph
 
@@ -188,7 +188,7 @@ def _connected_graph_fixtures() -> list[tuple[str, Graph]]:
     out = []
     for name in fixtures.names():
         g = fixtures.build(name)
-        base = g.underlying() if isinstance(g, RibbonGraph) else g
+        base = underlying(g)
         if base.is_connected():
             out.append((name, base))
     return out
@@ -243,7 +243,7 @@ def criterion_3_tutte_engines(n_random: int = 200) -> list[Check]:
     memo_same = True
     for name in fixtures.names():
         g = fixtures.build(name)
-        base = g.underlying() if isinstance(g, RibbonGraph) else g
+        base = underlying(g)
         if polynomials.tutte(base, "delcon", memoize=True) != polynomials.tutte(base, "delcon", memoize=False):
             memo_same = False
     out.append(_ok("memoized delcon == unmemoized on fixtures", memo_same))
@@ -488,7 +488,7 @@ def cli_command_matrix(fixture_dir: str) -> list[list[str]]:
         data = fixtures.FIXTURES[name]
         is_ribbon = data["type"] == "ribbon"
         g = fixtures.build(name)
-        base = g.underlying() if isinstance(g, RibbonGraph) else g
+        base = underlying(g)
         cmds.append(["poly", "tutte", path])
         cmds.append(["poly", "tutte", path, "--method", "delcon"])
         cmds.append(["poly", "ztutte", path, "--json"])

@@ -24,7 +24,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 from . import parametric, polynomials
 from .graphs import Graph
-from .hopf import HopfAlgebra
+from .hopf import HopfAlgebra, underlying
 from .poly import MultiPoly
 from .ribbon import RibbonGraph, load_fixture
 
@@ -36,10 +36,6 @@ def _poly_json(p: MultiPoly) -> dict:
             for mono, c in p.sorted_terms()
         ]
     }
-
-
-def _as_graph(g: Graph | RibbonGraph) -> Graph:
-    return g.underlying() if isinstance(g, RibbonGraph) else g
 
 
 def _need_ribbon(g: Graph | RibbonGraph, what: str) -> RibbonGraph:
@@ -70,7 +66,7 @@ class _Report:
 def _cmd_poly(args) -> tuple[int, list[str]]:
     rep = _Report()
     fixture = load_fixture(args.fixture)
-    g = _as_graph(fixture)
+    g = underlying(fixture)
     op = args.operation
     if op == "tutte":
         p = polynomials.tutte(g, method=args.method)
@@ -147,7 +143,7 @@ def _momenta_for(args, g: Graph) -> dict:
 def _cmd_param(args) -> tuple[int, list[str]]:
     rep = _Report()
     fixture = load_fixture(args.fixture)
-    g = _as_graph(fixture)
+    g = underlying(fixture)
     op = args.operation
     p = None
     if op == "u":
@@ -240,7 +236,7 @@ def _cmd_hopf(args) -> tuple[int, list[str]]:
     if args.model == "gw":
         g: Graph | RibbonGraph = _need_ribbon(fixture, "the gw model")
     else:
-        g = _as_graph(fixture)
+        g = underlying(fixture)
     h = HopfAlgebra(args.model)
     op = args.operation
     payload: dict = {}

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, Iterator, Sequence
 
 EdgeSubset = frozenset[str]
 
@@ -59,7 +59,7 @@ class TwoTree:
 class Graph:
     """Immutable multigraph with external legs."""
 
-    __slots__ = ("vertices", "edges", "legs", "_edge_by_id", "_leg_by_id")
+    __slots__ = ("vertices", "edges", "legs", "_edge_by_id", "_leg_by_id", "_ends")
 
     def __init__(
         self,
@@ -75,12 +75,12 @@ class Graph:
         ids = [e.id for e in es] + [l.id for l in ls]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate edge/leg ids")
-        vset = set(vs)
+        pos = {v: i for i, v in enumerate(vs)}
         for e in es:
-            if e.tail not in vset or e.head not in vset:
+            if e.tail not in pos or e.head not in pos:
                 raise ValueError(f"edge {e.id} has unknown endpoint")
         for l in ls:
-            if l.vertex not in vset:
+            if l.vertex not in pos:
                 raise ValueError(f"leg {l.id} attached to unknown vertex")
             if l.dir not in ("in", "out"):
                 raise ValueError(f"leg {l.id} direction must be 'in' or 'out'")
@@ -89,6 +89,8 @@ class Graph:
         object.__setattr__(self, "legs", ls)
         object.__setattr__(self, "_edge_by_id", {e.id: e for e in es})
         object.__setattr__(self, "_leg_by_id", {l.id: l for l in ls})
+        # edge id -> (tail, head) vertex positions, for the union-find
+        object.__setattr__(self, "_ends", {e.id: (pos[e.tail], pos[e.head]) for e in es})
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -138,34 +140,42 @@ class Graph:
 
     # -- connectivity ------------------------------------------------------
 
-    def _component_map(self, subset: Iterable[str] | None = None) -> dict[str, str]:
-        """Map vertex -> component representative, using edges in `subset`."""
-        parent = {v: v for v in self.vertices}
-
-        def find(v: str) -> str:
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
-        ids = self.all_edges() if subset is None else frozenset(subset)
-        for eid in ids:
-            e = self.edge(eid)
-            ra, rb = find(e.tail), find(e.head)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-        return {v: find(v) for v in self.vertices}
+    def _forest(self, subset: Iterable[str] | None) -> tuple[list[int], int]:
+        """`_union_find` of the vertex positions joined by the edges in
+        `subset` (all edges when None)."""
+        ends = self._ends
+        pairs = ends.values() if subset is None else (ends[e] for e in subset)
+        try:
+            return _union_find(len(self.vertices), pairs)
+        except KeyError as exc:
+            raise KeyError(f"unknown edge id {exc.args[0]!r}") from None
 
     def components(self, subset: Iterable[str] | None = None) -> int:
         """Number of connected components of the spanning subgraph (V, subset)."""
-        return len(set(self._component_map(subset).values()))
+        return self._forest(subset)[1]
 
     def component_vertex_sets(self, subset: Iterable[str] | None = None) -> list[frozenset[str]]:
-        comp = self._component_map(subset)
-        groups: dict[str, set[str]] = {}
-        for v, r in comp.items():
-            groups.setdefault(r, set()).add(v)
-        return [frozenset(groups[r]) for r in sorted(groups)]
+        """The vertex sets of the components of (V, subset), ordered by smallest vertex id."""
+        parent, _ = self._forest(subset)
+        groups: dict[int, set[str]] = {}
+        for i, v in enumerate(self.vertices):
+            # parents come first, so parent[i]'s own parent is already its root
+            parent[i] = root = parent[parent[i]]
+            groups.setdefault(root, set()).add(v)
+        return sorted((frozenset(vs) for vs in groups.values()), key=min)
+
+    def edge_subsets(self, size: int | None = None) -> Iterator[tuple[EdgeSubset, int]]:
+        """Every edge subset with the component count of (V, subset).
+
+        Subsets come by size, then in lexicographic order of their sorted
+        edge ids; with `size`, only the subsets of that many edges.
+        """
+        ids = sorted(self._ends)
+        ends = [self._ends[e] for e in ids]
+        n = len(self.vertices)
+        for r in range(len(ids) + 1) if size is None else (size,):
+            for combo in itertools.combinations(range(len(ids)), r):
+                yield frozenset([ids[i] for i in combo]), _union_find(n, [ends[i] for i in combo])[1]
 
     def is_connected(self) -> bool:
         return len(self.vertices) > 0 and self.components() == 1
@@ -232,12 +242,7 @@ class Graph:
         """All spanning trees, as edge-id sets (connected graphs only)."""
         if not self.is_connected():
             raise ValueError("spanning_trees requires a connected graph")
-        need = len(self.vertices) - 1
-        out = []
-        for combo in itertools.combinations(sorted(self.all_edges()), need):
-            if self.components(combo) == 1:
-                out.append(frozenset(combo))
-        return out
+        return [sub for sub, k in self.edge_subsets(len(self.vertices) - 1) if k == 1]
 
     def spanning_two_trees(self) -> list[TwoTree]:
         """All spanning two-component forests, with vertex and leg split."""
@@ -247,15 +252,13 @@ class Graph:
         if need < 0:
             return []
         out = []
-        for combo in itertools.combinations(sorted(self.all_edges()), need):
-            if self.components(combo) != 2:
+        for sub, k in self.edge_subsets(need):
+            if k != 2:
                 continue
-            parts = self.component_vertex_sets(combo)
-            parts.sort(key=lambda s: min(s))
-            a, b = parts
+            a, b = self.component_vertex_sets(sub)
             legs_a = tuple(sorted(l.id for l in self.legs if l.vertex in a))
             legs_b = tuple(sorted(l.id for l in self.legs if l.vertex in b))
-            out.append(TwoTree(frozenset(combo), (a, b), (legs_a, legs_b)))
+            out.append(TwoTree(sub, (a, b), (legs_a, legs_b)))
         return out
 
     def incidence_matrix(self) -> list[list[int]]:
@@ -360,6 +363,26 @@ def bridgeless_connected(verts: Iterable[Hashable], ends: Sequence[tuple]) -> bo
                     return False  # the tree edge u-v is a bridge
                 low[u] = min(low[u], low[v])
     return len(disc) == len(adj)
+
+
+def _union_find(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[list[int], int]:
+    """Join vertex positions 0..n-1 along `pairs`: the parent list and the
+    component count.  A larger root is linked under a smaller one, so every
+    parent position is at most its child's."""
+    parent = list(range(n))
+    k = n
+    for a, b in pairs:
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            if a < b:
+                parent[b] = a
+            else:
+                parent[a] = b
+            k -= 1
+    return parent, k
 
 
 def _signature_bijections(vertices: list[str], sig: dict[str, tuple]):

@@ -32,7 +32,7 @@ from typing import Callable, Iterable, Mapping
 from .formal import FormalAmplitude
 from .graphs import Edge, EdgeSubset, Graph, Leg, bridgeless_connected
 from .poly import LinComb
-from .ribbon import RibbonGraph, Token, is_leg_token
+from .ribbon import RibbonGraph, Token, _cyclic_equal, is_leg_token
 
 GraphLike = Graph | RibbonGraph
 
@@ -336,7 +336,7 @@ def _insert_at_vertex(host: GraphLike, sub: GraphLike, targets: dict[Token, str]
         raise ValueError("ribbon insertion needs the subgraph legs on one boundary face")
     boundary = list(broken[0].leg_ids())
     host_seq = [targets[t] for t in host.rotation[site]]
-    if not _cyclic_rotation_of(host_seq, boundary):
+    if not _cyclic_equal(host_seq, boundary):
         raise ValueError("gluing does not respect the cyclic ordering")
 
     def map_sub_token(tok: Token) -> Token:
@@ -349,15 +349,6 @@ def _insert_at_vertex(host: GraphLike, sub: GraphLike, targets: dict[Token, str]
     for v in sbase.vertices:
         rot[vren[v]] = tuple(map_sub_token(t) for t in sub.rotation[v])
     return RibbonGraph(merged, rot)
-
-
-def _cyclic_rotation_of(a: list, b: list) -> bool:
-    if len(a) != len(b):
-        return False
-    if not a:
-        return True
-    doubled = b + b
-    return any(doubled[i : i + len(a)] == a for i in range(len(b)))
 
 
 def _insert_on_edge(host: GraphLike, sub: GraphLike, targets: dict[Token, str]) -> GraphLike:

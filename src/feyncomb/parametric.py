@@ -20,13 +20,13 @@ from typing import Iterable, Mapping
 
 from . import linalg
 from .graphs import Graph
-from .poly import LinComb, Monomial, MultiPoly, Rational
+from .poly import LinComb, Monomial, MultiPoly, Rational, _exact
 from .polynomials import multivariate_br, multivariate_tutte
 from .ribbon import RibbonGraph
 
 THETA = "theta"
 
-Momentum = tuple[Fraction, Fraction, Fraction, Fraction]
+Momentum = tuple[Rational, Rational, Rational, Rational]
 
 
 def alpha_var(edge_id: str) -> MultiPoly:
@@ -41,7 +41,8 @@ def alpha_product(edge_ids: Iterable[str]) -> MultiPoly:
 
 
 def momentum(components: Iterable[Rational]) -> Momentum:
-    vals = tuple(Fraction(c) for c in components)
+    """An exact 4-vector: integral components as int, the rest as Fraction."""
+    vals = tuple(_exact(c) for c in components)
     if len(vals) != 4:
         raise ValueError("momenta are 4-vectors")
     return vals  # type: ignore[return-value]
@@ -50,17 +51,17 @@ def momentum(components: Iterable[Rational]) -> Momentum:
 ZERO_MOMENTUM = momentum((0, 0, 0, 0))
 
 
-def dot(p: Momentum, q: Momentum) -> Fraction:
-    return sum((a * b for a, b in zip(p, q)), Fraction(0))
+def dot(p: Momentum, q: Momentum) -> Rational:
+    return sum(a * b for a, b in zip(p, q))
 
 
-def wedge(p: Momentum, q: Momentum) -> Fraction:
+def wedge(p: Momentum, q: Momentum) -> Rational:
     """Moyal wedge p^q = p1 q2 - p2 q1 + p3 q4 - p4 q3 (theta scaled out)."""
     return p[0] * q[1] - p[1] * q[0] + p[2] * q[3] - p[3] * q[2]
 
 
 def validate_assignment(g: Graph, ext: Mapping[str, Iterable[Rational]]) -> dict[str, Momentum]:
-    """Check leg coverage and momentum conservation; normalize to Fractions."""
+    """Check leg coverage and momentum conservation; normalize with `momentum`."""
     out: dict[str, Momentum] = {}
     leg_ids = {l.id for l in g.legs}
     missing = leg_ids - set(ext)
@@ -71,7 +72,7 @@ def validate_assignment(g: Graph, ext: Mapping[str, Iterable[Rational]]) -> dict
         raise ValueError(f"momenta given for unknown legs: {sorted(unknown)}")
     for lid in sorted(leg_ids):
         out[lid] = momentum(ext[lid])
-    net = [Fraction(0)] * 4
+    net = [0] * 4
     for l in g.legs:
         for i in range(4):
             net[i] += l.sign * out[l.id][i]
@@ -135,7 +136,7 @@ def symanzik_v(
     all_ids = g.all_edges()
 
     def term(tt) -> MultiPoly:
-        flow = [Fraction(0)] * 4
+        flow = [0] * 4
         for lid in tt.legs[pick]:
             sign = g.leg(lid).sign
             for i in range(4):
@@ -363,7 +364,7 @@ def nc_v_real(
             face = tq.faces[0] if keys[0] <= keys[1] else tq.faces[1]
         else:
             face = tq.faces[int(face_choice)]
-        flow = [Fraction(0)] * 4
+        flow = [0] * 4
         for lid, sign in rg.face_boundary_order(face):
             for i in range(4):
                 flow[i] += sign * momenta[lid][i]
@@ -378,14 +379,14 @@ def phase_psi(
     boundary: list[tuple[str, int]],
     momenta: Mapping[str, Momentum],
     start: int = 0,
-) -> Fraction:
+) -> Rational:
     """Wedge phase of the momenta entering a face, in boundary order.
 
     `start` rotates the cyclic boundary list; with conserved momenta the
     result is rotation-invariant.
     """
     ordered = boundary[start:] + boundary[:start]
-    total = Fraction(0)
+    total = 0
     for i in range(len(ordered)):
         li, si = ordered[i]
         for j in range(i + 1, len(ordered)):

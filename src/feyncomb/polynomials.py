@@ -13,7 +13,7 @@ External legs are ignored by everything in this module.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .graphs import Graph
 from .poly import MultiPoly, Powers
@@ -34,13 +34,6 @@ def _beta_product(edge_ids: Iterable[str]) -> MultiPoly:
     return MultiPoly.from_exponents({f"b.{e}": 1 for e in edge_ids})
 
 
-def _edge_subsets(g: Graph | RibbonGraph) -> Iterator[frozenset[str]]:
-    """Every subset of the edge ids."""
-    ids = sorted(g.all_edges())
-    for mask in range(1 << len(ids)):
-        yield frozenset(ids[i] for i in range(len(ids)) if mask >> i & 1)
-
-
 # -- Tutte polynomial ------------------------------------------------------------
 
 
@@ -56,10 +49,11 @@ def tutte(g: Graph, method: str = "subset", memoize: bool = True) -> MultiPoly:
 
 
 def _tutte_subset(g: Graph) -> MultiPoly:
+    n_v = len(g.vertices)
     r_all = g.rank()
     counts: Counter[tuple[int, int]] = Counter()
-    for subset in _edge_subsets(g):
-        rank = g.rank(subset)
+    for subset, k in g.edge_subsets():
+        rank = n_v - k
         counts[r_all - rank, len(subset) - rank] += 1
     xp = Powers(X - 1)
     yp = Powers(Y - 1)
@@ -70,14 +64,14 @@ def _tutte_delcon(g: Graph, memo: dict[str, MultiPoly] | None) -> MultiPoly:
     key = g.canonical_form() if memo is not None else None
     if memo is not None and key in memo:
         return memo[key]
-    regular = [e.id for e in g.edges if g.classify_edge(e.id) == "regular"]
+    kinds = {e.id: g.classify_edge(e.id) for e in g.edges}
+    regular = [e for e, kind in kinds.items() if kind == "regular"]
     if regular:
         e = min(regular)
         result = _tutte_delcon(g.contract_edge(e), memo) + _tutte_delcon(g.delete_edge(e), memo)
     else:
-        m = sum(1 for e in g.edges if g.classify_edge(e.id) == "bridge")
-        n = sum(1 for e in g.edges if e.is_loop)
-        result = X**m * Y**n
+        kind_counts = Counter(kinds.values())
+        result = X ** kind_counts["bridge"] * Y ** kind_counts["self_loop"]
     if memo is not None:
         memo[key] = result
     return result
@@ -92,9 +86,7 @@ def multivariate_tutte(g: Graph, method: str = "subset") -> MultiPoly:
         raise ValueError("multivariate_tutte requires at least one vertex")
     if method == "subset":
         qp = Powers(Q)
-        return MultiPoly.sum(
-            qp[g.components(subset)] * _beta_product(subset) for subset in _edge_subsets(g)
-        )
+        return MultiPoly.sum(qp[k] * _beta_product(subset) for subset, k in g.edge_subsets())
     if method == "delcon":
         return _ztutte_delcon(g)
     raise ValueError(f"unknown method {method!r}")
@@ -224,8 +216,7 @@ def _br_subset(rg: RibbonGraph) -> MultiPoly:
     n_v = len(g.vertices)
     r_all = g.rank()
     counts: Counter[tuple[int, int, int]] = Counter()
-    for subset in _edge_subsets(rg):
-        k_h = g.components(subset)
+    for subset, k_h in g.edge_subsets():
         rank = n_v - k_h
         n_h = len(subset) - rank
         counts[r_all - rank, n_h, k_h - rg.face_count(subset) + n_h] += 1
@@ -294,12 +285,11 @@ def multivariate_br(rg: RibbonGraph) -> MultiPoly:
     """Z(x, {beta_e}, z) = sum over H of x^k(H) * prod beta_e * z^F(H)."""
     if len(rg.vertices) == 0:
         raise ValueError("multivariate_br requires at least one vertex")
-    g = rg.graph
     xp = Powers(X)
     zp = Powers(Z)
     return MultiPoly.sum(
-        xp[g.components(subset)] * zp[rg.face_count(subset)] * _beta_product(subset)
-        for subset in _edge_subsets(rg)
+        xp[k] * zp[rg.face_count(subset)] * _beta_product(subset)
+        for subset, k in rg.graph.edge_subsets()
     )
 
 

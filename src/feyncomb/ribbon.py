@@ -17,9 +17,9 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from .graphs import Edge, EdgeSubset, Graph, Leg, _signature_bijections
+from .graphs import Edge, EdgeSubset, Graph, Leg, _signature_bijections, graph_from_json_dict
 
 Token = tuple[str, str]  # (edge_id, "t"|"h") or (leg_id, "x")
 
@@ -258,30 +258,21 @@ class RibbonGraph:
         """Spanning connected sub-ribbon-graphs with exactly one face."""
         if not self.graph.is_connected():
             raise ValueError("quasi_trees requires a connected ribbon graph")
-        out = []
-        ids = sorted(self.all_edges())
-        for r in range(len(ids) + 1):
-            for combo in itertools.combinations(ids, r):
-                sub = frozenset(combo)
-                if self.graph.components(sub) == 1 and self.face_count(sub) == 1:
-                    out.append(sub)
-        return out
+        return [sub for sub, _ in self._connected_with_faces(1)]
 
     def two_quasi_trees(self) -> list[TwoQuasiTree]:
         """Spanning connected sub-ribbon-graphs with exactly two faces."""
         if not self.graph.is_connected():
             raise ValueError("two_quasi_trees requires a connected ribbon graph")
-        out = []
-        ids = sorted(self.all_edges())
-        for r in range(len(ids) + 1):
-            for combo in itertools.combinations(ids, r):
-                sub = frozenset(combo)
-                if self.graph.components(sub) != 1:
-                    continue
+        return [TwoQuasiTree(sub, (fs[0], fs[1])) for sub, fs in self._connected_with_faces(2)]
+
+    def _connected_with_faces(self, n_faces: int) -> Iterator[tuple[EdgeSubset, list[Face]]]:
+        """The connected spanning edge subsets with `n_faces` faces, and those faces."""
+        for sub, k in self.graph.edge_subsets():
+            if k == 1:
                 fs = self.faces(sub)
-                if len(fs) == 2:
-                    out.append(TwoQuasiTree(sub, (fs[0], fs[1])))
-        return out
+                if len(fs) == n_faces:
+                    yield sub, fs
 
     # -- canonical form -----------------------------------------------------------
 
@@ -362,8 +353,6 @@ def ribbon_from_json_dict(data: dict) -> RibbonGraph:
         raise ValueError("ribbon fixture field 'rotation' must be an object")
     base = dict(data)
     base["type"] = "graph"
-    from .graphs import graph_from_json_dict
-
     graph = graph_from_json_dict(base)
     edge_ids = {e.id for e in graph.edges}
     leg_ids = {l.id for l in graph.legs}
@@ -401,8 +390,6 @@ def load_fixture(path_or_data: str | dict) -> Graph | RibbonGraph:
     if kind == "graph":
         if "rotation" in data:
             raise ValueError("field 'rotation' is only allowed for type 'ribbon'")
-        from .graphs import graph_from_json_dict
-
         return graph_from_json_dict(data)
     if kind == "ribbon":
         return ribbon_from_json_dict(data)

@@ -1,7 +1,9 @@
 """Multigraph structure: connectivity, surgery, spanning sets, canonical form."""
 
+import itertools
 import json
 import random
+from collections import deque
 
 import pytest
 
@@ -26,6 +28,8 @@ def test_components_rank_nullity():
     g3 = fig3()
     assert g3.components({"e1", "e2"}) == 1
     assert g3.components(frozenset()) == 3
+    with pytest.raises(KeyError, match="unknown edge id 'e9'"):
+        g3.components({"e1", "e9"})
     assert g3.rank() == 2
     assert g3.nullity() == 2  # two independent cycles
     single = Graph(["v"], [])
@@ -194,6 +198,96 @@ def test_is_one_pi_matches_bridge_classification_property():
     @hypothesis.given(multigraphs())
     def check(g):
         assert g.is_one_pi() == _one_pi_by_classification(g)
+
+    check()
+
+
+def _bfs_components(g, subset):
+    """Components of (V, subset) by breadth-first search, ordered by smallest vertex id."""
+    adj = {v: [] for v in g.vertices}
+    for eid in subset:
+        e = g.edge(eid)
+        adj[e.tail].append(e.head)
+        adj[e.head].append(e.tail)
+    seen = set()
+    comps = []
+    for v in g.vertices:
+        if v in seen:
+            continue
+        seen.add(v)
+        comp = [v]
+        queue = deque([v])
+        while queue:
+            for w in adj[queue.popleft()]:
+                if w not in seen:
+                    seen.add(w)
+                    comp.append(w)
+                    queue.append(w)
+        comps.append(frozenset(comp))
+    return sorted(comps, key=min)
+
+
+def _named_multigraph(names, pairs):
+    """Vertices in the given (unsorted) order; edge ids listed against their sorted order."""
+    n = len(pairs)
+    return Graph(names, [(f"e{n - 1 - i}", names[a], names[b]) for i, (a, b) in enumerate(pairs)])
+
+
+def _check_edge_subsets(g):
+    ids = sorted(g.all_edges())
+    expected = [
+        (frozenset(combo), len(_bfs_components(g, combo)))
+        for r in range(len(ids) + 1)
+        for combo in itertools.combinations(ids, r)
+    ]
+    assert list(g.edge_subsets()) == expected
+    for r in range(len(ids) + 1):
+        assert list(g.edge_subsets(r)) == [(sub, k) for sub, k in expected if len(sub) == r]
+    for sub, _ in expected:
+        assert g.component_vertex_sets(sub) == _bfs_components(g, sub)
+    assert g.component_vertex_sets() == _bfs_components(g, ids)
+
+
+def test_edge_subsets_match_bfs_oracle():
+    rng = random.Random(2011)
+    corpus = [Graph([], []), _named_multigraph(["b", "a", "c"], [])]
+    for _ in range(150):
+        n = rng.randint(1, 7)
+        names = [f"v{i}" for i in range(n)]
+        rng.shuffle(names)
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 7))]
+        corpus.append(_named_multigraph(names, pairs))
+    seen = set()
+    for g in corpus:
+        _check_edge_subsets(g)
+        touched = {v for e in g.edges for v in (e.tail, e.head)}
+        pairs = [frozenset((e.tail, e.head)) for e in g.edges]
+        seen |= {
+            ("self_loop", any(e.is_loop for e in g.edges)),
+            ("parallel", len(set(pairs)) < len(pairs)),
+            ("isolated", len(touched) < len(g.vertices)),
+            ("unsorted", list(g.vertices) != sorted(g.vertices)),
+        }
+    assert all((kind, True) in seen for kind in ("self_loop", "parallel", "isolated", "unsorted"))
+
+
+def test_edge_subsets_match_bfs_oracle_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def multigraphs(draw):
+        n = draw(st.integers(0, 6))
+        names = draw(st.permutations([f"v{i}" for i in range(n)]))
+        if not n:
+            return Graph([], [])
+        index = st.integers(0, n - 1)
+        return _named_multigraph(names, draw(st.lists(st.tuples(index, index), max_size=7)))
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(multigraphs())
+    def check(g):
+        _check_edge_subsets(g)
 
     check()
 

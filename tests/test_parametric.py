@@ -13,6 +13,7 @@ from feyncomb.parametric import (
     ThetaTracked,
     alpha_var,
     commutative_limit,
+    dot,
     load_momenta_json,
     momentum,
     nc_u,
@@ -58,6 +59,19 @@ def test_fig3_v_momentum_probe():
     assert symanzik_v(g, ext) == want
     assert symanzik_v(g, zero_assignment(g)).is_zero()
     assert symanzik_v(g, ext, component=0) == symanzik_v(g, ext, component=1)
+
+
+def test_momenta_are_int_first():
+    p = momentum([2, Fraction(4, 2), Fraction(1, 2), 0])
+    assert p == (2, 2, Fraction(1, 2), 0)
+    assert [type(c) for c in p] == [int, int, Fraction, int]
+    assert type(dot(momentum([1, 2, 3, 4]), momentum([4, 3, 2, 1]))) is int
+    g = Graph(["v"], [], [("f1", "v", "in"), ("f2", "v", "out")])
+    ext = {lid: {"p": ["4/2", 0, 0, 0]} for lid in ("f1", "f2")}
+    assert type(load_momenta_json(g, ext)["f1"][0]) is int
+    for bad in (0.5, True, "1"):
+        with pytest.raises(TypeError):
+            momentum([bad, 0, 0, 0])
 
 
 def test_v_conservation_enforced():
