@@ -37,14 +37,14 @@ def _beta_product(edge_ids: Iterable[str]) -> MultiPoly:
 # -- Tutte polynomial ------------------------------------------------------------
 
 
-def tutte(g: Graph, method: str = "subset", memoize: bool = True) -> MultiPoly:
+def tutte(g: Graph, method: str = "subset") -> MultiPoly:
     """Tutte polynomial T(x, y) of a multigraph (legs ignored)."""
     if len(g.vertices) == 0:
         raise ValueError("tutte requires at least one vertex")
     if method == "subset":
         return _tutte_subset(g)
     if method == "delcon":
-        return _tutte_delcon(g, {} if memoize else None)
+        return _tutte_delcon(g)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -60,21 +60,14 @@ def _tutte_subset(g: Graph) -> MultiPoly:
     return MultiPoly.sum(xp[a] * yp[b] * n for (a, b), n in counts.items())
 
 
-def _tutte_delcon(g: Graph, memo: dict[str, MultiPoly] | None) -> MultiPoly:
-    key = g.canonical_form() if memo is not None else None
-    if memo is not None and key in memo:
-        return memo[key]
+def _tutte_delcon(g: Graph) -> MultiPoly:
     kinds = {e.id: g.classify_edge(e.id) for e in g.edges}
     regular = [e for e, kind in kinds.items() if kind == "regular"]
     if regular:
         e = min(regular)
-        result = _tutte_delcon(g.contract_edge(e), memo) + _tutte_delcon(g.delete_edge(e), memo)
-    else:
-        kind_counts = Counter(kinds.values())
-        result = X ** kind_counts["bridge"] * Y ** kind_counts["self_loop"]
-    if memo is not None:
-        memo[key] = result
-    return result
+        return _tutte_delcon(g.contract_edge(e)) + _tutte_delcon(g.delete_edge(e))
+    kind_counts = Counter(kinds.values())
+    return X ** kind_counts["bridge"] * Y ** kind_counts["self_loop"]
 
 
 # -- multivariate Tutte polynomial -------------------------------------------------
@@ -93,8 +86,6 @@ def multivariate_tutte(g: Graph, method: str = "subset") -> MultiPoly:
 
 
 def _ztutte_delcon(g: Graph) -> MultiPoly:
-    # No memoization: the polynomial depends on edge ids, which the
-    # isomorphism-class key forgets.
     if not g.edges:
         return Q ** len(g.vertices)
     e = min(g.edge_ids())
@@ -200,14 +191,14 @@ def count_flows_oracle(g: Graph, k: int) -> int:
 # -- Bollobas-Riordan polynomial --------------------------------------------------------
 
 
-def bollobas_riordan(rg: RibbonGraph, method: str = "subset", memoize: bool = True) -> MultiPoly:
+def bollobas_riordan(rg: RibbonGraph, method: str = "subset") -> MultiPoly:
     """R(x, y, z) with z tracking the face deficiency k(H) - F(H) + n(H)."""
     if len(rg.vertices) == 0:
         raise ValueError("bollobas_riordan requires at least one vertex")
     if method == "subset":
         return _br_subset(rg)
     if method == "delcon":
-        return _br_delcon(rg, {} if memoize else None)
+        return _br_delcon(rg)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -226,24 +217,17 @@ def _br_subset(rg: RibbonGraph) -> MultiPoly:
     return MultiPoly.sum(xp[a] * yp[b] * zp[c] * n for (a, b, c), n in counts.items())
 
 
-def _br_delcon(rg: RibbonGraph, memo: dict[str, MultiPoly] | None) -> MultiPoly:
-    key = rg.canonical_form() if memo is not None else None
-    if memo is not None and key in memo:
-        return memo[key]
+def _br_delcon(rg: RibbonGraph) -> MultiPoly:
     g = rg.graph
     kinds = {e.id: g.classify_edge(e.id) for e in g.edges}
     regular = sorted(e for e, kind in kinds.items() if kind == "regular")
     bridges = sorted(e for e, kind in kinds.items() if kind == "bridge")
     if regular:
         e = regular[0]
-        result = _br_delcon(rg.ribbon_contract(e), memo) + _br_delcon(rg.ribbon_delete(e), memo)
-    elif bridges:
-        result = X * _br_delcon(rg.ribbon_contract(bridges[0]), memo)
-    else:
-        result = _br_terminal(rg)
-    if memo is not None:
-        memo[key] = result
-    return result
+        return _br_delcon(rg.ribbon_contract(e)) + _br_delcon(rg.ribbon_delete(e))
+    if bridges:
+        return X * _br_delcon(rg.ribbon_contract(bridges[0]))
+    return _br_terminal(rg)
 
 
 def _br_terminal(rg: RibbonGraph) -> MultiPoly:

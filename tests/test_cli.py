@@ -71,6 +71,11 @@ def test_hopf_commands():
 def test_exit_code_2_on_bad_input(tmp_path):
     code, text = run("poly", "tutte", str(tmp_path / "missing.json"))
     assert code == 2
+    # a directory given as the fixture or as the momenta file
+    code, text = run("poly", "tutte", str(tmp_path))
+    assert code == 2 and text.startswith("error: ") and text.count("\n") == 1
+    code, text = run("param", "v", path("fig3"), "--momenta", str(tmp_path))
+    assert code == 2 and text.startswith("error: ") and text.count("\n") == 1
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")
     code, text = run("poly", "tutte", str(bad))
@@ -151,8 +156,8 @@ def test_check_failure_exit_code(tmp_path, monkeypatch):
 
     real = polynomials.tutte
 
-    def broken(g, method="subset", memoize=True):
-        p = real(g, method, memoize)
+    def broken(g, method="subset"):
+        p = real(g, method)
         if method == "delcon":
             return p + 1
         return p

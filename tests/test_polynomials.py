@@ -127,12 +127,10 @@ def test_multivariate_br_values():
     assert multivariate_br(fixtures.build("bridge")) == X**2 * Z**2 + X * b1 * Z
 
 
-def test_br_engines_and_memo():
+def test_br_engines_agree_on_fixtures():
     for name in fixtures.ribbon_fixture_names():
         rg = fixtures.build(name)
-        ref = bollobas_riordan(rg, "subset")
-        assert ref == bollobas_riordan(rg, "delcon", memoize=True), name
-        assert ref == bollobas_riordan(rg, "delcon", memoize=False), name
+        assert bollobas_riordan(rg, "subset") == bollobas_riordan(rg, "delcon"), name
 
 
 def test_br_tutte_specialization_on_random_rotation_systems():
@@ -142,11 +140,32 @@ def test_br_tutte_specialization_on_random_rotation_systems():
         assert check_br_tutte_specialization(rg)
 
 
-def test_tutte_memoized_equals_unmemoized_random():
+def test_tutte_subset_equals_delcon_random():
     rng = random.Random(47)
     for _ in range(25):
         g = random_multigraph(rng, max_vertices=5, max_edges=7)
-        assert tutte(g, "delcon", memoize=True) == tutte(g, "delcon", memoize=False)
+        assert tutte(g, "subset") == tutte(g, "delcon")
+
+
+def test_delcon_routes_never_compute_canonical_forms(monkeypatch):
+    from feyncomb.hopf import underlying
+    from feyncomb.ribbon import RibbonGraph
+
+    def refuse(self):
+        raise AssertionError("delcon computed a canonical form")
+
+    monkeypatch.setattr(Graph, "canonical_form", refuse)
+    monkeypatch.setattr(RibbonGraph, "canonical_form", refuse)
+    hub_spokes = [(f"s{i}", "h", f"v{i}") for i in range(1, 6)]
+    rim = [(f"r{i}", f"v{i}", f"v{i % 5 + 1}") for i in range(1, 6)]
+    wheel = Graph(["h"] + [f"v{i}" for i in range(1, 6)], hub_spokes + rim)
+    graphs = [wheel] + [underlying(fixtures.build(name)) for name in fixtures.names()]
+    for g in graphs:
+        assert tutte(g, "delcon") == tutte(g, "subset")
+    ribbons = [fixtures.build(name) for name in fixtures.ribbon_fixture_names()]
+    ribbons.append(random_ribbon_graph(random.Random(53), max_vertices=4, max_edges=7))
+    for rg in ribbons:
+        assert bollobas_riordan(rg, "delcon") == bollobas_riordan(rg, "subset")
 
 
 def test_legs_are_ignored_by_tutte_and_br():
