@@ -9,9 +9,10 @@ Commands:
                  --model {phi4,gw,core} [--check] [--json]
   feyncomb selftest
 
-Exit codes: 0 success, 1 a --check/--check-all/selftest validation failed,
-2 malformed input or precondition violation.  Output is byte-identical
-across runs: no environment variables or configuration files are consulted.
+Exit codes: 0 success, 1 a --check/--check-all/selftest validation or an
+internal invariant failed (one FAIL line), 2 malformed input or precondition
+violation.  Output is byte-identical across runs: no environment variables or
+configuration files are consulted.
 """
 
 from __future__ import annotations
@@ -341,6 +342,8 @@ def run(argv: list[str]) -> tuple[int, str]:
         return code, buf.getvalue()
     except (OSError, ValueError, KeyError) as exc:
         return 2, buf.getvalue() + f"error: {exc}\n"
+    except AssertionError as exc:  # an internal invariant broke: report it like a failed check
+        return 1, buf.getvalue() + f"FAIL internal invariant: {exc or 'assertion failed'}\n"
     text = buf.getvalue() + "\n".join(lines) + ("\n" if lines else "")
     return code, text
 

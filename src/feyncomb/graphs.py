@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
 
 EdgeSubset = frozenset[str]
 
@@ -105,7 +105,8 @@ class Graph:
         )
 
     def __hash__(self) -> int:
-        return hash((frozenset(self.vertices), frozenset(self.edges), frozenset(self.legs)))
+        # ids only: equal graphs have equal id sets, and str hashes are cached
+        return hash((frozenset(self.vertices), frozenset(self._edge_by_id), frozenset(self._leg_by_id)))
 
     def __repr__(self) -> str:
         return f"Graph(V={len(self.vertices)}, E={len(self.edges)}, legs={len(self.legs)})"
@@ -282,36 +283,90 @@ class Graph:
     def canonical_form(self) -> str:
         """Isomorphism-class key (orientation, ids and leg directions ignored).
 
-        Exhaustive minimization over vertex bijections, restricted to
-        signature-compatible assignments; fine at desk scale.
+        Vertices get positions class by class, in the order of their
+        (degree, self-loops, legs) signatures; the key is the least sorted
+        list of (min, max) edge position pairs over every such assignment,
+        found by `least_code` with one level per position.  The leg
+        positions follow from the signatures alone.  With positions 0..k-1
+        placed, an edge from position p to an unplaced vertex is at least
+        (p, k) and an edge with no placed end at least (k, k).  A pair (a, b)
+        is coded as a * n + b, so lists of codes compare as lists of pairs.
         """
-        sig: dict[str, tuple] = {}
-        loops = {v: 0 for v in self.vertices}
-        legc = {v: 0 for v in self.vertices}
-        for e in self.edges:
-            if e.is_loop:
-                loops[e.tail] += 1
+        n = len(self.vertices)
+        nbrs: list[list[int]] = [[] for _ in range(n)]  # the far end of each non-loop edge
+        loops = [0] * n
+        for a, b in self._ends.values():
+            if a == b:
+                loops[a] += 1
+            else:
+                nbrs[a].append(b)
+                nbrs[b].append(a)
+        index = {v: i for i, v in enumerate(self.vertices)}
+        legc = [0] * n
         for l in self.legs:
-            legc[l.vertex] += 1
-        for v in self.vertices:
-            sig[v] = (self.degree(v), loops[v], legc[v])
+            legc[index[l.vertex]] += 1
+        sig = [(len(nbrs[v]) + 2 * loops[v] + legc[v], loops[v], legc[v]) for v in range(n)]
+        by_sig = sorted(range(n), key=sig.__getitem__)
 
-        best = None
-        for mapping in _signature_bijections(list(self.vertices), sig):
-            enc = self._encode(mapping)
-            if best is None or enc < best:
-                best = enc
-        edges_txt = ",".join(f"{a}-{b}" for a, b in best[0])
-        legs_txt = ",".join(str(i) for i in best[1])
-        return f"G{len(self.vertices)}|{edges_txt}|{legs_txt}"
+        at = [-1] * n  # position of each vertex, -1 while unplaced
+        groups: list[list[int]] = [[] for _ in range(n)]  # codes of placed pairs, by smaller position
+        open_ends = [0] * n  # per position, edges to unplaced vertices
+        free = len(self._ends)  # edges with no placed end
+        placed: list[int] = []
 
-    def _encode(self, mapping: dict[str, int]) -> tuple:
-        epairs = sorted(
-            (min(mapping[e.tail], mapping[e.head]), max(mapping[e.tail], mapping[e.head]))
-            for e in self.edges
-        )
-        lpos = sorted(mapping[l.vertex] for l in self.legs)
-        return (tuple(epairs), tuple(lpos))
+        def place(v: int) -> None:
+            nonlocal free
+            k = len(placed)
+            placed.append(v)
+            at[v] = k
+            groups[k].extend([k * n + k] * loops[v])
+            free -= loops[v]
+            for w in nbrs[v]:
+                p = at[w]
+                if p < 0:
+                    open_ends[k] += 1
+                    free -= 1
+                else:
+                    groups[p].append(p * n + k)  # k exceeds every code already in the group
+                    open_ends[p] -= 1
+
+        def unplace(v: int) -> None:
+            nonlocal free
+            placed.pop()
+            at[v] = -1
+            k = len(placed)
+            for w in nbrs[v]:
+                p = at[w]
+                if p < 0:
+                    free += 1
+                else:
+                    groups[p].pop()
+                    open_ends[p] += 1
+            open_ends[k] = 0
+            groups[k].clear()
+            free += loops[v]
+
+        def bound() -> list[int]:
+            k = len(placed)
+            out: list[int] = []
+            for p in range(k):
+                out += groups[p]
+                if open_ends[p]:
+                    out += [p * n + k] * open_ends[p]
+            out += [k * n + k] * free
+            return out
+
+        same_sig: dict[tuple, list[int]] = {}
+        for v in by_sig:
+            same_sig.setdefault(sig[v], []).append(v)
+
+        def choices(k: int) -> list[int]:
+            return [v for v in same_sig[sig[by_sig[k]]] if at[v] < 0]
+
+        best = least_code(n, choices, place, unplace, bound)
+        edges_txt = ",".join(f"{c // n}-{c % n}" for c in best)
+        legs_txt = ",".join(str(k) for k, v in enumerate(by_sig) for _ in range(legc[v]))
+        return f"G{n}|{edges_txt}|{legs_txt}"
 
     # -- JSON fixture format ----------------------------------------------------
 
@@ -365,6 +420,59 @@ def bridgeless_connected(verts: Iterable[Hashable], ends: Sequence[tuple]) -> bo
     return len(disc) == len(adj)
 
 
+def least_code(
+    levels: int,
+    choices: Callable[[int], list],
+    place: Callable[[Any], None],
+    unplace: Callable[[Any], None],
+    bound: Callable[[], list[int]],
+) -> list[int]:
+    """The least code list over every way to make one choice per level, by
+    branch and bound.
+
+    Level k offers `choices(k)` (which may depend on the choices placed);
+    `place` and `unplace` apply and undo a choice.  `bound()` is an
+    entrywise lower bound on the code list of every completion of the
+    choices placed, and the exact list once all levels are placed.  A
+    partial choice is dropped once its bound reaches the best complete list:
+    entrywise lower bounds are lexicographic ones too.  The choices of a
+    level are tried in the order of their bounds, so a good list is found
+    early; a level with one choice skips the bound.
+    """
+    best: list[int] | None = None
+
+    def search(k: int) -> None:
+        nonlocal best
+        if k == levels:
+            leaf = bound()
+            if best is None or leaf < best:
+                best = leaf
+            return
+        todo = choices(k)
+        if len(todo) == 1:
+            place(todo[0])
+            search(k + 1)
+            unplace(todo[0])
+            return
+        scored = []
+        for c in todo:
+            place(c)
+            low = bound()
+            unplace(c)
+            if best is None or low < best:
+                scored.append((low, c))
+        scored.sort()
+        for low, c in scored:
+            if best is not None and low >= best:
+                break
+            place(c)
+            search(k + 1)
+            unplace(c)
+
+    search(0)
+    return best
+
+
 def _union_find(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[list[int], int]:
     """Join vertex positions 0..n-1 along `pairs`: the parent list and the
     component count.  A larger root is linked under a smaller one, so every
@@ -383,25 +491,6 @@ def _union_find(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[list[int], in
                 parent[a] = b
             k -= 1
     return parent, k
-
-
-def _signature_bijections(vertices: list[str], sig: dict[str, tuple]):
-    """Yield vertex -> position maps compatible with the degree signatures."""
-    classes: dict[tuple, list[str]] = {}
-    for v in vertices:
-        classes.setdefault(sig[v], []).append(v)
-    ordered = sorted(classes.items())
-    base = 0
-    slots: list[tuple[list[str], int]] = []
-    for _, members in ordered:
-        slots.append((members, base))
-        base += len(members)
-    for perms in itertools.product(*(itertools.permutations(m) for m, _ in slots)):
-        mapping: dict[str, int] = {}
-        for (members, start), perm in zip(slots, perms):
-            for offset, v in enumerate(perm):
-                mapping[v] = start + offset
-        yield mapping
 
 
 def graph_from_json_dict(data: dict) -> Graph:

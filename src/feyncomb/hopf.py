@@ -16,8 +16,10 @@ Divergence models:
   core  every connected 1PI subgraph with at least one internal edge
 
 Subgraphs are edge subsets; their external legs are the cut half-edges plus
-the host's own legs attached inside.  The search tests each edge subset for
-tadpoles, then the leg count, then 1PI-ness, then (gw) planarity.
+the host's own legs attached inside.  The search walks edge subsets depth
+first as bitmasks and tests each for the leg count and for two half-edges at
+every vertex in O(1), then for 1PI-ness, then (gw) planarity.  Each graph is
+labelled (its canonical form computed) once per HopfAlgebra instance.
 
 Shrinking a subgraph keeps ribbon structure by reading the cut half-edges
 off the subgraph's single broken face, so the gw model stays inside ribbon
@@ -395,6 +397,30 @@ def _insert_on_edge(host: GraphLike, sub: GraphLike, targets: dict[Token, str]) 
     return RibbonGraph(merged, rot)
 
 
+def _bfs_rank(n: int, ends: list[tuple[int, int]]) -> list[int]:
+    """Breadth-first visiting order of the vertex positions 0..n-1, one
+    component after another."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for a, b in ends:
+        adj[a].append(b)
+        adj[b].append(a)
+    rank = [-1] * n
+    seen = 0
+    for root in range(n):
+        if rank[root] >= 0:
+            continue
+        rank[root] = seen
+        seen += 1
+        queue = [root]
+        for v in queue:
+            for w in adj[v]:
+                if rank[w] < 0:
+                    rank[w] = seen
+                    seen += 1
+                    queue.append(w)
+    return rank
+
+
 # -- the Hopf algebra ---------------------------------------------------------------
 
 
@@ -413,6 +439,7 @@ class HopfAlgebra:
         self.model = model
         self.include_tadpoles = include_tadpoles
         self.products = products
+        self._labels: dict[GraphLike, str] = {}
         self._graphs: dict[str, GraphLike] = {}
         self._split_cache: dict[str, list[tuple[Mono, str]]] = {}
         self._coproducts: dict[str, TensorSum] = {}
@@ -422,8 +449,11 @@ class HopfAlgebra:
     # -- label registry ------------------------------------------------------
 
     def label(self, g: GraphLike) -> str:
-        lbl = g.canonical_form()
-        self._graphs.setdefault(lbl, g)
+        """The canonical form of `g`, computed once per graph on this instance."""
+        lbl = self._labels.get(g)
+        if lbl is None:
+            lbl = self._labels[g] = g.canonical_form()
+            self._graphs.setdefault(lbl, g)
         return lbl
 
     def graph_of(self, label: str) -> GraphLike:
@@ -447,28 +477,77 @@ class HopfAlgebra:
 
     def divergent_members(self, g: GraphLike) -> list[EdgeSubset]:
         """Connected 1PI proper subgraphs that are divergent under the model,
-        in (size, sorted ids) order."""
+        in (size, sorted ids) order.
+
+        A depth-first walk adds edges in a fixed order, so each subset extends
+        the one without its last edge: its vertex mask, the mask of vertices
+        that carry two or more of its half-edges (a self-loop gives two) and
+        its degree sum each follow in O(1).  Two filters read them before the
+        bridge test: the 2 or 4 leg count (phi4, gw: the degree sum minus
+        twice the size), and the necessary condition that every vertex of a
+        bridgeless subgraph carries two of its half-edges.  A vertex short of
+        two that no later edge touches stays short, so the walk leaves that
+        branch; edges go in breadth-first order of their later end, so
+        vertices run out of edges early.  Self-loops are never added when
+        tadpoles are excluded.
+        """
         if self.model == "gw" and not isinstance(g, RibbonGraph):
             raise ValueError("the gw model is defined on ribbon graphs")
         base = underlying(g)
-        deg = {v: base.degree(v) for v in base.vertices}
-        edges = sorted(base.edges, key=lambda e: e.id)
-        ends = [(e.tail, e.head) for e in edges]
-        loops = {i for i, e in enumerate(edges) if e.is_loop}
-        out = []
-        for r in range(1, len(edges)):
-            for combo in itertools.combinations(range(len(edges)), r):
-                if not self.include_tadpoles and loops.intersection(combo):
-                    continue
-                verts = {v for i in combo for v in ends[i]}
-                if self.model != "core" and sum(deg[v] for v in verts) - 2 * r not in (2, 4):
-                    continue
-                if not bridgeless_connected(verts, [ends[i] for i in combo]):
-                    continue
-                member = frozenset(edges[i].id for i in combo)
-                if self.model == "gw" and not member_graph(g, member).is_planar_regular():
-                    continue
-                out.append(member)
+        n = len(base.vertices)
+        index = {v: i for i, v in enumerate(base.vertices)}
+        deg = [0] * n
+        for e in base.edges:
+            deg[index[e.tail]] += 1
+            deg[index[e.head]] += 1
+        for l in base.legs:
+            deg[index[l.vertex]] += 1
+        edges = [e for e in base.edges if self.include_tadpoles or not e.is_loop]
+        ends = [(index[e.tail], index[e.head]) for e in edges]
+        rank = _bfs_rank(n, ends)
+        order = sorted(range(len(edges)), key=lambda i: sorted((rank[x] for x in ends[i]), reverse=True))
+        edges = [edges[i] for i in order]
+        ends = [ends[i] for i in order]
+        # untouched[j]: the vertices no edge from walk position j on touches
+        untouched = [0] * (len(edges) + 1)
+        untouched[-1] = (1 << n) - 1
+        for j in range(len(edges) - 1, -1, -1):
+            a, b = ends[j]
+            untouched[j] = untouched[j + 1] & ~(1 << a) & ~(1 << b)
+        count_legs = self.model != "core"
+        proper = len(base.edges)
+        combo: list[int] = []
+        out: list[EdgeSubset] = []
+
+        def walk(start: int, verts: int, twice: int, degsum: int) -> None:
+            for j in range(start, len(edges)):
+                if verts & ~twice & untouched[j]:
+                    return
+                a, b = ends[j]
+                bit_a, bit_b = 1 << a, 1 << b
+                now_verts = verts | bit_a | bit_b
+                now_twice = twice | (verts & (bit_a | bit_b)) | (bit_a & bit_b)
+                now_deg = degsum
+                if not verts & bit_a:
+                    now_deg += deg[a]
+                if a != b and not verts & bit_b:
+                    now_deg += deg[b]
+                combo.append(j)
+                r = len(combo)
+                if (
+                    now_twice == now_verts
+                    and r < proper
+                    and (not count_legs or now_deg - 2 * r in (2, 4))
+                    and bridgeless_connected({v for c in combo for v in ends[c]}, [ends[c] for c in combo])
+                ):
+                    member = frozenset(edges[c].id for c in combo)
+                    if self.model != "gw" or member_graph(g, member).is_planar_regular():
+                        out.append(member)
+                walk(j + 1, now_verts, now_twice, now_deg)
+                combo.pop()
+
+        walk(0, 0, 0, 0)
+        out.sort(key=lambda m: (len(m), sorted(m)))
         return out
 
     def families(self, g: GraphLike) -> list[tuple[EdgeSubset, ...]]:
@@ -519,9 +598,11 @@ class HopfAlgebra:
         Kept per label of `g`, since isomorphic graphs have the same splits.
         """
         if lbl not in self._split_cache:
+            families = self.families(g)
+            # every member is also a family on its own: label each member once
+            member_label = {fam[0]: self.label(member_graph(g, fam[0])) for fam in families if len(fam) == 1}
             self._split_cache[lbl] = [
-                (tuple(sorted(self.label(member_graph(g, m)) for m in fam)), self.label(cograph(g, fam)))
-                for fam in self.families(g)
+                (tuple(sorted(member_label[m] for m in fam)), self.label(cograph(g, fam))) for fam in families
             ]
         return self._split_cache[lbl]
 

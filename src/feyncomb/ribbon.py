@@ -14,12 +14,11 @@ half-edge contributes one face of its own.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .graphs import Edge, EdgeSubset, Graph, Leg, _signature_bijections, graph_from_json_dict
+from .graphs import Edge, EdgeSubset, Graph, Leg, graph_from_json_dict, least_code
 
 Token = tuple[str, str]  # (edge_id, "t"|"h") or (leg_id, "x")
 
@@ -105,6 +104,10 @@ class RibbonGraph:
             if not _cyclic_equal(self.rotation[v], other.rotation[v]):
                 return False
         return True
+
+    def __hash__(self) -> int:
+        # equal ribbon graphs have equal underlying graphs, whatever the rotation starts
+        return hash(self.graph)
 
     def __repr__(self) -> str:
         g = self.graph
@@ -279,47 +282,67 @@ class RibbonGraph:
     def canonical_form(self) -> str:
         """Isomorphism-class key including the rotation system.
 
-        Minimizes an encoding over signature-compatible vertex bijections and
-        all cyclic starting points; orientation and ids are ignored.
+        Vertices are laid out as blocks, class by class in the order of their
+        (rotation length, self-loops, legs) signatures, each block being the
+        vertex's rotation read from some starting half-edge.  The key is the
+        least code list over every such layout, where each half-edge's code
+        is the flat position of its partner (-1 for a leg); orientation and
+        ids are ignored.  It is found by `least_code` with one level per
+        block.  A half-edge whose partner sits in an unplaced block is at
+        least the offset of the first unplaced block; a half-edge in an
+        unplaced block is at least -1.
         """
-        g = self.graph
-        sig: dict[str, tuple] = {}
-        for v in g.vertices:
-            seq = self.rotation[v]
-            loops = sum(1 for e in g.edges if e.is_loop and e.tail == v)
-            legc = sum(1 for t in seq if is_leg_token(t))
-            sig[v] = (len(seq), loops, legc)
+        rotation = self.rotation
+        verts = self.graph.vertices
+        ids = {tok: i for i, tok in enumerate(t for v in verts for t in rotation[v])}
+        seqs = [[ids[t] for t in rotation[v]] for v in verts]  # half-edge numbers per vertex
+        mate = [-1 if is_leg_token(t) else ids[partner(t)] for t in ids]
+        sig = []
+        for v in verts:
+            seq = rotation[v]
+            loops = sum(1 for t in seq if t[1] == "t" and partner(t) in seq)
+            sig.append((len(seq), loops, sum(1 for t in seq if is_leg_token(t))))
+        by_sig = sorted(range(len(verts)), key=sig.__getitem__)
 
-        best = None
-        verts = list(g.vertices)
-        for mapping in _signature_bijections(verts, sig):
-            order = sorted(verts, key=lambda v: mapping[v])
-            lengths = [len(self.rotation[v]) for v in order]
-            start_ranges = [range(max(1, n)) for n in lengths]
-            for starts in itertools.product(*start_ranges):
-                enc = self._encode_rotation(order, starts)
-                if best is None or enc < best:
-                    best = enc
-        blocks, codes = best
-        body = ",".join(str(c) for c in codes)
-        return f"R{'/'.join(str(b) for b in blocks)}|{body}"
+        at = [-1] * len(mate)  # flat position of each placed half-edge
+        flat: list[int] = []  # placed half-edges in flat order
+        used = [False] * len(verts)
 
-    def _encode_rotation(self, order: list[str], starts: tuple[int, ...]) -> tuple:
-        pos: dict[Token, int] = {}
-        flat: list[Token] = []
-        blocks = []
-        for v, s in zip(order, starts):
-            seq = self.rotation[v]
-            n = len(seq)
-            rolled = tuple(seq[(s + i) % n] for i in range(n)) if n else ()
-            blocks.append(n)
-            for tok in rolled:
-                pos[tok] = len(flat)
-                flat.append(tok)
-        codes = []
-        for tok in flat:
-            codes.append(-1 if is_leg_token(tok) else pos[partner(tok)])
-        return (tuple(blocks), tuple(codes))
+        same_sig: dict[tuple, list[int]] = {}
+        for v in by_sig:
+            same_sig.setdefault(sig[v], []).append(v)
+
+        def choices(k: int) -> list[tuple[int, list[int]]]:
+            """(vertex, its rotation read from one start) for block k."""
+            out = []
+            for v in same_sig[sig[by_sig[k]]]:
+                if not used[v]:
+                    seq = seqs[v]
+                    out += [(v, seq[s:] + seq[:s]) for s in range(max(1, len(seq)))]
+            return out
+
+        def place(choice: tuple[int, list[int]]) -> None:
+            v, rolled = choice
+            used[v] = True
+            for t in rolled:
+                at[t] = len(flat)
+                flat.append(t)
+
+        def unplace(choice: tuple[int, list[int]]) -> None:
+            v, rolled = choice
+            used[v] = False
+            del flat[len(flat) - len(rolled) :]
+            for t in rolled:
+                at[t] = -1
+
+        def bound() -> list[int]:
+            nxt = len(flat)
+            low = [-1 if q < 0 else (at[q] if at[q] >= 0 else nxt) for q in (mate[t] for t in flat)]
+            return low + [-1] * (len(mate) - nxt)
+
+        best = least_code(len(verts), choices, place, unplace, bound)
+        blocks = "/".join(str(sig[v][0]) for v in by_sig)
+        return f"R{blocks}|{','.join(str(c) for c in best)}"
 
     # -- JSON fixture format --------------------------------------------------------
 

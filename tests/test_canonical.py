@@ -1,0 +1,246 @@
+"""Canonical forms against the exhaustive search they replaced.
+
+The oracle below tries every vertex bijection that respects the signatures
+(and, for ribbon graphs, every product of cyclic starting points) and keeps
+the least encoding.  The branch-and-bound search in `graphs` and `ribbon`
+must return the identical string, since the labels are printed and pinned.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from feyncomb.checks import random_multigraph
+from feyncomb.graphs import Graph
+from feyncomb.ribbon import RibbonGraph, is_leg_token, partner
+
+# -- the exhaustive oracle ----------------------------------------------------------
+
+
+def _signature_bijections(vertices, sig):
+    """Every vertex -> position map compatible with the signatures."""
+    classes = {}
+    for v in vertices:
+        classes.setdefault(sig[v], []).append(v)
+    slots = []
+    base = 0
+    for _, members in sorted(classes.items()):
+        slots.append((members, base))
+        base += len(members)
+    for perms in itertools.product(*(itertools.permutations(m) for m, _ in slots)):
+        mapping = {}
+        for (members, start), perm in zip(slots, perms):
+            for offset, v in enumerate(perm):
+                mapping[v] = start + offset
+        yield mapping
+
+
+def oracle_graph_key(g):
+    sig = {}
+    for v in g.vertices:
+        loops = sum(1 for e in g.edges if e.is_loop and e.tail == v)
+        sig[v] = (g.degree(v), loops, sum(1 for l in g.legs if l.vertex == v))
+    best = None
+    for mapping in _signature_bijections(list(g.vertices), sig):
+        pairs = sorted(
+            (min(mapping[e.tail], mapping[e.head]), max(mapping[e.tail], mapping[e.head])) for e in g.edges
+        )
+        enc = (tuple(pairs), tuple(sorted(mapping[l.vertex] for l in g.legs)))
+        if best is None or enc < best:
+            best = enc
+    edges_txt = ",".join(f"{a}-{b}" for a, b in best[0])
+    legs_txt = ",".join(str(i) for i in best[1])
+    return f"G{len(g.vertices)}|{edges_txt}|{legs_txt}"
+
+
+def oracle_ribbon_key(rg):
+    g = rg.graph
+    sig = {}
+    for v in g.vertices:
+        seq = rg.rotation[v]
+        loops = sum(1 for e in g.edges if e.is_loop and e.tail == v)
+        sig[v] = (len(seq), loops, sum(1 for t in seq if is_leg_token(t)))
+    best = None
+    for mapping in _signature_bijections(list(g.vertices), sig):
+        order = sorted(g.vertices, key=mapping.__getitem__)
+        for starts in itertools.product(*(range(max(1, len(rg.rotation[v]))) for v in order)):
+            flat = []
+            for v, s in zip(order, starts):
+                seq = rg.rotation[v]
+                flat += seq[s:] + seq[:s]
+            pos = {tok: i for i, tok in enumerate(flat)}
+            enc = (
+                tuple(len(rg.rotation[v]) for v in order),
+                tuple(-1 if is_leg_token(t) else pos[partner(t)] for t in flat),
+            )
+            if best is None or enc < best:
+                best = enc
+    blocks, codes = best
+    return f"R{'/'.join(str(b) for b in blocks)}|{','.join(str(c) for c in codes)}"
+
+
+# -- corpora ---------------------------------------------------------------------------
+
+
+def _with_legs(g, rng, max_legs):
+    legs = [(f"f{i}", rng.choice(g.vertices), rng.choice(["in", "out"])) for i in range(rng.randint(0, max_legs))]
+    return Graph(g.vertices, g.edges, legs)
+
+
+def _ribbonize(g, rng):
+    rotation = {v: [] for v in g.vertices}
+    for e in g.edges:
+        rotation[e.tail].append((e.id, "t"))
+        rotation[e.head].append((e.id, "h"))
+    for l in g.legs:
+        rotation[l.vertex].append((l.id, "x"))
+    for seq in rotation.values():
+        rng.shuffle(seq)
+    return RibbonGraph(g, rotation)
+
+
+def _relabelled(g, rng):
+    """An isomorphic copy: new ids, shuffled lists, flipped edges, rotated rotations."""
+    base = g.graph if isinstance(g, RibbonGraph) else g
+    vren = dict(zip(base.vertices, rng.sample([f"w{i}" for i in range(len(base.vertices))], len(base.vertices))))
+    eren = {e.id: f"d{i}" for i, e in enumerate(base.edges)}
+    flip = {e.id for e in base.edges if rng.random() < 0.5}
+    edges = [
+        (eren[e.id], vren[e.head], vren[e.tail]) if e.id in flip else (eren[e.id], vren[e.tail], vren[e.head])
+        for e in rng.sample(base.edges, len(base.edges))
+    ]
+    lren = {l.id: f"k{i}" for i, l in enumerate(base.legs)}
+    legs = [(lren[l.id], vren[l.vertex], l.dir) for l in rng.sample(base.legs, len(base.legs))]
+    copy = Graph(rng.sample(list(vren.values()), len(vren)), edges, legs)
+    if not isinstance(g, RibbonGraph):
+        return copy
+
+    def token(t):
+        if is_leg_token(t):
+            return (lren[t[0]], "x")
+        end = {"t": "h", "h": "t"}[t[1]] if t[0] in flip else t[1]
+        return (eren[t[0]], end)
+
+    rotation = {}
+    for v, seq in g.rotation.items():
+        s = rng.randrange(max(1, len(seq)))
+        rotation[vren[v]] = [token(t) for t in seq[s:] + seq[:s]]
+    return RibbonGraph(copy, rotation)
+
+
+def cut_circulant(n):
+    """C_n(1,2) with the edge v1-v2 cut into two legs."""
+    edges = [
+        (f"e{step}_{i}", f"v{i}", f"v{(i + step - 1) % n + 1}")
+        for step in (1, 2)
+        for i in range(1, n + 1)
+        if (step, i) != (1, 1)
+    ]
+    return Graph([f"v{i}" for i in range(1, n + 1)], edges, [("f1", "v1", "in"), ("f2", "v2", "out")])
+
+
+def _features(g):
+    base = g.graph if isinstance(g, RibbonGraph) else g
+    touched = {v for e in base.edges for v in (e.tail, e.head)}
+    pairs = [frozenset((e.tail, e.head)) for e in base.edges]
+    return {
+        "loop": any(e.is_loop for e in base.edges),
+        "parallel": len(set(pairs)) < len(pairs),
+        "legs": bool(base.legs),
+        "isolated": any(v not in touched for v in base.vertices),
+        "disconnected": base.components() > 1,
+    }
+
+
+# -- tests -------------------------------------------------------------------------------
+
+
+def test_graph_canonical_form_matches_exhaustive_search():
+    rng = random.Random(2711)
+    seen = dict.fromkeys(("loop", "parallel", "legs", "isolated", "disconnected"), False)
+    for _ in range(520):
+        g = _with_legs(random_multigraph(rng, max_vertices=6, max_edges=8, min_edges=0), rng, 3)
+        for kind, present in _features(g).items():
+            seen[kind] |= present
+        key = oracle_graph_key(g)
+        assert g.canonical_form() == key
+        assert _relabelled(g, rng).canonical_form() == key
+    assert all(seen.values()), seen
+
+
+def test_ribbon_canonical_form_matches_exhaustive_search():
+    rng = random.Random(2712)
+    seen = dict.fromkeys(("loop", "parallel", "legs", "isolated", "disconnected"), False)
+    for _ in range(320):
+        g = _with_legs(random_multigraph(rng, max_vertices=4, max_edges=5, min_edges=0), rng, 3)
+        rg = _ribbonize(g, rng)
+        for kind, present in _features(rg).items():
+            seen[kind] |= present
+        key = oracle_ribbon_key(rg)
+        assert rg.canonical_form() == key
+        assert _relabelled(rg, rng).canonical_form() == key
+    assert all(seen.values()), seen
+
+
+def test_canonical_form_matches_exhaustive_search_on_cut_circulants():
+    rng = random.Random(2713)
+    for n in range(5, 9):
+        g = cut_circulant(n)
+        key = oracle_graph_key(g)
+        assert g.canonical_form() == key
+        assert _relabelled(g, rng).canonical_form() == key
+
+
+def test_canonical_form_of_empty_graphs():
+    assert Graph([], []).canonical_form() == oracle_graph_key(Graph([], [])) == "G0||"
+    empty = RibbonGraph(Graph([], []), {})
+    assert empty.canonical_form() == oracle_ribbon_key(empty) == "R|"
+
+
+def test_canonical_form_matches_exhaustive_search_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def graphs(draw, max_vertices=5, max_edges=7):
+        n = draw(st.integers(0, max_vertices))
+        verts = [f"v{i}" for i in range(n)]
+        if not n:
+            return Graph([], [])
+        vertex = st.sampled_from(verts)
+        ends = draw(st.lists(st.tuples(vertex, vertex), max_size=max_edges))
+        legs = draw(st.lists(vertex, max_size=3))
+        return Graph(
+            verts,
+            [(f"e{i}", a, b) for i, (a, b) in enumerate(ends)],
+            [(f"f{i}", v, "in") for i, v in enumerate(legs)],
+        )
+
+    @st.composite
+    def ribbon_graphs(draw):
+        g = draw(graphs(max_vertices=4, max_edges=5))
+        rotation = {v: [] for v in g.vertices}
+        for e in g.edges:
+            rotation[e.tail].append((e.id, "t"))
+            rotation[e.head].append((e.id, "h"))
+        for l in g.legs:
+            rotation[l.vertex].append((l.id, "x"))
+        return RibbonGraph(g, {v: draw(st.permutations(seq)) for v, seq in rotation.items()})
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(graphs(), st.integers(0, 2**16))
+    def check_graph(g, seed):
+        key = oracle_graph_key(g)
+        assert g.canonical_form() == key
+        assert _relabelled(g, random.Random(seed)).canonical_form() == key
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(ribbon_graphs(), st.integers(0, 2**16))
+    def check_ribbon(rg, seed):
+        key = oracle_ribbon_key(rg)
+        assert rg.canonical_form() == key
+        assert _relabelled(rg, random.Random(seed)).canonical_form() == key
+
+    check_graph()
+    check_ribbon()

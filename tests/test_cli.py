@@ -168,6 +168,19 @@ def test_check_failure_exit_code(tmp_path, monkeypatch):
     assert "FAIL" in text
 
 
+def test_internal_invariant_failure_is_one_fail_line(monkeypatch):
+    # `param ustar` reaches RibbonGraph.genus through parametric.nc_u
+    from feyncomb.ribbon import RibbonGraph
+
+    def broken(self, subset=None):
+        raise AssertionError("bad Euler characteristic 3")
+
+    monkeypatch.setattr(RibbonGraph, "genus", broken)
+    code, text = run("param", "ustar", path("interleaved"))
+    assert code == 1
+    assert text == "FAIL internal invariant: bad Euler characteristic 3\n"
+
+
 def test_byte_identical_reruns():
     cmds = [
         ("param", "u", path("fig3"), "--check-all"),

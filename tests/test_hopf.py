@@ -6,7 +6,7 @@ import random
 import pytest
 
 from feyncomb import fixtures
-from feyncomb.checks import random_phi4_graph
+from feyncomb.checks import random_multigraph, random_phi4_graph
 from feyncomb.formal import FormalAmplitude
 from feyncomb.graphs import Graph
 from feyncomb.hopf import (
@@ -19,6 +19,7 @@ from feyncomb.hopf import (
     subgraph_external_legs,
 )
 from feyncomb.ribbon import RibbonGraph
+from test_canonical import cut_circulant
 
 GAMMA5 = frozenset({"e1", "e2"})
 
@@ -109,6 +110,40 @@ def test_coproduct_monomial_reuses_labels(h, monkeypatch):
     assert calls == []
     with pytest.raises(ValueError):
         h.coproduct(Graph(["a", "b"], [("e1", "a", "b")]))
+
+
+def _count_labels(monkeypatch):
+    """Record every graph whose canonical form is computed."""
+    calls = []
+    for cls in (Graph, RibbonGraph):
+        monkeypatch.setattr(cls, "canonical_form", lambda g, real=cls.canonical_form: calls.append(g) or real(g))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "name, model", [("nestedchain", "phi4"), ("fig5", "core"), ("twobubble", "core"), ("ribbonhost", "gw")]
+)
+def test_each_graph_is_labelled_once_per_algebra(monkeypatch, name, model):
+    g = fixtures.build(name)
+    h = HopfAlgebra(model)
+    calls = _count_labels(monkeypatch)
+    h.coproduct(g)
+    assert h.check_coassociativity(g) and h.check_hopf_axioms(g)
+    assert h.check_counit(g) and h.check_grading(g)
+    assert [x for x in calls if x is g] == [g]  # the host, once
+    members = h.divergent_members(g)
+    assert members
+    for m in members:
+        assert calls.count(member_graph(g, m)) == 1
+    assert len(set(calls)) == len(calls)  # no graph twice
+
+
+def test_ribbon_hash_agrees_with_cyclic_equality():
+    rg = fixtures.build("ribbonhost")
+    rotated = RibbonGraph(rg.graph, {v: seq[1:] + seq[:1] for v, seq in rg.rotation.items()})
+    assert rotated.rotation != rg.rotation
+    assert rotated == rg and hash(rotated) == hash(rg)
+    assert {rg: "label"}[rotated] == "label"
 
 
 def test_counit(h):
@@ -486,6 +521,22 @@ def test_divergent_members_match_brute_force():
         rg = _ribbonize(g, rng)
         assert HopfAlgebra("gw").divergent_members(rg) == _brute_divergent_members(rg, "gw")
     assert tadpoles_mattered
+    # the core model, where only the half-edge and bridge tests decide
+    for g in [fixtures.build(n) for n in ("nestedchain", "twobubble", "fig5")] + [cut_circulant(5), cut_circulant(6)]:
+        assert HopfAlgebra("core").divergent_members(g) == _brute_divergent_members(g, "core")
+    # multigraphs of any degree, with self-loops, parallel edges and legs
+    seen = {"loop": False, "parallel": False}
+    for _ in range(40):
+        g = random_multigraph(rng, max_vertices=5, max_edges=8, connected=True)
+        g = Graph(g.vertices, g.edges, [(f"f{i}", rng.choice(g.vertices), "in") for i in range(rng.randint(0, 3))])
+        pairs = [frozenset((e.tail, e.head)) for e in g.edges]
+        seen["loop"] |= any(e.is_loop for e in g.edges)
+        seen["parallel"] |= len(set(pairs)) < len(pairs)
+        for model in ("phi4", "core"):
+            for tadpoles in (True, False):
+                got = HopfAlgebra(model, include_tadpoles=tadpoles).divergent_members(g)
+                assert got == _brute_divergent_members(g, model, include_tadpoles=tadpoles)
+    assert all(seen.values())
 
 
 def test_split_cache_is_shared_by_isomorphic_graphs():
