@@ -473,6 +473,74 @@ def least_code(
     return best
 
 
+# -- parallel classes, the state of the deletion/contraction recursions ------------
+#
+# A recursion state is a graph on vertex positions 0..n-1 with no self-loops,
+# held as a dict from (a, b) with a < b to the payload of the parallel class
+# of edges between a and b (the route's weight of the class).
+
+
+def edge_classes(g: Graph) -> tuple[list[str], dict[tuple[int, int], list[str]]]:
+    """The self-loop ids of `g`, and its other edge ids grouped into parallel
+    classes keyed by their (smaller, larger) end positions."""
+    loops: list[str] = []
+    classes: dict[tuple[int, int], list[str]] = {}
+    for e, (a, b) in g._ends.items():
+        if a == b:
+            loops.append(e)
+        else:
+            classes.setdefault((a, b) if a < b else (b, a), []).append(e)
+    return loops, classes
+
+
+def pick_class(classes: dict[tuple[int, int], Any]) -> tuple[int, int]:
+    """The class to split on (of a nonempty state): the first in dict order
+    at a vertex that meets the fewest classes.  A vertex that meets one class
+    makes it a bridge class, which has one branch, and a vertex that meets
+    two meets one after either branch."""
+    count: dict[int, int] = {}
+    for a, b in classes:
+        count[a] = count.get(a, 0) + 1
+        count[b] = count.get(b, 0) + 1
+    low = min(count.values())
+    return next(key for key in classes if count[key[0]] == low or count[key[1]] == low)
+
+
+def contract_class(n: int, classes: dict[tuple[int, int], Any], key: tuple[int, int], merge: Callable) -> dict:
+    """The classes of G/P for the class P at `key` = (a, b) of a state on
+    positions 0..n-1.  Position b becomes a, then the last position n-1
+    becomes b, so G/P lives on 0..n-2.  Two classes that come to share their
+    ends are merged into one, with payload `merge(first, second)`; none
+    becomes a self-loop, since P was the only class between a and b."""
+    a, b = key
+    last = n - 1
+    out: dict[tuple[int, int], Any] = {}
+    for (u, v), p in classes.items():
+        if u == a and v == b:
+            continue
+        if u == b:  # u < v <= last, so u is never the last position
+            u = a
+        if v == b:
+            v = a
+        elif v == last:
+            v = b
+        k = (u, v) if u < v else (v, u)
+        q = out.get(k)
+        out[k] = p if q is None else merge(q, p)
+    return out
+
+
+def is_bridge_class(n: int, classes: dict[tuple[int, int], Any], key: tuple[int, int]) -> bool:
+    """Whether deleting the class at `key` = (a, b) disconnects a from b."""
+    parent, _ = _union_find(n, (k for k in classes if k != key))
+    a, b = key
+    while parent[a] != a:
+        a = parent[a]
+    while parent[b] != b:
+        b = parent[b]
+    return a != b
+
+
 def _union_find(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[list[int], int]:
     """Join vertex positions 0..n-1 along `pairs`: the parent list and the
     component count.  A larger root is linked under a smaller one, so every

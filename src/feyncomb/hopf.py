@@ -762,21 +762,32 @@ class HopfAlgebra:
         )
 
     def bogoliubov_forest(self, g: GraphLike) -> FormalAmplitude:
-        """Rbar as the Zimmermann forest sum of counterterm products."""
+        """Rbar as the Zimmermann forest sum of counterterm products.
+
+        Forests share members and maximal sets, so within one call each
+        member graph, each outer label (per maximal tuple) and each shrunk
+        member's label (per member and its inner maximal tuple) is made once.
+        """
+        members: dict[EdgeSubset, GraphLike] = {}
+        outer_labels: dict[tuple[EdgeSubset, ...], str] = {}
+        shrunk_labels: dict[tuple[EdgeSubset, tuple[EdgeSubset, ...]], str] = {}
 
         def forest_term(forest: tuple[EdgeSubset, ...]) -> FormalAmplitude:
-            maximal = [m for m in forest if not any(m < other for other in forest)]
-            if maximal:
-                outer = self.label(cograph(g, maximal))
-            else:
-                outer = self.label(g)
+            maximal = tuple(m for m in forest if not any(m < other for other in forest))
+            outer = outer_labels.get(maximal)
+            if outer is None:
+                outer = outer_labels[maximal] = self.label(cograph(g, maximal) if maximal else g)
             term = FormalAmplitude.phi(outer)
             for m in forest:
                 inside = [x for x in forest if x < m]
-                inner_max = [x for x in inside if not any(x < y for y in inside)]
-                sub = member_graph(g, m)
-                shrunk = cograph(sub, inner_max) if inner_max else sub
-                term = term * FormalAmplitude.phi(self.label(shrunk)).project()
+                inner_max = tuple(x for x in inside if not any(x < y for y in inside))
+                lbl = shrunk_labels.get((m, inner_max))
+                if lbl is None:
+                    sub = members.get(m)
+                    if sub is None:
+                        sub = members[m] = member_graph(g, m)
+                    lbl = shrunk_labels[m, inner_max] = self.label(cograph(sub, inner_max) if inner_max else sub)
+                term = term * FormalAmplitude.phi(lbl).project()
             return -term if len(forest) % 2 else term
 
         return FormalAmplitude.sum(forest_term(f) for f in self.zimmermann_forests(g))

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from . import linalg
-from .graphs import Graph
+from .graphs import Graph, contract_class, edge_classes, is_bridge_class, pick_class
 from .poly import LinComb, Monomial, MultiPoly, Rational, _exact
 from .polynomials import multivariate_br, multivariate_tutte
 from .ribbon import RibbonGraph
@@ -181,25 +181,41 @@ def symanzik_u_via_det(g: Graph, drop_vertex: str | None = None) -> MultiPoly:
 
 
 def symanzik_u_delcon(g: Graph) -> MultiPoly:
-    """U via deletion/contraction on semi-regular edges.
+    """U via deletion/contraction over whole parallel classes.
 
-    Terminal form: only self-loops on isolated vertices remain, value
-    prod alpha_e.  Disconnected intermediates have no spanning tree and
-    contribute 0.
+    Self-loops are folded into the factor prod alpha_e first.  A class P of
+    m edges then gives U = prod_P alpha * U(G-P) + e_(m-1)(alpha_P) * U(G/P):
+    a spanning tree avoids P or uses exactly one of its edges.  G-P is
+    disconnected, with U = 0, when P is a bridge class, so that branch is
+    skipped.  Terminal form: 1 on a single vertex, and 0 otherwise.
     """
     if not g.is_connected():
         raise ValueError("symanzik_u_delcon requires a connected graph")
-    return _u_delcon_rec(g)
+    loops, classes = edge_classes(g)
+    state = {}
+    for k, ids in classes.items():
+        esym = MultiPoly.sum(alpha_product(ids[:i] + ids[i + 1 :]) for i in range(len(ids)))
+        state[k] = (alpha_product(ids), esym)
+    return alpha_product(loops) * _u_classes(len(g.vertices), state)
 
 
-def _u_delcon_rec(g: Graph) -> MultiPoly:
-    if not g.is_connected():
-        return MultiPoly.zero()
-    nonloops = sorted(e.id for e in g.edges if not e.is_loop)
-    if not nonloops:
-        return alpha_product(g.all_edges())
-    e = nonloops[0]
-    return alpha_var(e) * _u_delcon_rec(g.delete_edge(e)) + _u_delcon_rec(g.contract_edge(e))
+def _u_classes(n: int, classes: dict[tuple[int, int], tuple[MultiPoly, MultiPoly]]) -> MultiPoly:
+    """U of the loopless state `classes` (class -> (prod alpha, e_(m-1)(alpha))) on n positions."""
+    if not classes:
+        return MultiPoly.one() if n == 1 else MultiPoly.zero()
+    key = pick_class(classes)
+    prod, esym = classes[key]
+    contracted = esym * _u_classes(n - 1, contract_class(n, classes, key, _merge_u))
+    if is_bridge_class(n, classes, key):
+        return contracted
+    rest = dict(classes)
+    del rest[key]
+    return prod * _u_classes(n, rest) + contracted
+
+
+def _merge_u(p: tuple[MultiPoly, MultiPoly], q: tuple[MultiPoly, MultiPoly]) -> tuple[MultiPoly, MultiPoly]:
+    """The payload of the union of two parallel classes: prod alpha and e_(m-1)(alpha)."""
+    return p[0] * q[0], p[1] * q[0] + p[0] * q[1]
 
 
 def u_from_multivariate_tutte(g: Graph) -> MultiPoly:

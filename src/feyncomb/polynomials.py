@@ -5,6 +5,20 @@ reference) and a deletion/contraction recursion with terminal forms (the
 cross-check).  The two must agree exactly; the acceptance suite pins them
 together on fixtures and random corpora.
 
+Tutte and multivariate Tutte delcon step over a whole parallel class P (m
+edges between two vertices) at a time, on the position state of
+`graphs.edge_classes` and `graphs.contract_class`.  Self-loops are folded
+into a factor first: y each for T, (1 + beta_e) each for Z.  Then
+
+    T = (x + y + ... + y^(m-1)) T(G/P)            if P is a bridge class,
+    T = T(G-P) + (1 + y + ... + y^(m-1)) T(G/P)   otherwise;
+    Z = Z(G-P) + (prod (1 + beta_e) - 1) Z(G/P)   (Sokal's parallel rule),
+
+with terminal forms T = 1 and Z = q^|V| on the edgeless graph (Haggard,
+Pearce & Royle, "Computing Tutte polynomials", 2010; Sokal, math/0503607).
+Z has no series rule without division.  Bollobas-Riordan delcon steps one
+edge at a time, since a ribbon contraction splices rotations.
+
 Variables: "x", "y" (Tutte), "q" and per-edge "b.<edge>" (multivariate
 Tutte), "z" (Bollobas-Riordan face tracker), "k" (chromatic/flow argument).
 External legs are ignored by everything in this module.
@@ -12,10 +26,12 @@ External legs are ignored by everything in this module.
 
 from __future__ import annotations
 
+import functools
+import operator
 from collections import Counter
 from typing import Iterable
 
-from .graphs import Graph
+from .graphs import Graph, contract_class, edge_classes, is_bridge_class, pick_class
 from .poly import MultiPoly, Powers
 from .ribbon import RibbonGraph
 
@@ -61,13 +77,27 @@ def _tutte_subset(g: Graph) -> MultiPoly:
 
 
 def _tutte_delcon(g: Graph) -> MultiPoly:
-    kinds = {e.id: g.classify_edge(e.id) for e in g.edges}
-    regular = [e for e, kind in kinds.items() if kind == "regular"]
-    if regular:
-        e = min(regular)
-        return _tutte_delcon(g.contract_edge(e)) + _tutte_delcon(g.delete_edge(e))
-    kind_counts = Counter(kinds.values())
-    return X ** kind_counts["bridge"] * Y ** kind_counts["self_loop"]
+    loops, classes = edge_classes(g)
+    yp = Powers(Y)
+    series = [MultiPoly.zero()]  # series[m] = 1 + y + ... + y^(m-1)
+    for i in range(len(g.edges)):
+        series.append(series[-1] + yp[i])
+    state = {k: len(ids) for k, ids in classes.items()}
+    return yp[len(loops)] * _tutte_classes(len(g.vertices), state, series)
+
+
+def _tutte_classes(n: int, classes: dict[tuple[int, int], int], series: list[MultiPoly]) -> MultiPoly:
+    """T of the loopless state `classes` (class -> multiplicity) on n positions."""
+    if not classes:
+        return MultiPoly.one()
+    key = pick_class(classes)
+    m = classes[key]
+    contracted = _tutte_classes(n - 1, contract_class(n, classes, key, operator.add), series)
+    if is_bridge_class(n, classes, key):
+        return (X - 1 + series[m]) * contracted
+    rest = dict(classes)
+    del rest[key]
+    return _tutte_classes(n, rest, series) + series[m] * contracted
 
 
 # -- multivariate Tutte polynomial -------------------------------------------------
@@ -86,10 +116,25 @@ def multivariate_tutte(g: Graph, method: str = "subset") -> MultiPoly:
 
 
 def _ztutte_delcon(g: Graph) -> MultiPoly:
-    if not g.edges:
-        return Q ** len(g.vertices)
-    e = min(g.edge_ids())
-    return beta_var(e) * _ztutte_delcon(g.contract_edge(e)) + _ztutte_delcon(g.delete_edge(e))
+    loops, classes = edge_classes(g)
+    one_plus = {e.id: 1 + beta_var(e.id) for e in g.edges}
+
+    def product(ids: list[str]) -> MultiPoly:
+        return functools.reduce(operator.mul, (one_plus[e] for e in ids), MultiPoly.one())
+
+    state = {k: product(ids) for k, ids in classes.items()}
+    return product(loops) * _ztutte_classes(len(g.vertices), state, Powers(Q))
+
+
+def _ztutte_classes(n: int, classes: dict[tuple[int, int], MultiPoly], qp: Powers) -> MultiPoly:
+    """Z of the loopless state `classes` (class -> prod (1 + beta_e)) on n positions."""
+    if not classes:
+        return qp[n]
+    key = pick_class(classes)
+    rest = dict(classes)
+    del rest[key]
+    contracted = _ztutte_classes(n - 1, contract_class(n, classes, key, operator.mul), qp)
+    return _ztutte_classes(n, rest, qp) + (classes[key] - 1) * contracted
 
 
 def check_tutte_relation(g: Graph) -> bool:

@@ -63,7 +63,7 @@ class TwoQuasiTree:
 class RibbonGraph:
     """Immutable graph plus rotation system."""
 
-    __slots__ = ("graph", "rotation")
+    __slots__ = ("graph", "rotation", "_index")
 
     def __init__(self, graph: Graph, rotation: Mapping[str, Sequence[Token]]):
         rot = {v: tuple(seq) for v, seq in rotation.items()}
@@ -90,6 +90,7 @@ class RibbonGraph:
             raise ValueError(f"rotation misses half-edges: {missing}")
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "rotation", rot)
+        object.__setattr__(self, "_index", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("RibbonGraph is immutable")
@@ -135,53 +136,20 @@ class RibbonGraph:
 
     # -- face tracing ----------------------------------------------------------
 
-    def _induced_rotation(self, subset: EdgeSubset | None) -> dict[str, tuple[Token, ...]]:
-        if subset is None:
-            return self.rotation
-        keep = frozenset(subset)
-        return {
-            v: tuple(t for t in seq if is_leg_token(t) or t[0] in keep)
-            for v, seq in self.rotation.items()
-        }
+    def _half_edges(self) -> HalfEdges:
+        """The half-edge index, built on first use."""
+        index = self._index
+        if index is None:
+            index = HalfEdges(self.graph.vertices, self.rotation)
+            object.__setattr__(self, "_index", index)
+        return index
 
     def faces(self, subset: Iterable[str] | None = None) -> list[Face]:
         """Boundary components of the spanning sub-ribbon-graph (V, subset)."""
-        sub = None if subset is None else frozenset(subset)
-        rot = self._induced_rotation(sub)
-        succ: dict[Token, Token] = {}
-        vertex_of: dict[Token, str] = {}
-        for v in self.graph.vertices:
-            seq = rot[v]
-            for i, tok in enumerate(seq):
-                succ[tok] = seq[(i + 1) % len(seq)]
-                vertex_of[tok] = v
-        out: list[Face] = []
-        visited: set[Token] = set()
-        for v in self.graph.vertices:
-            for tok in rot[v]:
-                if is_leg_token(tok) or tok in visited:
-                    continue
-                cycle: list[Token] = []
-                cur = tok
-                while True:
-                    visited.add(cur)
-                    cycle.append(cur)
-                    step = succ[partner(cur)]
-                    while is_leg_token(step):
-                        cycle.append(step)
-                        step = succ[step]
-                    cur = step
-                    if cur == tok:
-                        break
-                out.append(Face(tuple(cycle), vertex_of[tok]))
-        for v in self.graph.vertices:
-            seq = rot[v]
-            if all(is_leg_token(t) for t in seq):
-                out.append(Face(seq, v))
-        return out
+        return self._half_edges().trace(subset, True)
 
     def face_count(self, subset: Iterable[str] | None = None) -> int:
-        return len(self.faces(subset))
+        return self._half_edges().trace(subset, False)
 
     def genus(self, subset: Iterable[str] | None = None) -> int:
         """Total genus, per connected component via V - E + F = 2 - 2g."""
@@ -271,11 +239,10 @@ class RibbonGraph:
 
     def _connected_with_faces(self, n_faces: int) -> Iterator[tuple[EdgeSubset, list[Face]]]:
         """The connected spanning edge subsets with `n_faces` faces, and those faces."""
+        index = self._half_edges()
         for sub, k in self.graph.edge_subsets():
-            if k == 1:
-                fs = self.faces(sub)
-                if len(fs) == n_faces:
-                    yield sub, fs
+            if k == 1 and index.trace(sub, False) == n_faces:
+                yield sub, index.trace(sub, True)
 
     # -- canonical form -----------------------------------------------------------
 
@@ -292,16 +259,14 @@ class RibbonGraph:
         least the offset of the first unplaced block; a half-edge in an
         unplaced block is at least -1.
         """
-        rotation = self.rotation
+        index = self._half_edges()
+        mate = index.mate
         verts = self.graph.vertices
-        ids = {tok: i for i, tok in enumerate(t for v in verts for t in rotation[v])}
-        seqs = [[ids[t] for t in rotation[v]] for v in verts]  # half-edge numbers per vertex
-        mate = [-1 if is_leg_token(t) else ids[partner(t)] for t in ids]
+        seqs = [list(range(lo, hi)) for lo, hi in zip(index.start, index.start[1:])]  # half-edges per vertex
         sig = []
-        for v in verts:
-            seq = rotation[v]
-            loops = sum(1 for t in seq if t[1] == "t" and partner(t) in seq)
-            sig.append((len(seq), loops, sum(1 for t in seq if is_leg_token(t))))
+        for seq in seqs:
+            loops = sum(1 for t in seq if seq[0] <= mate[t] < t)
+            sig.append((len(seq), loops, sum(1 for t in seq if mate[t] < 0)))
         by_sig = sorted(range(len(verts)), key=sig.__getitem__)
 
         at = [-1] * len(mate)  # flat position of each placed half-edge
@@ -356,6 +321,83 @@ class RibbonGraph:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=False) + "\n"
+
+
+class HalfEdges:
+    """The half-edges of a ribbon graph as integers 0..H-1, numbered vertex
+    by vertex in rotation order.
+
+    `token[h]` is the token, `nxt[h]` the half-edge after h in its vertex's
+    rotation (cyclically), `mate[h]` the other end of its edge (-1 for a leg)
+    and `edge[h]` the id of its edge or leg; the half-edges of the i-th
+    vertex are start[i] .. start[i+1]-1.
+    """
+
+    __slots__ = ("vertices", "token", "nxt", "mate", "edge", "start")
+
+    def __init__(self, vertices: Sequence[str], rotation: Mapping[str, Sequence[Token]]):
+        self.vertices = vertices
+        self.token: list[Token] = []
+        self.nxt: list[int] = []
+        self.start = [0]
+        for v in vertices:
+            seq = rotation[v]
+            lo = len(self.token)
+            self.token += seq
+            self.nxt += [lo + (i + 1) % len(seq) for i in range(len(seq))]
+            self.start.append(len(self.token))
+        at = {t: h for h, t in enumerate(self.token)}
+        self.mate = [-1 if is_leg_token(t) else at[partner(t)] for t in self.token]
+        self.edge = [t[0] for t in self.token]
+
+    def trace(self, subset: Iterable[str] | None, record: bool) -> list[Face] | int:
+        """The faces of (V, subset), or with `record` false only their number.
+
+        A face starts at each untraced internal half-edge in index order.
+        From the mate of its last half-edge the walk goes forward through
+        that vertex's rotation, noting legs and skipping the half-edges of
+        edges outside `subset`, to the next half-edge it keeps.  A vertex
+        with no half-edge of `subset` is a face of its own.
+        """
+        mate, nxt, token = self.mate, self.nxt, self.token
+        if subset is None:
+            live = [m >= 0 for m in mate]
+        else:
+            keep = subset if isinstance(subset, (set, frozenset)) else frozenset(subset)
+            edge = self.edge
+            live = [m >= 0 and edge[h] in keep for h, m in enumerate(mate)]
+        seen = [False] * len(mate)
+        faces: list[Face] = []
+        count = 0
+        start = self.start
+        for i, v in enumerate(self.vertices):
+            for first in range(start[i], start[i + 1]):
+                if seen[first] or not live[first]:
+                    continue
+                count += 1
+                cycle = []
+                cur = first
+                while True:
+                    seen[cur] = True
+                    if record:
+                        cycle.append(token[cur])
+                    step = nxt[mate[cur]]
+                    while not live[step]:
+                        if record and mate[step] < 0:
+                            cycle.append(token[step])
+                        step = nxt[step]
+                    cur = step
+                    if cur == first:
+                        break
+                if record:
+                    faces.append(Face(tuple(cycle), v))
+        for i, v in enumerate(self.vertices):
+            lo, hi = start[i], start[i + 1]
+            if not any(live[lo:hi]):
+                count += 1
+                if record:
+                    faces.append(Face(tuple(token[h] for h in range(lo, hi) if mate[h] < 0), v))
+        return faces if record else count
 
 
 def _cyclic_equal(a: Sequence, b: Sequence) -> bool:

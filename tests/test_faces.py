@@ -1,0 +1,136 @@
+"""Face tracing against the token-dict tracer it replaced.
+
+The oracle below rebuilds the induced rotation and its successor map for
+every subset and walks the faces on tokens.  `RibbonGraph.faces` must
+return the identical list of `Face` objects, cycles and order included,
+and `face_count` its length.
+"""
+
+import random
+
+import pytest
+
+from feyncomb.checks import random_multigraph
+from feyncomb.graphs import Graph
+from feyncomb.ribbon import Face, RibbonGraph, is_leg_token, partner
+
+# -- the token-dict oracle -------------------------------------------------------------
+
+
+def oracle_faces(rg, subset=None):
+    keep = None if subset is None else frozenset(subset)
+    rot = {
+        v: tuple(t for t in seq if keep is None or is_leg_token(t) or t[0] in keep)
+        for v, seq in rg.rotation.items()
+    }
+    succ = {}
+    vertex_of = {}
+    for v in rg.vertices:
+        seq = rot[v]
+        for i, tok in enumerate(seq):
+            succ[tok] = seq[(i + 1) % len(seq)]
+            vertex_of[tok] = v
+    out = []
+    visited = set()
+    for v in rg.vertices:
+        for tok in rot[v]:
+            if is_leg_token(tok) or tok in visited:
+                continue
+            cycle = []
+            cur = tok
+            while True:
+                visited.add(cur)
+                cycle.append(cur)
+                step = succ[partner(cur)]
+                while is_leg_token(step):
+                    cycle.append(step)
+                    step = succ[step]
+                cur = step
+                if cur == tok:
+                    break
+            out.append(Face(tuple(cycle), vertex_of[tok]))
+    for v in rg.vertices:
+        seq = rot[v]
+        if all(is_leg_token(t) for t in seq):
+            out.append(Face(seq, v))
+    return out
+
+
+# -- corpus ------------------------------------------------------------------------------
+
+
+def _ribbon(rng, max_vertices, max_edges, max_legs):
+    g = random_multigraph(rng, max_vertices=max_vertices, max_edges=max_edges, min_edges=0)
+    legs = [(f"f{i}", rng.choice(g.vertices), rng.choice(["in", "out"])) for i in range(rng.randint(0, max_legs))]
+    g = Graph(g.vertices, g.edges, legs)
+    rotation = {v: [] for v in g.vertices}
+    for e in g.edges:
+        rotation[e.tail].append((e.id, "t"))
+        rotation[e.head].append((e.id, "h"))
+    for l in g.legs:
+        rotation[l.vertex].append((l.id, "x"))
+    for seq in rotation.values():
+        rng.shuffle(seq)
+    return RibbonGraph(g, rotation)
+
+
+def _features(rg, subset):
+    g = rg.graph
+    touched = {v for e in g.edges if e.id in subset for v in (e.tail, e.head)}
+    return {
+        "loop": any(e.is_loop for e in g.edges if e.id in subset),
+        "legs": bool(g.legs),
+        "isolated": any(v not in touched for v in g.vertices),
+        "leg-only vertex": any(v not in touched for v in (l.vertex for l in g.legs)),
+        "proper subset": len(subset) < len(g.edges),
+    }
+
+
+def _check(rg, subset):
+    want = oracle_faces(rg, subset)
+    assert rg.faces(subset) == want
+    assert rg.face_count(subset) == len(want)
+
+
+# -- tests -------------------------------------------------------------------------------
+
+
+def test_faces_match_token_tracer_on_random_subsets():
+    rng = random.Random(4401)
+    seen = dict.fromkeys(("loop", "legs", "isolated", "leg-only vertex", "proper subset"), False)
+    for _ in range(300):
+        rg = _ribbon(rng, 5, 8, 4)
+        _check(rg, None)
+        ids = [e.id for e in rg.edges]
+        for _ in range(6):
+            subset = frozenset(e for e in ids if rng.random() < 0.5)
+            for kind, present in _features(rg, subset).items():
+                seen[kind] |= present
+            _check(rg, subset)
+            _check(rg, sorted(subset))  # any iterable of ids
+    assert all(seen.values()), seen
+
+
+def test_faces_of_empty_and_bare_graphs():
+    _check(RibbonGraph(Graph([], []), {}), None)
+    bare = RibbonGraph(Graph(["v", "w"], [], [("f1", "v", "in"), ("f2", "v", "out")]), {
+        "v": [("f2", "x"), ("f1", "x")],
+        "w": [],
+    })
+    _check(bare, None)
+    assert [f.cycle for f in bare.faces()] == [(("f2", "x"), ("f1", "x")), ()]
+
+
+def test_faces_match_token_tracer_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(st.integers(0, 2**32), st.integers(0, 2**16))
+    def check(seed, mask):
+        rng = random.Random(seed)
+        rg = _ribbon(rng, 4, 7, 3)
+        subset = frozenset(e.id for i, e in enumerate(rg.edges) if mask >> i & 1)
+        _check(rg, subset)
+
+    check()
