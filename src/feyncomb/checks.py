@@ -2,13 +2,16 @@
 
 Each criterion function returns a list of (name, passed, detail) triples.
 Randomized corpora use fixed seeds so every run, locally or in CI, checks
-the same instances and produces byte-identical CLI output.
+the same instances and produces byte-identical CLI output.  `run_all`
+reports each criterion's wall time on its [PASS]/[FAIL] line, so the
+`selftest` report is the one output that differs from run to run.
 """
 
 from __future__ import annotations
 
 import random
 import tempfile
+import time
 from fractions import Fraction
 
 from . import fixtures, linalg, parametric, polynomials
@@ -556,10 +559,12 @@ def run_all(verbose: bool = True) -> tuple[bool, str]:
     lines = []
     all_ok = True
     for title, fn in CRITERIA:
+        start = time.perf_counter()
         results = fn()
+        seconds = time.perf_counter() - start
         crit_ok = all(okflag for _, okflag, _ in results)
         all_ok &= crit_ok
-        lines.append(f"[{'PASS' if crit_ok else 'FAIL'}] {title}")
+        lines.append(f"[{'PASS' if crit_ok else 'FAIL'}] {title} ({seconds:.2f} s)")
         for name, okflag, detail in results:
             if verbose or not okflag:
                 suffix = f"  ({detail})" if detail and not okflag else ""

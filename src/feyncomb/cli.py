@@ -11,7 +11,8 @@ Commands:
 
 Exit codes: 0 success, 1 a --check/--check-all/selftest validation or an
 internal invariant failed (one FAIL line), 2 malformed input or precondition
-violation.  Output is byte-identical across runs: no environment variables or
+violation.  Output is byte-identical across runs, apart from the wall time
+`selftest` prints for each criterion: no environment variables or
 configuration files are consulted.
 """
 

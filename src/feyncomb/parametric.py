@@ -20,7 +20,7 @@ from typing import Iterable, Mapping
 
 from . import linalg
 from .graphs import Graph, contract_class, edge_classes, is_bridge_class, pick_class
-from .poly import LinComb, Monomial, MultiPoly, Rational, _exact
+from .poly import LinComb, Monomial, MultiPoly, Rational, _exact, edge_monomial
 from .polynomials import multivariate_br, multivariate_tutte
 from .ribbon import RibbonGraph
 
@@ -34,7 +34,7 @@ def alpha_var(edge_id: str) -> MultiPoly:
 
 
 def alpha_product(edge_ids: Iterable[str]) -> MultiPoly:
-    return MultiPoly.from_exponents({f"a.{e}": 1 for e in edge_ids})
+    return MultiPoly({edge_monomial("a.", set(edge_ids)): 1})
 
 
 # -- momenta -----------------------------------------------------------------
@@ -117,7 +117,7 @@ def load_momenta_json(g: Graph, data: Mapping) -> dict[str, Momentum]:
 def symanzik_u(g: Graph) -> MultiPoly:
     """First Symanzik polynomial: sum over spanning trees of the complement product."""
     all_ids = g.all_edges()
-    return MultiPoly.sum(alpha_product(all_ids - tree) for tree in g.spanning_trees())
+    return MultiPoly({edge_monomial("a.", all_ids - tree): 1 for tree in g.spanning_trees()})
 
 
 def symanzik_v(
@@ -132,19 +132,21 @@ def symanzik_v(
     the choice of component ("auto", 0, or 1) does not matter.
     """
     momenta = validate_assignment(g, ext)
+    signed = {l.id: tuple(l.sign * c for c in momenta[l.id]) for l in g.legs}
     pick = 0 if component == "auto" else int(component)
     all_ids = g.all_edges()
 
-    def term(tt) -> MultiPoly:
+    def coeff(legs: tuple[str, ...]) -> Rational:
         flow = [0] * 4
-        for lid in tt.legs[pick]:
-            sign = g.leg(lid).sign
+        for lid in legs:
+            p = signed[lid]
             for i in range(4):
-                flow[i] += sign * momenta[lid][i]
-        coeff = dot(tuple(flow), tuple(flow))  # type: ignore[arg-type]
-        return alpha_product(all_ids - tt.edges) * coeff
+                flow[i] += p[i]
+        return dot(flow, flow)  # type: ignore[arg-type]
 
-    return MultiPoly.sum(term(tt) for tt in g.spanning_two_trees())
+    return MultiPoly(
+        {edge_monomial("a.", all_ids - tt.edges): coeff(tt.legs[pick]) for tt in g.spanning_two_trees()}
+    )
 
 
 def symanzik_u_via_det(g: Graph, drop_vertex: str | None = None) -> MultiPoly:
@@ -233,9 +235,8 @@ def u_from_multivariate_tutte(g: Graph) -> MultiPoly:
     beta_vars = [f"b.{e.id}" for e in g.edges]
     forest = spanning.lowest_homogeneous_part(beta_vars) if not spanning.is_zero() else spanning
     all_ids = g.all_edges()
-    return MultiPoly.sum(
-        alpha_product(all_ids - {v[2:] for v, _ in mono}) * coeff
-        for mono, coeff in forest.terms.items()
+    return MultiPoly(
+        {edge_monomial("a.", all_ids - {v[2:] for v, _ in mono}): c for mono, c in forest.terms.items()}
     )
 
 
@@ -283,6 +284,19 @@ class ThetaTracked(LinComb):
     def from_poly(p: MultiPoly, power: int = 0) -> ThetaTracked:
         return ThetaTracked({power: p})
 
+    @staticmethod
+    def from_terms(terms: Iterable[tuple[int, Monomial, Rational]]) -> ThetaTracked:
+        """The sum of coeff * (theta/2)^power * monomial over (power, monomial, coeff)
+        triples, accumulated in one dict per power."""
+        parts: dict[int, dict[Monomial, Rational]] = {}
+        for power, mono, coeff in terms:
+            part = parts.get(power)
+            if part is None:
+                part = parts[power] = {}
+            c0 = part.get(mono)
+            part[mono] = coeff if c0 is None else c0 + coeff
+        return ThetaTracked({n: MultiPoly(part) for n, part in parts.items()})
+
     def shift(self, k: int) -> ThetaTracked:
         """Multiply by (theta/2)^k."""
         return ThetaTracked({n + k: p for n, p in self.terms.items()})
@@ -316,13 +330,13 @@ def nc_u(rg: RibbonGraph) -> ThetaTracked:
     n_edges = len(rg.edges)
     all_ids = rg.all_edges()
 
-    def term(qt: frozenset[str]) -> ThetaTracked:
+    def term(qt: frozenset[str]) -> tuple[int, Monomial, Rational]:
         power = b - (n_edges - len(qt))
         if power < 0:
             raise AssertionError(f"negative theta power {power} for quasi-tree {sorted(qt)}")
-        return ThetaTracked.from_poly(alpha_product(all_ids - qt), power)
+        return power, edge_monomial("a.", all_ids - qt), 1
 
-    return ThetaTracked.sum(term(qt) for qt in rg.quasi_trees())
+    return ThetaTracked.from_terms(term(qt) for qt in rg.quasi_trees())
 
 
 def nc_u_delcon(rg: RibbonGraph) -> ThetaTracked:
@@ -374,7 +388,7 @@ def nc_v_real(
     n_edges = len(rg.edges)
     all_ids = rg.all_edges()
 
-    def term(tq) -> ThetaTracked:
+    def term(tq) -> tuple[int, Monomial, Rational]:
         if face_choice == "auto":
             keys = [min(f.leg_ids()) if f.leg_ids() else "~" for f in tq.faces]
             face = tq.faces[0] if keys[0] <= keys[1] else tq.faces[1]
@@ -384,11 +398,10 @@ def nc_v_real(
         for lid, sign in rg.face_boundary_order(face):
             for i in range(4):
                 flow[i] += sign * momenta[lid][i]
-        coeff = dot(tuple(flow), tuple(flow))  # type: ignore[arg-type]
         power = (b + 1) - (n_edges - len(tq.edges))
-        return ThetaTracked.from_poly(alpha_product(all_ids - tq.edges) * coeff, power)
+        return power, edge_monomial("a.", all_ids - tq.edges), dot(flow, flow)  # type: ignore[arg-type]
 
-    return ThetaTracked.sum(term(tq) for tq in rg.two_quasi_trees())
+    return ThetaTracked.from_terms(term(tq) for tq in rg.two_quasi_trees())
 
 
 def phase_psi(
@@ -423,12 +436,11 @@ def nc_v_imag(rg: RibbonGraph, ext: Mapping[str, Momentum]) -> ThetaTracked:
     n_edges = len(rg.edges)
     all_ids = rg.all_edges()
 
-    def term(qt: frozenset[str]) -> ThetaTracked:
+    def term(qt: frozenset[str]) -> tuple[int, Monomial, Rational]:
         psi = phase_psi(rg.face_boundary_order(rg.faces(qt)[0]), momenta)
-        power = b - (n_edges - len(qt))
-        return ThetaTracked.from_poly(alpha_product(all_ids - qt) * psi, power)
+        return b - (n_edges - len(qt)), edge_monomial("a.", all_ids - qt), psi
 
-    return ThetaTracked.sum(term(qt) for qt in rg.quasi_trees())
+    return ThetaTracked.from_terms(term(qt) for qt in rg.quasi_trees())
 
 
 def nc_u_from_multivariate_br(rg: RibbonGraph) -> ThetaTracked:
@@ -442,13 +454,12 @@ def nc_u_from_multivariate_br(rg: RibbonGraph) -> ThetaTracked:
     if not rg.graph.is_connected():
         raise ValueError("nc_u_from_multivariate_br requires a connected ribbon graph")
     z3 = multivariate_br(rg)
-    one_face = z3.substitute({"x": MultiPoly.one()}).coefficient_of("z", 1)
+    one_face = z3.substitute({"x": 1}).coefficient_of("z", 1)
     shift = 1 - len(rg.vertices)
     all_ids = rg.all_edges()
 
-    def term(mono: Monomial, coeff: Fraction) -> ThetaTracked:
+    def term(mono: Monomial, coeff: Rational) -> tuple[int, Monomial, Rational]:
         subset_ids = {v[2:] for v, _ in mono}
-        power = len(subset_ids) + shift
-        return ThetaTracked.from_poly(alpha_product(all_ids - subset_ids) * coeff, power)
+        return len(subset_ids) + shift, edge_monomial("a.", all_ids - subset_ids), coeff
 
-    return ThetaTracked.sum(term(mono, coeff) for mono, coeff in one_face.terms.items())
+    return ThetaTracked.from_terms(term(mono, coeff) for mono, coeff in one_face.terms.items())

@@ -12,7 +12,13 @@ product and the rendering of a key:
   ThetaTracked     powers of theta/2              (parametric)
 
 `LinComb.sum` adds any number of elements into one dict, so a sum built
-term by term never copies its partial sums.
+term by term never copies its partial sums.  The sums over edge subsets,
+spanning trees and quasi-trees go one step further and assemble at the term
+level: each term's monomial is built once by `edge_monomial` and stored
+with its coefficient in one dict, and one MultiPoly is made at the end; no
+term is ever a one-term polynomial multiplied into another.  Distinct edge
+subsets give distinct per-edge runs, so such a sum never meets a monomial
+twice.
 
 A polynomial is a mapping from monomials to nonzero exact rational
 coefficients, stored int-first: every integer-valued coefficient is an
@@ -28,7 +34,12 @@ iff they represent the same mathematical polynomial.
 
 Variables are plain strings.  By convention the rest of the package uses
 "x", "y", "z", "q", "w", "k", "theta" for global polynomial variables and
-"a.<edge>" / "b.<edge>" for the per-edge alpha/beta variables.
+"a.<edge>" / "b.<edge>" for the per-edge alpha/beta variables.  In name
+order "a.*" < "b.*" < "q" < "theta" < "x" < "z", which is what lets a term
+append its global powers after its sorted per-edge run.
+
+`substitute` folds a constant value into the coefficient (c**e, and 0 drops
+the term) and multiplies only by nonconstant values.
 
 No floating point is used anywhere: the MultiPoly constructor rejects float,
 bool and str coefficients, and coefficients are divided only through
@@ -200,6 +211,20 @@ def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
     return tuple(sorted(exps.items()))
 
 
+def edge_monomial(prefix: str, edge_ids: Iterable[str], *tail: tuple[str, int]) -> Monomial:
+    """The monomial of one variable prefix + e per edge id e, then `tail`.
+
+    A common prefix keeps the order of the ids, so the sorted ids give the
+    sorted per-edge run.  `tail` holds (global variable, exponent) pairs in
+    name order, and a pair with exponent 0 is left out.  Every per-edge name
+    ("a.<edge>", "b.<edge>") sorts before every global one ("q" < "theta" <
+    "x" < "z"), so the result is a stored monomial as it stands.
+    """
+    mono = [(prefix + e, 1) for e in sorted(edge_ids)]
+    mono += [pair for pair in tail if pair[1]]
+    return tuple(mono)
+
+
 def _mono_degree(m: Monomial) -> int:
     return sum(e for _, e in m)
 
@@ -313,25 +338,53 @@ class MultiPoly(LinComb):
     def substitute(self, bindings: Mapping[str, MultiPoly | Rational]) -> MultiPoly:
         """Substitute polynomials for variables (ring homomorphism).
 
-        Variables absent from `bindings` are left alone.
+        Variables absent from `bindings` are left alone.  A constant value
+        (a number or a constant polynomial) folds into each term's
+        coefficient as c**e, and 0 drops the term; only the remaining,
+        nonconstant values are multiplied in, through their `Powers`.
         """
-        subs = {v: Powers(_promote(p)) for v, p in bindings.items()}
-
-        def image(mono: Monomial, coeff: Rational) -> MultiPoly:
-            term = MultiPoly.const(coeff)
+        consts: dict[str, Rational] = {}
+        subs: dict[str, Powers] = {}
+        for v, value in bindings.items():
+            p = _promote(value)
+            if p.terms.keys() <= {()}:
+                consts[v] = p.constant_term()
+            else:
+                subs[v] = Powers(p)
+        acc: dict[Monomial, Rational] = {}
+        get = acc.get
+        for mono, coeff in self.terms.items():
+            rest = []
+            factors = []
             for v, e in mono:
-                term = term * (subs[v][e] if v in subs else MultiPoly.var(v, e))
-            return term
-
-        return MultiPoly.sum(image(mono, coeff) for mono, coeff in self.terms.items())
+                if v in consts:
+                    coeff *= consts[v] ** e
+                    if not coeff:
+                        break
+                elif v in subs:
+                    factors.append(subs[v][e])
+                else:
+                    rest.append((v, e))
+            else:
+                if factors:
+                    term = MultiPoly({tuple(rest): coeff})
+                    for f in factors:
+                        term = term * f
+                    image = term.terms.items()
+                else:
+                    image = ((tuple(rest), coeff),)
+                for m, c in image:
+                    c0 = get(m)
+                    acc[m] = c if c0 is None else c0 + c
+        return MultiPoly(acc)
 
     def coefficient_of(self, var: str, power: int) -> MultiPoly:
         """Coefficient polynomial of var**power (var removed from the result)."""
         out: dict[Monomial, Rational] = {}
         for mono, coeff in self.terms.items():
-            exps = dict(mono)
-            if exps.pop(var, 0) == power:
-                rest = tuple(sorted(exps.items()))
+            e = next((e_v for v, e_v in mono if v == var), 0)
+            if e == power:
+                rest = tuple(pair for pair in mono if pair[0] != var) if e else mono
                 out[rest] = out.get(rest, 0) + coeff
         return MultiPoly(out)
 

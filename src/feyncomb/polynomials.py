@@ -29,10 +29,9 @@ from __future__ import annotations
 import functools
 import operator
 from collections import Counter
-from typing import Iterable
 
 from .graphs import Graph, contract_class, edge_classes, is_bridge_class, pick_class
-from .poly import MultiPoly, Powers
+from .poly import Monomial, MultiPoly, Powers, edge_monomial
 from .ribbon import RibbonGraph
 
 X = MultiPoly.var("x")
@@ -44,10 +43,6 @@ K = MultiPoly.var("k")
 
 def beta_var(edge_id: str) -> MultiPoly:
     return MultiPoly.var(f"b.{edge_id}")
-
-
-def _beta_product(edge_ids: Iterable[str]) -> MultiPoly:
-    return MultiPoly.from_exponents({f"b.{e}": 1 for e in edge_ids})
 
 
 # -- Tutte polynomial ------------------------------------------------------------
@@ -108,8 +103,7 @@ def multivariate_tutte(g: Graph, method: str = "subset") -> MultiPoly:
     if len(g.vertices) == 0:
         raise ValueError("multivariate_tutte requires at least one vertex")
     if method == "subset":
-        qp = Powers(Q)
-        return MultiPoly.sum(qp[k] * _beta_product(subset) for subset, k in g.edge_subsets())
+        return MultiPoly({edge_monomial("b.", subset, ("q", k)): 1 for subset, k in g.edge_subsets()})
     if method == "delcon":
         return _ztutte_delcon(g)
     raise ValueError(f"unknown method {method!r}")
@@ -282,13 +276,13 @@ def _br_terminal(rg: RibbonGraph) -> MultiPoly:
         seq = tuple(t for t in rg.rotation[v] if t[1] != "x")
         loop_ids = sorted({t[0] for t in seq})
 
-        def term(mask: int) -> MultiPoly:
+        counts: Counter[Monomial] = Counter()
+        for mask in range(1 << len(loop_ids)):
             chosen = frozenset(loop_ids[i] for i in range(len(loop_ids)) if mask >> i & 1)
             local = tuple(t for t in seq if t[0] in chosen)
             two_genus = 1 + len(chosen) - _one_vertex_face_count(local)
-            return Y ** len(chosen) * Z**two_genus
-
-        total = total * MultiPoly.sum(term(mask) for mask in range(1 << len(loop_ids)))
+            counts[tuple(pair for pair in (("y", len(chosen)), ("z", two_genus)) if pair[1])] += 1
+        total = total * MultiPoly(counts)
     return total
 
 
@@ -314,11 +308,12 @@ def multivariate_br(rg: RibbonGraph) -> MultiPoly:
     """Z(x, {beta_e}, z) = sum over H of x^k(H) * prod beta_e * z^F(H)."""
     if len(rg.vertices) == 0:
         raise ValueError("multivariate_br requires at least one vertex")
-    xp = Powers(X)
-    zp = Powers(Z)
-    return MultiPoly.sum(
-        xp[k] * zp[rg.face_count(subset)] * _beta_product(subset)
-        for subset, k in rg.graph.edge_subsets()
+    face_count = rg.face_count
+    return MultiPoly(
+        {
+            edge_monomial("b.", subset, ("x", k), ("z", face_count(subset))): 1
+            for subset, k in rg.graph.edge_subsets()
+        }
     )
 
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 from feyncomb import cli, fixtures
 
@@ -200,3 +201,24 @@ def test_fixture_files_match_registry():
             assert json.load(fh) == fixtures.FIXTURES[name], name
     with open(os.path.join(FIXTURE_DIR, "fig3_momenta.json"), "r", encoding="utf-8") as fh:
         assert json.load(fh) == fixtures.FIG3_MOMENTA
+
+
+def test_selftest_reports_wall_time_per_criterion(monkeypatch):
+    from feyncomb import checks
+
+    fakes = [
+        ("fake passing", lambda: [("holds", True, "")]),
+        ("fake failing", lambda: [("holds", True, ""), ("breaks", False, "why")]),
+    ]
+    monkeypatch.setattr(checks, "CRITERIA", fakes)
+    code, text = run("selftest")
+    assert code == 1
+    lines = text.splitlines()
+    assert re.fullmatch(r"\[PASS\] fake passing \(\d+\.\d\d s\)", lines[0])
+    assert lines[1] == "    ok: holds"
+    assert re.fullmatch(r"\[FAIL\] fake failing \(\d+\.\d\d s\)", lines[2])
+    assert lines[3:] == ["    ok: holds", "    FAIL: breaks  (why)", "selftest: FAILURES PRESENT"]
+
+    monkeypatch.setattr(checks, "CRITERIA", fakes[:1])
+    code, text = run("selftest")
+    assert code == 0 and text.endswith("selftest: ALL CRITERIA PASS\n")

@@ -246,3 +246,115 @@ def test_no_float_and_no_integral_fraction_in_results():
     assert all(type(c) is int or (type(c) is Fraction and c.denominator != 1) for c in coeffs)
     # both kinds occur, so the check above is not vacuous
     assert {type(c) for c in coeffs} == {int, Fraction}
+
+
+# -- substitute against the product-built oracle ----------------------------------
+
+
+def _substitute_by_products(p, bindings):
+    """The image of every term as a chain of polynomial products, then one sum."""
+    subs = {v: MultiPoly._coerce(b) for v, b in bindings.items()}
+
+    def image(mono, coeff):
+        term = MultiPoly.const(coeff)
+        for v, e in mono:
+            term = term * (subs[v] ** e if v in subs else MultiPoly.var(v, e))
+        return term
+
+    return MultiPoly.sum(image(mono, coeff) for mono, coeff in p.terms.items())
+
+
+SUBSTITUTED = ("w", "x", "y", "z")
+CONSTANTS = (0, 1, -1, Fraction(-3, 2))
+
+
+def _int_first(p):
+    return all(type(c) is int or (type(c) is Fraction and c.denominator != 1) for c in p.terms.values())
+
+
+def _random_bindings(rng):
+    """Constants as numbers and as constant polynomials, polynomials, the zero
+    polynomial, and a variable no polynomial of these tests contains."""
+    bindings = {}
+    for v in rng.sample(SUBSTITUTED + ("u",), rng.randint(1, 4)):
+        kind = rng.randrange(4)
+        if kind == 0:
+            bindings[v] = rng.choice(CONSTANTS)
+        elif kind == 1:
+            bindings[v] = MultiPoly.const(rng.choice(CONSTANTS))
+        elif kind == 2:
+            bindings[v] = MultiPoly.zero()
+        else:
+            bindings[v] = random_poly(rng, rng.sample(["x", "y", "t"], 2), terms=rng.randint(1, 3))
+    return bindings
+
+
+def _poly_with_quarter_coefficients(rng):
+    """Denominators 2, 4 and 9 make (-3/2)^e turn some coefficients integral."""
+    total = []
+    for _ in range(rng.randint(0, 5)):
+        coeff = Fraction(rng.randint(-4, 4), rng.choice([1, 2, 4, 9]))
+        exps = {v: rng.randint(0, 3) for v in SUBSTITUTED + ("s",)}
+        total.append(MultiPoly.from_exponents(exps, coeff))
+    return MultiPoly.sum(total)
+
+
+def test_substitute_matches_product_oracle():
+    rng = random.Random(2024)
+    for _ in range(300):
+        p = _poly_with_quarter_coefficients(rng)
+        bindings = _random_bindings(rng)
+        got = p.substitute(bindings)
+        assert got == _substitute_by_products(p, bindings)
+        assert _int_first(got)
+    folded = (Fraction(4, 9) * X**2 * Y).substitute({"x": Fraction(-3, 2)}).terms
+    assert folded == {(("y", 1),): 1} and type(folded[(("y", 1),)]) is int
+    assert MultiPoly.zero().substitute({"x": 2, "y": X}).is_zero()
+    assert (X * Y).substitute({"x": 0}).is_zero()
+    assert (X + Y).substitute({"u": 5}) == X + Y
+
+
+def test_substitute_folds_constants_without_products(monkeypatch):
+    p = _poly_with_quarter_coefficients(random.Random(5)) + X * Y**2
+    calls = []
+    original = MultiPoly.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", counting)
+    monkeypatch.setattr(MultiPoly, "__rmul__", counting)
+    p.substitute({"x": Fraction(-3, 2), "y": MultiPoly.one(), "z": 0})
+    assert calls == []
+
+
+def test_substitute_matches_product_oracle_hypothesis():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+    monos = st.dictionaries(st.sampled_from(SUBSTITUTED + ("s",)), st.integers(0, 3), max_size=3)
+    polys = st.lists(st.tuples(monos, coeffs), max_size=5).map(
+        lambda ts: MultiPoly.sum(MultiPoly.from_exponents(e, c) for e, c in ts)
+    )
+    value_monos = st.dictionaries(st.sampled_from(["x", "t"]), st.integers(0, 2))
+    constants = st.sampled_from(CONSTANTS)
+    values = st.one_of(
+        constants,
+        constants.map(MultiPoly.const),
+        st.just(MultiPoly.zero()),
+        st.lists(st.tuples(value_monos, coeffs), min_size=1, max_size=3).map(
+            lambda ts: MultiPoly.sum(MultiPoly.from_exponents(e, c) for e, c in ts)
+        ),
+    )
+    bindings = st.dictionaries(st.sampled_from(SUBSTITUTED + ("u",)), values, max_size=4)
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(polys, bindings)
+    def check(p, b):
+        got = p.substitute(b)
+        assert got == _substitute_by_products(p, b)
+        assert _int_first(got)
+
+    check()
