@@ -171,12 +171,18 @@ class Graph:
         Subsets come by size, then in lexicographic order of their sorted
         edge ids; with `size`, only the subsets of that many edges.
         """
-        ids = sorted(self._ends)
-        ends = [self._ends[e] for e in ids]
+        ids, ends, combos = self._subset_combos(size)
         n = len(self.vertices)
-        for r in range(len(ids) + 1) if size is None else (size,):
-            for combo in itertools.combinations(range(len(ids)), r):
-                yield frozenset([ids[i] for i in combo]), _union_find(n, [ends[i] for i in combo])[1]
+        for combo in combos:
+            yield frozenset([ids[i] for i in combo]), _union_find(n, [ends[i] for i in combo])[1]
+
+    def _subset_combos(self, size: int | None) -> tuple[list[str], list, Iterator[tuple[int, ...]]]:
+        """The sorted edge ids, their end positions, and the subsets in
+        `edge_subsets` order as tuples of indices into both."""
+        ids = sorted(self._ends)
+        sizes = range(len(ids) + 1) if size is None else (size,)
+        combos = itertools.chain.from_iterable(itertools.combinations(range(len(ids)), r) for r in sizes)
+        return ids, [self._ends[e] for e in ids], combos
 
     def is_connected(self) -> bool:
         return len(self.vertices) > 0 and self.components() == 1
@@ -246,20 +252,38 @@ class Graph:
         return [sub for sub, k in self.edge_subsets(len(self.vertices) - 1) if k == 1]
 
     def spanning_two_trees(self) -> list[TwoTree]:
-        """All spanning two-component forests, with vertex and leg split."""
+        """All spanning two-component forests, with vertex and leg split.
+
+        Each forest's parts come from the union-find that counted its
+        components, and its legs split in one pass over the legs in id order.
+        """
         if not self.is_connected():
             raise ValueError("spanning_two_trees requires a connected graph")
         need = len(self.vertices) - 2
         if need < 0:
             return []
+        verts = self.vertices
+        first = verts.index(min(verts))  # its part comes first
+        pos = {v: i for i, v in enumerate(verts)}
+        legs = sorted((l.id, pos[l.vertex]) for l in self.legs)
+        ids, ends, combos = self._subset_combos(need)
         out = []
-        for sub, k in self.edge_subsets(need):
+        for combo in combos:
+            parent, k = _union_find(len(verts), [ends[i] for i in combo])
             if k != 2:
                 continue
-            a, b = self.component_vertex_sets(sub)
-            legs_a = tuple(sorted(l.id for l in self.legs if l.vertex in a))
-            legs_b = tuple(sorted(l.id for l in self.legs if l.vertex in b))
-            out.append(TwoTree(sub, (a, b), (legs_a, legs_b)))
+            for i in range(len(verts)):
+                # parents come first, so parent[i]'s own parent is already its root
+                parent[i] = parent[parent[i]]
+            root = parent[first]
+            parts = ([], [])
+            for v, r in zip(verts, parent):
+                parts[r != root].append(v)
+            split = ([], [])
+            for lid, i in legs:
+                split[parent[i] != root].append(lid)
+            sub = frozenset([ids[i] for i in combo])
+            out.append(TwoTree(sub, tuple(map(frozenset, parts)), tuple(map(tuple, split))))
         return out
 
     def incidence_matrix(self) -> list[list[int]]:

@@ -2,9 +2,13 @@
 
 Matrices are plain lists of MultiPoly rows (ints and Fractions are
 promoted).  The determinant uses fraction-free Bareiss elimination, whose
-divisions are exact by construction; a cofactor expansion is kept as an
-independent route for cross-checks.  The Pfaffian is a signed sum over
-perfect matchings, with a recursive first-row expansion as the second route.
+divisions are exact by construction, with full pivoting: each step takes
+the nonzero entry of the trailing block with the fewest terms, then the
+lowest total degree (the first in row-major order on a tie), so constants
+are eliminated first and with constant divisors.  A cofactor expansion is
+kept as an independent route for cross-checks.  The Pfaffian is a signed
+sum over perfect matchings, with a recursive first-row expansion as the
+second route.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import heapq
 from typing import Sequence
 
 from .graphs import Graph
-from .poly import Monomial, MultiPoly, Rational, _mono_mul, _promote, exact_div
+from .poly import Monomial, MultiPoly, Rational, _mono_degree, _mono_mul, _promote, exact_div
 
 PolyMatrix = list[list[MultiPoly]]
 
@@ -97,28 +101,103 @@ def divexact(p: MultiPoly, d: MultiPoly) -> MultiPoly:
 # -- determinant ---------------------------------------------------------------
 
 
+def _find_pivot(a: PolyMatrix, k: int) -> tuple[int, int] | None:
+    """Position of the cheapest nonzero entry of the block a[k:, k:], or None.
+
+    Cheapest is fewest terms, then lowest total degree; the first entry in
+    row-major order wins a tie, and the first constant ends the scan, since
+    nothing is cheaper.
+    """
+    n = len(a)
+    best = None
+    best_rank = None
+    for i in range(k, n):
+        row = a[i]
+        for j in range(k, n):
+            terms = row[j].terms
+            if not terms:
+                continue
+            if len(terms) == 1 and () in terms:
+                return i, j
+            rank = len(terms), max(map(_mono_degree, terms))
+            if best is None or rank < best_rank:
+                best, best_rank = (i, j), rank
+    return best
+
+
+def _divide(p: MultiPoly, d: MultiPoly) -> MultiPoly:
+    """p / d, exact; a constant d divides the coefficients alone."""
+    dt = d.terms
+    if len(dt) == 1 and () in dt:
+        c = dt[()]
+        if c == 1:
+            return p
+        return MultiPoly({m: exact_div(x, c) for m, x in p.terms.items()})
+    return divexact(p, d)
+
+
+def _cross(x: MultiPoly, p: MultiPoly, y: MultiPoly, z: MultiPoly) -> MultiPoly:
+    """x*p - y*z, accumulated in one dict."""
+    out: dict[Monomial, Rational] = {}
+    get = out.get
+    for f, g, s in ((x, p, 1), (y, z, -1)):
+        for m1, c1 in f.terms.items():
+            c1 *= s
+            for m2, c2 in g.terms.items():
+                m = _mono_mul(m1, m2)
+                c0 = get(m)
+                out[m] = c1 * c2 if c0 is None else c0 + c1 * c2
+    return MultiPoly(out)
+
+
 def det(matrix: Sequence[Sequence]) -> MultiPoly:
-    """Exact determinant via fraction-free (Bareiss) elimination."""
+    """Exact determinant via fraction-free Bareiss elimination, fully pivoted.
+
+    Step k moves the cheapest nonzero entry of the trailing block (fewest
+    terms, then lowest total degree, the first in row-major order on a tie)
+    to position (k, k) by one row swap and one column swap, each flipping
+    the sign; a zero block means a zero determinant.  Bareiss is exact
+    under any such permutation: after step k every trailing entry is a
+    (k+1)-minor, so the division by the previous pivot never leaves a
+    remainder.  Constants are pivoted first, so a matrix with an integer
+    block (the incidence part of a graph matrix) eliminates it with
+    constant divisors, which divide the coefficients alone, and the
+    polynomial work is left to what remains.  An update whose cross term
+    vanishes only rescales a[i][j] by pivot / previous pivot, so it is
+    skipped when a[i][j] is zero or that ratio is 1.
+    """
     a = promote_matrix(matrix)
     n = len(a)
-    if n == 0:
-        return MultiPoly.one()
     sign = 1
     prev = MultiPoly.one()
-    for k in range(n - 1):
-        if a[k][k].is_zero():
-            pivot_row = next((i for i in range(k + 1, n) if not a[i][k].is_zero()), None)
-            if pivot_row is None:
-                return MultiPoly.zero()
-            a[k], a[pivot_row] = a[pivot_row], a[k]
+    for k in range(n):
+        at = _find_pivot(a, k)
+        if at is None:
+            return MultiPoly.zero()
+        p, q = at
+        if p != k:
+            a[k], a[p] = a[p], a[k]
             sign = -sign
+        if q != k:
+            for row in a[k:]:
+                row[k], row[q] = row[q], row[k]
+            sign = -sign
+        pivot = a[k][k]
+        same = pivot == prev
+        row_k = a[k]
         for i in range(k + 1, n):
+            row = a[i]
+            aik = row[k]
+            if not aik and same:
+                continue
             for j in range(k + 1, n):
-                a[i][j] = divexact(a[i][j] * a[k][k] - a[i][k] * a[k][j], prev)
-            a[i][k] = MultiPoly.zero()
-        prev = a[k][k]
-    result = a[n - 1][n - 1]
-    return result if sign == 1 else -result
+                x = row[j]
+                if aik and row_k[j]:
+                    row[j] = _divide(_cross(x, pivot, aik, row_k[j]), prev)
+                elif x and not same:
+                    row[j] = _divide(x * pivot, prev)
+        prev = pivot
+    return prev if sign == 1 else -prev
 
 
 def det_cofactor(matrix: Sequence[Sequence]) -> MultiPoly:

@@ -128,6 +128,28 @@ def test_spanning_two_trees():
     assert split[("e3",)].legs == (("f1", "f2"), ("f3", "f4"))
 
 
+def test_spanning_two_trees_match_component_split():
+    # vertex order shuffled, so the part with the smallest id is often not
+    # the part of the first vertex; legs in random id order
+    rng = random.Random(61)
+    for _ in range(40):
+        verts = [f"v{i}" for i in range(rng.randint(2, 6))]
+        rng.shuffle(verts)
+        n_edges = rng.randint(len(verts) - 1, 8)
+        edges = [(f"e{i}", rng.choice(verts), rng.choice(verts)) for i in range(n_edges)]
+        legs = [(f"f{rng.randint(0, 9)}{i}", rng.choice(verts), "in") for i in range(rng.randint(0, 4))]
+        g = Graph(verts, edges, legs)
+        if not g.is_connected():
+            continue
+        expected = []
+        for sub, k in g.edge_subsets(len(verts) - 2):
+            if k == 2:
+                a, b = _bfs_components(g, sub)
+                split = tuple(tuple(sorted(l.id for l in g.legs if l.vertex in part)) for part in (a, b))
+                expected.append((sub, (a, b), split))
+        assert [(t.edges, t.parts, t.legs) for t in g.spanning_two_trees()] == expected
+
+
 def test_incidence_matrix():
     single = Graph(["a", "b"], [("e1", "a", "b")])
     assert single.incidence_matrix() == [[1, -1]]

@@ -131,6 +131,111 @@ def test_det_matches_cofactor_with_fraction_entries():
     assert det(m) == det_cofactor(m)
 
 
+SPARSE_CONSTANTS = (1, -1, 2, -2, Fraction(1, 2), Fraction(-3, 2))
+
+
+def _sparse_entry(rng: random.Random) -> MultiPoly:
+    """Zero half the time, else a constant or a polynomial of one or two terms."""
+    r = rng.random()
+    if r < 0.5:
+        return MultiPoly.zero()
+    if r < 0.7:
+        return MultiPoly.const(rng.choice(SPARSE_CONSTANTS))
+    return random_poly(rng, ["x", "y", "z"], terms=rng.randint(1, 2))
+
+
+def _sparse_matrix(rng: random.Random, n: int) -> list[list[MultiPoly]]:
+    return [[_sparse_entry(rng) for _ in range(n)] for _ in range(n)]
+
+
+def _nonconstant_poly(rng: random.Random) -> MultiPoly:
+    while True:
+        p = random_poly(rng, ["x", "y"], terms=2)
+        if p.variables():
+            return p
+
+
+def _singular_matrices(rng: random.Random, n: int) -> list[list[list[MultiPoly]]]:
+    """A zero row, two equal rows, and rank n - 1 that shows only at the last step."""
+    zero_row = _sparse_matrix(rng, n)
+    zero_row[rng.randrange(n)] = [MultiPoly.zero()] * n
+    out = [zero_row]
+    if n > 1:
+        equal_rows = _sparse_matrix(rng, n)
+        i, j = rng.sample(range(n), 2)
+        equal_rows[j] = list(equal_rows[i])
+        out.append(equal_rows)
+    # the last row is a polynomial combination of the others, so the first
+    # n - 1 pivots exist and the block left for the last one is zero
+    late = _sparse_matrix(rng, n)
+    late[-1] = [MultiPoly.zero()] * n
+    for i in range(n - 1):
+        c = _sparse_entry(rng)
+        late[-1] = [x + c * y for x, y in zip(late[-1], late[i])]
+    return out + [late]
+
+
+def _off_diagonal_constants(rng: random.Random, n: int) -> list[list[MultiPoly]]:
+    """Nonconstant entries, except a few constants away from the diagonal.
+
+    The first pivot is the first of those constants, so it is reached by a
+    row swap and a column swap whenever it is not in row 0.
+    """
+    zero = MultiPoly.zero()
+    m = [[_nonconstant_poly(rng) if i == j or rng.random() < 0.6 else zero for j in range(n)] for i in range(n)]
+    cells = [(i, j) for i in range(n) for j in range(n) if i != j]
+    for i, j in rng.sample(cells, min(len(cells), rng.randint(1, n))):
+        m[i][j] = MultiPoly.const(rng.choice(SPARSE_CONSTANTS))
+    return m
+
+
+def test_det_matches_cofactor_on_sparse_mixed_matrices():
+    rng = random.Random(101)
+    for n in range(1, 8):
+        for _ in range(6 if n < 6 else 2):
+            m = _sparse_matrix(rng, n)
+            assert det(m) == det_cofactor(m)
+            m = _off_diagonal_constants(rng, n)
+            assert det(m) == det_cofactor(m)
+        for m in _singular_matrices(rng, n):
+            assert det(m).is_zero()
+            assert det_cofactor(m).is_zero()
+
+
+def test_det_swaps_carry_the_sign():
+    # the one constant sits at (1, 2): a row swap and a column swap bring it
+    # to (0, 0), and each flips the sign
+    x, y, z = (MultiPoly.var(v) for v in "xyz")
+    m = [[x, y, z], [y, z, MultiPoly.const(-2)], [z, x + 1, y]]
+    assert det(m) == det_cofactor(m)
+    rows = [m[1], m[0], m[2]]
+    assert det(rows) == -det(m)
+    cols = [[row[2], row[1], row[0]] for row in m]
+    assert det(cols) == -det(m)
+
+
+def test_det_matches_cofactor_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    constants = st.sampled_from(SPARSE_CONSTANTS).map(MultiPoly.const)
+    monomials = st.dictionaries(st.sampled_from(["x", "y"]), st.integers(1, 2), max_size=2)
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    polys = st.lists(st.tuples(monomials, coeffs), min_size=1, max_size=2).map(
+        lambda terms: MultiPoly.sum(MultiPoly.from_exponents(m, c) for m, c in terms)
+    )
+    entries = st.one_of(st.just(MultiPoly.zero()), constants, polys)
+    matrices = st.integers(1, 5).flatmap(
+        lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(matrices)
+    def check(m):
+        assert det(m) == det_cofactor(m)
+
+    check()
+
+
 def test_pfaffian_small_cases():
     a = MultiPoly.var("a")
     zero = MultiPoly.zero()

@@ -123,6 +123,41 @@ def test_four_way_agreement_random():
         assert u_from_multivariate_tutte(g) == u
 
 
+def _box_ladder(n: int) -> Graph:
+    top = [f"t{i}" for i in range(1, n + 1)]
+    bot = [f"b{i}" for i in range(1, n + 1)]
+    edges = [(f"r{i}", top[i], bot[i]) for i in range(n)]
+    edges += [(f"u{i}", top[i], top[i + 1]) for i in range(n - 1)]
+    edges += [(f"d{i}", bot[i], bot[i + 1]) for i in range(n - 1)]
+    return Graph(top + bot, edges)
+
+
+def _complete(n: int) -> Graph:
+    verts = [f"v{i}" for i in range(1, n + 1)]
+    return Graph(verts, [(f"e{i}{j}", verts[i], verts[j]) for i in range(n) for j in range(i + 1, n)])
+
+
+def _with_parallels_and_loops(rng: random.Random) -> Graph:
+    """A random connected multigraph plus one parallel copy and one self-loop."""
+    g = random_multigraph(rng, max_vertices=6, max_edges=9, connected=True)
+    e = rng.choice(g.edges)
+    extra = [("p1", e.tail, e.head), ("l1", *[rng.choice(g.vertices)] * 2)]
+    return Graph(g.vertices, list(g.edges) + extra)
+
+
+def test_u_det_route_on_larger_graphs():
+    rng = random.Random(59)
+    graphs = [_box_ladder(5), _box_ladder(6), _complete(6)]
+    graphs += [_with_parallels_and_loops(rng) for _ in range(4)]
+    for g in graphs:
+        u = symanzik_u(g)
+        assert symanzik_u_via_det(g) == u
+        assert symanzik_u_delcon(g) == u
+    for g in (graphs[0], graphs[3]):
+        u = symanzik_u(g)
+        assert all(symanzik_u_via_det(g, drop_vertex=v) == u for v in g.vertices)
+
+
 def test_parametric_integrand_record():
     g = fixtures.build("fig3")
     ext = load_momenta_json(g, fixtures.FIG3_MOMENTA)
