@@ -9,6 +9,10 @@ Commands:
                  --model {phi4,gw,core} [--check] [--json]
   feyncomb selftest
 
+`--check`/`--check-all` print one PASS/FAIL line per entry of
+`checks.ROUTE_CHECKS` for the operation: the same cross-checks, by the same
+code, that `selftest` runs on its corpora.
+
 Exit codes: 0 success, 1 a --check/--check-all/selftest validation or an
 internal invariant failed (one FAIL line), 2 malformed input or precondition
 violation.  Output is byte-identical across runs, apart from the wall time
@@ -24,7 +28,7 @@ import json
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
-from . import parametric, polynomials
+from . import checks, parametric, polynomials
 from .graphs import Graph
 from .hopf import HopfAlgebra, underlying
 from .poly import MultiPoly
@@ -56,10 +60,10 @@ class _Report:
     def say(self, text: str):
         self.lines.append(text)
 
-    def check(self, name: str, ok: bool):
-        self.lines.append(f"{'PASS' if ok else 'FAIL'} {name}")
-        if not ok:
-            self.failed = True
+    def check(self, results: list[checks.Check]):
+        for name, ok, _ in results:
+            self.lines.append(f"{'PASS' if ok else 'FAIL'} {name}")
+            self.failed |= not ok
 
     def emit_json(self, payload: dict):
         self.lines.append(json.dumps(payload, indent=2, sort_keys=True))
@@ -68,60 +72,28 @@ class _Report:
 def _cmd_poly(args) -> tuple[int, list[str]]:
     rep = _Report()
     fixture = load_fixture(args.fixture)
-    g = underlying(fixture)
+    g = x = underlying(fixture)
     op = args.operation
     if op == "tutte":
         p = polynomials.tutte(g, method=args.method)
-        rep.say(p.canonical_string())
-        if args.check:
-            rep.check("subset == delcon", polynomials.tutte(g, "subset") == polynomials.tutte(g, "delcon"))
-            rep.check("multivariate relation", polynomials.check_tutte_relation(g))
     elif op == "ztutte":
         p = polynomials.multivariate_tutte(g, method=args.method)
-        rep.say(p.canonical_string())
-        if args.check:
-            rep.check(
-                "subset == delcon",
-                polynomials.multivariate_tutte(g, "subset") == polynomials.multivariate_tutte(g, "delcon"),
-            )
     elif op == "chromatic":
         p = polynomials.chromatic(g)
-        rep.say(p.canonical_string())
-        if args.check:
-            ok = all(
-                p.eval_rational({"k": k}) == polynomials.count_colorings_oracle(g, k)
-                for k in range(1, 5)
-            )
-            rep.check("matches brute-force colorings k=1..4", ok)
     elif op == "flow":
         p = polynomials.flow_poly(g)
-        rep.say(p.canonical_string())
-        if args.check:
-            ok = all(
-                p.eval_rational({"k": k}) == polynomials.count_flows_oracle(g, k)
-                for k in range(2, 6)
-            )
-            rep.check("matches brute-force flows k=2..5", ok)
     elif op == "br":
-        rg = _need_ribbon(fixture, "br")
-        p = polynomials.bollobas_riordan(rg, method=args.method)
-        rep.say(p.canonical_string())
-        if args.check:
-            rep.check(
-                "subset == delcon",
-                polynomials.bollobas_riordan(rg, "subset") == polynomials.bollobas_riordan(rg, "delcon"),
-            )
-            rep.check("z:=1 collapse equals Tutte", polynomials.check_br_tutte_specialization(rg))
+        x = _need_ribbon(fixture, op)
+        p = polynomials.bollobas_riordan(x, method=args.method)
     elif op == "zbr":
-        rg = _need_ribbon(fixture, "zbr")
-        p = polynomials.multivariate_br(rg)
-        rep.say(p.canonical_string())
-        if args.check and rg.underlying().is_connected():
-            one_face = p.substitute({"x": MultiPoly.one()}).coefficient_of("z", 1)
-            subsets = {frozenset(v[2:] for v, _ in mono) for mono in one_face.terms}
-            rep.check("z^1 slice enumerates the quasi-trees", subsets == set(rg.quasi_trees()))
+        x = _need_ribbon(fixture, op)
+        p = polynomials.multivariate_br(x)
     else:  # pragma: no cover
         raise ValueError(f"unknown poly operation {op!r}")
+    rep.say(p.canonical_string())
+    # the quasi-tree slice is only defined on a connected ribbon graph
+    if args.check and (op != "zbr" or g.is_connected()):
+        rep.check(checks.route_checks(op, x, p))
     if args.json:
         rep.emit_json(_poly_json(p))
     return (1 if rep.failed else 0), rep.lines
@@ -141,40 +113,12 @@ def _momenta_for(args, g: Graph) -> dict:
 def _cmd_param(args) -> tuple[int, list[str]]:
     rep = _Report()
     fixture = load_fixture(args.fixture)
-    g = underlying(fixture)
+    g = x = underlying(fixture)
     op = args.operation
-    p = None
-    if op == "u":
-        p = parametric.symanzik_u(g)
-        rep.say(p.canonical_string())
-        if args.check_all:
-            rep.check("tree sum == determinant", p == parametric.symanzik_u_via_det(g))
-            rep.check("tree sum == deletion/contraction", p == parametric.symanzik_u_delcon(g))
-            rep.check("tree sum == Tutte limit", p == parametric.u_from_multivariate_tutte(g))
-    elif op == "udet":
-        p = parametric.symanzik_u_via_det(g)
-        rep.say(p.canonical_string())
-        if args.check_all:
-            rep.check("matches tree sum", p == parametric.symanzik_u(g))
-            rep.check(
-                "independent of dropped vertex",
-                all(parametric.symanzik_u_via_det(g, drop_vertex=v) == p for v in g.vertices),
-            )
-    elif op == "v":
-        ext = _momenta_for(args, g)
-        p = parametric.symanzik_v(g, ext)
-        rep.say(p.canonical_string())
-        if args.check_all:
-            rep.check(
-                "component choice irrelevant",
-                parametric.symanzik_v(g, ext, component=0) == parametric.symanzik_v(g, ext, component=1),
-            )
-            rep.check(
-                "vanishes at zero momenta",
-                parametric.symanzik_v(g, parametric.zero_assignment(g)).is_zero(),
-            )
-    elif op == "integrand":
-        ext = _momenta_for(args, g)
+    if op in ("ustar", "vstar-re", "vstar-im"):
+        x = _need_ribbon(fixture, op)
+    ext = _momenta_for(args, g) if op in ("v", "integrand", "vstar-re", "vstar-im") else None
+    if op == "integrand":
         rec = parametric.parametric_integrand(g, ext, 1)
         rep.say("U: " + rec.u.canonical_string())
         rep.say("V: " + rec.v.canonical_string())
@@ -183,47 +127,26 @@ def _cmd_param(args) -> tuple[int, list[str]]:
             rep.emit_json(
                 {"U": _poly_json(rec.u), "V": _poly_json(rec.v), "mass": _poly_json(rec.mass_term)}
             )
-        return (1 if rep.failed else 0), rep.lines
+        return 0, rep.lines
+    if op == "u":
+        value = parametric.symanzik_u(g)
+    elif op == "udet":
+        value = parametric.symanzik_u_via_det(g)
+    elif op == "v":
+        value = parametric.symanzik_v(g, ext)
     elif op == "ustar":
-        rg = _need_ribbon(fixture, "ustar")
-        tracked = parametric.nc_u(rg)
-        p = tracked.to_poly()
-        rep.say(p.canonical_string())
-        if args.check_all:
-            rep.check("deletion/contraction route agrees", parametric.nc_u_delcon(rg) == tracked)
-            rep.check("multivariate BR limit agrees", parametric.nc_u_from_multivariate_br(rg) == tracked)
-            rep.check(
-                "commutative limit reproduces U",
-                p.substitute({"theta": MultiPoly.zero()}) == parametric.symanzik_u(rg.underlying()),
-            )
+        value = parametric.nc_u(x)
     elif op == "vstar-re":
-        rg = _need_ribbon(fixture, "vstar-re")
-        ext = _momenta_for(args, rg.underlying())
-        p = parametric.nc_v_real(rg, ext).to_poly()
-        rep.say(p.canonical_string())
-        if args.check_all:
-            rep.check(
-                "face choice irrelevant",
-                parametric.nc_v_real(rg, ext, face_choice=0) == parametric.nc_v_real(rg, ext, face_choice=1),
-            )
+        value = parametric.nc_v_real(x, ext)
     elif op == "vstar-im":
-        rg = _need_ribbon(fixture, "vstar-im")
-        ext = _momenta_for(args, rg.underlying())
-        p = parametric.nc_v_imag(rg, ext).to_poly()
-        rep.say(p.canonical_string())
-        if args.check_all:
-            ok = True
-            for qt in rg.quasi_trees():
-                boundary = rg.face_boundary_order(rg.faces(qt)[0])
-                base = parametric.phase_psi(boundary, ext)
-                ok &= all(
-                    parametric.phase_psi(boundary, ext, start=s) == base
-                    for s in range(1, len(boundary))
-                )
-            rep.check("cyclic boundary start irrelevant", ok)
+        value = parametric.nc_v_imag(x, ext)
     else:  # pragma: no cover
         raise ValueError(f"unknown param operation {op!r}")
-    if args.json and p is not None:
+    p = value if isinstance(value, MultiPoly) else value.to_poly()  # U* and V* are theta-tracked
+    rep.say(p.canonical_string())
+    if args.check_all:
+        rep.check(checks.route_checks(op, x, value, ext))
+    if args.json:
         rep.emit_json(_poly_json(p))
     return (1 if rep.failed else 0), rep.lines
 
@@ -237,7 +160,7 @@ def _cmd_hopf(args) -> tuple[int, list[str]]:
         g = underlying(fixture)
     h = HopfAlgebra(args.model)
     op = args.operation
-    payload: dict = {}
+    value = None
     if op == "coproduct":
         delta = h.coproduct(g)
         rep.say(delta.render())
@@ -262,34 +185,20 @@ def _cmd_hopf(args) -> tuple[int, list[str]]:
         for line in rendered:
             rep.say(line)
         payload = {"forests": sorted([sorted([sorted(m) for m in f]) for f in forests])}
-    elif op == "rbar":
-        amp = h.bogoliubov_hopf(g)
-        rep.say(amp.render())
-        payload = {"normal_form": amp.render()}
-        if args.check:
-            rep.check("forest formula agrees", h.bogoliubov_forest(g) == amp)
-    elif op == "renorm":
-        amp = h.renormalized(g)
-        rep.say(amp.render())
-        payload = {"normal_form": amp.render()}
-        if args.check:
-            rbar = h.bogoliubov_hopf(g)
-            rep.check("equals (id - T) of Rbar", amp == rbar - rbar.project())
+    elif op in ("rbar", "renorm"):
+        value = h.bogoliubov_hopf(g) if op == "rbar" else h.renormalized(g)
+        rep.say(value.render())
+        payload = {"normal_form": value.render()}
     else:  # pragma: no cover
         raise ValueError(f"unknown hopf operation {op!r}")
-    if args.check and op in ("coproduct", "antipode", "forests"):
-        rep.check("coassociativity", h.check_coassociativity(g))
-        rep.check("Hopf antipode axiom", h.check_hopf_axioms(g))
-        rep.check("counit axiom", h.check_counit(g))
-        rep.check("grading compatibility", h.check_grading(g))
+    if args.check:
+        rep.check(checks.route_checks(op, g, value, h))
     if args.json:
         rep.emit_json(payload)
     return (1 if rep.failed else 0), rep.lines
 
 
 def _cmd_selftest(_args) -> tuple[int, list[str]]:
-    from . import checks
-
     ok, text = checks.run_all(verbose=True)
     return (0 if ok else 1), [text]
 
@@ -343,6 +252,8 @@ def run(argv: list[str]) -> tuple[int, str]:
         return code, buf.getvalue()
     except (OSError, ValueError, KeyError) as exc:
         return 2, buf.getvalue() + f"error: {exc}\n"
+    except RecursionError:  # a valid input too deep for a recursive route
+        return 2, buf.getvalue() + "error: input too large for this route (recursion limit reached)\n"
     except AssertionError as exc:  # an internal invariant broke: report it like a failed check
         return 1, buf.getvalue() + f"FAIL internal invariant: {exc or 'assertion failed'}\n"
     text = buf.getvalue() + "\n".join(lines) + ("\n" if lines else "")

@@ -125,9 +125,6 @@ class Graph:
         except KeyError:
             raise KeyError(f"unknown leg id {leg_id!r}") from None
 
-    def edge_ids(self) -> tuple[str, ...]:
-        return tuple(e.id for e in self.edges)
-
     def all_edges(self) -> EdgeSubset:
         return frozenset(e.id for e in self.edges)
 

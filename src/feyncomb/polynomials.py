@@ -258,50 +258,32 @@ def _br_subset(rg: RibbonGraph) -> MultiPoly:
 
 def _br_delcon(rg: RibbonGraph) -> MultiPoly:
     g = rg.graph
-    kinds = {e.id: g.classify_edge(e.id) for e in g.edges}
-    regular = sorted(e for e, kind in kinds.items() if kind == "regular")
-    bridges = sorted(e for e, kind in kinds.items() if kind == "bridge")
-    if regular:
-        e = regular[0]
-        return _br_delcon(rg.ribbon_contract(e)) + _br_delcon(rg.ribbon_delete(e))
-    if bridges:
-        return X * _br_delcon(rg.ribbon_contract(bridges[0]))
+    nonloops = sorted(e.id for e in g.edges if not e.is_loop)
+    for e in nonloops:
+        if g.classify_edge(e) == "regular":
+            return _br_delcon(rg.ribbon_contract(e)) + _br_delcon(rg.ribbon_delete(e))
+    if nonloops:  # every non-loop edge is a bridge
+        return X * _br_delcon(rg.ribbon_contract(nonloops[0]))
     return _br_terminal(rg)
 
 
 def _br_terminal(rg: RibbonGraph) -> MultiPoly:
-    """Only self-loops remain: product over vertices of y^|H| z^2g(H) sums."""
-    total = MultiPoly.one()
-    for v in rg.vertices:
-        seq = tuple(t for t in rg.rotation[v] if t[1] != "x")
-        loop_ids = sorted({t[0] for t in seq})
+    """Only self-loops remain: product over vertices of y^|H| z^2g(H) sums.
 
+    The faces of (V, H) for H a set of loops at v are those of v alone plus
+    one face for each other vertex.
+    """
+    total = MultiPoly.one()
+    other_faces = len(rg.vertices) - 1
+    for v in rg.vertices:
+        loop_ids = sorted({t[0] for t in rg.rotation[v] if t[1] != "x"})
         counts: Counter[Monomial] = Counter()
         for mask in range(1 << len(loop_ids)):
             chosen = frozenset(loop_ids[i] for i in range(len(loop_ids)) if mask >> i & 1)
-            local = tuple(t for t in seq if t[0] in chosen)
-            two_genus = 1 + len(chosen) - _one_vertex_face_count(local)
+            two_genus = 1 + len(chosen) - (rg.face_count(chosen) - other_faces)
             counts[tuple(pair for pair in (("y", len(chosen)), ("z", two_genus)) if pair[1])] += 1
         total = total * MultiPoly(counts)
     return total
-
-
-def _one_vertex_face_count(seq: tuple) -> int:
-    if not seq:
-        return 1
-    succ = {tok: seq[(i + 1) % len(seq)] for i, tok in enumerate(seq)}
-    visited = set()
-    faces = 0
-    for tok in seq:
-        if tok in visited:
-            continue
-        faces += 1
-        cur = tok
-        while cur not in visited:
-            visited.add(cur)
-            mate = (cur[0], "h" if cur[1] == "t" else "t")
-            cur = succ[mate]
-    return faces
 
 
 def multivariate_br(rg: RibbonGraph) -> MultiPoly:

@@ -222,3 +222,77 @@ def test_selftest_reports_wall_time_per_criterion(monkeypatch):
     monkeypatch.setattr(checks, "CRITERIA", fakes[:1])
     code, text = run("selftest")
     assert code == 0 and text.endswith("selftest: ALL CRITERIA PASS\n")
+
+
+def _operation_choices() -> set[str]:
+    import argparse
+
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    ops: set[str] = set()
+    for command in ("poly", "param", "hopf"):
+        ops |= set(next(a for a in sub.choices[command]._actions if a.dest == "operation").choices)
+    return ops
+
+
+def test_route_check_table_covers_every_checked_operation():
+    from feyncomb import checks
+
+    assert set(checks.ROUTE_CHECKS) == _operation_choices() - {"integrand"}
+
+
+def test_check_flags_print_the_table_entries_in_order():
+    from feyncomb import checks
+
+    momenta = ("--momenta", os.path.join(FIXTURE_DIR, "fig3_momenta.json"))
+    cases = {
+        "tutte": ("poly", "k3", "--check"),
+        "ztutte": ("poly", "k3", "--check"),
+        "chromatic": ("poly", "k3", "--check"),
+        "flow": ("poly", "k3", "--check"),
+        "br": ("poly", "interleaved", "--check"),
+        "zbr": ("poly", "interleaved", "--check"),
+        "u": ("param", "fig3", "--check-all"),
+        "udet": ("param", "fig3", "--check-all"),
+        "v": ("param", "fig3", "--check-all", *momenta),
+        "ustar": ("param", "tadpole", "--check-all"),
+        "vstar-re": ("param", "fig6", "--check-all"),
+        "vstar-im": ("param", "interleaved", "--check-all"),
+        "coproduct": ("hopf", "fig5", "--check"),
+        "antipode": ("hopf", "fig5", "--check"),
+        "forests": ("hopf", "fig5", "--check"),
+        "rbar": ("hopf", "fig5", "--check"),
+        "renorm": ("hopf", "fig5", "--check"),
+    }
+    assert set(cases) == set(checks.ROUTE_CHECKS)
+    for op, (command, fixture, *flags) in cases.items():
+        code, text = run(command, op, path(fixture), *flags)
+        assert code == 0, op
+        printed = [l[len("PASS ") :] for l in text.splitlines() if l.startswith(("PASS", "FAIL"))]
+        assert printed == [name for name, _ in checks.ROUTE_CHECKS[op]], op
+
+
+def test_one_table_drives_cli_and_selftest(monkeypatch):
+    from feyncomb import checks, parametric
+
+    real = parametric.nc_u_delcon
+    wrong = parametric.ThetaTracked.from_poly(parametric.alpha_var("wrong"))
+    monkeypatch.setattr(parametric, "nc_u_delcon", lambda rg: real(rg) + wrong)
+    code, text = run("param", "ustar", path("interleaved"), "--check-all")
+    assert code == 1
+    assert "FAIL deletion/contraction route agrees" in text.splitlines()
+    assert not all(ok for _, ok, _ in checks.criterion_6_moyal_chain(n_random=2))
+
+
+def test_deep_recursion_is_one_error_line(tmp_path):
+    n = 1100
+    doc = {
+        "type": "graph",
+        "vertices": [f"v{i}" for i in range(n + 1)],
+        "edges": [{"id": f"e{i}", "tail": f"v{i}", "head": f"v{i + 1}"} for i in range(n)],
+    }
+    f = tmp_path / "path.json"
+    f.write_text(json.dumps(doc), encoding="utf-8")
+    code, text = run("poly", "tutte", str(f), "--method", "delcon")
+    assert code == 2
+    assert text.startswith("error: ") and text.count("\n") == 1
