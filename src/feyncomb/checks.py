@@ -621,7 +621,7 @@ CRITERIA = [
 ]
 
 
-def run_all(verbose: bool = True) -> tuple[bool, str]:
+def run_all() -> tuple[bool, str]:
     lines = []
     all_ok = True
     for title, fn in CRITERIA:
@@ -632,8 +632,7 @@ def run_all(verbose: bool = True) -> tuple[bool, str]:
         all_ok &= crit_ok
         lines.append(f"[{'PASS' if crit_ok else 'FAIL'}] {title} ({seconds:.2f} s)")
         for name, okflag, detail in results:
-            if verbose or not okflag:
-                suffix = f"  ({detail})" if detail and not okflag else ""
-                lines.append(f"    {'ok' if okflag else 'FAIL'}: {name}{suffix}")
+            suffix = f"  ({detail})" if detail and not okflag else ""
+            lines.append(f"    {'ok' if okflag else 'FAIL'}: {name}{suffix}")
     lines.append("selftest: " + ("ALL CRITERIA PASS" if all_ok else "FAILURES PRESENT"))
     return all_ok, "\n".join(lines)

@@ -9,6 +9,11 @@ Commands:
                  --model {phi4,gw,core} [--check] [--json]
   feyncomb selftest
 
+`OPERATIONS` is the one list of operations: each entry gives its command,
+its input (any fixture, a ribbon fixture, or a ribbon fixture under
+`--model gw`), whether it reads `--momenta`, its route and its display.  The
+parser's choices, the input checks and the output all come from it.
+
 `--check`/`--check-all` print one PASS/FAIL line per entry of
 `checks.ROUTE_CHECKS` for the operation: the same cross-checks, by the same
 code, that `selftest` runs on its corpora.
@@ -27,6 +32,7 @@ import io
 import json
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from typing import Callable, NamedTuple
 
 from . import checks, parametric, polynomials
 from .graphs import Graph
@@ -44,59 +50,80 @@ def _poly_json(p: MultiPoly) -> dict:
     }
 
 
-def _need_ribbon(g: Graph | RibbonGraph, what: str) -> RibbonGraph:
-    if not isinstance(g, RibbonGraph):
-        raise ValueError(f"{what} requires a ribbon fixture (type 'ribbon')")
-    return g
+# -- displays: a route's value -> (output lines, --json payload) -------------------
 
 
-class _Report:
-    """Collects output lines and PASS/FAIL check results."""
-
-    def __init__(self):
-        self.lines: list[str] = []
-        self.failed = False
-
-    def say(self, text: str):
-        self.lines.append(text)
-
-    def check(self, results: list[checks.Check]):
-        for name, ok, _ in results:
-            self.lines.append(f"{'PASS' if ok else 'FAIL'} {name}")
-            self.failed |= not ok
-
-    def emit_json(self, payload: dict):
-        self.lines.append(json.dumps(payload, indent=2, sort_keys=True))
+def _show_poly(value) -> tuple[list[str], dict]:
+    p = value if isinstance(value, MultiPoly) else value.to_poly()  # U* and V* are theta-tracked
+    return [p.canonical_string()], _poly_json(p)
 
 
-def _cmd_poly(args) -> tuple[int, list[str]]:
-    rep = _Report()
-    fixture = load_fixture(args.fixture)
-    g = x = underlying(fixture)
-    op = args.operation
-    if op == "tutte":
-        p = polynomials.tutte(g, method=args.method)
-    elif op == "ztutte":
-        p = polynomials.multivariate_tutte(g, method=args.method)
-    elif op == "chromatic":
-        p = polynomials.chromatic(g)
-    elif op == "flow":
-        p = polynomials.flow_poly(g)
-    elif op == "br":
-        x = _need_ribbon(fixture, op)
-        p = polynomials.bollobas_riordan(x, method=args.method)
-    elif op == "zbr":
-        x = _need_ribbon(fixture, op)
-        p = polynomials.multivariate_br(x)
-    else:  # pragma: no cover
-        raise ValueError(f"unknown poly operation {op!r}")
-    rep.say(p.canonical_string())
-    # the quasi-tree slice is only defined on a connected ribbon graph
-    if args.check and (op != "zbr" or g.is_connected()):
-        rep.check(checks.route_checks(op, x, p))
-    if args.json:
-        rep.emit_json(_poly_json(p))
-    return (1 if rep.failed else 0), rep.lines
+def _show_integrand(rec) -> tuple[list[str], dict]:
+    parts = (("U", rec.u), ("V", rec.v), ("mass", rec.mass_term))
+    return [f"{key}: {p.canonical_string()}" for key, p in parts], {key: _poly_json(p) for key, p in parts}
+
+
+def _show_coproduct(delta) -> tuple[list[str], dict]:
+    terms = [{"left": list(a), "right": list(b), "coeff": c} for (a, b), c in sorted(delta.terms.items())]
+    return [delta.render()], {"terms": terms}
+
+
+def _show_antipode(s) -> tuple[list[str], dict]:
+    return [s.render()], {"terms": [{"monomial": list(m), "coeff": c} for m, c in sorted(s.terms.items())]}
+
+
+def _show_forests(forests) -> tuple[list[str], dict]:
+    lines = sorted(
+        "{" + ", ".join("{" + ",".join(sorted(m)) + "}" for m in sorted(f, key=sorted)) + "}"
+        for f in forests
+    )
+    return lines, {"forests": sorted([sorted([sorted(m) for m in f]) for f in forests])}
+
+
+def _show_amplitude(amp) -> tuple[list[str], dict]:
+    text = amp.render()
+    return [text], {"normal_form": text}
+
+
+# -- the operation table ---------------------------------------------------------------
+
+
+class Operation(NamedTuple):
+    command: str  # poly, param or hopf
+    input: str  # graph (any fixture), ribbon (a ribbon fixture), model (a ribbon fixture under --model gw)
+    momenta: bool  # reads --momenta
+    route: Callable  # (input, args, extra) -> value; extra is the momenta or the HopfAlgebra
+    display: Callable  # value -> (lines, JSON payload)
+
+
+# Routes look functions up as module attributes at call time, so a patched or
+# traced route is the one that runs.
+OPERATIONS = {
+    "tutte": Operation("poly", "graph", False, lambda g, a, _: polynomials.tutte(g, a.method), _show_poly),
+    "ztutte": Operation(
+        "poly", "graph", False, lambda g, a, _: polynomials.multivariate_tutte(g, a.method), _show_poly
+    ),
+    "chromatic": Operation("poly", "graph", False, lambda g, *_: polynomials.chromatic(g), _show_poly),
+    "flow": Operation("poly", "graph", False, lambda g, *_: polynomials.flow_poly(g), _show_poly),
+    "br": Operation(
+        "poly", "ribbon", False, lambda rg, a, _: polynomials.bollobas_riordan(rg, a.method), _show_poly
+    ),
+    "zbr": Operation("poly", "ribbon", False, lambda rg, *_: polynomials.multivariate_br(rg), _show_poly),
+    "u": Operation("param", "graph", False, lambda g, *_: parametric.symanzik_u(g), _show_poly),
+    "v": Operation("param", "graph", True, lambda g, _, ext: parametric.symanzik_v(g, ext), _show_poly),
+    "udet": Operation("param", "graph", False, lambda g, *_: parametric.symanzik_u_via_det(g), _show_poly),
+    "ustar": Operation("param", "ribbon", False, lambda rg, *_: parametric.nc_u(rg), _show_poly),
+    "vstar-re": Operation("param", "ribbon", True, lambda rg, _, ext: parametric.nc_v_real(rg, ext), _show_poly),
+    "vstar-im": Operation("param", "ribbon", True, lambda rg, _, ext: parametric.nc_v_imag(rg, ext), _show_poly),
+    "integrand": Operation(
+        "param", "graph", True, lambda g, _, ext: parametric.parametric_integrand(g, ext, 1), _show_integrand
+    ),
+    "coproduct": Operation("hopf", "model", False, lambda g, _, h: h.coproduct(g), _show_coproduct),
+    "antipode": Operation("hopf", "model", False, lambda g, _, h: h.antipode(g), _show_antipode),
+    "forests": Operation("hopf", "model", False, lambda g, _, h: h.zimmermann_forests(g), _show_forests),
+    "rbar": Operation("hopf", "model", False, lambda g, _, h: h.bogoliubov_hopf(g), _show_amplitude),
+    "renorm": Operation("hopf", "model", False, lambda g, _, h: h.renormalized(g), _show_amplitude),
+}
 
 
 def _momenta_for(args, g: Graph) -> dict:
@@ -110,132 +137,68 @@ def _momenta_for(args, g: Graph) -> dict:
     return parametric.zero_assignment(g)
 
 
-def _cmd_param(args) -> tuple[int, list[str]]:
-    rep = _Report()
+def _cmd_operation(args) -> tuple[int, list[str]]:
+    op = OPERATIONS[args.operation]
     fixture = load_fixture(args.fixture)
-    g = x = underlying(fixture)
-    op = args.operation
-    if op in ("ustar", "vstar-re", "vstar-im"):
-        x = _need_ribbon(fixture, op)
-    ext = _momenta_for(args, g) if op in ("v", "integrand", "vstar-re", "vstar-im") else None
-    if op == "integrand":
-        rec = parametric.parametric_integrand(g, ext, 1)
-        rep.say("U: " + rec.u.canonical_string())
-        rep.say("V: " + rec.v.canonical_string())
-        rep.say("mass: " + rec.mass_term.canonical_string())
-        if args.json:
-            rep.emit_json(
-                {"U": _poly_json(rec.u), "V": _poly_json(rec.v), "mass": _poly_json(rec.mass_term)}
-            )
-        return 0, rep.lines
-    if op == "u":
-        value = parametric.symanzik_u(g)
-    elif op == "udet":
-        value = parametric.symanzik_u_via_det(g)
-    elif op == "v":
-        value = parametric.symanzik_v(g, ext)
-    elif op == "ustar":
-        value = parametric.nc_u(x)
-    elif op == "vstar-re":
-        value = parametric.nc_v_real(x, ext)
-    elif op == "vstar-im":
-        value = parametric.nc_v_imag(x, ext)
-    else:  # pragma: no cover
-        raise ValueError(f"unknown param operation {op!r}")
-    p = value if isinstance(value, MultiPoly) else value.to_poly()  # U* and V* are theta-tracked
-    rep.say(p.canonical_string())
-    if args.check_all:
-        rep.check(checks.route_checks(op, x, value, ext))
-    if args.json:
-        rep.emit_json(_poly_json(p))
-    return (1 if rep.failed else 0), rep.lines
-
-
-def _cmd_hopf(args) -> tuple[int, list[str]]:
-    rep = _Report()
-    fixture = load_fixture(args.fixture)
-    if args.model == "gw":
-        g: Graph | RibbonGraph = _need_ribbon(fixture, "the gw model")
+    g = underlying(fixture)
+    needs_ribbon = op.input == "ribbon" or (op.input == "model" and args.model == "gw")
+    if needs_ribbon and not isinstance(fixture, RibbonGraph):
+        what = args.operation if op.input == "ribbon" else "the gw model"
+        raise ValueError(f"{what} requires a ribbon fixture (type 'ribbon')")
+    x = fixture if needs_ribbon else g
+    if op.input == "model":
+        extra = HopfAlgebra(args.model)
     else:
-        g = underlying(fixture)
-    h = HopfAlgebra(args.model)
-    op = args.operation
-    value = None
-    if op == "coproduct":
-        delta = h.coproduct(g)
-        rep.say(delta.render())
-        payload = {
-            "terms": [
-                {"left": list(a), "right": list(b), "coeff": c}
-                for (a, b), c in sorted(delta.terms.items())
-            ]
-        }
-    elif op == "antipode":
-        s = h.antipode(g)
-        rep.say(s.render())
-        payload = {
-            "terms": [{"monomial": list(m), "coeff": c} for m, c in sorted(s.terms.items())]
-        }
-    elif op == "forests":
-        forests = h.zimmermann_forests(g)
-        rendered = sorted(
-            "{" + ", ".join("{" + ",".join(sorted(m)) + "}" for m in sorted(f, key=sorted)) + "}"
-            for f in forests
-        )
-        for line in rendered:
-            rep.say(line)
-        payload = {"forests": sorted([sorted([sorted(m) for m in f]) for f in forests])}
-    elif op in ("rbar", "renorm"):
-        value = h.bogoliubov_hopf(g) if op == "rbar" else h.renormalized(g)
-        rep.say(value.render())
-        payload = {"normal_form": value.render()}
-    else:  # pragma: no cover
-        raise ValueError(f"unknown hopf operation {op!r}")
-    if args.check:
-        rep.check(checks.route_checks(op, g, value, h))
+        extra = _momenta_for(args, g) if op.momenta else None
+    value = op.route(x, args, extra)
+    lines, payload = op.display(value)
+    failed = False
+    if args.check and args.operation in checks.ROUTE_CHECKS:
+        for name, ok, _ in checks.route_checks(args.operation, x, value, extra):
+            lines.append(f"{'PASS' if ok else 'FAIL'} {name}")
+            failed |= not ok
     if args.json:
-        rep.emit_json(payload)
-    return (1 if rep.failed else 0), rep.lines
+        lines.append(json.dumps(payload, indent=2, sort_keys=True))
+    return int(failed), lines
 
 
 def _cmd_selftest(_args) -> tuple[int, list[str]]:
-    ok, text = checks.run_all(verbose=True)
+    ok, text = checks.run_all()
     return (0 if ok else 1), [text]
+
+
+# command, help, its own option and that option's settings, the spelling of its check flag
+_COMMANDS = (
+    ("poly", "graph polynomials", "--method", {"choices": ["subset", "delcon"], "default": "subset"}, "--check"),
+    (
+        "param",
+        "parametric-representation polynomials",
+        "--momenta",
+        {"help": "JSON file of external momenta"},
+        "--check-all",
+    ),
+    (
+        "hopf",
+        "Hopf-algebra renormalization combinatorics",
+        "--model",
+        {"choices": ["phi4", "gw", "core"], "default": "phi4"},
+        "--check",
+    ),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="feyncomb", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_poly = sub.add_parser("poly", help="graph polynomials")
-    p_poly.add_argument("operation", choices=["tutte", "ztutte", "chromatic", "flow", "br", "zbr"])
-    p_poly.add_argument("fixture")
-    p_poly.add_argument("--method", choices=["subset", "delcon"], default="subset")
-    p_poly.add_argument("--check", action="store_true")
-    p_poly.add_argument("--json", action="store_true")
-    p_poly.set_defaults(func=_cmd_poly)
-
-    p_param = sub.add_parser("param", help="parametric-representation polynomials")
-    p_param.add_argument(
-        "operation",
-        choices=["u", "v", "udet", "ustar", "vstar-re", "vstar-im", "integrand"],
-    )
-    p_param.add_argument("fixture")
-    p_param.add_argument("--momenta", help="JSON file of external momenta")
-    p_param.add_argument("--check-all", dest="check_all", action="store_true")
-    p_param.add_argument("--json", action="store_true")
-    p_param.set_defaults(func=_cmd_param)
-
-    p_hopf = sub.add_parser("hopf", help="Hopf-algebra renormalization combinatorics")
-    p_hopf.add_argument("operation", choices=["coproduct", "antipode", "forests", "rbar", "renorm"])
-    p_hopf.add_argument("fixture")
-    p_hopf.add_argument("--model", choices=["phi4", "gw", "core"], default="phi4")
-    p_hopf.add_argument("--check", action="store_true")
-    p_hopf.add_argument("--json", action="store_true")
-    p_hopf.set_defaults(func=_cmd_hopf)
-
-    p_self = sub.add_parser("selftest", help="run the full cross-validation corpus")
-    p_self.set_defaults(func=_cmd_selftest)
+    for command, help_text, flag, spec, check_flag in _COMMANDS:
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("operation", choices=[name for name, op in OPERATIONS.items() if op.command == command])
+        p.add_argument("fixture")
+        p.add_argument(flag, **spec)
+        p.add_argument(check_flag, dest="check", action="store_true")
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(func=_cmd_operation)
+    sub.add_parser("selftest", help="run the full cross-validation corpus").set_defaults(func=_cmd_selftest)
     return parser
 
 

@@ -86,8 +86,3 @@ class FormalAmplitude(LinComb):
             new_term = _sort_term(ts + (("T", inner),))
             out[new_term] = out.get(new_term, 0) + coeff
         return FormalAmplitude(out)
-
-    # -- canonical output ------------------------------------------------------------
-
-    def normal_form(self) -> tuple:
-        return _canonical_nf(self.terms)

@@ -3,8 +3,8 @@
 A Graph has named vertices, internal edges (self-loops and parallel edges
 allowed, each oriented tail -> head) and external legs, each leg attached to
 a single vertex with a direction "in" or "out".  Orientation is bookkeeping
-for momentum routing and the incidence matrix; every polynomial built on top
-of this module is independent of it.
+for momentum routing; every polynomial built on top of this module is
+independent of it.
 
 External legs never count toward edge sets, rank, or nullity.  They matter
 only for two-tree momentum assignment, broken faces, and face incidence.
@@ -282,22 +282,6 @@ class Graph:
             sub = frozenset([ids[i] for i in combo])
             out.append(TwoTree(sub, tuple(map(frozenset, parts)), tuple(map(tuple, split))))
         return out
-
-    def incidence_matrix(self) -> list[list[int]]:
-        """Rows per internal edge (input order), columns per vertex.
-
-        +1 where the edge leaves the vertex, -1 where it enters; self-loop
-        rows are identically zero.
-        """
-        index = {v: i for i, v in enumerate(self.vertices)}
-        rows = []
-        for e in self.edges:
-            row = [0] * len(self.vertices)
-            if not e.is_loop:
-                row[index[e.tail]] = 1
-                row[index[e.head]] = -1
-            rows.append(row)
-        return rows
 
     # -- canonical form -------------------------------------------------------
 

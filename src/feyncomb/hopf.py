@@ -635,10 +635,6 @@ class HopfAlgebra:
             total = total * self._coproduct_label(lbl)
         return total
 
-    @staticmethod
-    def counit(x: GraphSum) -> int:
-        return x.counit()
-
     def antipode(self, g: GraphLike) -> GraphSum:
         return self._antipode_label(self.label(g))
 

@@ -283,10 +283,6 @@ class ThetaTracked(LinComb):
             raise ValueError("ThetaTracked payloads must be theta-free")
         super().__init__(parts)
 
-    @property
-    def parts(self) -> dict[int, MultiPoly]:
-        return self.terms
-
     @staticmethod
     def from_poly(p: MultiPoly, power: int = 0) -> ThetaTracked:
         return ThetaTracked({power: p})
@@ -366,15 +362,6 @@ def _ncu_rec(rg: RibbonGraph) -> ThetaTracked:
     e = nonloops[0]
     left = _ncu_rec(rg.ribbon_delete(e)) * alpha_var(e)
     return left + _ncu_rec(rg.ribbon_contract(e))
-
-
-def commutative_limit(rg: RibbonGraph) -> MultiPoly:
-    """theta -> 0 of U*, checked against the commutative U on the way out."""
-    limit = nc_u(rg).to_poly().substitute({THETA: MultiPoly.zero()})
-    expected = symanzik_u(rg.underlying())
-    if limit != expected:
-        raise AssertionError("theta -> 0 limit of U* disagrees with the commutative U")
-    return limit
 
 
 def nc_v_real(

@@ -142,13 +142,41 @@ def test_unknown_flags_rejected():
     assert code == 2
 
 
-def test_ribbon_required_commands():
-    code, text = run("poly", "br", path("k3"))
-    assert code == 2 and "ribbon" in text
+def test_ribbon_required_commands(tmp_path):
     code, text = run("param", "vstar-im", path("fig5"))
     assert code == 2 and "ribbon" in text
-    code, text = run("hopf", "coproduct", path("fig5"), "--model", "gw")
-    assert code == 2 and "ribbon" in text
+    for name, op in cli.OPERATIONS.items():
+        if op.input == "ribbon":
+            # the ribbon requirement is reported before the momenta file is read
+            momenta = ("--momenta", str(tmp_path)) if op.momenta else ()
+            result = run(op.command, name, path("k3"), *momenta)
+            assert result == (2, f"error: {name} requires a ribbon fixture (type 'ribbon')\n"), name
+        elif op.input == "model":
+            result = run(op.command, name, path("fig5"), "--model", "gw")
+            assert result == (2, "error: the gw model requires a ribbon fixture (type 'ribbon')\n"), name
+
+
+def test_momenta_directory_is_one_error_line(tmp_path):
+    readers = [name for name, op in cli.OPERATIONS.items() if op.momenta]
+    assert readers == ["v", "vstar-re", "vstar-im", "integrand"]
+    for name in readers:
+        code, text = run(cli.OPERATIONS[name].command, name, path("fig6"), "--momenta", str(tmp_path))
+        assert code == 2 and text.startswith("error: ") and text.count("\n") == 1, name
+
+
+def test_zbr_check_on_disconnected_ribbon_is_one_error_line(tmp_path):
+    doc = {
+        "type": "ribbon",
+        "vertices": ["v1", "v2"],
+        "edges": [{"id": "e1", "tail": "v1", "head": "v1"}],
+        "rotation": {"v1": ["e1.t", "e1.h"], "v2": []},
+        "external": [],
+    }
+    f = tmp_path / "disconnected.json"
+    f.write_text(json.dumps(doc), encoding="utf-8")
+    code, _ = run("poly", "zbr", str(f))
+    assert code == 0
+    assert run("poly", "zbr", str(f), "--check") == (2, "error: quasi_trees requires a connected ribbon graph\n")
 
 
 def test_check_failure_exit_code(tmp_path, monkeypatch):
@@ -224,21 +252,20 @@ def test_selftest_reports_wall_time_per_criterion(monkeypatch):
     assert code == 0 and text.endswith("selftest: ALL CRITERIA PASS\n")
 
 
-def _operation_choices() -> set[str]:
+def test_route_check_table_covers_every_checked_operation():
+    from feyncomb import checks
+
+    assert set(checks.ROUTE_CHECKS) == set(cli.OPERATIONS) - {"integrand"}
+
+
+def test_parser_choices_follow_the_operation_table():
     import argparse
 
     parser = cli.build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    ops: set[str] = set()
     for command in ("poly", "param", "hopf"):
-        ops |= set(next(a for a in sub.choices[command]._actions if a.dest == "operation").choices)
-    return ops
-
-
-def test_route_check_table_covers_every_checked_operation():
-    from feyncomb import checks
-
-    assert set(checks.ROUTE_CHECKS) == _operation_choices() - {"integrand"}
+        choices = next(a for a in sub.choices[command]._actions if a.dest == "operation").choices
+        assert choices == [name for name, op in cli.OPERATIONS.items() if op.command == command], command
 
 
 def test_check_flags_print_the_table_entries_in_order():

@@ -150,15 +150,6 @@ def test_spanning_two_trees_match_component_split():
         assert [(t.edges, t.parts, t.legs) for t in g.spanning_two_trees()] == expected
 
 
-def test_incidence_matrix():
-    single = Graph(["a", "b"], [("e1", "a", "b")])
-    assert single.incidence_matrix() == [[1, -1]]
-    loop = fixtures.build("selfloop")
-    assert loop.incidence_matrix() == [[0]]
-    for row in fig3().incidence_matrix():
-        assert sum(row) == 0
-
-
 def test_is_one_pi():
     assert not Graph(["a", "b"], [("e1", "a", "b")]).is_one_pi()
     assert fixtures.build("fig4").is_one_pi()

@@ -6,13 +6,12 @@ from fractions import Fraction
 import pytest
 
 from feyncomb import fixtures
-from feyncomb.checks import random_conserved_momenta, random_multigraph, random_ribbon_graph
+from feyncomb.checks import ROUTE_CHECKS, random_conserved_momenta, random_multigraph, random_ribbon_graph
 from feyncomb.graphs import Graph
 from feyncomb.parametric import (
     Integrand,
     ThetaTracked,
     alpha_var,
-    commutative_limit,
     dot,
     load_momenta_json,
     momentum,
@@ -224,9 +223,12 @@ def test_nc_u_from_multivariate_br_examples():
 
 
 def test_commutative_limit_examples():
-    assert commutative_limit(fixtures.build("tadpole")) == a(1)
-    assert commutative_limit(fixtures.build("interleaved")) == a(1) * a(2)
-    assert commutative_limit(fixtures.build("parallel")) == a(1) + a(2)
+    commutative_limit_is_u = dict(ROUTE_CHECKS["ustar"])["commutative limit reproduces U"]
+    for name, expected in (("tadpole", a(1)), ("interleaved", a(1) * a(2)), ("parallel", a(1) + a(2))):
+        rg = fixtures.build(name)
+        u_star = nc_u(rg)
+        assert u_star.to_poly().substitute({"theta": 0}) == expected, name
+        assert commutative_limit_is_u(rg, u_star, None), name
 
 
 def test_moyal_chain_random():

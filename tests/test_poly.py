@@ -211,7 +211,7 @@ def test_exact_div():
 def _coefficients(value) -> list:
     """Every stored coefficient of a MultiPoly or a ThetaTracked."""
     if isinstance(value, ThetaTracked):
-        polys = [*value.parts.values(), value.to_poly()]
+        polys = [*value.terms.values(), value.to_poly()]
     else:
         polys = [value]
     return [c for p in polys for c in p.terms.values()]

@@ -163,7 +163,7 @@ def nc_u_br_by_products(rg):
 
 
 def assert_stored_form(value):
-    polys = value.parts.values() if isinstance(value, ThetaTracked) else [value]
+    polys = value.terms.values() if isinstance(value, ThetaTracked) else [value]
     for p in polys:
         for mono in p.terms:
             names = [v for v, _ in mono]
