@@ -34,9 +34,10 @@ def _ok(name: str, cond: bool, detail: str = "") -> Check:
 #
 # Each entry is (PASS/FAIL line name, predicate of (input, value, extra)).
 # `value` is the command's own result (unused by entries that recompute
-# both sides); `extra` is the momenta of `v` and the V* operations or the
-# `HopfAlgebra` of the hopf operations.  Routes are looked up as module
-# attributes at call time, so a patched or traced route is the one checked.
+# both sides); `extra` is the momenta of `v`, `integrand` and the V*
+# operations or the `HopfAlgebra` of the hopf operations.  Routes are looked
+# up as module attributes at call time, so a patched or traced route is the
+# one checked.
 
 
 def _oracle_agrees(p: MultiPoly, oracle, g: Graph, ks: range) -> bool:
@@ -56,6 +57,14 @@ def _psi_start_irrelevant(rg: RibbonGraph, _value, ext) -> bool:
         if any(parametric.phase_psi(boundary, ext, start=s) != base for s in range(1, len(boundary))):
             return False
     return True
+
+
+def _u_is_det(g: Graph, u: MultiPoly, _extra) -> bool:
+    return u == parametric.symanzik_u_via_det(g)
+
+
+def _v_component_free(g: Graph, _value, ext) -> bool:
+    return parametric.symanzik_v(g, ext, component=0) == parametric.symanzik_v(g, ext, component=1)
 
 
 def _renorm_is_id_minus_t(g, amp, h: HopfAlgebra) -> bool:
@@ -102,7 +111,7 @@ ROUTE_CHECKS = {
     ),
     "zbr": (("z^1 slice enumerates the quasi-trees", _zbr_one_face_slice),),
     "u": (
-        ("tree sum == determinant", lambda g, u, _: u == parametric.symanzik_u_via_det(g)),
+        ("tree sum == determinant", _u_is_det),
         ("tree sum == deletion/contraction", lambda g, u, _: u == parametric.symanzik_u_delcon(g)),
         ("tree sum == Tutte limit", lambda g, u, _: u == parametric.u_from_multivariate_tutte(g)),
     ),
@@ -114,12 +123,12 @@ ROUTE_CHECKS = {
         ),
     ),
     "v": (
-        (
-            "component choice irrelevant",
-            lambda g, _, ext: parametric.symanzik_v(g, ext, component=0)
-            == parametric.symanzik_v(g, ext, component=1),
-        ),
+        ("component choice irrelevant", _v_component_free),
         ("vanishes at zero momenta", lambda g, *_: parametric.symanzik_v(g, parametric.zero_assignment(g)).is_zero()),
+    ),
+    "integrand": (
+        ("U: tree sum == determinant", lambda g, rec, ext: _u_is_det(g, rec.u, ext)),
+        ("V: component choice irrelevant", lambda g, rec, ext: _v_component_free(g, rec.v, ext)),
     ),
     "ustar": (
         ("deletion/contraction route agrees", lambda rg, u, _: parametric.nc_u_delcon(rg) == u),
@@ -190,7 +199,11 @@ def random_ribbon_graph(
     if max_legs:
         for i in range(1, rng.randint(0, max_legs) + 1):
             legs.append((f"f{i}", rng.choice(g.vertices), rng.choice(["in", "out"])))
-    g = Graph(g.vertices, g.edges, legs)
+    return random_rotation(rng, Graph(g.vertices, g.edges, legs))
+
+
+def random_rotation(rng: random.Random, g: Graph) -> RibbonGraph:
+    """`g` with a rotation system shuffled at every vertex."""
     rotation = {v: [] for v in g.vertices}
     for e in g.edges:
         rotation[e.tail].append((e.id, "t"))

@@ -145,6 +145,8 @@ def _cmd_operation(args) -> tuple[int, list[str]]:
     if needs_ribbon and not isinstance(fixture, RibbonGraph):
         what = args.operation if op.input == "ribbon" else "the gw model"
         raise ValueError(f"{what} requires a ribbon fixture (type 'ribbon')")
+    if getattr(args, "momenta", None) is not None and not op.momenta:
+        raise ValueError(f"{args.operation} does not read --momenta")
     x = fixture if needs_ribbon else g
     if op.input == "model":
         extra = HopfAlgebra(args.model)
@@ -188,7 +190,9 @@ _COMMANDS = (
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="feyncomb", description=__doc__)
+    parser = argparse.ArgumentParser(
+        prog="feyncomb", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
     sub = parser.add_subparsers(dest="command", required=True)
     for command, help_text, flag, spec, check_flag in _COMMANDS:
         p = sub.add_parser(command, help=help_text)

@@ -22,7 +22,7 @@ from . import linalg
 from .graphs import Graph, contract_class, edge_classes, is_bridge_class, pick_class
 from .poly import LinComb, Monomial, MultiPoly, Rational, _exact, edge_monomial
 from .polynomials import multivariate_br, multivariate_tutte
-from .ribbon import RibbonGraph
+from .ribbon import RibbonGraph, RotationState
 
 THETA = "theta"
 
@@ -343,25 +343,48 @@ def nc_u(rg: RibbonGraph) -> ThetaTracked:
 
 
 def nc_u_delcon(rg: RibbonGraph) -> ThetaTracked:
-    """U* via deletion/contraction on semi-regular edges.
+    """U* via deletion/contraction on the first non-loop edge by id.
 
-    One-vertex terminal forms are evaluated by the quasi-tree sum directly;
-    disconnected intermediates contribute 0.
+    U*(G) = alpha_e U*(G - e) + U*(G / e), where the deletion term is
+    skipped for a bridge e (G - e is disconnected).  The recursion runs on
+    one `ribbon.RotationState`.  Each leaf is one vertex with L loops, where
+    V - E + F = 2 - 2g makes b = F - 1 + 2g equal L, so a one-face subset S
+    of its loops is a quasi-tree with theta power |S| and the alpha product
+    of the loops outside S and of the edges deleted on the way.
     """
     if not rg.graph.is_connected():
         raise ValueError("nc_u_delcon requires a connected ribbon graph")
-    return _ncu_rec(rg)
+    state = RotationState(rg)
+    terms: list[tuple[int, Monomial, Rational]] = []
+    _ncu_rec(state, 0, [], terms)
+    return ThetaTracked.from_terms(terms)
 
 
-def _ncu_rec(rg: RibbonGraph) -> ThetaTracked:
-    if not rg.graph.is_connected():
-        return ThetaTracked.zero()
-    nonloops = sorted(e.id for e in rg.edges if not e.is_loop)
-    if not nonloops:
-        return nc_u(rg)
-    e = nonloops[0]
-    left = _ncu_rec(rg.ribbon_delete(e)) * alpha_var(e)
-    return left + _ncu_rec(rg.ribbon_contract(e))
+def _ncu_rec(
+    state: RotationState, start: int, deleted: list[int], terms: list[tuple[int, Monomial, Rational]]
+) -> None:
+    """Append the terms of U* of the connected `state` times the alpha
+    product of the edges `deleted` on the way to it.  The remaining edges
+    before position `start` are loops, and stay loops.  Contractions
+    continue in the same call, so the depth is the number of deletions."""
+    vert, tail, head, edges = state.vert, state.tail, state.head, state.edges
+    while start < len(edges):
+        k = edges[start]
+        if vert[tail[k]] == vert[head[k]]:
+            start += 1
+            continue
+        if not state.is_bridge(k):
+            other = state.copy()
+            other.delete(k)
+            _ncu_rec(other, start, deleted + [k], terms)
+        state.contract(k)
+    ids = state.ids
+    gone = [ids[k] for k in deleted]
+    loops = [ids[k] for k in state.edges]
+    for mask, faces in enumerate(state.loop_faces(state.edges)):
+        if faces == 1:
+            outside = gone + [e for i, e in enumerate(loops) if not mask >> i & 1]
+            terms.append((mask.bit_count(), edge_monomial("a.", outside), 1))
 
 
 def nc_v_real(

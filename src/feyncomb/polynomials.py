@@ -17,7 +17,15 @@ into a factor first: y each for T, (1 + beta_e) each for Z.  Then
 with terminal forms T = 1 and Z = q^|V| on the edgeless graph (Haggard,
 Pearce & Royle, "Computing Tutte polynomials", 2010; Sokal, math/0503607).
 Z has no series rule without division.  Bollobas-Riordan delcon steps one
-edge at a time, since a ribbon contraction splices rotations.
+edge at a time, since a ribbon contraction splices rotations:
+
+    R = R(G/e) + R(G-e)   for the first non-loop, non-bridge edge e by id,
+    R = x R(G/e)          for the first bridge e when every non-loop is one,
+
+on one integer `ribbon.RotationState`.  When only loops remain, R is the
+product over vertices of the sums of y^|H| z^2g(H) over the loop sets H at
+the vertex, read from the face counts of its chord diagram.  The terms are
+counted by their (x, y, z) exponents, and the polynomial is built once.
 
 Variables: "x", "y" (Tutte), "q" and per-edge "b.<edge>" (multivariate
 Tutte), "z" (Bollobas-Riordan face tracker), "k" (chromatic/flow argument).
@@ -31,8 +39,8 @@ import operator
 from collections import Counter
 
 from .graphs import Graph, contract_class, edge_classes, is_bridge_class, pick_class
-from .poly import Monomial, MultiPoly, Powers, edge_monomial
-from .ribbon import RibbonGraph
+from .poly import MultiPoly, Powers, edge_monomial
+from .ribbon import RibbonGraph, RotationState
 
 X = MultiPoly.var("x")
 Y = MultiPoly.var("y")
@@ -257,33 +265,60 @@ def _br_subset(rg: RibbonGraph) -> MultiPoly:
 
 
 def _br_delcon(rg: RibbonGraph) -> MultiPoly:
-    g = rg.graph
-    nonloops = sorted(e.id for e in g.edges if not e.is_loop)
-    for e in nonloops:
-        if g.classify_edge(e) == "regular":
-            return _br_delcon(rg.ribbon_contract(e)) + _br_delcon(rg.ribbon_delete(e))
-    if nonloops:  # every non-loop edge is a bridge
-        return X * _br_delcon(rg.ribbon_contract(nonloops[0]))
-    return _br_terminal(rg)
+    counts: Counter[tuple[int, int, int]] = Counter()
+    _br_rec(RotationState(rg), 0, 0, counts)
+    return MultiPoly(
+        {tuple(pair for pair in zip("xyz", exps) if pair[1]): n for exps, n in counts.items()}
+    )
 
 
-def _br_terminal(rg: RibbonGraph) -> MultiPoly:
-    """Only self-loops remain: product over vertices of y^|H| z^2g(H) sums.
+def _br_rec(state: RotationState, bridges: int, x_power: int, counts: Counter[tuple[int, int, int]]) -> None:
+    """Add the exponent counts of x^x_power R(state) to `counts`.
 
-    The faces of (V, H) for H a set of loops at v are those of v alone plus
-    one face for each other vertex.
+    `bridges` has a bit set for each edge known to be a bridge: an edge
+    stays a bridge when other edges are deleted or contracted, so it is
+    never tested again.
     """
-    total = MultiPoly.one()
-    other_faces = len(rg.vertices) - 1
-    for v in rg.vertices:
-        loop_ids = sorted({t[0] for t in rg.rotation[v] if t[1] != "x"})
-        counts: Counter[Monomial] = Counter()
-        for mask in range(1 << len(loop_ids)):
-            chosen = frozenset(loop_ids[i] for i in range(len(loop_ids)) if mask >> i & 1)
-            two_genus = 1 + len(chosen) - (rg.face_count(chosen) - other_faces)
-            counts[tuple(pair for pair in (("y", len(chosen)), ("z", two_genus)) if pair[1])] += 1
-        total = total * MultiPoly(counts)
-    return total
+    nonloops = [k for k in state.edges if not state.is_loop(k)]
+    for k in nonloops:
+        if bridges >> k & 1:
+            continue
+        if state.is_bridge(k):
+            bridges |= 1 << k
+            continue
+        other = state.copy()
+        other.delete(k)
+        _br_rec(other, bridges, x_power, counts)
+        state.contract(k)
+        _br_rec(state, bridges, x_power, counts)
+        return
+    if nonloops:  # every non-loop edge is a bridge
+        state.contract(nonloops[0])
+        _br_rec(state, bridges, x_power + 1, counts)
+        return
+    _br_terminal(state, x_power, counts)
+
+
+def _br_terminal(state: RotationState, x_power: int, counts: Counter[tuple[int, int, int]]) -> None:
+    """Only self-loops remain: R is x^x_power times the product over vertices
+    of the sums of y^|H| z^2g(H) over the sets H of loops at the vertex,
+    where one vertex with |H| loops and F faces has 2g = 1 + |H| - F."""
+    at_vertex: dict[int, list[int]] = {}
+    for k in state.edges:
+        at_vertex.setdefault(state.vert[state.tail[k]], []).append(k)
+    product: Counter[tuple[int, int]] = Counter({(0, 0): 1})
+    for loops in at_vertex.values():
+        factor: Counter[tuple[int, int]] = Counter()
+        for mask, faces in enumerate(state.loop_faces(loops)):
+            size = mask.bit_count()
+            factor[size, 1 + size - faces] += 1
+        joint: Counter[tuple[int, int]] = Counter()
+        for (a, b), m in product.items():
+            for (c, d), n in factor.items():
+                joint[a + c, b + d] += m * n
+        product = joint
+    for (y_power, z_power), n in product.items():
+        counts[x_power, y_power, z_power] += n
 
 
 def multivariate_br(rg: RibbonGraph) -> MultiPoly:

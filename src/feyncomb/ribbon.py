@@ -400,6 +400,180 @@ class HalfEdges:
         return faces if record else count
 
 
+class RotationState:
+    """The integer state of the ribbon deletion/contraction recursions.
+
+    It is built once from `HalfEdges`, with the legs dropped: they carry no
+    face in U* or in the Bollobas-Riordan polynomial.  `nxt`/`prv` link the
+    remaining half-edges of each vertex cyclically in rotation order,
+    `mate[h]` is the other end of h's edge and `vert[h]` a label of h's
+    vertex.  Edges are numbered in id order: edge k has id `ids[k]` and the
+    half-edges `tail[k]` and `head[k]`, and `edges` lists the remaining
+    ones.  `copy` shares everything that surgery does not change, and
+    `shapes`, the face counts of each chord diagram met by `loop_faces`.
+    """
+
+    __slots__ = ("nxt", "prv", "mate", "vert", "ids", "tail", "head", "edges", "shapes")
+
+    def __init__(self, rg: RibbonGraph):
+        index = rg._half_edges()
+        mate = index.mate
+        self.nxt = list(index.nxt)
+        self.prv = [0] * len(mate)
+        for h, n in enumerate(self.nxt):
+            self.prv[n] = h
+        self.vert = [i for i, (lo, hi) in enumerate(zip(index.start, index.start[1:])) for _ in range(lo, hi)]
+        for h, m in enumerate(mate):
+            if m < 0:
+                self._splice(h)
+        self.mate = mate
+        at = {t: h for h, t in enumerate(index.token)}
+        self.ids = sorted(e.id for e in rg.edges)
+        self.tail = [at[(e, "t")] for e in self.ids]
+        self.head = [at[(e, "h")] for e in self.ids]
+        self.edges = list(range(len(self.ids)))
+        self.shapes: dict[tuple[int, ...], list[int]] = {}
+
+    def copy(self) -> RotationState:
+        other = object.__new__(RotationState)
+        other.nxt, other.prv, other.vert, other.edges = self.nxt[:], self.prv[:], self.vert[:], self.edges[:]
+        other.mate, other.ids, other.tail, other.head = self.mate, self.ids, self.tail, self.head
+        other.shapes = self.shapes
+        return other
+
+    def _splice(self, h: int) -> None:
+        """Take half-edge h out of its vertex's cycle."""
+        p, n = self.prv[h], self.nxt[h]
+        self.nxt[p] = n
+        self.prv[n] = p
+
+    def is_loop(self, k: int) -> bool:
+        return self.vert[self.tail[k]] == self.vert[self.head[k]]
+
+    def delete(self, k: int) -> None:
+        """Delete edge k: splice both its half-edges out of their cycles."""
+        self._splice(self.tail[k])
+        self._splice(self.head[k])
+        self.edges.remove(k)
+
+    def contract(self, k: int) -> None:
+        """Contract the non-loop edge k as `RibbonGraph.ribbon_contract` does.
+
+        With t the tail and h the head half-edge, the merged rotation runs
+        from the successor of t round to t's predecessor, then from the
+        successor of h round to h's predecessor: with t and h removed, the
+        successors of their former predecessors are swapped.  A vertex that
+        held only t or only h leaves the other rotation less one half-edge.
+        """
+        nxt, prv, vert = self.nxt, self.prv, self.vert
+        t, h = self.tail[k], self.head[k]
+        pt, nt, ph, nh = prv[t], nxt[t], prv[h], nxt[h]
+        if pt == t:
+            self._splice(h)
+        elif ph == h:
+            self._splice(t)
+        else:
+            keep = vert[t]
+            x = nh
+            while x != h:
+                vert[x] = keep
+                x = nxt[x]
+            nxt[pt], prv[nh], nxt[ph], prv[nt] = nh, pt, nt, ph
+        self.edges.remove(k)
+
+    def is_bridge(self, k: int) -> bool:
+        """Whether the other remaining edges leave the ends of the non-loop
+        edge k apart: a depth-first search from its tail's vertex, walking
+        each reached vertex's cycle, that stops at its head's vertex.  An
+        edge with an end alone at its vertex is a bridge at once."""
+        nxt, mate, vert = self.nxt, self.mate, self.vert
+        t, h = self.tail[k], self.head[k]
+        if nxt[t] == t or nxt[h] == h:
+            return True
+        goal = vert[h]
+        seen = {vert[t]}
+        stack = [t]
+        while stack:
+            first = x = stack.pop()
+            while True:
+                if x != t and x != h:
+                    y = mate[x]
+                    v = vert[y]
+                    if v not in seen:
+                        if v == goal:
+                            return False
+                        seen.add(v)
+                        stack.append(y)
+                x = nxt[x]
+                if x == first:
+                    break
+        return True
+
+    def loop_faces(self, loops: Sequence[int]) -> list[int]:
+        """The face counts of one vertex with some of its loops, by subset.
+
+        `loops` are remaining loops at one vertex.  Entry `mask` of the
+        result counts the faces of that vertex alone with the loops
+        loops[i] for the bits i of mask.  Read from the tail of loops[0],
+        the vertex's cycle restricted to these loops is a chord diagram, the
+        sequence of their positions i in `loops`; the counts depend on
+        nothing else and are computed once per diagram.
+        """
+        bit = {}
+        for i, k in enumerate(loops):
+            bit[self.tail[k]] = bit[self.head[k]] = i
+        shape = []
+        if loops:
+            nxt = self.nxt
+            first = x = self.tail[loops[0]]
+            while True:
+                i = bit.get(x)
+                if i is not None:
+                    shape.append(i)
+                x = nxt[x]
+                if x == first:
+                    break
+        key = tuple(shape)
+        faces = self.shapes.get(key)
+        if faces is None:
+            faces = self.shapes[key] = chord_faces(key)
+        return faces
+
+
+def chord_faces(shape: Sequence[int]) -> list[int]:
+    """Face counts of a one-vertex ribbon graph, by subset of its loops.
+
+    `shape` is the vertex's rotation as the loop number (0..L-1) of each
+    half-edge.  Entry `mask` counts the faces with the loops of the bits of
+    mask: a count-only walk of p -> (the next kept half-edge after the other
+    end of p's loop).  The empty subset has one face.
+    """
+    ends: dict[int, list[int]] = {}
+    for p, i in enumerate(shape):
+        ends.setdefault(i, []).append(p)
+    opposite = [0] * len(shape)
+    for p, q in ends.values():
+        opposite[p], opposite[q] = q, p
+    succ = [0] * len(shape)
+    faces = [1] * (1 << len(ends))
+    for mask in range(1, len(faces)):
+        kept = [p for p, i in enumerate(shape) if mask >> i & 1]
+        prev = kept[-1]
+        for p in kept:
+            succ[prev] = p
+            prev = p
+        count = 0
+        seen = 0
+        for p in kept:
+            if not seen >> p & 1:
+                count += 1
+                while not seen >> p & 1:
+                    seen |= 1 << p
+                    p = succ[opposite[p]]
+        faces[mask] = count
+    return faces
+
+
 def _cyclic_equal(a: Sequence, b: Sequence) -> bool:
     if len(a) != len(b):
         return False

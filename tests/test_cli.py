@@ -255,7 +255,7 @@ def test_selftest_reports_wall_time_per_criterion(monkeypatch):
 def test_route_check_table_covers_every_checked_operation():
     from feyncomb import checks
 
-    assert set(checks.ROUTE_CHECKS) == set(cli.OPERATIONS) - {"integrand"}
+    assert set(checks.ROUTE_CHECKS) == set(cli.OPERATIONS)
 
 
 def test_parser_choices_follow_the_operation_table():
@@ -282,6 +282,7 @@ def test_check_flags_print_the_table_entries_in_order():
         "u": ("param", "fig3", "--check-all"),
         "udet": ("param", "fig3", "--check-all"),
         "v": ("param", "fig3", "--check-all", *momenta),
+        "integrand": ("param", "fig3", "--check-all", *momenta),
         "ustar": ("param", "tadpole", "--check-all"),
         "vstar-re": ("param", "fig6", "--check-all"),
         "vstar-im": ("param", "interleaved", "--check-all"),
@@ -323,3 +324,38 @@ def test_deep_recursion_is_one_error_line(tmp_path):
     code, text = run("poly", "tutte", str(f), "--method", "delcon")
     assert code == 2
     assert text.startswith("error: ") and text.count("\n") == 1
+
+
+def test_deep_ribbon_path_br_delcon_is_one_error_line(tmp_path):
+    n = 1100
+    rotation = {f"v{i}": [] for i in range(n + 1)}
+    for i in range(n):
+        rotation[f"v{i}"].append(f"e{i}.t")
+        rotation[f"v{i + 1}"].append(f"e{i}.h")
+    doc = {
+        "type": "ribbon",
+        "vertices": [f"v{i}" for i in range(n + 1)],
+        "edges": [{"id": f"e{i}", "tail": f"v{i}", "head": f"v{i + 1}"} for i in range(n)],
+        "rotation": rotation,
+    }
+    f = tmp_path / "ribbonpath.json"
+    f.write_text(json.dumps(doc), encoding="utf-8")
+    code, text = run("poly", "br", str(f), "--method", "delcon")
+    assert code == 2
+    assert text.startswith("error: ") and text.count("\n") == 1
+
+
+def test_momenta_for_an_operation_that_ignores_them_is_one_error_line(tmp_path):
+    missing = str(tmp_path / "missing.json")
+    for op, fixture in (("u", "k3"), ("udet", "k3"), ("ustar", "interleaved")):
+        code, text = run("param", op, path(fixture), "--momenta", missing)
+        assert (code, text) == (2, f"error: {op} does not read --momenta\n"), op
+    # the ribbon requirement is reported first
+    code, text = run("param", "ustar", path("k3"), "--momenta", missing)
+    assert (code, text) == (2, "error: ustar requires a ribbon fixture (type 'ribbon')\n")
+
+
+def test_help_keeps_the_docstring_layout():
+    code, text = run("-h")
+    assert code == 0
+    assert "\n  feyncomb poly  {tutte,ztutte,chromatic,flow,br,zbr} fixture.json\n" in text

@@ -6,7 +6,14 @@ from fractions import Fraction
 import pytest
 
 from feyncomb import fixtures
-from feyncomb.checks import ROUTE_CHECKS, random_conserved_momenta, random_multigraph, random_ribbon_graph
+from feyncomb import parametric
+from feyncomb.checks import (
+    ROUTE_CHECKS,
+    random_conserved_momenta,
+    random_multigraph,
+    random_ribbon_graph,
+    random_rotation,
+)
 from feyncomb.graphs import Graph
 from feyncomb.parametric import (
     Integrand,
@@ -239,6 +246,64 @@ def test_moyal_chain_random():
         assert nc_u_delcon(rg) == u
         assert nc_u_from_multivariate_br(rg) == u
         assert u.to_poly().substitute({"theta": MultiPoly.zero()}) == symanzik_u(rg.underlying())
+
+
+def _wheel(n: int) -> Graph:
+    spokes = [(f"s{i}", "h", f"v{i}") for i in range(1, n + 1)]
+    rim = [(f"r{i}", f"v{i}", f"v{i % n + 1}") for i in range(1, n + 1)]
+    return Graph(["h"] + [f"v{i}" for i in range(1, n + 1)], spokes + rim)
+
+
+def _ustar_corpus(seed: int) -> list[RibbonGraph]:
+    """Shuffled rotations with legs, non-planar wheels and ladders, and loops plus parallel edges."""
+    rng = random.Random(seed)
+    out = [random_ribbon_graph(rng, max_vertices=5, max_edges=8, max_legs=3) for _ in range(30)]
+    out += [random_rotation(rng, _wheel(n)) for n in (3, 4, 5)]
+    out += [random_rotation(rng, _box_ladder(n)) for n in (3, 4)]
+    out += [random_rotation(rng, _with_parallels_and_loops(rng)) for _ in range(4)]
+    return out
+
+
+def test_nc_u_delcon_agrees_with_the_quasi_tree_and_br_routes():
+    for rg in _ustar_corpus(67):
+        u = nc_u(rg)
+        assert nc_u_delcon(rg) == u
+        assert nc_u_from_multivariate_br(rg) == u
+
+
+def test_nc_u_delcon_powers_are_quasi_tree_sizes_on_chord_diagrams():
+    rng = random.Random(71)
+    for n_loops in range(6):
+        for _ in range(4):
+            g = Graph(["v"], [(f"e{i}", "v", "v") for i in range(1, n_loops + 1)])
+            rg = random_rotation(rng, g)
+            u = nc_u_delcon(rg)
+            assert u == nc_u(rg)
+            for power, part in u.terms.items():
+                for mono in part.terms:
+                    assert power == n_loops - len(mono)  # |S| for the quasi-tree S outside mono
+
+
+def test_nc_u_delcon_builds_no_graphs(monkeypatch):
+    corpus = _ustar_corpus(73)[:12]
+    want = [nc_u(rg) for rg in corpus]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the recursion left the rotation state")
+
+    for owner, attr in (
+        (Graph, "__init__"),
+        (Graph, "classify_edge"),
+        (Graph, "delete_edge"),
+        (Graph, "contract_edge"),
+        (RibbonGraph, "__init__"),
+        (RibbonGraph, "ribbon_delete"),
+        (RibbonGraph, "ribbon_contract"),
+        (RibbonGraph, "quasi_trees"),
+        (parametric, "nc_u"),
+    ):
+        monkeypatch.setattr(owner, attr, refuse)
+    assert [nc_u_delcon(rg) for rg in corpus] == want
 
 
 def test_nc_u_requires_connected():

@@ -5,9 +5,10 @@ import random
 import pytest
 
 from feyncomb import fixtures
-from feyncomb.checks import random_multigraph, random_ribbon_graph
+from feyncomb.checks import random_multigraph, random_ribbon_graph, random_rotation
 from feyncomb.graphs import Graph
 from feyncomb.poly import MultiPoly
+from feyncomb.ribbon import RibbonGraph
 from feyncomb.polynomials import (
     bollobas_riordan,
     check_br_tutte_specialization,
@@ -118,8 +119,6 @@ def test_bollobas_riordan_values():
 
 
 def test_multivariate_br_values():
-    from feyncomb.ribbon import RibbonGraph
-
     b1 = MultiPoly.var("b.e1")
     isolated = RibbonGraph(Graph(["v"], []), {"v": ()})
     assert multivariate_br(isolated) == X * Z
@@ -149,7 +148,6 @@ def test_tutte_subset_equals_delcon_random():
 
 def test_delcon_routes_never_compute_canonical_forms(monkeypatch):
     from feyncomb.hopf import underlying
-    from feyncomb.ribbon import RibbonGraph
 
     def refuse(self):
         raise AssertionError("delcon computed a canonical form")
@@ -166,6 +164,46 @@ def test_delcon_routes_never_compute_canonical_forms(monkeypatch):
     ribbons.append(random_ribbon_graph(random.Random(53), max_vertices=4, max_edges=7))
     for rg in ribbons:
         assert bollobas_riordan(rg, "delcon") == bollobas_riordan(rg, "subset")
+
+
+def _br_corpus(seed: int) -> list[RibbonGraph]:
+    """Shuffled rotations with legs, loops and parallel edges, non-planar
+    wheels, and disconnected multigraphs."""
+    rng = random.Random(seed)
+    out = [random_ribbon_graph(rng, max_vertices=5, max_edges=8, max_legs=3) for _ in range(30)]
+    for n in (3, 4, 5):
+        spokes = [(f"s{i}", "h", f"v{i}") for i in range(1, n + 1)]
+        rim = [(f"r{i}", f"v{i}", f"v{i % n + 1}") for i in range(1, n + 1)]
+        out.append(random_rotation(rng, Graph(["h"] + [f"v{i}" for i in range(1, n + 1)], spokes + rim)))
+    out += [random_rotation(rng, random_multigraph(rng, max_vertices=6, max_edges=7)) for _ in range(20)]
+    return out
+
+
+def test_br_delcon_equals_subset_on_a_seeded_corpus():
+    corpus = _br_corpus(79)
+    assert any(not rg.graph.is_connected() for rg in corpus)
+    for rg in corpus:
+        assert bollobas_riordan(rg, "delcon") == bollobas_riordan(rg, "subset")
+
+
+def test_br_delcon_builds_no_graphs(monkeypatch):
+    corpus = _br_corpus(83)[::3]
+    want = [bollobas_riordan(rg, "subset") for rg in corpus]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the recursion left the rotation state")
+
+    for owner, attr in (
+        (Graph, "__init__"),
+        (Graph, "classify_edge"),
+        (Graph, "delete_edge"),
+        (Graph, "contract_edge"),
+        (RibbonGraph, "__init__"),
+        (RibbonGraph, "ribbon_delete"),
+        (RibbonGraph, "ribbon_contract"),
+    ):
+        monkeypatch.setattr(owner, attr, refuse)
+    assert [bollobas_riordan(rg, "delcon") for rg in corpus] == want
 
 
 def test_legs_are_ignored_by_tutte_and_br():

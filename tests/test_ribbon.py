@@ -5,9 +5,9 @@ import random
 import pytest
 
 from feyncomb import fixtures
-from feyncomb.checks import random_ribbon_graph
+from feyncomb.checks import random_multigraph, random_ribbon_graph, random_rotation
 from feyncomb.graphs import Graph
-from feyncomb.ribbon import RibbonGraph, load_fixture
+from feyncomb.ribbon import RibbonGraph, RotationState, chord_faces, is_leg_token, load_fixture
 
 
 def test_fig6_has_two_faces_both_broken():
@@ -100,6 +100,69 @@ def test_delete_contract_commute_on_disjoint_edges():
     a = rg.ribbon_delete("e2").ribbon_contract("e3")
     b = rg.ribbon_contract("e3").ribbon_delete("e2")
     assert a == b
+
+
+def _assert_state_matches(state: RotationState, oracle: RibbonGraph, at: dict) -> None:
+    """The state's rotations, loops, bridges and loop-subset faces are the oracle's."""
+    index = {e: k for k, e in enumerate(state.ids)}
+    assert sorted(state.ids[k] for k in state.edges) == sorted(e.id for e in oracle.edges)
+    labels = set()
+    for v in oracle.vertices:
+        seq = [at[t] for t in oracle.rotation[v] if not is_leg_token(t)]
+        if seq:
+            cycle = [seq[0]]
+            while state.nxt[cycle[-1]] != seq[0]:
+                cycle.append(state.nxt[cycle[-1]])
+            assert cycle == seq, v
+            assert all(state.prv[state.nxt[h]] == h for h in seq)
+            assert len({state.vert[h] for h in seq}) == 1
+            labels.add(state.vert[seq[0]])
+    assert len(labels) == sum(1 for v in oracle.vertices if any(not is_leg_token(t) for t in oracle.rotation[v]))
+    g = oracle.graph
+    for e in oracle.edges:
+        k = index[e.id]
+        assert state.is_loop(k) == e.is_loop
+        if not e.is_loop:
+            assert state.is_bridge(k) == (g.classify_edge(e.id) == "bridge"), e.id
+    others = len(g.vertices) - 1
+    for v in g.vertices:
+        loops = sorted(index[e.id] for e in oracle.edges if e.is_loop and e.tail == v)
+        want = [
+            oracle.face_count({state.ids[k] for i, k in enumerate(loops) if mask >> i & 1}) - others
+            for mask in range(1 << len(loops))
+        ]
+        assert state.loop_faces(loops) == want, v
+
+
+def test_rotation_state_surgery_matches_the_ribbon_oracles():
+    rng = random.Random(61)
+    for trial in range(60):
+        if trial % 3:
+            rg = random_ribbon_graph(rng, max_vertices=5, max_edges=8, max_legs=3)
+        else:  # possibly disconnected
+            rg = random_rotation(rng, random_multigraph(rng, max_vertices=5, max_edges=7))
+        at = {t: h for h, t in enumerate(rg._half_edges().token)}
+        state, oracle = RotationState(rg), rg
+        _assert_state_matches(state, oracle, at)
+        while oracle.edges:
+            e = rng.choice(oracle.edges)
+            k = state.ids.index(e.id)
+            if e.is_loop or rng.random() < 0.4:
+                state.delete(k)
+                oracle = oracle.ribbon_delete(e.id)
+            else:
+                twin = state.copy()
+                state.contract(k)
+                oracle = oracle.ribbon_contract(e.id)
+                assert k in twin.edges  # a copy is not changed by surgery on the original
+            _assert_state_matches(state, oracle, at)
+
+
+def test_chord_faces_examples():
+    assert chord_faces([]) == [1]
+    assert chord_faces([0, 0]) == [1, 2]  # one loop
+    assert chord_faces([0, 0, 1, 1]) == [1, 2, 2, 3]  # two planar loops
+    assert chord_faces([0, 1, 0, 1]) == [1, 2, 2, 1]  # interlaced: one face, genus one
 
 
 def test_quasi_trees_examples():
