@@ -12,7 +12,6 @@ only for two-tree momentum assignment, broken faces, and face incidence.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
@@ -162,24 +161,88 @@ class Graph:
             groups.setdefault(root, set()).add(v)
         return sorted((frozenset(vs) for vs in groups.values()), key=min)
 
-    def edge_subsets(self, size: int | None = None) -> Iterator[tuple[EdgeSubset, int]]:
-        """Every edge subset with the component count of (V, subset).
+    def edge_ids(self) -> list[str]:
+        """The edge ids in sorted order: edge i of `edge_masks` is the i-th."""
+        return sorted(self._ends)
 
-        Subsets come by size, then in lexicographic order of their sorted
-        edge ids; with `size`, only the subsets of that many edges.
+    def edge_masks(self, sizes: Iterable[int] | None = None) -> Iterator[tuple[list[int], int, int]]:
+        """Every edge subset as (index list, bitmask, component count of (V, subset)).
+
+        Edge i is `edge_ids()[i]` and bit i of the mask.  Subsets come size
+        by size (every size, or those of `sizes` in their order), and within
+        a size in lexicographic order of their ascending index lists.  The
+        index list is reused from one subset to the next: copy it to keep it.
+
+        Each size is one depth-first walk over index lists.  A union-find
+        with union by size and no path compression joins the ends of each
+        edge the walk adds and undoes the join when the walk removes it, so
+        a subset costs one join beyond its prefix of one edge less.
         """
-        ids, ends, combos = self._subset_combos(size)
+        ends = [self._ends[e] for e in self.edge_ids()]
+        n_edges = len(ends)
         n = len(self.vertices)
-        for combo in combos:
-            yield frozenset([ids[i] for i in combo]), _union_find(n, [ends[i] for i in combo])[1]
+        parent = list(range(n))
+        weight = [1] * n
+        for r in range(n_edges + 1) if sizes is None else sizes:
+            if not 0 <= r <= n_edges:
+                continue
+            if r == 0:
+                yield [], 0, n
+                continue
+            combo = [0] * r
+            joined = [-1] * r  # the root linked under another by combo[d], or -1
+            k, mask, depth, i = n, 0, 0, 0
+            leaf = r - 1
+            while True:
+                top = n_edges - r + depth  # the largest index with room after it
+                if depth == leaf:
+                    for i in range(i, top + 1):
+                        a, b = ends[i]
+                        while parent[a] != a:
+                            a = parent[a]
+                        while parent[b] != b:
+                            b = parent[b]
+                        combo[depth] = i
+                        yield combo, mask | 1 << i, k if a == b else k - 1
+                elif i <= top:
+                    a, b = ends[i]
+                    while parent[a] != a:
+                        a = parent[a]
+                    while parent[b] != b:
+                        b = parent[b]
+                    if a == b:
+                        joined[depth] = -1
+                    else:
+                        if weight[a] < weight[b]:
+                            a, b = b, a
+                        parent[b] = a
+                        weight[a] += weight[b]
+                        joined[depth] = b
+                        k -= 1
+                    combo[depth] = i
+                    mask |= 1 << i
+                    depth += 1
+                    i += 1
+                    continue
+                if depth == 0:
+                    break
+                depth -= 1
+                i = combo[depth]
+                mask ^= 1 << i
+                b = joined[depth]
+                if b >= 0:
+                    weight[parent[b]] -= weight[b]
+                    parent[b] = b
+                    k += 1
+                i += 1
 
-    def _subset_combos(self, size: int | None) -> tuple[list[str], list, Iterator[tuple[int, ...]]]:
-        """The sorted edge ids, their end positions, and the subsets in
-        `edge_subsets` order as tuples of indices into both."""
-        ids = sorted(self._ends)
-        sizes = range(len(ids) + 1) if size is None else (size,)
-        combos = itertools.chain.from_iterable(itertools.combinations(range(len(ids)), r) for r in sizes)
-        return ids, [self._ends[e] for e in ids], combos
+    def edge_subsets(self, size: int | None = None) -> Iterator[tuple[EdgeSubset, int]]:
+        """Every edge subset as a frozenset of ids, with the component count
+        of (V, subset), in `edge_masks` order; with `size`, only the subsets
+        of that many edges."""
+        ids = self.edge_ids()
+        for combo, _, k in self.edge_masks(None if size is None else (size,)):
+            yield frozenset([ids[i] for i in combo]), k
 
     def is_connected(self) -> bool:
         return len(self.vertices) > 0 and self.components() == 1
@@ -246,29 +309,29 @@ class Graph:
         """All spanning trees, as edge-id sets (connected graphs only)."""
         if not self.is_connected():
             raise ValueError("spanning_trees requires a connected graph")
-        return [sub for sub, k in self.edge_subsets(len(self.vertices) - 1) if k == 1]
+        ids = self.edge_ids()
+        trees = self.edge_masks((len(self.vertices) - 1,))
+        return [frozenset([ids[i] for i in combo]) for combo, _, k in trees if k == 1]
 
     def spanning_two_trees(self) -> list[TwoTree]:
         """All spanning two-component forests, with vertex and leg split.
 
-        Each forest's parts come from the union-find that counted its
-        components, and its legs split in one pass over the legs in id order.
+        Each forest's parts come from a union-find of its edges, and its
+        legs split in one pass over the legs in id order.
         """
         if not self.is_connected():
             raise ValueError("spanning_two_trees requires a connected graph")
-        need = len(self.vertices) - 2
-        if need < 0:
-            return []
         verts = self.vertices
         first = verts.index(min(verts))  # its part comes first
         pos = {v: i for i, v in enumerate(verts)}
         legs = sorted((l.id, pos[l.vertex]) for l in self.legs)
-        ids, ends, combos = self._subset_combos(need)
+        ids = self.edge_ids()
+        ends = [self._ends[e] for e in ids]
         out = []
-        for combo in combos:
-            parent, k = _union_find(len(verts), [ends[i] for i in combo])
+        for combo, _, k in self.edge_masks((len(verts) - 2,)):
             if k != 2:
                 continue
+            parent, _ = _union_find(len(verts), [ends[i] for i in combo])
             for i in range(len(verts)):
                 # parents come first, so parent[i]'s own parent is already its root
                 parent[i] = parent[parent[i]]

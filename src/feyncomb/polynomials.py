@@ -39,7 +39,7 @@ import operator
 from collections import Counter
 
 from .graphs import Graph, contract_class, edge_classes, is_bridge_class, pick_class
-from .poly import MultiPoly, Powers, edge_monomial
+from .poly import MultiPoly, Powers
 from .ribbon import RibbonGraph, RotationState
 
 X = MultiPoly.var("x")
@@ -51,6 +51,14 @@ K = MultiPoly.var("k")
 
 def beta_var(edge_id: str) -> MultiPoly:
     return MultiPoly.var(f"b.{edge_id}")
+
+
+def beta_pairs(g: Graph) -> list[tuple[str, int]]:
+    """The monomial pair ("b.<edge>", 1) of each edge, in `Graph.edge_masks`
+    order.  Ids in sorted order give names in sorted order, so the pairs of
+    an ascending index list, then the global powers ("q" or "x", then "z",
+    each at least 1 on a graph with a vertex), make a stored monomial."""
+    return [("b." + e, 1) for e in g.edge_ids()]
 
 
 # -- Tutte polynomial ------------------------------------------------------------
@@ -71,9 +79,9 @@ def _tutte_subset(g: Graph) -> MultiPoly:
     n_v = len(g.vertices)
     r_all = g.rank()
     counts: Counter[tuple[int, int]] = Counter()
-    for subset, k in g.edge_subsets():
+    for combo, _, k in g.edge_masks():
         rank = n_v - k
-        counts[r_all - rank, len(subset) - rank] += 1
+        counts[r_all - rank, len(combo) - rank] += 1
     xp = Powers(X - 1)
     yp = Powers(Y - 1)
     return MultiPoly.sum(xp[a] * yp[b] * n for (a, b), n in counts.items())
@@ -111,7 +119,8 @@ def multivariate_tutte(g: Graph, method: str = "subset") -> MultiPoly:
     if len(g.vertices) == 0:
         raise ValueError("multivariate_tutte requires at least one vertex")
     if method == "subset":
-        return MultiPoly({edge_monomial("b.", subset, ("q", k)): 1 for subset, k in g.edge_subsets()})
+        pairs = beta_pairs(g)
+        return MultiPoly({(*map(pairs.__getitem__, combo), ("q", k)): 1 for combo, _, k in g.edge_masks()})
     if method == "delcon":
         return _ztutte_delcon(g)
     raise ValueError(f"unknown method {method!r}")
@@ -253,11 +262,12 @@ def _br_subset(rg: RibbonGraph) -> MultiPoly:
     g = rg.graph
     n_v = len(g.vertices)
     r_all = g.rank()
+    trace = rg.half_edges().trace
     counts: Counter[tuple[int, int, int]] = Counter()
-    for subset, k_h in g.edge_subsets():
+    for combo, mask, k_h in g.edge_masks():
         rank = n_v - k_h
-        n_h = len(subset) - rank
-        counts[r_all - rank, n_h, k_h - rg.face_count(subset) + n_h] += 1
+        n_h = len(combo) - rank
+        counts[r_all - rank, n_h, k_h - trace(mask, False) + n_h] += 1
     xp = Powers(X - 1)
     yp = Powers(Y)
     zp = Powers(Z)
@@ -325,11 +335,12 @@ def multivariate_br(rg: RibbonGraph) -> MultiPoly:
     """Z(x, {beta_e}, z) = sum over H of x^k(H) * prod beta_e * z^F(H)."""
     if len(rg.vertices) == 0:
         raise ValueError("multivariate_br requires at least one vertex")
-    face_count = rg.face_count
+    pairs = beta_pairs(rg.graph)
+    trace = rg.half_edges().trace
     return MultiPoly(
         {
-            edge_monomial("b.", subset, ("x", k), ("z", face_count(subset))): 1
-            for subset, k in rg.graph.edge_subsets()
+            (*map(pairs.__getitem__, combo), ("x", k), ("z", trace(mask, False))): 1
+            for combo, mask, k in rg.graph.edge_masks()
         }
     )
 

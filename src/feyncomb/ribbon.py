@@ -9,7 +9,14 @@ Faces are traced with the next-half-edge map: from an internal half-edge,
 follow the edge to its partner half-edge, then walk forward in that vertex's
 rotation; legs encountered on the way are recorded as face markers but do
 not connect faces.  A vertex whose induced rotation carries no internal
-half-edge contributes one face of its own.
+half-edge contributes one face of its own.  The walk runs on edge subsets
+as bitmasks (`HalfEdges.trace`); `faces` and `face_count` turn id sets into
+masks.
+
+Euler size rule.  A connected spanning sub-ribbon-graph H of an orientable
+ribbon graph has V - |H| + F = 2 - 2g, so |H| = V - 2 + F + 2g with g >= 0.
+The quasi-trees (F = 1) and two-quasi-trees (F = 2) are therefore searched
+among the subsets of sizes V - 2 + F, V + F, V + 2 + F, ... only.
 """
 
 from __future__ import annotations
@@ -136,20 +143,22 @@ class RibbonGraph:
 
     # -- face tracing ----------------------------------------------------------
 
-    def _half_edges(self) -> HalfEdges:
+    def half_edges(self) -> HalfEdges:
         """The half-edge index, built on first use."""
         index = self._index
         if index is None:
-            index = HalfEdges(self.graph.vertices, self.rotation)
+            index = HalfEdges(self.graph.vertices, self.rotation, self.graph.edge_ids())
             object.__setattr__(self, "_index", index)
         return index
 
     def faces(self, subset: Iterable[str] | None = None) -> list[Face]:
         """Boundary components of the spanning sub-ribbon-graph (V, subset)."""
-        return self._half_edges().trace(subset, True)
+        index = self.half_edges()
+        return index.trace(index.mask(subset), True)
 
     def face_count(self, subset: Iterable[str] | None = None) -> int:
-        return self._half_edges().trace(subset, False)
+        index = self.half_edges()
+        return index.trace(index.mask(subset), False)
 
     def genus(self, subset: Iterable[str] | None = None) -> int:
         """Total genus, per connected component via V - E + F = 2 - 2g."""
@@ -229,20 +238,35 @@ class RibbonGraph:
         """Spanning connected sub-ribbon-graphs with exactly one face."""
         if not self.graph.is_connected():
             raise ValueError("quasi_trees requires a connected ribbon graph")
-        return [sub for sub, _ in self._connected_with_faces(1)]
+        ids = self.graph.edge_ids()
+        return [frozenset([ids[i] for i in combo]) for combo, _ in self._connected_with_faces(1)]
 
     def two_quasi_trees(self) -> list[TwoQuasiTree]:
         """Spanning connected sub-ribbon-graphs with exactly two faces."""
         if not self.graph.is_connected():
             raise ValueError("two_quasi_trees requires a connected ribbon graph")
-        return [TwoQuasiTree(sub, (fs[0], fs[1])) for sub, fs in self._connected_with_faces(2)]
+        ids = self.graph.edge_ids()
+        trace = self.half_edges().trace
+        out = []
+        for combo, mask in self._connected_with_faces(2):
+            first, second = trace(mask, True)
+            out.append(TwoQuasiTree(frozenset([ids[i] for i in combo]), (first, second)))
+        return out
 
-    def _connected_with_faces(self, n_faces: int) -> Iterator[tuple[EdgeSubset, list[Face]]]:
-        """The connected spanning edge subsets with `n_faces` faces, and those faces."""
-        index = self._half_edges()
-        for sub, k in self.graph.edge_subsets():
-            if k == 1 and index.trace(sub, False) == n_faces:
-                yield sub, index.trace(sub, True)
+    def _connected_with_faces(self, n_faces: int) -> Iterator[tuple[list[int], int]]:
+        """The connected spanning edge subsets with `n_faces` (1 or 2)
+        faces, as (index list, mask) in `Graph.edge_masks` order.
+
+        Only the sizes V - 2 + n_faces + 2g are enumerated (the Euler size
+        rule of the module docstring).  At the smallest size no face is
+        counted: there a connected H has n_faces - 2g(H) >= 1 faces, so
+        g(H) = 0.
+        """
+        count = self.half_edges().trace
+        low = len(self.vertices) - 2 + n_faces
+        for combo, mask, k in self.graph.edge_masks(range(low, len(self.edges) + 1, 2)):
+            if k == 1 and (len(combo) == low or count(mask, False) == n_faces):
+                yield combo, mask
 
     # -- canonical form -----------------------------------------------------------
 
@@ -259,7 +283,7 @@ class RibbonGraph:
         least the offset of the first unplaced block; a half-edge in an
         unplaced block is at least -1.
         """
-        index = self._half_edges()
+        index = self.half_edges()
         mate = index.mate
         verts = self.graph.vertices
         seqs = [list(range(lo, hi)) for lo, hi in zip(index.start, index.start[1:])]  # half-edges per vertex
@@ -327,76 +351,89 @@ class HalfEdges:
     """The half-edges of a ribbon graph as integers 0..H-1, numbered vertex
     by vertex in rotation order.
 
-    `token[h]` is the token, `nxt[h]` the half-edge after h in its vertex's
-    rotation (cyclically), `mate[h]` the other end of its edge (-1 for a leg)
-    and `edge[h]` the id of its edge or leg; the half-edges of the i-th
-    vertex are start[i] .. start[i+1]-1.
+    `token[h]` is the token, `vertex[h]` its vertex, `nxt[h]` the half-edge
+    after h in its vertex's rotation (cyclically) and `mate[h]` the other
+    end of its edge (-1 for a leg); the half-edges of the i-th vertex are
+    start[i] .. start[i+1]-1.  An edge subset is a bitmask over `edge_ids`
+    (the order of `Graph.edge_masks`): `bit[h]` is the bit of h's edge (0
+    for a leg) and `vmask[i]` the union of the bits at the i-th vertex.
     """
 
-    __slots__ = ("vertices", "token", "nxt", "mate", "edge", "start")
+    __slots__ = ("vertices", "token", "vertex", "nxt", "mate", "start", "pos", "bit", "vmask")
 
-    def __init__(self, vertices: Sequence[str], rotation: Mapping[str, Sequence[Token]]):
+    def __init__(self, vertices: Sequence[str], rotation: Mapping[str, Sequence[Token]], edge_ids: Sequence[str]):
         self.vertices = vertices
         self.token: list[Token] = []
+        self.vertex: list[str] = []
         self.nxt: list[int] = []
         self.start = [0]
         for v in vertices:
             seq = rotation[v]
             lo = len(self.token)
             self.token += seq
+            self.vertex += [v] * len(seq)
             self.nxt += [lo + (i + 1) % len(seq) for i in range(len(seq))]
             self.start.append(len(self.token))
         at = {t: h for h, t in enumerate(self.token)}
         self.mate = [-1 if is_leg_token(t) else at[partner(t)] for t in self.token]
-        self.edge = [t[0] for t in self.token]
+        self.pos = {e: i for i, e in enumerate(edge_ids)}
+        self.bit = [0 if m < 0 else 1 << self.pos[t[0]] for t, m in zip(self.token, self.mate)]
+        self.vmask = [0] * len(vertices)
+        for i, (lo, hi) in enumerate(zip(self.start, self.start[1:])):
+            for b in self.bit[lo:hi]:
+                self.vmask[i] |= b
 
-    def trace(self, subset: Iterable[str] | None, record: bool) -> list[Face] | int:
-        """The faces of (V, subset), or with `record` false only their number.
-
-        A face starts at each untraced internal half-edge in index order.
-        From the mate of its last half-edge the walk goes forward through
-        that vertex's rotation, noting legs and skipping the half-edges of
-        edges outside `subset`, to the next half-edge it keeps.  A vertex
-        with no half-edge of `subset` is a face of its own.
-        """
-        mate, nxt, token = self.mate, self.nxt, self.token
+    def mask(self, subset: Iterable[str] | None) -> int:
+        """The bitmask of an edge-id subset (every edge when None)."""
         if subset is None:
-            live = [m >= 0 for m in mate]
-        else:
-            keep = subset if isinstance(subset, (set, frozenset)) else frozenset(subset)
-            edge = self.edge
-            live = [m >= 0 and edge[h] in keep for h, m in enumerate(mate)]
-        seen = [False] * len(mate)
+            return (1 << len(self.pos)) - 1
+        pos = self.pos
+        try:
+            return sum(1 << pos[e] for e in set(subset))
+        except KeyError as exc:
+            raise KeyError(f"unknown edge id {exc.args[0]!r}") from None
+
+    def trace(self, mask: int, record: bool) -> list[Face] | int:
+        """The faces of (V, the edges of `mask`), or with `record` false only
+        their number.
+
+        A face starts at each untraced half-edge of the mask in index order.
+        From the mate of its last half-edge the walk goes forward through
+        that vertex's rotation, noting legs and skipping the half-edges h
+        with `bit[h] & mask` zero, to the next half-edge it keeps.  A vertex
+        with no half-edge of the mask is a face of its own.
+        """
+        bit, mate, nxt, token = self.bit, self.mate, self.nxt, self.token
+        seen = bytearray(len(bit))
         faces: list[Face] = []
         count = 0
+        for first, b in enumerate(bit):
+            if not b & mask or seen[first]:
+                continue
+            count += 1
+            cycle = []
+            cur = first
+            while True:
+                seen[cur] = 1
+                if record:
+                    cycle.append(token[cur])
+                step = nxt[mate[cur]]
+                while not bit[step] & mask:
+                    if record and mate[step] < 0:
+                        cycle.append(token[step])
+                    step = nxt[step]
+                cur = step
+                if cur == first:
+                    break
+            if record:
+                faces.append(Face(tuple(cycle), self.vertex[first]))
         start = self.start
-        for i, v in enumerate(self.vertices):
-            for first in range(start[i], start[i + 1]):
-                if seen[first] or not live[first]:
-                    continue
-                count += 1
-                cycle = []
-                cur = first
-                while True:
-                    seen[cur] = True
-                    if record:
-                        cycle.append(token[cur])
-                    step = nxt[mate[cur]]
-                    while not live[step]:
-                        if record and mate[step] < 0:
-                            cycle.append(token[step])
-                        step = nxt[step]
-                    cur = step
-                    if cur == first:
-                        break
-                if record:
-                    faces.append(Face(tuple(cycle), v))
-        for i, v in enumerate(self.vertices):
-            lo, hi = start[i], start[i + 1]
-            if not any(live[lo:hi]):
+        for i, vm in enumerate(self.vmask):
+            if not vm & mask:
                 count += 1
                 if record:
-                    faces.append(Face(tuple(token[h] for h in range(lo, hi) if mate[h] < 0), v))
+                    legs = tuple(token[h] for h in range(start[i], start[i + 1]) if mate[h] < 0)
+                    faces.append(Face(legs, self.vertices[i]))
         return faces if record else count
 
 
@@ -416,7 +453,7 @@ class RotationState:
     __slots__ = ("nxt", "prv", "mate", "vert", "ids", "tail", "head", "edges", "shapes")
 
     def __init__(self, rg: RibbonGraph):
-        index = rg._half_edges()
+        index = rg.half_edges()
         mate = index.mate
         self.nxt = list(index.nxt)
         self.prv = [0] * len(mate)

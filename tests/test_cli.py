@@ -326,8 +326,8 @@ def test_deep_recursion_is_one_error_line(tmp_path):
     assert text.startswith("error: ") and text.count("\n") == 1
 
 
-def test_deep_ribbon_path_br_delcon_is_one_error_line(tmp_path):
-    n = 1100
+def _ribbon_path(tmp_path, n=1100):
+    """A fixture file of a ribbon path with n edges."""
     rotation = {f"v{i}": [] for i in range(n + 1)}
     for i in range(n):
         rotation[f"v{i}"].append(f"e{i}.t")
@@ -340,9 +340,18 @@ def test_deep_ribbon_path_br_delcon_is_one_error_line(tmp_path):
     }
     f = tmp_path / "ribbonpath.json"
     f.write_text(json.dumps(doc), encoding="utf-8")
-    code, text = run("poly", "br", str(f), "--method", "delcon")
+    return str(f)
+
+
+def test_deep_ribbon_path_br_delcon_is_one_error_line(tmp_path):
+    code, text = run("poly", "br", _ribbon_path(tmp_path), "--method", "delcon")
     assert code == 2
     assert text.startswith("error: ") and text.count("\n") == 1
+
+
+def test_long_ribbon_path_ustar_is_one(tmp_path):
+    # a tree is its own only quasi-tree: the Euler size rule enumerates the one subset of size V - 1 = E
+    assert run("param", "ustar", _ribbon_path(tmp_path)) == (0, "1\n")
 
 
 def test_momenta_for_an_operation_that_ignores_them_is_one_error_line(tmp_path):

@@ -3,7 +3,8 @@
 The oracle below rebuilds the induced rotation and its successor map for
 every subset and walks the faces on tokens.  `RibbonGraph.faces` must
 return the identical list of `Face` objects, cycles and order included,
-and `face_count` its length.
+and `face_count` its length; so must the mask walker `HalfEdges.trace` on
+the masks of `Graph.edge_masks`.
 """
 
 import random
@@ -109,6 +110,38 @@ def test_faces_match_token_tracer_on_random_subsets():
             _check(rg, subset)
             _check(rg, sorted(subset))  # any iterable of ids
     assert all(seen.values()), seen
+
+
+def test_mask_walker_matches_token_tracer_on_every_subset():
+    rng = random.Random(4402)
+    seen = dict.fromkeys(("loop", "legs", "isolated", "disconnected", "genus"), False)
+    for _ in range(80):
+        rg = _ribbon(rng, 4, 6, 3)
+        g = rg.graph
+        index = rg.half_edges()
+        ids = g.edge_ids()
+        for combo, mask, k in g.edge_masks():
+            subset = frozenset(ids[i] for i in combo)
+            want = oracle_faces(rg, subset)
+            assert index.mask(subset) == mask
+            assert index.trace(mask, True) == want
+            assert index.trace(mask, False) == len(want)
+            features = _features(rg, subset)
+            seen["loop"] |= features["loop"]
+            seen["legs"] |= features["legs"]
+            seen["isolated"] |= features["isolated"]
+            seen["disconnected"] |= k > 1
+            # twice the genus: k - F + nullity
+            seen["genus"] |= k - len(want) + len(subset) - len(g.vertices) + k > 0
+    assert all(seen.values()), seen
+
+
+def test_unknown_edge_id_is_a_key_error():
+    rg = _ribbon(random.Random(1), 3, 3, 0)
+    with pytest.raises(KeyError, match="unknown edge id 'nope'"):
+        rg.faces({"nope"})
+    with pytest.raises(KeyError, match="unknown edge id 'nope'"):
+        rg.face_count(["nope"])
 
 
 def test_faces_of_empty_and_bare_graphs():

@@ -7,7 +7,7 @@ import pytest
 from feyncomb import fixtures
 from feyncomb.checks import random_multigraph, random_ribbon_graph, random_rotation
 from feyncomb.graphs import Graph
-from feyncomb.ribbon import RibbonGraph, RotationState, chord_faces, is_leg_token, load_fixture
+from feyncomb.ribbon import HalfEdges, RibbonGraph, RotationState, chord_faces, is_leg_token, load_fixture
 
 
 def test_fig6_has_two_faces_both_broken():
@@ -141,7 +141,7 @@ def test_rotation_state_surgery_matches_the_ribbon_oracles():
             rg = random_ribbon_graph(rng, max_vertices=5, max_edges=8, max_legs=3)
         else:  # possibly disconnected
             rg = random_rotation(rng, random_multigraph(rng, max_vertices=5, max_edges=7))
-        at = {t: h for h, t in enumerate(rg._half_edges().token)}
+        at = {t: h for h, t in enumerate(rg.half_edges().token)}
         state, oracle = RotationState(rg), rg
         _assert_state_matches(state, oracle, at)
         while oracle.edges:
@@ -192,6 +192,58 @@ def test_quasi_trees_contain_spanning_trees_and_size_bound():
         for tree in g.spanning_trees():
             if rg.face_count(tree) == 1:
                 assert tree in qts
+
+
+def _with_faces_by_filter(rg, n_faces):
+    """The unpruned oracle: every connected subset with `n_faces` faces, in `edge_subsets` order."""
+    return [sub for sub, k in rg.graph.edge_subsets() if k == 1 and rg.face_count(sub) == n_faces]
+
+
+def _check_quasi_trees(rg):
+    assert rg.quasi_trees() == _with_faces_by_filter(rg, 1)
+    want = [(sub, tuple(rg.faces(sub))) for sub in _with_faces_by_filter(rg, 2)]
+    assert [(tq.edges, tq.faces) for tq in rg.two_quasi_trees()] == want
+
+
+def test_pruned_quasi_trees_equal_the_unpruned_filter():
+    rng = random.Random(8111)
+    corpus = [fixtures.build(name) for name in ("tadpole", "interleaved", "bridge", "fig6", "ribbonhost")]
+    corpus += [random_ribbon_graph(rng, max_vertices=5, max_edges=8, max_legs=3) for _ in range(120)]
+    genus_qt = genus_tq = False
+    for rg in corpus:
+        _check_quasi_trees(rg)
+        n_v = len(rg.vertices)
+        genus_qt |= any(len(q) > n_v - 1 for q in rg.quasi_trees())
+        genus_tq |= any(len(tq.edges) > n_v for tq in rg.two_quasi_trees())
+    assert genus_qt and genus_tq
+
+
+def test_pruned_quasi_trees_equal_the_unpruned_filter_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(st.integers(0, 2**32))
+    def check(seed):
+        _check_quasi_trees(random_ribbon_graph(random.Random(seed), max_vertices=5, max_edges=8, max_legs=3))
+
+    check()
+
+
+def test_quasi_trees_record_no_faces(monkeypatch):
+    walks = []
+    trace = HalfEdges.trace
+
+    def counted(self, mask, record):
+        walks.append(record)
+        return trace(self, mask, record)
+
+    monkeypatch.setattr(HalfEdges, "trace", counted)
+    rg = fixtures.build("interleaved")  # its two-loop quasi-tree is above the smallest size
+    assert len(rg.quasi_trees()) == 2
+    assert walks and walks.count(True) == 0
+    walks.clear()
+    assert len(rg.two_quasi_trees()) == walks.count(True) == 2
 
 
 def test_face_boundary_order():
