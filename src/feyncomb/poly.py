@@ -14,7 +14,8 @@ product and the rendering of a key:
 `LinComb.sum` adds any number of elements into one dict, so a sum built
 term by term never copies its partial sums.  The sums over edge subsets,
 spanning trees and quasi-trees go one step further and assemble at the term
-level: each term's monomial is built once by `edge_monomial` and stored
+level: each term's monomial is built once (by `edge_monomial`, or for the
+multivariate subset sums from per-edge pairs made once per call) and stored
 with its coefficient in one dict, and one MultiPoly is made at the end; no
 term is ever a one-term polynomial multiplied into another.  Distinct edge
 subsets give distinct per-edge runs, so such a sum never meets a monomial

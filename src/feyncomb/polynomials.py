@@ -53,7 +53,7 @@ def beta_var(edge_id: str) -> MultiPoly:
     return MultiPoly.var(f"b.{edge_id}")
 
 
-def beta_pairs(g: Graph) -> list[tuple[str, int]]:
+def _beta_pairs(g: Graph) -> list[tuple[str, int]]:
     """The monomial pair ("b.<edge>", 1) of each edge, in `Graph.edge_masks`
     order.  Ids in sorted order give names in sorted order, so the pairs of
     an ascending index list, then the global powers ("q" or "x", then "z",
@@ -119,7 +119,7 @@ def multivariate_tutte(g: Graph, method: str = "subset") -> MultiPoly:
     if len(g.vertices) == 0:
         raise ValueError("multivariate_tutte requires at least one vertex")
     if method == "subset":
-        pairs = beta_pairs(g)
+        pairs = _beta_pairs(g)
         return MultiPoly({(*map(pairs.__getitem__, combo), ("q", k)): 1 for combo, _, k in g.edge_masks()})
     if method == "delcon":
         return _ztutte_delcon(g)
@@ -335,7 +335,7 @@ def multivariate_br(rg: RibbonGraph) -> MultiPoly:
     """Z(x, {beta_e}, z) = sum over H of x^k(H) * prod beta_e * z^F(H)."""
     if len(rg.vertices) == 0:
         raise ValueError("multivariate_br requires at least one vertex")
-    pairs = beta_pairs(rg.graph)
+    pairs = _beta_pairs(rg.graph)
     trace = rg.half_edges().trace
     return MultiPoly(
         {
