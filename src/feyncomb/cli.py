@@ -28,6 +28,7 @@ configuration files are consulted.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import sys
@@ -189,27 +190,37 @@ _COMMANDS = (
 )
 
 
+# Help and usage text wrap at a fixed width, not at the terminal's or COLUMNS.
+_FORMATTER = functools.partial(argparse.RawDescriptionHelpFormatter, width=78)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="feyncomb", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
-    )
+    parser = argparse.ArgumentParser(prog="feyncomb", description=__doc__, formatter_class=_FORMATTER)
     sub = parser.add_subparsers(dest="command", required=True)
     for command, help_text, flag, spec, check_flag in _COMMANDS:
-        p = sub.add_parser(command, help=help_text)
+        p = sub.add_parser(command, help=help_text, formatter_class=_FORMATTER)
         p.add_argument("operation", choices=[name for name, op in OPERATIONS.items() if op.command == command])
         p.add_argument("fixture")
         p.add_argument(flag, **spec)
         p.add_argument(check_flag, dest="check", action="store_true")
         p.add_argument("--json", action="store_true")
         p.set_defaults(func=_cmd_operation)
-    sub.add_parser("selftest", help="run the full cross-validation corpus").set_defaults(func=_cmd_selftest)
+    sub.add_parser("selftest", help="run the full cross-validation corpus", formatter_class=_FORMATTER).set_defaults(
+        func=_cmd_selftest
+    )
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `run` uses, built once per process: parsing leaves no state in it."""
+    return build_parser()
 
 
 def run(argv: list[str]) -> tuple[int, str]:
     """Parse and execute; returns (exit code, combined output text)."""
     buf = io.StringIO()
-    parser = build_parser()
+    parser = _parser()
     try:
         with redirect_stdout(buf), redirect_stderr(buf):
             args = parser.parse_args(argv)

@@ -14,10 +14,11 @@ second route.
 from __future__ import annotations
 
 import heapq
+import operator
 from typing import Sequence
 
 from .graphs import Graph
-from .poly import Monomial, MultiPoly, Rational, _mono_degree, _mono_mul, _promote, exact_div
+from .poly import GUARD, Key, MultiPoly, Rational, _check_degree, _products, _promote, every_field, exact_div
 
 PolyMatrix = list[list[MultiPoly]]
 
@@ -36,59 +37,50 @@ def promote_matrix(rows: Sequence[Sequence]) -> PolyMatrix:
 def divexact(p: MultiPoly, d: MultiPoly) -> MultiPoly:
     """Exact polynomial quotient p / d; raises if d does not divide p.
 
-    Lexicographic long division.  The remainder is one dict, updated in
-    place by each quotient term times d.  Its monomials wait in a heap of
-    lexicographic keys, each key built once, when its monomial enters the
-    remainder; a monomial that has since cancelled is skipped when popped.
+    Long division in the integer order of packed keys, a monomial order (the
+    variable interned last first; see `poly`), so the leading term of a
+    polynomial is its largest key.  The remainder is one dict, updated in
+    place by each quotient term times d.  Its keys wait in a max-heap (the
+    negated keys in `heapq`), each pushed once, when it enters the
+    remainder; a key that has since cancelled is skipped when popped.
+
+    d divides the leading term of the remainder iff their difference has no
+    guard bit set.  In an exact division every remainder term has total
+    degree and exponents at most those of p, so a leading term above the
+    degree bound of p in any field means the division is inexact.  That
+    test keeps every key the division makes below the next field, and it
+    costs one subtraction per quotient term.
     """
     if d.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     if p.is_zero():
         return MultiPoly.zero()
-    rank = {v: i for i, v in enumerate(sorted(p.variables() | d.variables()))}
-    end = len(rank)
-
-    def entry(mono: Monomial) -> tuple:
-        # (rank, -exponent) per variable, then `end`, which exceeds every
-        # rank: at the first difference the lexicographically larger
-        # monomial has the smaller entry.  The monomial itself comes last.
-        key: list = []
-        for v, e in mono:
-            key += (rank[v], -e)
-        key += (end, mono)
-        return tuple(key)
-
-    lm_d = min(map(entry, d.terms))[-1]
-    lc_d = d.terms[lm_d]
-    exps_d = dict(lm_d)
-    rest_d = [(m, c) for m, c in d.terms.items() if m != lm_d]
-    rem = dict(p.terms)
-    heap = list(map(entry, rem))
+    guards, cap = every_field(GUARD), every_field(p._bound)
+    dt = d._terms
+    lm_d = max(dt)
+    lc_d = dt[lm_d]
+    rest_d = [(m, c) for m, c in dt.items() if m != lm_d]
+    rem = dict(p._terms)
+    heap = [-m for m in rem]
     heapq.heapify(heap)
-    quot: dict[Monomial, Rational] = {}
+    pop, push = heapq.heappop, heapq.heappush
+    quot: dict[Key, Rational] = {}
     while rem:
-        lm_r = heapq.heappop(heap)[-1]
+        lm_r = -pop(heap)
         lc_r = rem.pop(lm_r, None)
         if lc_r is None:
             continue
-        qexps = dict(lm_r)
-        for v, e in exps_d.items():
-            have = qexps.get(v, 0)
-            if have < e:
-                raise ValueError("polynomial division is inexact")
-            if have > e:
-                qexps[v] = have - e
-            else:
-                del qexps[v]
-        qmono = tuple(sorted(qexps.items()))
+        q = lm_r - lm_d
+        if (cap - lm_r) & guards or q & guards:
+            raise ValueError("polynomial division is inexact")
         qcoeff = exact_div(lc_r, lc_d)
-        quot[qmono] = qcoeff
+        quot[q] = qcoeff
         for m, c in rest_d:
-            m = _mono_mul(qmono, m)
+            m += q
             c0 = rem.get(m)
             if c0 is None:
                 rem[m] = -qcoeff * c
-                heapq.heappush(heap, entry(m))
+                push(heap, -m)
             else:
                 c0 -= qcoeff * c
                 if c0:
@@ -114,12 +106,12 @@ def _find_pivot(a: PolyMatrix, k: int) -> tuple[int, int] | None:
     for i in range(k, n):
         row = a[i]
         for j in range(k, n):
-            terms = row[j].terms
+            terms = row[j]._terms
             if not terms:
                 continue
-            if len(terms) == 1 and () in terms:
+            if len(terms) == 1 and 0 in terms:
                 return i, j
-            rank = len(terms), max(map(_mono_degree, terms))
+            rank = len(terms), row[j].degree()
             if best is None or rank < best_rank:
                 best, best_rank = (i, j), rank
     return best
@@ -127,26 +119,20 @@ def _find_pivot(a: PolyMatrix, k: int) -> tuple[int, int] | None:
 
 def _divide(p: MultiPoly, d: MultiPoly) -> MultiPoly:
     """p / d, exact; a constant d divides the coefficients alone."""
-    dt = d.terms
-    if len(dt) == 1 and () in dt:
-        c = dt[()]
+    dt = d._terms
+    if len(dt) == 1 and 0 in dt:
+        c = dt[0]
         if c == 1:
             return p
-        return MultiPoly({m: exact_div(x, c) for m, x in p.terms.items()})
+        return MultiPoly({m: exact_div(x, c) for m, x in p._terms.items()})
     return divexact(p, d)
 
 
 def _cross(x: MultiPoly, p: MultiPoly, y: MultiPoly, z: MultiPoly) -> MultiPoly:
     """x*p - y*z, accumulated in one dict."""
-    out: dict[Monomial, Rational] = {}
-    get = out.get
-    for f, g, s in ((x, p, 1), (y, z, -1)):
-        for m1, c1 in f.terms.items():
-            c1 *= s
-            for m2, c2 in g.terms.items():
-                m = _mono_mul(m1, m2)
-                c0 = get(m)
-                out[m] = c1 * c2 if c0 is None else c0 + c1 * c2
+    _check_degree(max(x._bound + p._bound, y._bound + z._bound))
+    out = _products({}, x._terms, p._terms, operator.add)
+    _products(out, {m: -c for m, c in y._terms.items()}, z._terms, operator.add)
     return MultiPoly(out)
 
 

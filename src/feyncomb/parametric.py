@@ -16,11 +16,12 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Iterable, Mapping
 
 from . import linalg
 from .graphs import Graph, contract_class, edge_classes, is_bridge_class, pick_class
-from .poly import LinComb, Monomial, MultiPoly, Rational, _exact, edge_monomial
+from .poly import Key, LinComb, MultiPoly, Rational, _exact, edge_keys, edge_monomial, exponent_reader
 from .polynomials import multivariate_br, multivariate_tutte
 from .ribbon import RibbonGraph, RotationState
 
@@ -35,6 +36,14 @@ def alpha_var(edge_id: str) -> MultiPoly:
 
 def alpha_product(edge_ids: Iterable[str]) -> MultiPoly:
     return MultiPoly({edge_monomial("a.", set(edge_ids)): 1})
+
+
+def _alpha_keys(edge_ids: Iterable[str]) -> tuple[dict[str, Key], Key]:
+    """The packed key of each alpha variable, and the key of their product:
+    the alpha monomial of the edges outside a set S is the product's key
+    minus the keys of S."""
+    keys = edge_keys("a.", edge_ids)
+    return keys, sum(keys.values())
 
 
 # -- momenta -----------------------------------------------------------------
@@ -116,8 +125,8 @@ def load_momenta_json(g: Graph, data: Mapping) -> dict[str, Momentum]:
 
 def symanzik_u(g: Graph) -> MultiPoly:
     """First Symanzik polynomial: sum over spanning trees of the complement product."""
-    all_ids = g.all_edges()
-    return MultiPoly({edge_monomial("a.", all_ids - tree): 1 for tree in g.spanning_trees()})
+    keys, full = _alpha_keys(g.all_edges())
+    return MultiPoly({full - sum(map(keys.__getitem__, tree)): 1 for tree in g.spanning_trees()})
 
 
 def symanzik_v(
@@ -134,7 +143,7 @@ def symanzik_v(
     momenta = validate_assignment(g, ext)
     signed = {l.id: tuple(l.sign * c for c in momenta[l.id]) for l in g.legs}
     pick = 0 if component == "auto" else int(component)
-    all_ids = g.all_edges()
+    keys, full = _alpha_keys(g.all_edges())
 
     def coeff(legs: tuple[str, ...]) -> Rational:
         flow = [0] * 4
@@ -145,7 +154,7 @@ def symanzik_v(
         return dot(flow, flow)  # type: ignore[arg-type]
 
     return MultiPoly(
-        {edge_monomial("a.", all_ids - tt.edges): coeff(tt.legs[pick]) for tt in g.spanning_two_trees()}
+        {full - sum(map(keys.__getitem__, tt.edges)): coeff(tt.legs[pick]) for tt in g.spanning_two_trees()}
     )
 
 
@@ -233,18 +242,20 @@ def u_from_multivariate_tutte(g: Graph) -> MultiPoly:
     Take the q^1 coefficient (maximally spanning subsets of a connected
     graph), keep the lowest homogeneous part in the beta variables (the
     spanning-tree polynomial), then turn each tree monomial into its
-    complement alpha monomial.  No rational functions appear.
+    complement alpha monomial, read off the beta fields of its packed key.
+    No rational functions appear.
     """
     if not g.is_connected():
         raise ValueError("u_from_multivariate_tutte requires a connected graph")
     z = multivariate_tutte(g, method="subset")
     spanning = z.coefficient_of("q", 1)
-    beta_vars = [f"b.{e.id}" for e in g.edges]
+    ids = g.edge_ids()
+    beta_vars = [f"b.{e}" for e in ids]
     forest = spanning.lowest_homogeneous_part(beta_vars) if not spanning.is_zero() else spanning
-    all_ids = g.all_edges()
-    return MultiPoly(
-        {edge_monomial("a.", all_ids - {v[2:] for v, _ in mono}): c for mono, c in forest.terms.items()}
-    )
+    keys, full = _alpha_keys(ids)
+    alphas = list(keys.values())
+    read = exponent_reader(beta_vars)
+    return MultiPoly({full - sum(compress(alphas, read(m))): c for m, c in forest._terms.items()})
 
 
 @dataclass(frozen=True)
@@ -288,10 +299,10 @@ class ThetaTracked(LinComb):
         return ThetaTracked({power: p})
 
     @staticmethod
-    def from_terms(terms: Iterable[tuple[int, Monomial, Rational]]) -> ThetaTracked:
-        """The sum of coeff * (theta/2)^power * monomial over (power, monomial, coeff)
-        triples, accumulated in one dict per power."""
-        parts: dict[int, dict[Monomial, Rational]] = {}
+    def from_terms(terms: Iterable[tuple[int, Key, Rational]]) -> ThetaTracked:
+        """The sum of coeff * (theta/2)^power * monomial over (power, packed
+        monomial, coeff) triples, accumulated in one dict per power."""
+        parts: dict[int, dict[Key, Rational]] = {}
         for power, mono, coeff in terms:
             part = parts.get(power)
             if part is None:
@@ -331,13 +342,13 @@ def nc_u(rg: RibbonGraph) -> ThetaTracked:
         raise ValueError("nc_u requires a connected ribbon graph")
     b = _b_exponent(rg)
     n_edges = len(rg.edges)
-    all_ids = rg.all_edges()
+    keys, full = _alpha_keys(rg.all_edges())
 
-    def term(qt: frozenset[str]) -> tuple[int, Monomial, Rational]:
+    def term(qt: frozenset[str]) -> tuple[int, Key, Rational]:
         power = b - (n_edges - len(qt))
         if power < 0:
             raise AssertionError(f"negative theta power {power} for quasi-tree {sorted(qt)}")
-        return power, edge_monomial("a.", all_ids - qt), 1
+        return power, full - sum(map(keys.__getitem__, qt)), 1
 
     return ThetaTracked.from_terms(term(qt) for qt in rg.quasi_trees())
 
@@ -355,18 +366,20 @@ def nc_u_delcon(rg: RibbonGraph) -> ThetaTracked:
     if not rg.graph.is_connected():
         raise ValueError("nc_u_delcon requires a connected ribbon graph")
     state = RotationState(rg)
-    terms: list[tuple[int, Monomial, Rational]] = []
-    _ncu_rec(state, 0, [], terms)
+    keys = _alpha_keys(state.ids)[0]
+    terms: list[tuple[int, Key, Rational]] = []
+    _ncu_rec(state, 0, 0, [keys[e] for e in state.ids], terms)
     return ThetaTracked.from_terms(terms)
 
 
 def _ncu_rec(
-    state: RotationState, start: int, deleted: list[int], terms: list[tuple[int, Monomial, Rational]]
+    state: RotationState, start: int, deleted: Key, alphas: list[Key], terms: list[tuple[int, Key, Rational]]
 ) -> None:
-    """Append the terms of U* of the connected `state` times the alpha
-    product of the edges `deleted` on the way to it.  The remaining edges
-    before position `start` are loops, and stay loops.  Contractions
-    continue in the same call, so the depth is the number of deletions."""
+    """Append the terms of U* of the connected `state` times `deleted`, the
+    alpha monomial of the edges deleted on the way to it (`alphas[k]` is the
+    key of edge k).  The remaining edges before position `start` are loops,
+    and stay loops.  Contractions continue in the same call, so the depth is
+    the number of deletions."""
     vert, tail, head, edges = state.vert, state.tail, state.head, state.edges
     while start < len(edges):
         k = edges[start]
@@ -376,15 +389,14 @@ def _ncu_rec(
         if not state.is_bridge(k):
             other = state.copy()
             other.delete(k)
-            _ncu_rec(other, start, deleted + [k], terms)
+            _ncu_rec(other, start, deleted + alphas[k], alphas, terms)
         state.contract(k)
-    ids = state.ids
-    gone = [ids[k] for k in deleted]
-    loops = [ids[k] for k in state.edges]
+    loops = [alphas[k] for k in state.edges]
+    every = deleted + sum(loops)
     for mask, faces in enumerate(state.loop_faces(state.edges)):
         if faces == 1:
-            outside = gone + [e for i, e in enumerate(loops) if not mask >> i & 1]
-            terms.append((mask.bit_count(), edge_monomial("a.", outside), 1))
+            inside = sum(a for i, a in enumerate(loops) if mask >> i & 1)
+            terms.append((mask.bit_count(), every - inside, 1))
 
 
 def nc_v_real(
@@ -403,12 +415,12 @@ def nc_v_real(
     momenta = validate_assignment(rg.graph, ext)
     b = _b_exponent(rg)
     n_edges = len(rg.edges)
-    all_ids = rg.all_edges()
+    keys, full = _alpha_keys(rg.all_edges())
 
-    def term(tq) -> tuple[int, Monomial, Rational]:
+    def term(tq) -> tuple[int, Key, Rational]:
         if face_choice == "auto":
-            keys = [min(f.leg_ids()) if f.leg_ids() else "~" for f in tq.faces]
-            face = tq.faces[0] if keys[0] <= keys[1] else tq.faces[1]
+            first = [min(f.leg_ids()) if f.leg_ids() else "~" for f in tq.faces]
+            face = tq.faces[0] if first[0] <= first[1] else tq.faces[1]
         else:
             face = tq.faces[int(face_choice)]
         flow = [0] * 4
@@ -416,7 +428,7 @@ def nc_v_real(
             for i in range(4):
                 flow[i] += sign * momenta[lid][i]
         power = (b + 1) - (n_edges - len(tq.edges))
-        return power, edge_monomial("a.", all_ids - tq.edges), dot(flow, flow)  # type: ignore[arg-type]
+        return power, full - sum(map(keys.__getitem__, tq.edges)), dot(flow, flow)  # type: ignore[arg-type]
 
     return ThetaTracked.from_terms(term(tq) for tq in rg.two_quasi_trees())
 
@@ -451,11 +463,11 @@ def nc_v_imag(rg: RibbonGraph, ext: Mapping[str, Momentum]) -> ThetaTracked:
     momenta = validate_assignment(rg.graph, ext)
     b = _b_exponent(rg)
     n_edges = len(rg.edges)
-    all_ids = rg.all_edges()
+    keys, full = _alpha_keys(rg.all_edges())
 
-    def term(qt: frozenset[str]) -> tuple[int, Monomial, Rational]:
+    def term(qt: frozenset[str]) -> tuple[int, Key, Rational]:
         psi = phase_psi(rg.face_boundary_order(rg.faces(qt)[0]), momenta)
-        return b - (n_edges - len(qt)), edge_monomial("a.", all_ids - qt), psi
+        return b - (n_edges - len(qt)), full - sum(map(keys.__getitem__, qt)), psi
 
     return ThetaTracked.from_terms(term(qt) for qt in rg.quasi_trees())
 
@@ -466,17 +478,21 @@ def nc_u_from_multivariate_br(rg: RibbonGraph) -> ThetaTracked:
     Evaluate at x := 1, take the single-face coefficient (z^1), replace each
     subset monomial prod beta_e by (theta/2)^|H| times the complement alpha
     product, and normalize by (theta/2)^(1-|V|).  The normalization exponent
-    1-|V| equals b - |E| for connected graphs by the Euler relation.
+    1-|V| equals b - |E| for connected graphs by the Euler relation.  The
+    subset H is read off the beta fields of each packed key.
     """
     if not rg.graph.is_connected():
         raise ValueError("nc_u_from_multivariate_br requires a connected ribbon graph")
     z3 = multivariate_br(rg)
     one_face = z3.substitute({"x": 1}).coefficient_of("z", 1)
     shift = 1 - len(rg.vertices)
-    all_ids = rg.all_edges()
+    ids = rg.graph.edge_ids()
+    keys, full = _alpha_keys(ids)
+    alphas = list(keys.values())
+    read = exponent_reader([f"b.{e}" for e in ids])
 
-    def term(mono: Monomial, coeff: Rational) -> tuple[int, Monomial, Rational]:
-        subset_ids = {v[2:] for v, _ in mono}
-        return len(subset_ids) + shift, edge_monomial("a.", all_ids - subset_ids), coeff
+    def term(mono: Key, coeff: Rational) -> tuple[int, Key, Rational]:
+        exps = read(mono)
+        return sum(exps) + shift, full - sum(compress(alphas, exps)), coeff
 
-    return ThetaTracked.from_terms(term(mono, coeff) for mono, coeff in one_face.terms.items())
+    return ThetaTracked.from_terms(term(mono, coeff) for mono, coeff in one_face._terms.items())

@@ -5,7 +5,7 @@ live in: a finite sum of keys with nonzero coefficients, added termwise and
 multiplied through a product of keys.  Its subclasses supply only the key
 product and the rendering of a key:
 
-  MultiPoly        monomials                      (this module)
+  MultiPoly        packed monomials               (this module)
   GraphSum         multisets of graph labels      (hopf)
   TensorSum        pairs of such multisets        (hopf)
   FormalAmplitude  products of Phi/T atoms        (formal)
@@ -14,12 +14,10 @@ product and the rendering of a key:
 `LinComb.sum` adds any number of elements into one dict, so a sum built
 term by term never copies its partial sums.  The sums over edge subsets,
 spanning trees and quasi-trees go one step further and assemble at the term
-level: each term's monomial is built once (by `edge_monomial`, or for the
-multivariate subset sums from per-edge pairs made once per call) and stored
-with its coefficient in one dict, and one MultiPoly is made at the end; no
-term is ever a one-term polynomial multiplied into another.  Distinct edge
-subsets give distinct per-edge runs, so such a sum never meets a monomial
-twice.
+level: each term's monomial is built once, from packed keys of the edge
+variables made once per call, and stored with its coefficient in one dict,
+and one MultiPoly is made at the end; no term is ever a one-term polynomial
+multiplied into another.
 
 A polynomial is a mapping from monomials to nonzero exact rational
 coefficients, stored int-first: every integer-valued coefficient is an
@@ -28,16 +26,34 @@ coefficients, stored int-first: every integer-valued coefficient is an
 coefficient in the package is an integer, and int arithmetic is several
 times cheaper than Fraction arithmetic.
 
-A monomial is stored as a tuple of (variable, exponent) pairs, sorted by
-variable name, with zero exponents omitted.  The empty tuple is the constant
-monomial.  This representation is canonical: two MultiPoly objects are equal
-iff they represent the same mathematical polynomial.
+Stored form.  A monomial is stored as one nonnegative int, its packed key
+(Monagan & Pearce, "Polynomial division using dynamic arrays, heaps, and
+packed exponent vectors", CASC 2007).  The key is a row of FIELD-bit
+fields: field 0 holds the total degree, and field i + 1 the exponent of the
+i-th variable of a process-wide, append-only interning table, in the order
+the names were first seen.  The constant monomial is 0, the product of two
+monomials is the sum of their keys, and the integer order of keys is a
+monomial order (lexicographic, the variable interned last first).  The top
+bit of each field is a guard bit: no stored exponent reaches it, so one
+subtraction and one mask tell whether a monomial divides another.
+
+Bound.  Every polynomial carries an upper bound on the total degree of its
+terms: a sum takes the larger bound and a product the sum of the two.  A
+product whose bound would pass MAX_DEGREE (2**15 - 1) raises
+`ExponentOverflow`, a ValueError, before any key is added, so no field ever
+carries into the next and no term is ever wrong; there is no per-term test.
+
+External form.  Names are the interface: `MultiPoly(...)` accepts monomials
+as tuples of (variable, exponent) pairs, and `.terms`, `sorted_terms`,
+`render`/`canonical_string`, `coefficient_of`, `substitute` and
+`eval_rational` speak variable names.  `.terms` is decoded from the packed
+keys on first use and kept: each monomial a tuple of (variable, exponent)
+pairs sorted by name, with zero exponents omitted, the empty tuple being the
+constant.  No output depends on the interning order or on hash order.
 
 Variables are plain strings.  By convention the rest of the package uses
 "x", "y", "z", "q", "w", "k", "theta" for global polynomial variables and
-"a.<edge>" / "b.<edge>" for the per-edge alpha/beta variables.  In name
-order "a.*" < "b.*" < "q" < "theta" < "x" < "z", which is what lets a term
-append its global powers after its sorted per-edge run.
+"a.<edge>" / "b.<edge>" for the per-edge alpha/beta variables.
 
 `substitute` folds a constant value into the coefficient (c**e, and 0 drops
 the term) and multiplies only by nonconstant values.
@@ -52,12 +68,26 @@ division exists only as exact monomial division (`divexact_monomial`) and
 
 from __future__ import annotations
 
+import functools
+import operator
+import struct
 from fractions import Fraction
-from typing import Iterable, Mapping
+from itertools import compress
+from typing import Callable, Iterable, Mapping, Sequence
 
-Monomial = tuple[tuple[str, int], ...]
+Monomial = tuple[tuple[str, int], ...]  # the external form
+Key = int  # the stored form: a packed monomial
 
 Rational = int | Fraction
+
+FIELD = 16
+FIELD_MASK = (1 << FIELD) - 1
+GUARD = 1 << FIELD - 1  # the top bit of a field, above every stored exponent
+MAX_DEGREE = GUARD - 1
+
+
+class ExponentOverflow(ValueError):
+    """A monomial of total degree above MAX_DEGREE, which no packed key holds."""
 
 
 def signed_sum_text(pairs: Iterable[tuple[str, object]]) -> str:
@@ -77,24 +107,48 @@ def signed_sum_text(pairs: Iterable[tuple[str, object]]) -> str:
     return "".join(pieces) or "0"
 
 
+def _accumulate(acc: dict, terms: Mapping) -> dict:
+    """Add `terms` into `acc` in place, and return `acc`; zero sums stay."""
+    get = acc.get
+    for k, c in terms.items():
+        c0 = get(k)
+        acc[k] = c if c0 is None else c0 + c
+    return acc
+
+
+def _products(acc: dict, t1: Mapping, t2: Mapping, key_mul: Callable) -> dict:
+    """Add every product of a term of `t1` and a term of `t2` into `acc` in
+    place, and return `acc`; zero sums stay."""
+    get = acc.get
+    for k1, c1 in t1.items():
+        for k2, c2 in t2.items():
+            k = key_mul(k1, k2)
+            c0 = get(k)
+            acc[k] = c1 * c2 if c0 is None else c0 + c1 * c2
+    return acc
+
+
 class LinComb:
     """Immutable finite combination of keys with nonzero coefficients.
 
     Subclasses set `_key_mul` (the product of two keys), `_scalars` (the
     types `*` scales every coefficient by), `_sort_key` (the render order
     of keys; None is the keys' own order) and `_key_text` (the text of one
-    key, empty for the unit key).
+    key, empty for the unit key).  The stored terms are `_terms`; `terms`
+    is their external form, the same dict unless a subclass says otherwise.
     """
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("_terms", "_hash")
 
     _scalars: tuple[type, ...] = (int,)
     _sort_key = None
 
     def __init__(self, terms: Mapping | None = None):
         clean = {k: c for k, c in terms.items() if c} if terms else {}
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "_terms", clean)
         object.__setattr__(self, "_hash", None)
+
+    terms = property(operator.attrgetter("_terms"))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -107,11 +161,8 @@ class LinComb:
     def sum(cls, items: Iterable):
         """The sum of `items`, all of this type, accumulated in one dict."""
         acc: dict = {}
-        get = acc.get
         for item in items:
-            for k, c in item.terms.items():
-                c0 = get(k)
-                acc[k] = c if c0 is None else c0 + c
+            _accumulate(acc, item._terms)
         return cls(acc)
 
     @classmethod
@@ -126,17 +177,12 @@ class LinComb:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        out = dict(self.terms)
-        get = out.get
-        for k, c in other.terms.items():
-            c0 = get(k)
-            out[k] = c if c0 is None else c0 + c
-        return self.__class__(out)
+        return self.__class__(_accumulate(dict(self._terms), other._terms))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self.__class__({k: -c for k, c in self.terms.items()})
+        return self.__class__({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -153,17 +199,9 @@ class LinComb:
     def __mul__(self, other):
         cls = self.__class__
         if type(other) is cls:
-            key_mul = cls._key_mul
-            out: dict = {}
-            get = out.get
-            for k1, c1 in self.terms.items():
-                for k2, c2 in other.terms.items():
-                    k = key_mul(k1, k2)
-                    c0 = get(k)
-                    out[k] = c1 * c2 if c0 is None else c0 + c1 * c2
-            return cls(out)
+            return cls(_products({}, self._terms, other._terms, cls._key_mul))
         if isinstance(other, cls._scalars):
-            return cls({k: c * other for k, c in self.terms.items()})
+            return cls({k: c * other for k, c in self._terms.items()})
         return NotImplemented
 
     __rmul__ = __mul__
@@ -172,20 +210,20 @@ class LinComb:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self.terms == other.terms
+        return self._terms == other._terms
 
     def __hash__(self) -> int:
-        h = self._hash
+        h = getattr(self, "_hash", None)
         if h is None:
-            h = hash(frozenset(self.terms.items()))
+            h = hash(frozenset(self._terms.items()))
             object.__setattr__(self, "_hash", h)
         return h
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._terms)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     # -- canonical output ----------------------------------------------
 
@@ -199,35 +237,150 @@ class LinComb:
         return f"{type(self).__name__}({self.render()})"
 
 
-def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    # Stored exponents are positive, so no sum of two of them vanishes.
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    exps: dict[str, int] = dict(m1)
-    get = exps.get
-    for v, e in m2:
-        exps[v] = get(v, 0) + e
-    return tuple(sorted(exps.items()))
+# -- packed monomials ---------------------------------------------------------
+
+_NAMES: list[str] = []  # field i + 1 of a key is the exponent of _NAMES[i]
+_KEYS: dict[str, Key] = {}  # name -> the key of the name to the first power
 
 
-def edge_monomial(prefix: str, edge_ids: Iterable[str], *tail: tuple[str, int]) -> Monomial:
-    """The monomial of one variable prefix + e per edge id e, then `tail`.
+def var_key(name: str) -> Key:
+    """The packed key of the variable `name` to the first power.
 
-    A common prefix keeps the order of the ids, so the sorted ids give the
-    sorted per-edge run.  `tail` holds (global variable, exponent) pairs in
-    name order, and a pair with exponent 0 is left out.  Every per-edge name
-    ("a.<edge>", "b.<edge>") sorts before every global one ("q" < "theta" <
-    "x" < "z"), so the result is a stored monomial as it stands.
+    A name seen for the first time is interned: it takes the next field.
     """
-    mono = [(prefix + e, 1) for e in sorted(edge_ids)]
-    mono += [pair for pair in tail if pair[1]]
-    return tuple(mono)
+    key = _KEYS.get(name)
+    if key is None:
+        _NAMES.append(name)
+        key = _KEYS[name] = 1 << FIELD * len(_NAMES) | 1
+    return key
 
 
-def _mono_degree(m: Monomial) -> int:
-    return sum(e for _, e in m)
+def _field_shift(key: Key) -> int:
+    """The bit position of the field of a variable, from its `var_key`."""
+    return key.bit_length() - 1
+
+
+def _check_degree(degree: int) -> int:
+    if degree > MAX_DEGREE:
+        raise ExponentOverflow(f"total degree {degree} exceeds {MAX_DEGREE}, the largest a packed monomial holds")
+    return degree
+
+
+def monomial_key(pairs: Iterable[tuple[str, int]]) -> Key:
+    """The packed key of a monomial given as (variable, exponent) pairs."""
+    pairs = list(pairs)
+    for v, e in pairs:
+        if type(e) is not int or e < 0:
+            raise ValueError(f"exponent {e!r} of {v!r} is not a nonnegative int")
+    _check_degree(sum(e for _, e in pairs))
+    return sum(e * var_key(v) for v, e in pairs if e)
+
+
+def edge_monomial(prefix: str, edge_ids: Iterable[str], *tail: tuple[str, int]) -> Key:
+    """The packed key of one variable prefix + e per edge id e, times the
+    (global variable, exponent) pairs of `tail`."""
+    return sum(edge_keys(prefix, edge_ids).values()) + monomial_key(tail)
+
+
+def edge_keys(prefix: str, edge_ids: Iterable[str]) -> dict[str, Key]:
+    """The packed key of the variable prefix + e of each edge id e.
+
+    Made once per graph; the key of a term is then the sum of the keys of its
+    edges.  New names are interned in sorted id order.
+    """
+    return {e: var_key(prefix + e) for e in sorted(edge_ids)}
+
+
+def mask_keys(keys: Sequence[Key]) -> Callable[[int], Key]:
+    """A function from a bitmask to the sum of `keys[i]` over its set bits i:
+    the key of the product of the variables the mask selects.
+
+    Two tables, of the sums over every subset of the low half of the bits
+    and of the high half, are made once, so a mask costs two lookups and
+    one addition.
+    """
+    half = len(keys) // 2
+    low, high = [0], [0]
+    for k in keys[:half]:
+        low += [t + k for t in low]
+    for k in keys[half:]:
+        high += [t + k for t in high]
+    below = (1 << half) - 1
+    return lambda mask: low[mask & below] + high[mask >> half]
+
+
+@functools.cache
+def _ones(n_fields: int) -> int:
+    """A 1 in each of the first `n_fields` fields."""
+    return ((1 << FIELD * n_fields) - 1) // FIELD_MASK
+
+
+def every_field(value: int) -> int:
+    """`value` in every field in use, the degree field included.
+
+    `a - b` of two stored keys has no bit of `every_field(GUARD)` set iff b
+    divides a, and `every_field(bound) - a` none iff no field of a exceeds
+    `bound`.
+    """
+    return value * _ones(len(_NAMES) + 1)
+
+
+def _fields(key: Key) -> list[int]:
+    """The indices into the interning table of the variables of `key`."""
+    out = []
+    key >>= FIELD
+    i = 0
+    while key:
+        if key & FIELD_MASK:
+            out.append(i)
+        key >>= FIELD
+        i += 1
+    return out
+
+
+def exponent_reader(names: Sequence[str]) -> Callable[[Key], tuple[int, ...]]:
+    """A function from a packed key to its exponents of the distinct `names`,
+    in the order of `names`.
+
+    One struct unpack reads every field at once, with pad bytes over the
+    fields of other variables.
+    """
+    if not names:
+        return lambda key: ()
+    shifts = [_field_shift(var_key(v)) for v in names]
+    order = sorted(range(len(names)), key=shifts.__getitem__)
+    fmt, at = ["<"], 0
+    for i in order:
+        field = shifts[i] // FIELD
+        fmt.append(f"{2 * (field - at)}xH")
+        at = field + 1
+    unpack = struct.Struct("".join(fmt)).unpack
+    n_bytes = 2 * at
+    low = (1 << 8 * n_bytes) - 1
+    if order == sorted(order):
+        return lambda key: unpack((key & low).to_bytes(n_bytes, "little"))
+    place = operator.itemgetter(*(order.index(j) for j in range(len(names))))
+    return lambda key: place(unpack((key & low).to_bytes(n_bytes, "little")))
+
+
+def _decode(terms: Mapping[Key, Rational]) -> dict[Monomial, Rational]:
+    """`terms` with every packed key replaced by its name-tuple monomial.
+
+    When no exponent reaches 256, as in the multiaffine polynomials, the
+    low byte of each field is the whole exponent, and one slice of a key's
+    bytes reads every field at once.
+    """
+    used = functools.reduce(operator.or_, terms, 0)
+    fields = _fields(used)
+    order = sorted(fields, key=_NAMES.__getitem__)
+    names = [_NAMES[i] for i in order]
+    if len(order) > 1 and not used >> FIELD & 0xFF00 * _ones(len(_NAMES)):
+        n_bytes = 2 * (fields[-1] + 2)
+        pick = operator.itemgetter(*order)  # variable i is byte i of the slice
+        read = lambda key: pick(key.to_bytes(n_bytes, "little")[2::2])  # noqa: E731
+    else:
+        read = exponent_reader(names)
+    return {tuple(compress(zip(names, exps), exps)): c for exps, c in zip(map(read, terms), terms.values())}
 
 
 def _exact(c) -> Rational:
@@ -251,46 +404,112 @@ def exact_div(a: Rational, b: Rational) -> Rational:
     return _exact(Fraction(a) / b)
 
 
+_setattr = object.__setattr__
+
+
+def _new(terms: Mapping[Key, Rational], bound: int) -> MultiPoly:
+    """The MultiPoly of packed `terms` whose total degrees are at most `bound`:
+    zero coefficients dropped, integral Fractions made int."""
+    clean: dict[Key, Rational] = {}
+    for k, c in terms.items():
+        if type(c) is not int:
+            c = _exact(c)
+        if c:
+            clean[k] = c
+    p = object.__new__(MultiPoly)
+    _setattr(p, "_terms", clean)
+    _setattr(p, "_bound", bound)
+    return p
+
+
 class MultiPoly(LinComb):
     """Immutable exact multivariate polynomial with rational coefficients."""
 
-    __slots__ = ()
+    __slots__ = ("_bound", "_names")  # `_names` and `_hash` are set on first use
 
     _scalars = (int, Fraction)
-    _key_mul = staticmethod(_mono_mul)
+    _key_mul = staticmethod(operator.add)
 
     @staticmethod
     def _sort_key(mono: Monomial):
         """Descending total degree, then the (variable, exponent) sequence."""
-        return (-_mono_degree(mono), mono)
+        return (-sum(e for _, e in mono), mono)
 
     @staticmethod
     def _key_text(mono: Monomial) -> str:
         return "*".join(v if e == 1 else f"{v}^{e}" for v, e in mono)
 
-    def __init__(self, terms: Mapping[Monomial, Rational] | None = None):
-        clean: dict[Monomial, Rational] = {}
+    def __init__(self, terms: Mapping[Monomial | Key, Rational] | None = None):
+        """From a mapping of monomials to coefficients.  Its keys are either
+        all name-tuple monomials (like ones are added) or all packed keys."""
+        clean: dict[Key, Rational] = {}
         if terms:
             for mono, c in terms.items():
                 if type(c) is not int:
                     c = _exact(c)
-                if c:
-                    clean[mono] = c
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_hash", None)
+                if type(mono) is int:
+                    if c:
+                        clean[mono] = c
+                else:
+                    key = monomial_key(mono)
+                    c = _exact(clean.pop(key, 0) + c)
+                    if c:
+                        clean[key] = c
+        _setattr(self, "_terms", clean)
+        _setattr(self, "_bound", _check_degree(self.degree()))
+
+    @property
+    def terms(self) -> dict[Monomial, Rational]:
+        """The terms by name-tuple monomial, decoded on first use and kept."""
+        names = getattr(self, "_names", None)
+        if names is None:
+            names = _decode(self._terms)
+            _setattr(self, "_names", names)
+        return names
 
     @classmethod
     def _coerce(cls, x):
         if type(x) is MultiPoly:
             return x
         if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
-            return MultiPoly({(): x})
+            return _new({0: x}, 0)
         return None
 
-    # The shared operations bound in this class's own namespace, where
-    # perfbench/tracing.py instruments the polynomial layer alone.
-    __add__ = __radd__ = LinComb.__add__
-    __mul__ = __rmul__ = LinComb.__mul__
+    @classmethod
+    def sum(cls, items: Iterable[MultiPoly]) -> MultiPoly:
+        """The sum of `items`, accumulated in one dict."""
+        acc: dict[Key, Rational] = {}
+        bound = 0
+        for item in items:
+            _accumulate(acc, item._terms)
+            bound = max(bound, item._bound)
+        return _new(acc, bound)
+
+    # The ring operations, bound in this class's own namespace, where
+    # perfbench/tracing.py instruments the polynomial layer alone.  They run
+    # the accumulators of LinComb on packed keys.
+
+    def __add__(self, other):
+        if type(other) is not MultiPoly:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return _new(_accumulate(dict(self._terms), other._terms), max(self._bound, other._bound))
+
+    __radd__ = __add__
+
+    def __neg__(self) -> MultiPoly:
+        return _new({k: -c for k, c in self._terms.items()}, self._bound)
+
+    def __mul__(self, other):
+        if type(other) is MultiPoly:
+            bound = _check_degree(self._bound + other._bound)
+            return _new(_products({}, self._terms, other._terms, self._key_mul), bound)
+        if isinstance(other, self._scalars):
+            return _new({k: c * other for k, c in self._terms.items()}, self._bound)
+        return NotImplemented
+
+    __rmul__ = __mul__
 
     # Examples: "0", "x^2 + x + y", "x*y - x - y + 1", "1/4*theta^2"; the
     # golden-file contract of the CLI.
@@ -300,11 +519,11 @@ class MultiPoly(LinComb):
 
     @staticmethod
     def one() -> MultiPoly:
-        return MultiPoly({(): 1})
+        return _new({0: 1}, 0)
 
     @staticmethod
     def const(c: Rational) -> MultiPoly:
-        return MultiPoly({(): c})
+        return _new({0: c}, 0)
 
     @staticmethod
     def var(name: str, power: int = 1) -> MultiPoly:
@@ -312,16 +531,13 @@ class MultiPoly(LinComb):
             raise ValueError("variable name must be nonempty")
         if power < 0:
             raise ValueError("negative exponent not representable")
-        if power == 0:
-            return MultiPoly.one()
-        return MultiPoly({((name, power),): 1})
+        return _new({power * var_key(name): 1}, _check_degree(power))
 
     @staticmethod
     def from_exponents(exps: Mapping[str, int], coeff: Rational = 1) -> MultiPoly:
         if any(e < 0 for e in exps.values()):
             raise ValueError("negative exponent not representable")
-        mono = tuple(sorted((v, e) for v, e in exps.items() if e > 0))
-        return MultiPoly({mono: coeff})
+        return MultiPoly({monomial_key(exps.items()): coeff})
 
     def __pow__(self, n: int) -> MultiPoly:
         return Powers(self)[n]
@@ -329,10 +545,14 @@ class MultiPoly(LinComb):
     # -- queries --------------------------------------------------------
 
     def variables(self) -> set[str]:
-        return {v for mono in self.terms for v, _ in mono}
+        return {_NAMES[i] for i in _fields(functools.reduce(operator.or_, self._terms, 0))}
 
     def constant_term(self) -> Rational:
-        return self.terms.get((), 0)
+        return self._terms.get(0, 0)
+
+    def degree(self) -> int:
+        """The largest total degree of a term; 0 for the zero polynomial."""
+        return max(map(FIELD_MASK.__and__, self._terms), default=0)
 
     # -- the operations the rest of the package is built on -------------
 
@@ -344,93 +564,107 @@ class MultiPoly(LinComb):
         coefficient as c**e, and 0 drops the term; only the remaining,
         nonconstant values are multiplied in, through their `Powers`.
         """
-        consts: dict[str, Rational] = {}
-        subs: dict[str, Powers] = {}
+        used = functools.reduce(operator.or_, self._terms, 0)
+        consts: list[tuple[int, Key, Rational]] = []  # (field shift, variable key, value)
+        subs: list[tuple[int, Key, Powers]] = []
         for v, value in bindings.items():
             p = _promote(value)
-            if p.terms.keys() <= {()}:
-                consts[v] = p.constant_term()
+            key = _KEYS.get(v)
+            if key is None or not used >> _field_shift(key) & FIELD_MASK:
+                continue
+            if p._terms.keys() <= {0}:
+                consts.append((_field_shift(key), key, p.constant_term()))
             else:
-                subs[v] = Powers(p)
-        acc: dict[Monomial, Rational] = {}
+                subs.append((_field_shift(key), key, Powers(p)))
+        if not consts and not subs:
+            return self
+        acc: dict[Key, Rational] = {}
         get = acc.get
-        for mono, coeff in self.terms.items():
-            rest = []
-            factors = []
-            for v, e in mono:
-                if v in consts:
-                    coeff *= consts[v] ** e
+        bound = self._bound
+        for mono, coeff in self._terms.items():
+            for shift, key, value in consts:
+                e = mono >> shift & FIELD_MASK
+                if e:
+                    coeff *= value**e
                     if not coeff:
                         break
-                elif v in subs:
-                    factors.append(subs[v][e])
-                else:
-                    rest.append((v, e))
+                    mono -= e * key
             else:
+                factors = []
+                for shift, key, powers in subs:
+                    e = mono >> shift & FIELD_MASK
+                    if e:
+                        factors.append(powers[e])
+                        mono -= e * key
                 if factors:
-                    term = MultiPoly({tuple(rest): coeff})
+                    term = _new({mono: coeff}, mono & FIELD_MASK)
                     for f in factors:
                         term = term * f
-                    image = term.terms.items()
+                    bound = max(bound, term._bound)
+                    _accumulate(acc, term._terms)
                 else:
-                    image = ((tuple(rest), coeff),)
-                for m, c in image:
-                    c0 = get(m)
-                    acc[m] = c if c0 is None else c0 + c
-        return MultiPoly(acc)
+                    c0 = get(mono)
+                    acc[mono] = coeff if c0 is None else c0 + coeff
+        return _new(acc, bound)
 
     def coefficient_of(self, var: str, power: int) -> MultiPoly:
         """Coefficient polynomial of var**power (var removed from the result)."""
-        out: dict[Monomial, Rational] = {}
-        for mono, coeff in self.terms.items():
-            e = next((e_v for v, e_v in mono if v == var), 0)
-            if e == power:
-                rest = tuple(pair for pair in mono if pair[0] != var) if e else mono
-                out[rest] = out.get(rest, 0) + coeff
-        return MultiPoly(out)
+        key = _KEYS.get(var)
+        if key is None:
+            return self if power == 0 else MultiPoly.zero()
+        shift = _field_shift(key)
+        drop = power * key
+        # every kept term loses the same key, so no two of them meet
+        return _new({m - drop: c for m, c in self._terms.items() if m >> shift & FIELD_MASK == power}, self._bound)
 
     def lowest_homogeneous_part(self, vars: Iterable[str]) -> MultiPoly:
         """Sum of terms of minimal total degree in the given variables."""
-        if not self.terms:
+        if not self._terms:
             raise ValueError("lowest_homogeneous_part of the zero polynomial")
-        vset = set(vars)
-        deg = {m: sum(e for v, e in m if v in vset) for m in self.terms}
+        mask = 0
+        for v in vars:
+            key = _KEYS.get(v)
+            if key is not None:
+                mask |= FIELD_MASK << _field_shift(key)
+        # The fields of a key summed mod 2^FIELD - 1: exact, since no total
+        # degree reaches it.
+        deg = {m: (m & mask) % FIELD_MASK for m in self._terms}
         low = min(deg.values())
-        return MultiPoly({m: c for m, c in self.terms.items() if deg[m] == low})
+        return _new({m: c for m, c in self._terms.items() if deg[m] == low}, self._bound)
 
     def eval_rational(self, bindings: Mapping[str, Rational]) -> Fraction:
         """Evaluate at an all-variables-bound rational point."""
-        missing = self.variables() - set(bindings)
+        names = sorted(self.variables())
+        missing = set(names) - set(bindings)
         if missing:
             raise ValueError(f"unbound variables in evaluation: {sorted(missing)}")
+        values = [Fraction(bindings[v]) for v in names]
+        read = exponent_reader(names)
         total = Fraction(0)
-        for mono, coeff in self.terms.items():
+        for mono, coeff in self._terms.items():
             val = coeff
-            for v, e in mono:
-                val *= Fraction(bindings[v]) ** e
+            for x, e in zip(values, read(mono)):
+                if e:
+                    val *= x**e
             total += val
         return total
 
     def divexact_monomial(self, exps: Mapping[str, int]) -> MultiPoly:
         """Divide by a monomial, erroring if any term is not divisible."""
-        div = {v: e for v, e in exps.items() if e != 0}
-        out: dict[Monomial, Rational] = {}
-        for mono, coeff in self.terms.items():
-            cur = dict(mono)
-            for v, e in div.items():
-                have = cur.get(v, 0)
-                if have < e:
-                    raise ValueError(f"monomial division by {v}^{e} is inexact")
-                if have == e:
-                    del cur[v]
-                else:
-                    cur[v] = have - e
-            out[tuple(sorted(cur.items()))] = coeff
-        return MultiPoly(out)
+        div = monomial_key(exps.items())
+        guards = every_field(GUARD)
+        out: dict[Key, Rational] = {}
+        for mono, coeff in self._terms.items():
+            q = mono - div
+            if q & guards:
+                raise ValueError(f"monomial division by {next(iter(_decode({div: 1})))} is inexact")
+            out[q] = coeff
+        return _new(out, self._bound)
 
     def sorted_terms(self) -> list[tuple[Monomial, Rational]]:
         """Terms in canonical_string order."""
-        return [(m, self.terms[m]) for m in sorted(self.terms, key=self._sort_key)]
+        terms = self.terms
+        return [(m, terms[m]) for m in sorted(terms, key=self._sort_key)]
 
 
 class Powers(dict):

@@ -37,9 +37,10 @@ from __future__ import annotations
 import functools
 import operator
 from collections import Counter
+from typing import Callable
 
 from .graphs import Graph, contract_class, edge_classes, is_bridge_class, pick_class
-from .poly import MultiPoly, Powers
+from .poly import MultiPoly, Powers, edge_keys, mask_keys, var_key
 from .ribbon import RibbonGraph, RotationState
 
 X = MultiPoly.var("x")
@@ -53,12 +54,10 @@ def beta_var(edge_id: str) -> MultiPoly:
     return MultiPoly.var(f"b.{edge_id}")
 
 
-def _beta_pairs(g: Graph) -> list[tuple[str, int]]:
-    """The monomial pair ("b.<edge>", 1) of each edge, in `Graph.edge_masks`
-    order.  Ids in sorted order give names in sorted order, so the pairs of
-    an ascending index list, then the global powers ("q" or "x", then "z",
-    each at least 1 on a graph with a vertex), make a stored monomial."""
-    return [("b." + e, 1) for e in g.edge_ids()]
+def _beta_product(g: Graph) -> Callable[[int], int]:
+    """The packed key of the beta product of the edge subset of each
+    `Graph.edge_masks` bitmask."""
+    return mask_keys(list(edge_keys("b.", g.edge_ids()).values()))
 
 
 # -- Tutte polynomial ------------------------------------------------------------
@@ -90,8 +89,9 @@ def _tutte_subset(g: Graph) -> MultiPoly:
 def _tutte_delcon(g: Graph) -> MultiPoly:
     loops, classes = edge_classes(g)
     yp = Powers(Y)
-    series = [MultiPoly.zero()]  # series[m] = 1 + y + ... + y^(m-1)
-    for i in range(len(g.edges)):
+    # series[m] = 1 + y + ... + y^(m-1), for every class size that contraction can merge
+    series = [MultiPoly.zero()]
+    for i in range(len(g.edges) - len(loops)):
         series.append(series[-1] + yp[i])
     state = {k: len(ids) for k, ids in classes.items()}
     return yp[len(loops)] * _tutte_classes(len(g.vertices), state, series)
@@ -119,8 +119,8 @@ def multivariate_tutte(g: Graph, method: str = "subset") -> MultiPoly:
     if len(g.vertices) == 0:
         raise ValueError("multivariate_tutte requires at least one vertex")
     if method == "subset":
-        pairs = _beta_pairs(g)
-        return MultiPoly({(*map(pairs.__getitem__, combo), ("q", k)): 1 for combo, _, k in g.edge_masks()})
+        betas, q = _beta_product(g), var_key("q")
+        return MultiPoly({betas(mask) + k * q: 1 for _, mask, k in g.edge_masks()})
     if method == "delcon":
         return _ztutte_delcon(g)
     raise ValueError(f"unknown method {method!r}")
@@ -277,9 +277,8 @@ def _br_subset(rg: RibbonGraph) -> MultiPoly:
 def _br_delcon(rg: RibbonGraph) -> MultiPoly:
     counts: Counter[tuple[int, int, int]] = Counter()
     _br_rec(RotationState(rg), 0, 0, counts)
-    return MultiPoly(
-        {tuple(pair for pair in zip("xyz", exps) if pair[1]): n for exps, n in counts.items()}
-    )
+    x, y, z = map(var_key, "xyz")
+    return MultiPoly({a * x + b * y + c * z: n for (a, b, c), n in counts.items()})
 
 
 def _br_rec(state: RotationState, bridges: int, x_power: int, counts: Counter[tuple[int, int, int]]) -> None:
@@ -335,14 +334,9 @@ def multivariate_br(rg: RibbonGraph) -> MultiPoly:
     """Z(x, {beta_e}, z) = sum over H of x^k(H) * prod beta_e * z^F(H)."""
     if len(rg.vertices) == 0:
         raise ValueError("multivariate_br requires at least one vertex")
-    pairs = _beta_pairs(rg.graph)
+    betas, x, z = _beta_product(rg.graph), var_key("x"), var_key("z")
     trace = rg.half_edges().trace
-    return MultiPoly(
-        {
-            (*map(pairs.__getitem__, combo), ("x", k), ("z", trace(mask, False))): 1
-            for combo, mask, k in rg.graph.edge_masks()
-        }
-    )
+    return MultiPoly({betas(mask) + k * x + trace(mask, False) * z: 1 for _, mask, k in rg.graph.edge_masks()})
 
 
 def check_br_tutte_specialization(rg: RibbonGraph) -> bool:

@@ -368,3 +368,55 @@ def test_help_keeps_the_docstring_layout():
     code, text = run("-h")
     assert code == 0
     assert "\n  feyncomb poly  {tutte,ztutte,chromatic,flow,br,zbr} fixture.json\n" in text
+
+
+USAGE_CASES = (
+    ("-h",),
+    ("poly", "-h"),
+    ("param", "-h"),
+    ("hopf", "-h"),
+    ("selftest", "-h"),
+    (),
+    ("poly",),
+    ("poly", "nope", "x.json"),
+    ("param", "u", "x.json", "--method", "delcon"),
+    ("hopf", "coproduct", "x.json", "--model", "qed"),
+)
+
+
+def test_help_and_usage_ignore_the_terminal_width(monkeypatch):
+    monkeypatch.delenv("COLUMNS", raising=False)
+    plain = [run(*argv) for argv in USAGE_CASES]
+    for width in ("40", "200"):
+        monkeypatch.setenv("COLUMNS", width)
+        assert [run(*argv) for argv in USAGE_CASES] == plain, width
+    assert [code for code, _ in plain] == [0] * 5 + [2] * 5
+
+
+def test_shared_parser_matches_fresh_parsers(monkeypatch):
+    sequence = [argv for case in USAGE_CASES[5:] for argv in (case, ("poly", "tutte", path("k3")))]
+    sequence += [("param", "u", path("fig3"), "--check-all"), ("hopf", "nope"), ("poly", "br", path("interleaved"))]
+    shared = [run(*argv) for argv in sequence]
+    assert cli._parser() is cli._parser()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = [run(*argv) for argv in sequence]
+    assert shared == fresh
+    assert shared[1] == (0, "x^2 + x + y\n")
+
+
+def test_exponent_overflow_is_one_error_line(tmp_path):
+    # 2^15 self-loops make T = y^32768, one past the largest packed degree
+    n = 1 << 15
+    doc = {
+        "type": "graph",
+        "vertices": ["v"],
+        "edges": [{"id": f"e{i}", "tail": "v", "head": "v"} for i in range(n)],
+    }
+    f = tmp_path / "bouquet.json"
+    f.write_text(json.dumps(doc), encoding="utf-8")
+    code, text = run("poly", "tutte", str(f), "--method", "delcon")
+    assert code == 2
+    assert text.startswith("error: total degree 32768 exceeds 32767") and text.count("\n") == 1
+    doc["edges"].pop()
+    f.write_text(json.dumps(doc), encoding="utf-8")
+    assert run("poly", "tutte", str(f), "--method", "delcon") == (0, "y^32767\n")
