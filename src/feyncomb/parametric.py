@@ -41,7 +41,7 @@ def alpha_product(edge_ids: Iterable[str]) -> MultiPoly:
 def _alpha_keys(edge_ids: Iterable[str]) -> tuple[dict[str, Key], Key]:
     """The packed key of each alpha variable, and the key of their product:
     the alpha monomial of the edges outside a set S is the product's key
-    minus the keys of S."""
+    minus the keys of S.  `edge_keys` has checked the product's degree."""
     keys = edge_keys("a.", edge_ids)
     return keys, sum(keys.values())
 

@@ -42,6 +42,10 @@ terms: a sum takes the larger bound and a product the sum of the two.  A
 product whose bound would pass MAX_DEGREE (2**15 - 1) raises
 `ExponentOverflow`, a ValueError, before any key is added, so no field ever
 carries into the next and no term is ever wrong; there is no per-term test.
+The routes that assemble keys themselves, as sums of per-edge keys, test a
+bound on the total degree of their terms once, before the first sum:
+`edge_keys` the number of edges, and a route that adds further variables
+the largest degree those can bring.
 
 External form.  Names are the interface: `MultiPoly(...)` accepts monomials
 as tuples of (variable, exponent) pairs, and `.terms`, `sorted_terms`,
@@ -279,16 +283,24 @@ def monomial_key(pairs: Iterable[tuple[str, int]]) -> Key:
 def edge_monomial(prefix: str, edge_ids: Iterable[str], *tail: tuple[str, int]) -> Key:
     """The packed key of one variable prefix + e per edge id e, times the
     (global variable, exponent) pairs of `tail`."""
-    return sum(edge_keys(prefix, edge_ids).values()) + monomial_key(tail)
+    ids = set(edge_ids)
+    rest = monomial_key(tail)
+    _check_degree(len(ids) + (rest & FIELD_MASK))
+    return sum(edge_keys(prefix, ids).values()) + rest
 
 
 def edge_keys(prefix: str, edge_ids: Iterable[str]) -> dict[str, Key]:
     """The packed key of the variable prefix + e of each edge id e.
 
     Made once per graph; the key of a term is then the sum of the keys of its
-    edges.  New names are interned in sorted id order.
+    edges.  New names are interned in sorted id order.  Their number is
+    checked against MAX_DEGREE first, so the sum of any of these keys, each
+    taken once, is a valid packed key: a route that builds a term from
+    distinct edges alone needs no test of its own.
     """
-    return {e: var_key(prefix + e) for e in sorted(edge_ids)}
+    ids = sorted(set(edge_ids))
+    _check_degree(len(ids))
+    return {e: var_key(prefix + e) for e in ids}
 
 
 def mask_keys(keys: Sequence[Key]) -> Callable[[int], Key]:
@@ -364,22 +376,9 @@ def exponent_reader(names: Sequence[str]) -> Callable[[Key], tuple[int, ...]]:
 
 
 def _decode(terms: Mapping[Key, Rational]) -> dict[Monomial, Rational]:
-    """`terms` with every packed key replaced by its name-tuple monomial.
-
-    When no exponent reaches 256, as in the multiaffine polynomials, the
-    low byte of each field is the whole exponent, and one slice of a key's
-    bytes reads every field at once.
-    """
-    used = functools.reduce(operator.or_, terms, 0)
-    fields = _fields(used)
-    order = sorted(fields, key=_NAMES.__getitem__)
-    names = [_NAMES[i] for i in order]
-    if len(order) > 1 and not used >> FIELD & 0xFF00 * _ones(len(_NAMES)):
-        n_bytes = 2 * (fields[-1] + 2)
-        pick = operator.itemgetter(*order)  # variable i is byte i of the slice
-        read = lambda key: pick(key.to_bytes(n_bytes, "little")[2::2])  # noqa: E731
-    else:
-        read = exponent_reader(names)
+    """`terms` with every packed key replaced by its name-tuple monomial."""
+    names = sorted(_NAMES[i] for i in _fields(functools.reduce(operator.or_, terms, 0)))
+    read = exponent_reader(names)
     return {tuple(compress(zip(names, exps), exps)): c for exps, c in zip(map(read, terms), terms.values())}
 
 

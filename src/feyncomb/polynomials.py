@@ -40,7 +40,7 @@ from collections import Counter
 from typing import Callable
 
 from .graphs import Graph, contract_class, edge_classes, is_bridge_class, pick_class
-from .poly import MultiPoly, Powers, edge_keys, mask_keys, var_key
+from .poly import MultiPoly, Powers, _check_degree, edge_keys, mask_keys, var_key
 from .ribbon import RibbonGraph, RotationState
 
 X = MultiPoly.var("x")
@@ -120,6 +120,7 @@ def multivariate_tutte(g: Graph, method: str = "subset") -> MultiPoly:
         raise ValueError("multivariate_tutte requires at least one vertex")
     if method == "subset":
         betas, q = _beta_product(g), var_key("q")
+        _check_degree(len(g.edges) + len(g.vertices))  # |A| + k(A), before any key is summed
         return MultiPoly({betas(mask) + k * q: 1 for _, mask, k in g.edge_masks()})
     if method == "delcon":
         return _ztutte_delcon(g)
@@ -278,6 +279,7 @@ def _br_delcon(rg: RibbonGraph) -> MultiPoly:
     counts: Counter[tuple[int, int, int]] = Counter()
     _br_rec(RotationState(rg), 0, 0, counts)
     x, y, z = map(var_key, "xyz")
+    _check_degree(max(map(sum, counts), default=0))
     return MultiPoly({a * x + b * y + c * z: n for (a, b, c), n in counts.items()})
 
 
@@ -335,6 +337,9 @@ def multivariate_br(rg: RibbonGraph) -> MultiPoly:
     if len(rg.vertices) == 0:
         raise ValueError("multivariate_br requires at least one vertex")
     betas, x, z = _beta_product(rg.graph), var_key("x"), var_key("z")
+    # |H| + k(H) + F(H) <= 2(|H| + k(H)), since each component has at most
+    # one face more than it has edges (Euler)
+    _check_degree(2 * (len(rg.edges) + len(rg.vertices)))
     trace = rg.half_edges().trace
     return MultiPoly({betas(mask) + k * x + trace(mask, False) * z: 1 for _, mask, k in rg.graph.edge_masks()})
 

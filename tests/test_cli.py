@@ -420,3 +420,20 @@ def test_exponent_overflow_is_one_error_line(tmp_path):
     doc["edges"].pop()
     f.write_text(json.dumps(doc), encoding="utf-8")
     assert run("poly", "tutte", str(f), "--method", "delcon") == (0, "y^32767\n")
+
+
+def test_a_route_summing_edge_keys_overflows_with_one_error_line(tmp_path):
+    # U of a bouquet of 2^16 self-loops is the product of their alphas, whose
+    # packed degree field would carry into the next field
+    n = 1 << 16
+    doc = {
+        "type": "graph",
+        "vertices": ["v"],
+        "edges": [{"id": f"e{i}", "tail": "v", "head": "v"} for i in range(n)],
+    }
+    f = tmp_path / "bouquet.json"
+    f.write_text(json.dumps(doc), encoding="utf-8")
+    for op in ("u", "udet"):
+        code, text = run("param", op, str(f))
+        assert code == 2
+        assert text == "error: total degree 65536 exceeds 32767, the largest a packed monomial holds\n"
