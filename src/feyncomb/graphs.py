@@ -541,11 +541,11 @@ def least_code(
     return best
 
 
-# -- parallel classes, the state of the deletion/contraction recursions ------------
+# -- parallel classes, the state of the deletion/contraction walk ------------------
 #
-# A recursion state is a graph on vertex positions 0..n-1 with no self-loops,
-# held as a dict from (a, b) with a < b to the payload of the parallel class
-# of edges between a and b (the route's weight of the class).
+# A walk state is a graph on vertex positions 0..n-1 with no self-loops, held
+# as a dict from (a, b) with a < b to the payload of the parallel class of
+# edges between a and b (the route's weight of the class).
 
 
 def edge_classes(g: Graph) -> tuple[list[str], dict[tuple[int, int], list[str]]]:
@@ -607,6 +607,36 @@ def is_bridge_class(n: int, classes: dict[tuple[int, int], Any], key: tuple[int,
     while parent[b] != b:
         b = parent[b]
     return a != b
+
+
+def class_leaves(
+    n: int, classes: dict[tuple[int, int], Any], merge: Callable, step: Callable, one: Any
+) -> Iterator[tuple[int, Any]]:
+    """The leaves of the deletion/contraction tree of a state, walked without
+    recursion: pending deletions wait on a list, and each contraction
+    (`contract_class` with `merge`) continues in place.
+
+    `step(payload, bridge)` gives the weights of deleting and of contracting
+    the class at `pick_class`, the first None when G-P gets no branch; it
+    may call `bridge()` for `is_bridge_class`.  Each leaf (no class left)
+    yields its number of positions and the product from `one` of the
+    weights on its path; a weight that is `one` itself is not multiplied in.
+    """
+    pending = [(n, classes, one)]
+    while pending:
+        n, classes, weight = pending.pop()
+        while classes:
+            key = pick_class(classes)
+            drop, keep = step(classes[key], lambda: is_bridge_class(n, classes, key))
+            if drop is not None:
+                rest = dict(classes)
+                del rest[key]
+                pending.append((n, rest, weight if drop is one else weight * drop))
+            classes = contract_class(n, classes, key, merge)
+            n -= 1
+            if keep is not one:
+                weight = weight * keep
+        yield n, weight
 
 
 def _union_find(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[list[int], int]:

@@ -111,39 +111,13 @@ def member_vertices(g: GraphLike, member: EdgeSubset) -> frozenset[str]:
     return frozenset(verts)
 
 
-def subgraph_external_legs(
-    g: GraphLike, member: EdgeSubset, vertices: Iterable[str] | None = None
-) -> int:
-    """Half-edges leaving the subgraph: cut edge ends plus host legs inside.
-
-    `vertices` overrides the induced vertex set, so a single vertex (the
-    edgeless subgraph) can be queried: its leg count is its degree.
-    """
-    base = underlying(g)
-    mv = member_vertices(g, member) if vertices is None else frozenset(vertices)
-    count = 0
-    for e in base.edges:
-        if e.id in member:
-            continue
-        count += (e.tail in mv) + (e.head in mv)
-    count += sum(1 for l in base.legs if l.vertex in mv)
-    return count
-
-
-def _cut_leg_id(edge_id: str, end: str) -> str:
-    return f"cut.{edge_id}.{end}"
-
-
-def _host_token_of_leg(leg_id: str, host_legs: set[str]) -> Token:
-    """The host half-edge a subgraph leg stands for.
-
-    A host that is itself a stored subgraph already has legs named "cut.*";
-    those stay legs.  Every other "cut.*" leg is a cut end of a host edge.
-    """
-    if leg_id in host_legs or not leg_id.startswith("cut."):
-        return (leg_id, "x")
-    eid, end = leg_id[4:].rsplit(".", 1)
-    return (eid, end)
+def _cut_leg_id(base: Graph, edge_id: str, end: str) -> str:
+    """The leg id of a cut edge end: "cut.<edge>.<end>", with primes appended
+    while a host edge or leg has the name."""
+    lid = f"cut.{edge_id}.{end}"
+    while lid in base._edge_by_id or lid in base._leg_by_id:
+        lid += "'"
+    return lid
 
 
 def member_graph(g: GraphLike, member: EdgeSubset) -> GraphLike:
@@ -157,9 +131,9 @@ def member_graph(g: GraphLike, member: EdgeSubset) -> GraphLike:
         if e.id in member:
             continue
         if e.tail in mv:
-            legs.append(Leg(_cut_leg_id(e.id, "t"), e.tail, "out"))
+            legs.append(Leg(_cut_leg_id(base, e.id, "t"), e.tail, "out"))
         if e.head in mv:
-            legs.append(Leg(_cut_leg_id(e.id, "h"), e.head, "in"))
+            legs.append(Leg(_cut_leg_id(base, e.id, "h"), e.head, "in"))
     for l in base.legs:
         if l.vertex in mv:
             legs.append(l)
@@ -173,7 +147,7 @@ def member_graph(g: GraphLike, member: EdgeSubset) -> GraphLike:
             if is_leg_token(t) or t[0] in member:
                 seq.append(t)
             else:
-                seq.append((_cut_leg_id(t[0], t[1]), "x"))
+                seq.append((_cut_leg_id(base, t[0], t[1]), "x"))
         rot[v] = tuple(seq)
     return RibbonGraph(sub, rot)
 
@@ -217,20 +191,18 @@ def cograph(g: GraphLike, family: Iterable[EdgeSubset]) -> GraphLike:
     if isinstance(g, Graph):
         return shrunk
     rot = {v: g.rotation[v] for v in base.vertices if v not in vmap}
-    host_legs = {l.id for l in base.legs}
-    for m, nid in zip(members, new_ids):
-        sub = member_graph(g, m)
-        assert isinstance(sub, RibbonGraph)
-        seq: list[Token] = []
-        if sub.legs:
-            broken = [f for f in sub.faces() if f.broken]
-            if len(broken) != 1:
-                raise ValueError(
-                    "ribbon shrink needs all subgraph legs on one boundary face"
-                )
-            for lid in broken[0].leg_ids():
-                seq.append(_host_token_of_leg(lid, host_legs))
-        rot[nid] = tuple(seq)
+    index = g.half_edges()
+    for m, vs, nid in zip(members, vsets, new_ids):
+        # the member's faces on the host, each with the half-edges it passes
+        # by: host legs and cut ends, the legs of `member_graph`
+        broken = []
+        for f in index.trace(index.mask(m), True, True):
+            passed = [t for t in f.cycle if is_leg_token(t) or t[0] not in m]
+            if passed and f.vertex in vs:
+                broken.append(passed)
+        if len(broken) > 1:
+            raise ValueError("ribbon shrink needs all subgraph legs on one boundary face")
+        rot[nid] = tuple(broken[0]) if broken else ()
     return RibbonGraph(shrunk, rot)
 
 

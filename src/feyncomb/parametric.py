@@ -20,7 +20,7 @@ from itertools import compress
 from typing import Iterable, Mapping
 
 from . import linalg
-from .graphs import Graph, contract_class, edge_classes, is_bridge_class, pick_class
+from .graphs import Graph, class_leaves, edge_classes
 from .poly import Key, LinComb, MultiPoly, Rational, _exact, edge_keys, edge_monomial, exponent_reader
 from .polynomials import multivariate_br, multivariate_tutte
 from .ribbon import RibbonGraph, RotationState
@@ -205,30 +205,24 @@ def symanzik_u_delcon(g: Graph) -> MultiPoly:
     m edges then gives U = prod_P alpha * U(G-P) + e_(m-1)(alpha_P) * U(G/P):
     a spanning tree avoids P or uses exactly one of its edges.  G-P is
     disconnected, with U = 0, when P is a bridge class, so that branch is
-    skipped.  Terminal form: 1 on a single vertex, and 0 otherwise.
+    dropped.  The tree is walked by `graphs.class_leaves`; a leaf adds its
+    branch weight when it is a single vertex, and nothing otherwise.
     """
     if not g.is_connected():
         raise ValueError("symanzik_u_delcon requires a connected graph")
     loops, classes = edge_classes(g)
+    one = MultiPoly.one()
     state = {}
     for k, ids in classes.items():
-        esym = MultiPoly.sum(alpha_product(ids[:i] + ids[i + 1 :]) for i in range(len(ids)))
+        esym = MultiPoly.sum(alpha_product(ids[:i] + ids[i + 1 :]) for i in range(len(ids))) if ids[1:] else one
         state[k] = (alpha_product(ids), esym)
-    return alpha_product(loops) * _u_classes(len(g.vertices), state)
 
+    def step(payload: tuple[MultiPoly, MultiPoly], bridge) -> tuple:
+        prod, esym = payload
+        return (None if bridge() else prod), esym
 
-def _u_classes(n: int, classes: dict[tuple[int, int], tuple[MultiPoly, MultiPoly]]) -> MultiPoly:
-    """U of the loopless state `classes` (class -> (prod alpha, e_(m-1)(alpha))) on n positions."""
-    if not classes:
-        return MultiPoly.one() if n == 1 else MultiPoly.zero()
-    key = pick_class(classes)
-    prod, esym = classes[key]
-    contracted = esym * _u_classes(n - 1, contract_class(n, classes, key, _merge_u))
-    if is_bridge_class(n, classes, key):
-        return contracted
-    rest = dict(classes)
-    del rest[key]
-    return prod * _u_classes(n, rest) + contracted
+    leaves = class_leaves(len(g.vertices), state, _merge_u, step, one)
+    return alpha_product(loops) * MultiPoly.sum(w for n, w in leaves if n == 1)
 
 
 def _merge_u(p: tuple[MultiPoly, MultiPoly], q: tuple[MultiPoly, MultiPoly]) -> tuple[MultiPoly, MultiPoly]:
@@ -357,46 +351,42 @@ def nc_u_delcon(rg: RibbonGraph) -> ThetaTracked:
     """U* via deletion/contraction on the first non-loop edge by id.
 
     U*(G) = alpha_e U*(G - e) + U*(G / e), where the deletion term is
-    skipped for a bridge e (G - e is disconnected).  The recursion runs on
-    one `ribbon.RotationState`.  Each leaf is one vertex with L loops, where
-    V - E + F = 2 - 2g makes b = F - 1 + 2g equal L, so a one-face subset S
-    of its loops is a quasi-tree with theta power |S| and the alpha product
-    of the loops outside S and of the edges deleted on the way.
+    skipped for a bridge e (G - e is disconnected).  The walk runs on one
+    `ribbon.RotationState`: contractions continue in place, and deletions
+    wait on a list as (state, start, alpha monomial of the edges deleted on
+    the way), the remaining edges before `start` being loops, which stay
+    loops.  Each leaf is one vertex with L loops, where V - E + F = 2 - 2g
+    makes b = F - 1 + 2g equal L, so a one-face subset S of its loops is a
+    quasi-tree with theta power |S| and the alpha product of the loops
+    outside S and of the edges deleted on the way.
     """
     if not rg.graph.is_connected():
         raise ValueError("nc_u_delcon requires a connected ribbon graph")
     state = RotationState(rg)
     keys = _alpha_keys(state.ids)[0]
+    alphas = [keys[e] for e in state.ids]
     terms: list[tuple[int, Key, Rational]] = []
-    _ncu_rec(state, 0, 0, [keys[e] for e in state.ids], terms)
+    pending = [(state, 0, 0)]
+    while pending:
+        state, start, deleted = pending.pop()
+        vert, tail, head, edges = state.vert, state.tail, state.head, state.edges
+        while start < len(edges):
+            k = edges[start]
+            if vert[tail[k]] == vert[head[k]]:
+                start += 1
+                continue
+            if not state.is_bridge(k):
+                other = state.copy()
+                other.delete(k)
+                pending.append((other, start, deleted + alphas[k]))
+            state.contract(k)
+        loops = [alphas[k] for k in state.edges]
+        every = deleted + sum(loops)
+        for mask, faces in enumerate(state.loop_faces(state.edges)):
+            if faces == 1:
+                inside = sum(a for i, a in enumerate(loops) if mask >> i & 1)
+                terms.append((mask.bit_count(), every - inside, 1))
     return ThetaTracked.from_terms(terms)
-
-
-def _ncu_rec(
-    state: RotationState, start: int, deleted: Key, alphas: list[Key], terms: list[tuple[int, Key, Rational]]
-) -> None:
-    """Append the terms of U* of the connected `state` times `deleted`, the
-    alpha monomial of the edges deleted on the way to it (`alphas[k]` is the
-    key of edge k).  The remaining edges before position `start` are loops,
-    and stay loops.  Contractions continue in the same call, so the depth is
-    the number of deletions."""
-    vert, tail, head, edges = state.vert, state.tail, state.head, state.edges
-    while start < len(edges):
-        k = edges[start]
-        if vert[tail[k]] == vert[head[k]]:
-            start += 1
-            continue
-        if not state.is_bridge(k):
-            other = state.copy()
-            other.delete(k)
-            _ncu_rec(other, start, deleted + alphas[k], alphas, terms)
-        state.contract(k)
-    loops = [alphas[k] for k in state.edges]
-    every = deleted + sum(loops)
-    for mask, faces in enumerate(state.loop_faces(state.edges)):
-        if faces == 1:
-            inside = sum(a for i, a in enumerate(loops) if mask >> i & 1)
-            terms.append((mask.bit_count(), every - inside, 1))
 
 
 def nc_v_real(

@@ -1,31 +1,34 @@
 """Tutte and Bollobas-Riordan polynomial families, each by two routes.
 
 Every polynomial here has a rank-nullity subset-sum definition (the semantic
-reference) and a deletion/contraction recursion with terminal forms (the
+reference) and a deletion/contraction route with terminal forms (the
 cross-check).  The two must agree exactly; the acceptance suite pins them
 together on fixtures and random corpora.
 
 Tutte and multivariate Tutte delcon step over a whole parallel class P (m
 edges between two vertices) at a time, on the position state of
-`graphs.edge_classes` and `graphs.contract_class`.  Self-loops are folded
-into a factor first: y each for T, (1 + beta_e) each for Z.  Then
+`graphs.edge_classes`, walked by `graphs.class_leaves`.  Self-loops are
+folded into a factor first: y each for T, (1 + beta_e) each for Z.  Then
 
     T = (x + y + ... + y^(m-1)) T(G/P)            if P is a bridge class,
     T = T(G-P) + (1 + y + ... + y^(m-1)) T(G/P)   otherwise;
     Z = Z(G-P) + (prod (1 + beta_e) - 1) Z(G/P)   (Sokal's parallel rule),
 
 with terminal forms T = 1 and Z = q^|V| on the edgeless graph (Haggard,
-Pearce & Royle, "Computing Tutte polynomials", 2010; Sokal, math/0503607).
-Z has no series rule without division.  Bollobas-Riordan delcon steps one
-edge at a time, since a ribbon contraction splices rotations:
+Pearce & Royle, "Computing Tutte polynomials", 2010; Sokal, math/0503607);
+each polynomial is the sum over the leaves of the terminal form times the
+product of the branch factors on the way.  Z has no series rule without
+division.  Bollobas-Riordan delcon steps one edge at a time, since a ribbon
+contraction splices rotations:
 
     R = R(G/e) + R(G-e)   for the first non-loop, non-bridge edge e by id,
     R = x R(G/e)          for the first bridge e when every non-loop is one,
 
-on one integer `ribbon.RotationState`.  When only loops remain, R is the
-product over vertices of the sums of y^|H| z^2g(H) over the loop sets H at
-the vertex, read from the face counts of its chord diagram.  The terms are
-counted by their (x, y, z) exponents, and the polynomial is built once.
+on one integer `ribbon.RotationState`, with pending deletions on a list, so
+no route recurses.  When only loops remain, R is the product over vertices
+of the sums of y^|H| z^2g(H) over the loop sets H at the vertex, read from
+the face counts of its chord diagram.  The terms are counted by their
+(x, y, z) exponents, and the polynomial is built once.
 
 Variables: "x", "y" (Tutte), "q" and per-edge "b.<edge>" (multivariate
 Tutte), "z" (Bollobas-Riordan face tracker), "k" (chromatic/flow argument).
@@ -39,7 +42,7 @@ import operator
 from collections import Counter
 from typing import Callable
 
-from .graphs import Graph, contract_class, edge_classes, is_bridge_class, pick_class
+from .graphs import Graph, class_leaves, edge_classes
 from .poly import MultiPoly, Powers, _check_degree, edge_keys, mask_keys, var_key
 from .ribbon import RibbonGraph, RotationState
 
@@ -89,26 +92,18 @@ def _tutte_subset(g: Graph) -> MultiPoly:
 def _tutte_delcon(g: Graph) -> MultiPoly:
     loops, classes = edge_classes(g)
     yp = Powers(Y)
+    one = MultiPoly.one()
     # series[m] = 1 + y + ... + y^(m-1), for every class size that contraction can merge
-    series = [MultiPoly.zero()]
-    for i in range(len(g.edges) - len(loops)):
+    series = [MultiPoly.zero(), one]
+    for i in range(1, len(g.edges) - len(loops)):
         series.append(series[-1] + yp[i])
+
+    def step(m: int, bridge: Callable[[], bool]) -> tuple:
+        return (None, X - 1 + series[m]) if bridge() else (one, series[m])
+
     state = {k: len(ids) for k, ids in classes.items()}
-    return yp[len(loops)] * _tutte_classes(len(g.vertices), state, series)
-
-
-def _tutte_classes(n: int, classes: dict[tuple[int, int], int], series: list[MultiPoly]) -> MultiPoly:
-    """T of the loopless state `classes` (class -> multiplicity) on n positions."""
-    if not classes:
-        return MultiPoly.one()
-    key = pick_class(classes)
-    m = classes[key]
-    contracted = _tutte_classes(n - 1, contract_class(n, classes, key, operator.add), series)
-    if is_bridge_class(n, classes, key):
-        return (X - 1 + series[m]) * contracted
-    rest = dict(classes)
-    del rest[key]
-    return _tutte_classes(n, rest, series) + series[m] * contracted
+    leaves = class_leaves(len(g.vertices), state, operator.add, step, one)
+    return yp[len(loops)] * MultiPoly.sum(w for _, w in leaves)
 
 
 # -- multivariate Tutte polynomial -------------------------------------------------
@@ -130,23 +125,15 @@ def multivariate_tutte(g: Graph, method: str = "subset") -> MultiPoly:
 def _ztutte_delcon(g: Graph) -> MultiPoly:
     loops, classes = edge_classes(g)
     one_plus = {e.id: 1 + beta_var(e.id) for e in g.edges}
+    one = MultiPoly.one()
 
     def product(ids: list[str]) -> MultiPoly:
-        return functools.reduce(operator.mul, (one_plus[e] for e in ids), MultiPoly.one())
+        return functools.reduce(operator.mul, (one_plus[e] for e in ids), one)
 
     state = {k: product(ids) for k, ids in classes.items()}
-    return product(loops) * _ztutte_classes(len(g.vertices), state, Powers(Q))
-
-
-def _ztutte_classes(n: int, classes: dict[tuple[int, int], MultiPoly], qp: Powers) -> MultiPoly:
-    """Z of the loopless state `classes` (class -> prod (1 + beta_e)) on n positions."""
-    if not classes:
-        return qp[n]
-    key = pick_class(classes)
-    rest = dict(classes)
-    del rest[key]
-    contracted = _ztutte_classes(n - 1, contract_class(n, classes, key, operator.mul), qp)
-    return _ztutte_classes(n, rest, qp) + (classes[key] - 1) * contracted
+    leaves = class_leaves(len(g.vertices), state, operator.mul, lambda p, _: (one, p - 1), one)
+    qp = Powers(Q)
+    return product(loops) * MultiPoly.sum(qp[n] * w for n, w in leaves)
 
 
 def check_tutte_relation(g: Graph) -> bool:
@@ -276,38 +263,33 @@ def _br_subset(rg: RibbonGraph) -> MultiPoly:
 
 
 def _br_delcon(rg: RibbonGraph) -> MultiPoly:
+    """Pending deletions wait on a list of (state, bridges, x power), where
+    `bridges` has a bit set for each edge known to be a bridge: an edge
+    stays a bridge when other edges are deleted or contracted, so it is
+    never tested again.  Each contraction continues in place."""
     counts: Counter[tuple[int, int, int]] = Counter()
-    _br_rec(RotationState(rg), 0, 0, counts)
+    pending = [(RotationState(rg), 0, 0)]
+    while pending:
+        state, bridges, x_power = pending.pop()
+        while nonloops := [k for k in state.edges if not state.is_loop(k)]:
+            for k in nonloops:
+                if bridges >> k & 1:
+                    continue
+                if state.is_bridge(k):
+                    bridges |= 1 << k
+                    continue
+                other = state.copy()
+                other.delete(k)
+                pending.append((other, bridges, x_power))
+                state.contract(k)
+                break
+            else:  # every non-loop edge is a bridge
+                state.contract(nonloops[0])
+                x_power += 1
+        _br_terminal(state, x_power, counts)
     x, y, z = map(var_key, "xyz")
     _check_degree(max(map(sum, counts), default=0))
     return MultiPoly({a * x + b * y + c * z: n for (a, b, c), n in counts.items()})
-
-
-def _br_rec(state: RotationState, bridges: int, x_power: int, counts: Counter[tuple[int, int, int]]) -> None:
-    """Add the exponent counts of x^x_power R(state) to `counts`.
-
-    `bridges` has a bit set for each edge known to be a bridge: an edge
-    stays a bridge when other edges are deleted or contracted, so it is
-    never tested again.
-    """
-    nonloops = [k for k in state.edges if not state.is_loop(k)]
-    for k in nonloops:
-        if bridges >> k & 1:
-            continue
-        if state.is_bridge(k):
-            bridges |= 1 << k
-            continue
-        other = state.copy()
-        other.delete(k)
-        _br_rec(other, bridges, x_power, counts)
-        state.contract(k)
-        _br_rec(state, bridges, x_power, counts)
-        return
-    if nonloops:  # every non-loop edge is a bridge
-        state.contract(nonloops[0])
-        _br_rec(state, bridges, x_power + 1, counts)
-        return
-    _br_terminal(state, x_power, counts)
 
 
 def _br_terminal(state: RotationState, x_power: int, counts: Counter[tuple[int, int, int]]) -> None:

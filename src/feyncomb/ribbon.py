@@ -393,15 +393,16 @@ class HalfEdges:
         except KeyError as exc:
             raise KeyError(f"unknown edge id {exc.args[0]!r}") from None
 
-    def trace(self, mask: int, record: bool) -> list[Face] | int:
+    def trace(self, mask: int, record: bool, cuts: bool = False) -> list[Face] | int:
         """The faces of (V, the edges of `mask`), or with `record` false only
         their number.
 
         A face starts at each untraced half-edge of the mask in index order.
         From the mate of its last half-edge the walk goes forward through
-        that vertex's rotation, noting legs and skipping the half-edges h
-        with `bit[h] & mask` zero, to the next half-edge it keeps.  A vertex
-        with no half-edge of the mask is a face of its own.
+        that vertex's rotation, noting legs (with `cuts`, every half-edge it
+        skips) and skipping the half-edges h with `bit[h] & mask` zero, to
+        the next half-edge it keeps.  A vertex with no half-edge of the mask
+        is a face of its own.
         """
         bit, mate, nxt, token = self.bit, self.mate, self.nxt, self.token
         seen = bytearray(len(bit))
@@ -419,7 +420,7 @@ class HalfEdges:
                     cycle.append(token[cur])
                 step = nxt[mate[cur]]
                 while not bit[step] & mask:
-                    if record and mate[step] < 0:
+                    if record and (cuts or mate[step] < 0):
                         cycle.append(token[step])
                     step = nxt[step]
                 cur = step
@@ -438,7 +439,9 @@ class HalfEdges:
 
 
 class RotationState:
-    """The integer state of the ribbon deletion/contraction recursions.
+    """The integer state of the two ribbon deletion/contraction walks (BR and
+    U*): each contracts one state in place and keeps a `copy` per pending
+    deletion on a list.
 
     It is built once from `HalfEdges`, with the legs dropped: they carry no
     face in U* or in the Bollobas-Riordan polynomial.  `nxt`/`prv` link the

@@ -4,6 +4,8 @@ import json
 import os
 import re
 
+import pytest
+
 from feyncomb import cli, fixtures
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -312,16 +314,32 @@ def test_one_table_drives_cli_and_selftest(monkeypatch):
     assert not all(ok for _, ok, _ in checks.criterion_6_moyal_chain(n_random=2))
 
 
-def test_deep_recursion_is_one_error_line(tmp_path):
-    n = 1100
+def _graph_file(tmp_path, name, n, edges):
+    """A fixture file of a graph on vertices v0..vn with the given edges."""
     doc = {
         "type": "graph",
         "vertices": [f"v{i}" for i in range(n + 1)],
-        "edges": [{"id": f"e{i}", "tail": f"v{i}", "head": f"v{i + 1}"} for i in range(n)],
+        "edges": [{"id": f"e{i}", "tail": t, "head": h} for i, (t, h) in enumerate(edges)],
     }
-    f = tmp_path / "path.json"
+    f = tmp_path / f"{name}.json"
     f.write_text(json.dumps(doc), encoding="utf-8")
-    code, text = run("poly", "tutte", str(f), "--method", "delcon")
+    return str(f)
+
+
+def test_deep_recursion_is_one_error_line(tmp_path):
+    from feyncomb import parametric
+    from feyncomb.poly import MultiPoly
+    from feyncomb.ribbon import load_fixture
+
+    n = 1100
+    steps = [(f"v{i}", f"v{i + 1}") for i in range(n)]
+    # no deletion/contraction route recurses: a long path is answered
+    path_file = _graph_file(tmp_path, "path", n, steps)
+    assert run("poly", "tutte", path_file, "--method", "delcon") == (0, f"x^{n}\n")
+    assert parametric.symanzik_u_delcon(load_fixture(path_file)) == MultiPoly.one()
+    # the forest growth still recurses, once per member: one error line
+    cycle_file = _graph_file(tmp_path, "cycle", n, steps + [(f"v{n}", "v0")])
+    code, text = run("hopf", "forests", cycle_file, "--model", "core")
     assert code == 2
     assert text.startswith("error: ") and text.count("\n") == 1
 
@@ -343,15 +361,26 @@ def _ribbon_path(tmp_path, n=1100):
     return str(f)
 
 
-def test_deep_ribbon_path_br_delcon_is_one_error_line(tmp_path):
-    code, text = run("poly", "br", _ribbon_path(tmp_path), "--method", "delcon")
-    assert code == 2
-    assert text.startswith("error: ") and text.count("\n") == 1
+def test_deep_ribbon_path_br_delcon_answers(tmp_path):
+    assert run("poly", "br", _ribbon_path(tmp_path), "--method", "delcon") == (0, "x^1100\n")
 
 
 def test_long_ribbon_path_ustar_is_one(tmp_path):
     # a tree is its own only quasi-tree: the Euler size rule enumerates the one subset of size V - 1 = E
     assert run("param", "ustar", _ribbon_path(tmp_path)) == (0, "1\n")
+
+
+@pytest.mark.parametrize("name, model, leg, renamed", [("fig5", "phi4", "f1", "cut.e3.t"), ("ribbonhost", "gw", "f1", "cut.e1.t")])
+def test_a_leg_named_like_a_cut_end_changes_no_hopf_output(tmp_path, name, model, leg, renamed):
+    # member graphs name cut edge ends "cut.<edge>.<end>"; here a host leg already has that name
+    with open(path(name), encoding="utf-8") as f:
+        text = f.read()
+    f = tmp_path / "renamed.json"
+    f.write_text(text.replace(f'"{leg}"', f'"{renamed}"'), encoding="utf-8")
+    for op in ("coproduct", "antipode", "forests", "rbar", "renorm"):
+        want = run("hopf", op, path(name), "--model", model, "--check")
+        assert want[0] == 0, op
+        assert run("hopf", op, str(f), "--model", model, "--check") == want, op
 
 
 def test_momenta_for_an_operation_that_ignores_them_is_one_error_line(tmp_path):
