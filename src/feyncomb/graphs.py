@@ -348,93 +348,21 @@ class Graph:
 
     # -- canonical form -------------------------------------------------------
 
-    def canonical_form(self) -> str:
-        """Isomorphism-class key (orientation, ids and leg directions ignored).
-
-        Vertices get positions class by class, in the order of their
-        (degree, self-loops, legs) signatures; the key is the least sorted
-        list of (min, max) edge position pairs over every such assignment,
-        found by `least_code` with one level per position.  The leg
-        positions follow from the signatures alone.  With positions 0..k-1
-        placed, an edge from position p to an unplaced vertex is at least
-        (p, k) and an edge with no placed end at least (k, k).  A pair (a, b)
-        is coded as a * n + b, so lists of codes compare as lists of pairs.
-        """
-        n = len(self.vertices)
-        nbrs: list[list[int]] = [[] for _ in range(n)]  # the far end of each non-loop edge
-        loops = [0] * n
-        for a, b in self._ends.values():
-            if a == b:
-                loops[a] += 1
-            else:
-                nbrs[a].append(b)
-                nbrs[b].append(a)
+    def shape(self) -> tuple[int, tuple[tuple[int, int], ...], tuple[int, ...]]:
+        """What the canonical form reads: the vertex count, the sorted
+        (min, max) end-position pairs of the edges, and the legs at each
+        vertex position."""
         index = {v: i for i, v in enumerate(self.vertices)}
-        legc = [0] * n
+        legc = [0] * len(self.vertices)
         for l in self.legs:
             legc[index[l.vertex]] += 1
-        sig = [(len(nbrs[v]) + 2 * loops[v] + legc[v], loops[v], legc[v]) for v in range(n)]
-        by_sig = sorted(range(n), key=sig.__getitem__)
+        pairs = sorted((a, b) if a <= b else (b, a) for a, b in self._ends.values())
+        return len(self.vertices), tuple(pairs), tuple(legc)
 
-        at = [-1] * n  # position of each vertex, -1 while unplaced
-        groups: list[list[int]] = [[] for _ in range(n)]  # codes of placed pairs, by smaller position
-        open_ends = [0] * n  # per position, edges to unplaced vertices
-        free = len(self._ends)  # edges with no placed end
-        placed: list[int] = []
-
-        def place(v: int) -> None:
-            nonlocal free
-            k = len(placed)
-            placed.append(v)
-            at[v] = k
-            groups[k].extend([k * n + k] * loops[v])
-            free -= loops[v]
-            for w in nbrs[v]:
-                p = at[w]
-                if p < 0:
-                    open_ends[k] += 1
-                    free -= 1
-                else:
-                    groups[p].append(p * n + k)  # k exceeds every code already in the group
-                    open_ends[p] -= 1
-
-        def unplace(v: int) -> None:
-            nonlocal free
-            placed.pop()
-            at[v] = -1
-            k = len(placed)
-            for w in nbrs[v]:
-                p = at[w]
-                if p < 0:
-                    free += 1
-                else:
-                    groups[p].pop()
-                    open_ends[p] += 1
-            open_ends[k] = 0
-            groups[k].clear()
-            free += loops[v]
-
-        def bound() -> list[int]:
-            k = len(placed)
-            out: list[int] = []
-            for p in range(k):
-                out += groups[p]
-                if open_ends[p]:
-                    out += [p * n + k] * open_ends[p]
-            out += [k * n + k] * free
-            return out
-
-        same_sig: dict[tuple, list[int]] = {}
-        for v in by_sig:
-            same_sig.setdefault(sig[v], []).append(v)
-
-        def choices(k: int) -> list[int]:
-            return [v for v in same_sig[sig[by_sig[k]]] if at[v] < 0]
-
-        best = least_code(n, choices, place, unplace, bound)
-        edges_txt = ",".join(f"{c // n}-{c % n}" for c in best)
-        legs_txt = ",".join(str(k) for k, v in enumerate(by_sig) for _ in range(legc[v]))
-        return f"G{n}|{edges_txt}|{legs_txt}"
+    def canonical_form(self) -> str:
+        """Isomorphism-class key (orientation, ids and leg directions
+        ignored): `canonical_code` of `shape()`."""
+        return canonical_code(*self.shape())
 
     # -- JSON fixture format ----------------------------------------------------
 
@@ -448,6 +376,91 @@ class Graph:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=False) + "\n"
+
+
+def canonical_code(n: int, pairs: Sequence[tuple[int, int]], legc: Sequence[int]) -> str:
+    """The canonical form of the graph on vertex positions 0..n-1 with the
+    edges `pairs` (end positions, in any order) and legc[v] legs at v.
+
+    Vertices get positions class by class, in the order of their
+    (degree, self-loops, legs) signatures; the key is the least sorted
+    list of (min, max) edge position pairs over every such assignment,
+    found by `least_code` with one level per position.  The leg
+    positions follow from the signatures alone.  With positions 0..k-1
+    placed, an edge from position p to an unplaced vertex is at least
+    (p, k) and an edge with no placed end at least (k, k).  A pair (a, b)
+    is coded as a * n + b, so lists of codes compare as lists of pairs.
+    """
+    nbrs: list[list[int]] = [[] for _ in range(n)]  # the far end of each non-loop edge
+    loops = [0] * n
+    for a, b in pairs:
+        if a == b:
+            loops[a] += 1
+        else:
+            nbrs[a].append(b)
+            nbrs[b].append(a)
+    sig = [(len(nbrs[v]) + 2 * loops[v] + legc[v], loops[v], legc[v]) for v in range(n)]
+    by_sig = sorted(range(n), key=sig.__getitem__)
+
+    at = [-1] * n  # position of each vertex, -1 while unplaced
+    groups: list[list[int]] = [[] for _ in range(n)]  # codes of placed pairs, by smaller position
+    open_ends = [0] * n  # per position, edges to unplaced vertices
+    free = len(pairs)  # edges with no placed end
+    placed: list[int] = []
+
+    def place(v: int) -> None:
+        nonlocal free
+        k = len(placed)
+        placed.append(v)
+        at[v] = k
+        groups[k].extend([k * n + k] * loops[v])
+        free -= loops[v]
+        for w in nbrs[v]:
+            p = at[w]
+            if p < 0:
+                open_ends[k] += 1
+                free -= 1
+            else:
+                groups[p].append(p * n + k)  # k exceeds every code already in the group
+                open_ends[p] -= 1
+
+    def unplace(v: int) -> None:
+        nonlocal free
+        placed.pop()
+        at[v] = -1
+        k = len(placed)
+        for w in nbrs[v]:
+            p = at[w]
+            if p < 0:
+                free += 1
+            else:
+                groups[p].pop()
+                open_ends[p] += 1
+        open_ends[k] = 0
+        groups[k].clear()
+        free += loops[v]
+
+    def bound() -> list[int]:
+        k = len(placed)
+        out: list[int] = []
+        for p in range(k):
+            out += groups[p]
+            if open_ends[p]:
+                out += [p * n + k] * open_ends[p]
+        out += [k * n + k] * free
+        return out
+
+    same_sig: dict[tuple, list[int]] = {}
+    for v in by_sig:
+        same_sig.setdefault(sig[v], []).append(v)
+
+    def choices(k: int) -> list[int]:
+        return [v for v in same_sig[sig[by_sig[k]]] if at[v] < 0]
+
+    best = least_code(n, choices, place, unplace, bound)
+    edges_txt = ",".join(f"{c // n}-{c % n}" for c in best)
+    legs_txt = ",".join(str(k) for k, v in enumerate(by_sig) for _ in range(legc[v]))
+    return f"G{n}|{edges_txt}|{legs_txt}"
 
 
 def bridgeless_connected(verts: Iterable[Hashable], ends: Sequence[tuple]) -> bool:

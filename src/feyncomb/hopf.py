@@ -18,8 +18,13 @@ Divergence models:
 Subgraphs are edge subsets; their external legs are the cut half-edges plus
 the host's own legs attached inside.  The search walks edge subsets depth
 first as bitmasks and tests each for the leg count and for two half-edges at
-every vertex in O(1), then for 1PI-ness, then (gw) planarity.  Each graph is
-labelled (its canonical form computed) once per HopfAlgebra instance.
+every vertex in O(1), then for 1PI-ness, then (gw) planarity.
+
+Labels are canonical forms looked up by shape, the integer data the
+canonical-form search reads (`Graph.shape`, `RibbonGraph.shape`): each shape
+is searched once per HopfAlgebra instance.  The coproduct reads the shapes
+of a host's members and cographs off the host's own index, and builds a
+member graph or cograph only for a label it has not met before.
 
 Shrinking a subgraph keeps ribbon structure by reading the cut half-edges
 off the subgraph's single broken face, so the gw model stays inside ribbon
@@ -32,15 +37,21 @@ import itertools
 from typing import Callable, Iterable, Mapping
 
 from .formal import FormalAmplitude
-from .graphs import Edge, EdgeSubset, Graph, Leg, bridgeless_connected
+from .graphs import Edge, EdgeSubset, Graph, Leg, bridgeless_connected, canonical_code
 from .poly import LinComb
-from .ribbon import RibbonGraph, Token, _cyclic_equal, is_leg_token
+from .ribbon import HalfEdges, RibbonGraph, Token, _cyclic_equal, is_leg_token, rotation_code
 
 GraphLike = Graph | RibbonGraph
 
 MODELS = ("phi4", "gw", "core")
 
 Mono = tuple[str, ...]
+
+# A `Graph.shape()` (vertex count, end-position pairs, legs per position) or a
+# `RibbonGraph.shape()` (one block per vertex).  A plain shape is a triple whose
+# first entry is an int and a ribbon shape holds only blocks, so the two kinds
+# never share a key.
+Shape = tuple
 
 
 def underlying(g: GraphLike) -> Graph:
@@ -109,6 +120,16 @@ def member_vertices(g: GraphLike, member: EdgeSubset) -> frozenset[str]:
         verts.add(e.tail)
         verts.add(e.head)
     return frozenset(verts)
+
+
+def _vertex_mask(ends: Mapping[str, tuple[int, int]], member: EdgeSubset) -> int:
+    """The bitmask of the vertex positions of a member's edges, read off a
+    host's `Graph._ends`."""
+    mask = 0
+    for eid in member:
+        a, b = ends[eid]
+        mask |= 1 << a | 1 << b
+    return mask
 
 
 def _cut_leg_id(base: Graph, edge_id: str, end: str) -> str:
@@ -193,17 +214,126 @@ def cograph(g: GraphLike, family: Iterable[EdgeSubset]) -> GraphLike:
     rot = {v: g.rotation[v] for v in base.vertices if v not in vmap}
     index = g.half_edges()
     for m, vs, nid in zip(members, vsets, new_ids):
-        # the member's faces on the host, each with the half-edges it passes
-        # by: host legs and cut ends, the legs of `member_graph`
-        broken = []
-        for f in index.trace(index.mask(m), True, True):
-            passed = [t for t in f.cycle if is_leg_token(t) or t[0] not in m]
-            if passed and f.vertex in vs:
-                broken.append(passed)
-        if len(broken) > 1:
-            raise ValueError("ribbon shrink needs all subgraph legs on one boundary face")
-        rot[nid] = tuple(broken[0]) if broken else ()
+        rot[nid] = _broken_face(index, m, vs)
     return RibbonGraph(shrunk, rot)
+
+
+def _broken_face(index: HalfEdges, member: EdgeSubset, vs: frozenset[str]) -> tuple[Token, ...]:
+    """The half-edges that a member's one broken face passes by, in face
+    order: the host legs and cut ends at its vertices `vs`, the legs of
+    `member_graph`.  Raises ValueError when the member has two or more."""
+    broken = []
+    for f in index.trace(index.mask(member), True, True):
+        passed = [t for t in f.cycle if is_leg_token(t) or t[0] not in member]
+        if passed and f.vertex in vs:
+            broken.append(passed)
+    if len(broken) > 1:
+        raise ValueError("ribbon shrink needs all subgraph legs on one boundary face")
+    return tuple(broken[0]) if broken else ()
+
+
+# -- member and cograph shapes on the host's index ---------------------------------
+
+
+class _GraphShapes:
+    """The shapes of a plain host's members and cographs, read off its edge
+    end positions (`Graph._ends`) without building a graph."""
+
+    code = staticmethod(lambda shape: canonical_code(*shape))
+
+    def __init__(self, g: Graph):
+        self.ends = g._ends
+        index = {v: i for i, v in enumerate(g.vertices)}
+        self.legs = [0] * len(g.vertices)  # host legs per position
+        for l in g.legs:
+            self.legs[index[l.vertex]] += 1
+        self.degree = self.legs[:]
+        for a, b in self.ends.values():
+            self.degree[a] += 1
+            self.degree[b] += 1
+
+    def member(self, member: EdgeSubset) -> Shape:
+        """The shape of `member_graph`: the member's vertices in host order,
+        with the host degree less the member's own half-edges as legs."""
+        ends = self.ends
+        own: dict[int, int] = {}  # host position -> the member's half-edges there
+        for eid in member:
+            a, b = ends[eid]
+            own[a] = own.get(a, 0) + 1
+            own[b] = own.get(b, 0) + 1
+        verts = sorted(own)
+        at = {v: i for i, v in enumerate(verts)}
+        pairs = sorted((at[a], at[b]) if a <= b else (at[b], at[a]) for a, b in map(ends.__getitem__, member))
+        return len(verts), tuple(pairs), tuple(self.degree[v] - own[v] for v in verts)
+
+    def cograph(self, family: tuple[EdgeSubset, ...]) -> Shape:
+        """The shape of `cograph`: the kept vertices in host order, then one
+        position per member in `cograph`'s order, carrying the legs of the
+        member's vertices; the other edges are mapped through."""
+        ends, legs = self.ends, self.legs
+        members = sorted(family, key=sorted)
+        shrunk: dict[int, int] = {}  # host position -> index of its member
+        for i, m in enumerate(members):
+            for eid in m:
+                a, b = ends[eid]
+                shrunk[a] = shrunk[b] = i
+        at = [0] * len(legs)
+        legc = []
+        for v, count in enumerate(legs):
+            if v not in shrunk:
+                at[v] = len(legc)
+                legc.append(count)
+        kept = len(legc)
+        legc += [0] * len(members)
+        for v, i in shrunk.items():
+            at[v] = kept + i
+            legc[kept + i] += legs[v]
+        union = frozenset().union(*members)
+        pairs = sorted(
+            (at[a], at[b]) if at[a] <= at[b] else (at[b], at[a]) for e, (a, b) in ends.items() if e not in union
+        )
+        return len(legc), tuple(pairs), tuple(legc)
+
+
+class _RibbonShapes:
+    """The shapes of a ribbon host's members and cographs, read off its
+    `HalfEdges` without building a graph."""
+
+    code = staticmethod(rotation_code)
+
+    def __init__(self, g: RibbonGraph):
+        self.index = index = g.half_edges()
+        self.at = {t: h for h, t in enumerate(index.token)}
+        self.blocks = [range(lo, hi) for lo, hi in zip(index.start, index.start[1:])]
+
+    def _layout(self, blocks: list[Iterable[int]], mask: int) -> Shape:
+        """The shape of the ribbon graph whose vertices hold the host
+        half-edges `blocks`, in order: the flat position there of each
+        half-edge's mate, -1 for a leg or an edge whose bit is not in `mask`."""
+        bit, mate = self.index.bit, self.index.mate
+        flat = {h: i for i, h in enumerate(h for block in blocks for h in block)}
+        return tuple(tuple(flat[mate[h]] if bit[h] & mask else -1 for h in block) for block in blocks)
+
+    def member(self, member: EdgeSubset) -> Shape:
+        """The shape of `member_graph`: the host blocks at the member's
+        vertices, each in host rotation order, with the other edges' ends
+        as legs."""
+        mask = self.index.mask(member)
+        return self._layout([block for block, vm in zip(self.blocks, self.index.vmask) if vm & mask], mask)
+
+    def cograph(self, family: tuple[EdgeSubset, ...]) -> Shape:
+        """The shape of `cograph`: the kept host blocks, then per member, in
+        `cograph`'s order, the half-edges its one broken face passes by."""
+        index, at = self.index, self.at
+        union = 0
+        faces = []
+        for m in sorted(family, key=sorted):
+            mask = index.mask(m)
+            union |= mask
+            vs = frozenset(index.vertices[i] for i, vm in enumerate(index.vmask) if vm & mask)
+            faces.append([at[t] for t in _broken_face(index, m, vs)])
+        kept = [block for block, vm in zip(self.blocks, index.vmask) if not vm & union]
+        return self._layout(kept + faces, ~union)
 
 
 # -- graph insertion (the dual of shrinking) -----------------------------------------
@@ -411,7 +541,7 @@ class HopfAlgebra:
         self.model = model
         self.include_tadpoles = include_tadpoles
         self.products = products
-        self._labels: dict[GraphLike, str] = {}
+        self._shape_labels: dict[Shape, str] = {}
         self._graphs: dict[str, GraphLike] = {}
         self._split_cache: dict[str, list[tuple[Mono, str]]] = {}
         self._coproducts: dict[str, TensorSum] = {}
@@ -421,11 +551,20 @@ class HopfAlgebra:
     # -- label registry ------------------------------------------------------
 
     def label(self, g: GraphLike) -> str:
-        """The canonical form of `g`, computed once per graph on this instance."""
-        lbl = self._labels.get(g)
+        """The canonical form of `g`, looked up by `g.shape()`: each shape is
+        searched once on this instance.  A new label is registered to `g`."""
+        code = _RibbonShapes.code if isinstance(g, RibbonGraph) else _GraphShapes.code
+        return self._label_shape(g.shape(), code, lambda: g)
+
+    def _label_shape(self, shape: Shape, code: Callable[[Shape], str], build: Callable[[], GraphLike]) -> str:
+        """The label `code(shape)`, searched once per shape; `build()` makes
+        the graph that `graph_of` returns, only for a label not yet
+        registered."""
+        lbl = self._shape_labels.get(shape)
         if lbl is None:
-            lbl = self._labels[g] = g.canonical_form()
-            self._graphs.setdefault(lbl, g)
+            lbl = self._shape_labels[shape] = code(shape)
+            if lbl not in self._graphs:
+                self._graphs[lbl] = build()
         return lbl
 
     def graph_of(self, label: str) -> GraphLike:
@@ -527,27 +666,29 @@ class HopfAlgebra:
         members = self.divergent_members(g)
         if not self.products:
             return [(m,) for m in members]
-        vsets = [member_vertices(g, m) for m in members]
+        ends = underlying(g)._ends
+        vmasks = [_vertex_mask(ends, m) for m in members]
         out: list[tuple[EdgeSubset, ...]] = []
 
-        def grow(start: int, chosen: list[EdgeSubset], used: frozenset[str]):
+        def grow(start: int, chosen: list[EdgeSubset], used: int):
             for i in range(start, len(members)):
-                if vsets[i] & used:
+                if vmasks[i] & used:
                     continue
                 picked = chosen + [members[i]]
                 out.append(tuple(picked))
-                grow(i + 1, picked, used | vsets[i])
+                grow(i + 1, picked, used | vmasks[i])
 
-        grow(0, [], frozenset())
+        grow(0, [], 0)
         return out
 
     def zimmermann_forests(self, g: GraphLike) -> list[tuple[EdgeSubset, ...]]:
         """All sets of divergent subgraphs that are pairwise nested or disjoint."""
         members = self.divergent_members(g)
-        vsets = {m: member_vertices(g, m) for m in members}
+        ends = underlying(g)._ends
+        vmasks = {m: _vertex_mask(ends, m) for m in members}
 
         def compatible(a: EdgeSubset, b: EdgeSubset) -> bool:
-            return not (vsets[a] & vsets[b]) or a < b or b < a
+            return not vmasks[a] & vmasks[b] or a < b or b < a
 
         out: list[tuple[EdgeSubset, ...]] = [()]
 
@@ -568,13 +709,26 @@ class HopfAlgebra:
         """(labels of the members, label of the cograph) for every family.
 
         Kept per label of `g`, since isomorphic graphs have the same splits.
+        Each member and cograph is labelled by its shape, read off the
+        host's index (`_GraphShapes`, `_RibbonShapes`); `member_graph` or
+        `cograph` runs only for a label not yet registered.
         """
         if lbl not in self._split_cache:
             families = self.families(g)
+            shapes = _RibbonShapes(g) if isinstance(g, RibbonGraph) else _GraphShapes(g)
+            code = shapes.code
             # every member is also a family on its own: label each member once
-            member_label = {fam[0]: self.label(member_graph(g, fam[0])) for fam in families if len(fam) == 1}
+            member_label = {
+                fam[0]: self._label_shape(shapes.member(fam[0]), code, lambda m=fam[0]: member_graph(g, m))
+                for fam in families
+                if len(fam) == 1
+            }
             self._split_cache[lbl] = [
-                (tuple(sorted(member_label[m] for m in fam)), self.label(cograph(g, fam))) for fam in families
+                (
+                    tuple(sorted(member_label[m] for m in fam)),
+                    self._label_shape(shapes.cograph(fam), code, lambda fam=fam: cograph(g, fam)),
+                )
+                for fam in families
             ]
         return self._split_cache[lbl]
 

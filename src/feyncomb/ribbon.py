@@ -270,68 +270,18 @@ class RibbonGraph:
 
     # -- canonical form -----------------------------------------------------------
 
-    def canonical_form(self) -> str:
-        """Isomorphism-class key including the rotation system.
-
-        Vertices are laid out as blocks, class by class in the order of their
-        (rotation length, self-loops, legs) signatures, each block being the
-        vertex's rotation read from some starting half-edge.  The key is the
-        least code list over every such layout, where each half-edge's code
-        is the flat position of its partner (-1 for a leg); orientation and
-        ids are ignored.  It is found by `least_code` with one level per
-        block.  A half-edge whose partner sits in an unplaced block is at
-        least the offset of the first unplaced block; a half-edge in an
-        unplaced block is at least -1.
-        """
+    def shape(self) -> tuple[tuple[int, ...], ...]:
+        """What the canonical form reads: one block per vertex, in vertex
+        order, holding for each half-edge of its rotation the flat position
+        (in `HalfEdges` numbering) of its mate, -1 for a leg."""
         index = self.half_edges()
-        mate = index.mate
-        verts = self.graph.vertices
-        seqs = [list(range(lo, hi)) for lo, hi in zip(index.start, index.start[1:])]  # half-edges per vertex
-        sig = []
-        for seq in seqs:
-            loops = sum(1 for t in seq if seq[0] <= mate[t] < t)
-            sig.append((len(seq), loops, sum(1 for t in seq if mate[t] < 0)))
-        by_sig = sorted(range(len(verts)), key=sig.__getitem__)
+        mate, start = index.mate, index.start
+        return tuple(tuple(mate[lo:hi]) for lo, hi in zip(start, start[1:]))
 
-        at = [-1] * len(mate)  # flat position of each placed half-edge
-        flat: list[int] = []  # placed half-edges in flat order
-        used = [False] * len(verts)
-
-        same_sig: dict[tuple, list[int]] = {}
-        for v in by_sig:
-            same_sig.setdefault(sig[v], []).append(v)
-
-        def choices(k: int) -> list[tuple[int, list[int]]]:
-            """(vertex, its rotation read from one start) for block k."""
-            out = []
-            for v in same_sig[sig[by_sig[k]]]:
-                if not used[v]:
-                    seq = seqs[v]
-                    out += [(v, seq[s:] + seq[:s]) for s in range(max(1, len(seq)))]
-            return out
-
-        def place(choice: tuple[int, list[int]]) -> None:
-            v, rolled = choice
-            used[v] = True
-            for t in rolled:
-                at[t] = len(flat)
-                flat.append(t)
-
-        def unplace(choice: tuple[int, list[int]]) -> None:
-            v, rolled = choice
-            used[v] = False
-            del flat[len(flat) - len(rolled) :]
-            for t in rolled:
-                at[t] = -1
-
-        def bound() -> list[int]:
-            nxt = len(flat)
-            low = [-1 if q < 0 else (at[q] if at[q] >= 0 else nxt) for q in (mate[t] for t in flat)]
-            return low + [-1] * (len(mate) - nxt)
-
-        best = least_code(len(verts), choices, place, unplace, bound)
-        blocks = "/".join(str(sig[v][0]) for v in by_sig)
-        return f"R{blocks}|{','.join(str(c) for c in best)}"
+    def canonical_form(self) -> str:
+        """Isomorphism-class key including the rotation system (orientation
+        and ids ignored): `rotation_code` of `shape()`."""
+        return rotation_code(self.shape())
 
     # -- JSON fixture format --------------------------------------------------------
 
@@ -345,6 +295,74 @@ class RibbonGraph:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=False) + "\n"
+
+
+def rotation_code(blocks: Sequence[Sequence[int]]) -> str:
+    """The canonical form of the ribbon graph whose vertex blocks are
+    `blocks` (`RibbonGraph.shape`): block i lists, in rotation order, the
+    flat position of each half-edge's mate (-1 for a leg), half-edges being
+    numbered block after block.
+
+    Vertices are laid out as blocks, class by class in the order of their
+    (rotation length, self-loops, legs) signatures, each block being the
+    vertex's rotation read from some starting half-edge.  The key is the
+    least code list over every such layout, where each half-edge's code is
+    the flat position of its partner (-1 for a leg).  It is found by
+    `least_code` with one level per block.  A half-edge whose partner sits
+    in an unplaced block is at least the offset of the first unplaced
+    block; a half-edge in an unplaced block is at least -1.
+    """
+    mate = [q for block in blocks for q in block]
+    seqs = []  # half-edges per vertex
+    lo = 0
+    for block in blocks:
+        seqs.append(list(range(lo, lo + len(block))))
+        lo += len(block)
+    sig = []
+    for seq in seqs:
+        loops = sum(1 for t in seq if seq[0] <= mate[t] < t)
+        sig.append((len(seq), loops, sum(1 for t in seq if mate[t] < 0)))
+    by_sig = sorted(range(len(blocks)), key=sig.__getitem__)
+
+    at = [-1] * len(mate)  # flat position of each placed half-edge
+    flat: list[int] = []  # placed half-edges in flat order
+    used = [False] * len(blocks)
+
+    same_sig: dict[tuple, list[int]] = {}
+    for v in by_sig:
+        same_sig.setdefault(sig[v], []).append(v)
+
+    def choices(k: int) -> list[tuple[int, list[int]]]:
+        """(vertex, its rotation read from one start) for block k."""
+        out = []
+        for v in same_sig[sig[by_sig[k]]]:
+            if not used[v]:
+                seq = seqs[v]
+                out += [(v, seq[s:] + seq[:s]) for s in range(max(1, len(seq)))]
+        return out
+
+    def place(choice: tuple[int, list[int]]) -> None:
+        v, rolled = choice
+        used[v] = True
+        for t in rolled:
+            at[t] = len(flat)
+            flat.append(t)
+
+    def unplace(choice: tuple[int, list[int]]) -> None:
+        v, rolled = choice
+        used[v] = False
+        del flat[len(flat) - len(rolled) :]
+        for t in rolled:
+            at[t] = -1
+
+    def bound() -> list[int]:
+        nxt = len(flat)
+        low = [-1 if q < 0 else (at[q] if at[q] >= 0 else nxt) for q in (mate[t] for t in flat)]
+        return low + [-1] * (len(mate) - nxt)
+
+    best = least_code(len(blocks), choices, place, unplace, bound)
+    sizes = "/".join(str(sig[v][0]) for v in by_sig)
+    return f"R{sizes}|{','.join(str(c) for c in best)}"
 
 
 class HalfEdges:

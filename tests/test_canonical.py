@@ -12,8 +12,8 @@ import random
 import pytest
 
 from feyncomb.checks import random_multigraph
-from feyncomb.graphs import Graph
-from feyncomb.ribbon import RibbonGraph, is_leg_token, partner
+from feyncomb.graphs import Graph, canonical_code
+from feyncomb.ribbon import RibbonGraph, is_leg_token, partner, rotation_code
 
 # -- the exhaustive oracle ----------------------------------------------------------
 
@@ -78,6 +78,36 @@ def oracle_ribbon_key(rg):
                 best = enc
     blocks, codes = best
     return f"R{'/'.join(str(b) for b in blocks)}|{','.join(str(c) for c in codes)}"
+
+
+# -- shapes, read off the public fields ------------------------------------------------
+
+
+def plain_shape(g):
+    """(vertex count, end-position pairs in edge order and orientation, legs per position)."""
+    pos = {v: i for i, v in enumerate(g.vertices)}
+    legc = [0] * len(g.vertices)
+    for l in g.legs:
+        legc[pos[l.vertex]] += 1
+    return len(g.vertices), [(pos[e.tail], pos[e.head]) for e in g.edges], legc
+
+
+def ribbon_shape(rg):
+    """Per vertex, the flat position of each rotation half-edge's partner (-1 for a leg)."""
+    flat = [t for v in rg.graph.vertices for t in rg.rotation[v]]
+    at = {t: i for i, t in enumerate(flat)}
+    return [[-1 if is_leg_token(t) else at[partner(t)] for t in rg.rotation[v]] for v in rg.graph.vertices]
+
+
+def assert_codes_of_shapes(g, key):
+    """The code functions fed the graph's shape give its key."""
+    if isinstance(g, RibbonGraph):
+        assert rotation_code(ribbon_shape(g)) == key
+        assert g.shape() == tuple(map(tuple, ribbon_shape(g)))
+    else:
+        n, pairs, legc = plain_shape(g)
+        assert canonical_code(n, pairs, legc) == key
+        assert g.shape() == (n, tuple(sorted(tuple(sorted(p)) for p in pairs)), tuple(legc))
 
 
 # -- corpora ---------------------------------------------------------------------------
@@ -166,6 +196,7 @@ def test_graph_canonical_form_matches_exhaustive_search():
         key = oracle_graph_key(g)
         assert g.canonical_form() == key
         assert _relabelled(g, rng).canonical_form() == key
+        assert_codes_of_shapes(g, key)
     assert all(seen.values()), seen
 
 
@@ -180,6 +211,7 @@ def test_ribbon_canonical_form_matches_exhaustive_search():
         key = oracle_ribbon_key(rg)
         assert rg.canonical_form() == key
         assert _relabelled(rg, rng).canonical_form() == key
+        assert_codes_of_shapes(rg, key)
     assert all(seen.values()), seen
 
 
@@ -190,12 +222,15 @@ def test_canonical_form_matches_exhaustive_search_on_cut_circulants():
         key = oracle_graph_key(g)
         assert g.canonical_form() == key
         assert _relabelled(g, rng).canonical_form() == key
+        assert_codes_of_shapes(g, key)
 
 
 def test_canonical_form_of_empty_graphs():
     assert Graph([], []).canonical_form() == oracle_graph_key(Graph([], [])) == "G0||"
     empty = RibbonGraph(Graph([], []), {})
     assert empty.canonical_form() == oracle_ribbon_key(empty) == "R|"
+    assert_codes_of_shapes(Graph([], []), "G0||")
+    assert_codes_of_shapes(empty, "R|")
 
 
 def test_canonical_form_matches_exhaustive_search_property():
@@ -234,6 +269,7 @@ def test_canonical_form_matches_exhaustive_search_property():
         key = oracle_graph_key(g)
         assert g.canonical_form() == key
         assert _relabelled(g, random.Random(seed)).canonical_form() == key
+        assert_codes_of_shapes(g, key)
 
     @hypothesis.settings(max_examples=100, deadline=None)
     @hypothesis.given(ribbon_graphs(), st.integers(0, 2**16))
@@ -241,6 +277,7 @@ def test_canonical_form_matches_exhaustive_search_property():
         key = oracle_ribbon_key(rg)
         assert rg.canonical_form() == key
         assert _relabelled(rg, random.Random(seed)).canonical_form() == key
+        assert_codes_of_shapes(rg, key)
 
     check_graph()
     check_ribbon()

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from feyncomb import fixtures
+from feyncomb import fixtures, hopf
 from feyncomb.checks import random_multigraph, random_phi4_graph
 from feyncomb.formal import FormalAmplitude
 from feyncomb.graphs import Graph
@@ -19,6 +19,7 @@ from feyncomb.hopf import (
     member_vertices,
 )
 from feyncomb.ribbon import RibbonGraph
+from test_canonical import _relabelled as _relabelled_ribbon
 from test_canonical import cut_circulant
 
 GAMMA5 = frozenset({"e1", "e2"})
@@ -114,30 +115,49 @@ def test_coproduct_monomial_reuses_labels(h, monkeypatch):
         h.coproduct(Graph(["a", "b"], [("e1", "a", "b")]))
 
 
-def _count_labels(monkeypatch):
-    """Record every graph whose canonical form is computed."""
-    calls = []
-    for cls in (Graph, RibbonGraph):
-        monkeypatch.setattr(cls, "canonical_form", lambda g, real=cls.canonical_form: calls.append(g) or real(g))
-    return calls
-
-
 @pytest.mark.parametrize(
     "name, model", [("nestedchain", "phi4"), ("fig5", "core"), ("twobubble", "core"), ("ribbonhost", "gw")]
 )
 def test_each_graph_is_labelled_once_per_algebra(monkeypatch, name, model):
+    # Labels are memoised by shape: no shape is searched twice on one algebra,
+    # and a member graph or cograph is built only for a label not yet registered.
     g = fixtures.build(name)
     h = HopfAlgebra(model)
-    calls = _count_labels(monkeypatch)
+    searched = []
+    for cls in (hopf._GraphShapes, hopf._RibbonShapes):
+        monkeypatch.setattr(cls, "code", staticmethod(lambda shape, real=cls.code: searched.append(shape) or real(shape)))
+    built = []
+    searching = []  # nonempty inside divergent_members, whose gw planarity test builds member graphs
+    find = HopfAlgebra.divergent_members
+
+    def divergent_members(self, x):
+        searching.append(x)
+        try:
+            return find(self, x)
+        finally:
+            searching.pop()
+
+    def counted(real):
+        def build(*args):
+            out = real(*args)
+            if not searching:
+                assert out.canonical_form() not in h._graphs  # only for a new label
+                built.append(out.canonical_form())
+            return out
+
+        return build
+
+    monkeypatch.setattr(HopfAlgebra, "divergent_members", divergent_members)
+    for name_ in ("member_graph", "cograph"):
+        monkeypatch.setattr(hopf, name_, counted(getattr(hopf, name_)))
+    host = h.label(g)
     h.coproduct(g)
     assert h.check_coassociativity(g) and h.check_hopf_axioms(g)
     assert h.check_counit(g) and h.check_grading(g)
-    assert [x for x in calls if x is g] == [g]  # the host, once
-    members = h.divergent_members(g)
-    assert members
-    for m in members:
-        assert calls.count(member_graph(g, m)) == 1
-    assert len(set(calls)) == len(calls)  # no graph twice
+    assert len(set(searched)) == len(searched)  # no shape twice
+    assert searched[0] == g.shape() and h.graph_of(host) is g  # the host is labelled
+    assert h.divergent_members(g) and built
+    assert sorted(built) == sorted(set(h._graphs) - {host})  # one build per other label
 
 
 def test_ribbon_hash_agrees_with_cyclic_equality():
@@ -435,11 +455,10 @@ def test_core_model_is_wider_than_phi4(h):
     assert h_core.check_hopf_axioms(g5)
 
 
-def test_gw_shrinks_inside_a_stored_subgraph_with_cut_legs():
-    # A 2-leg ribbon graph whose divergent members, stored as standalone
-    # graphs, carry legs named "cut.*"; shrinking inside one of them must
-    # keep those legs as legs, not read them as host edge ends.
-    rg = RibbonGraph(
+def _two_leg_ribbon_host():
+    """A 2-leg ribbon graph whose divergent members, stored as standalone
+    graphs, carry legs named "cut.*"."""
+    return RibbonGraph(
         Graph(
             ["v1", "v2", "v3"],
             [
@@ -457,6 +476,12 @@ def test_gw_shrinks_inside_a_stored_subgraph_with_cut_legs():
             "v3": (("e4", "h"), ("e5", "t"), ("e3", "t"), ("e2", "t")),
         },
     )
+
+
+def test_gw_shrinks_inside_a_stored_subgraph_with_cut_legs():
+    # shrinking inside a stored member must keep its "cut.*" legs as legs,
+    # not read them as host edge ends
+    rg = _two_leg_ribbon_host()
     h_gw = HopfAlgebra("gw")
     assert not h_gw.antipode(rg).is_zero()
     assert h_gw.check_coassociativity(rg)
@@ -551,3 +576,92 @@ def test_split_cache_is_shared_by_isomorphic_graphs():
             assert primed.coproduct(g).render() == fresh.coproduct(g).render()
             assert primed.antipode(g).render() == fresh.antipode(g).render()
             assert primed.bogoliubov_hopf(g).render() == fresh.bogoliubov_hopf(g).render()
+
+
+def _families_by_vertex_sets(h, g):
+    """`HopfAlgebra.families` with disjointness tested on vertex-id sets."""
+    members = h.divergent_members(g)
+    if not h.products:
+        return [(m,) for m in members]
+    out = []
+
+    def grow(start, chosen, used):
+        for i in range(start, len(members)):
+            vs = member_vertices(g, members[i])
+            if not vs & used:
+                out.append(tuple(chosen + [members[i]]))
+                grow(i + 1, chosen + [members[i]], used | vs)
+
+    grow(0, [], frozenset())
+    return out
+
+
+def _assert_splits_match_built_graphs(model, g, include_tadpoles=True):
+    """Each shape read off the host's index is the shape of the member graph
+    or cograph it stands for, and each label `_splits` returns is that
+    graph's canonical form; where `cograph` raises, so do the shape and
+    `_splits`, with the same message.  Whether `_splits` answered."""
+    h = HopfAlgebra(model, include_tadpoles=include_tadpoles)
+    families = h.families(g)
+    assert families == _families_by_vertex_sets(h, g)
+    shapes = hopf._RibbonShapes(g) if isinstance(g, RibbonGraph) else hopf._GraphShapes(g)
+    errors = set()
+    for fam in families:
+        for m in fam:
+            assert shapes.member(m) == member_graph(g, m).shape()
+        try:
+            shrunk = cograph(g, fam)
+        except ValueError as exc:
+            errors.add(str(exc))
+            with pytest.raises(ValueError) as caught:
+                shapes.cograph(fam)
+            assert str(caught.value) == str(exc)
+            continue
+        assert shapes.cograph(fam) == shrunk.shape()  # the very shape, not just an isomorphic one
+    try:
+        splits = h._splits(g, h.label(g))
+    except ValueError as exc:
+        assert str(exc) in errors
+        return False
+    assert not errors and len(splits) == len(families)
+    for (mono, co), fam in zip(splits, families):
+        assert co == cograph(g, fam).canonical_form()
+        assert mono == tuple(sorted(member_graph(g, m).canonical_form() for m in fam))
+    for lbl in {co for _, co in splits} | {m for mono, _ in splits for m in mono}:
+        assert h.graph_of(lbl).canonical_form() == lbl
+    return True
+
+
+def test_split_labels_match_the_built_graphs():
+    rng = random.Random(1717)
+    seen = dict.fromkeys(("loop", "parallel", "legs", "split", "two-leg gw", "raised"), False)
+    hosts = [random_phi4_graph(rng, max_loops=4) for _ in range(25)]
+    for _ in range(25):
+        g = random_multigraph(rng, max_vertices=5, max_edges=8, connected=True)
+        hosts.append(Graph(g.vertices, g.edges, [(f"f{i}", rng.choice(g.vertices), "in") for i in range(rng.randint(0, 3))]))
+    hosts += [fixtures.build(n) for n in ("nestedchain", "twobubble", "fig5")]
+    for g in hosts:
+        pairs = [frozenset((e.tail, e.head)) for e in g.edges]
+        seen["loop"] |= any(e.is_loop for e in g.edges)
+        seen["parallel"] |= len(set(pairs)) < len(pairs)
+        seen["legs"] |= bool(g.legs)
+        for copy in (g, _relabelled(g, rng)):
+            for model in ("phi4", "core"):
+                for tadpoles in (True, False):
+                    seen["split"] |= _assert_splits_match_built_graphs(model, copy, tadpoles)
+    ribbons = [_ribbonize(g, rng) for g in hosts[:25] + hosts[-3:]]
+    ribbons += [_two_leg_ribbon_host(), fixtures.build("ribbonhost")]
+    for rg in ribbons:
+        for copy in (rg, _relabelled_ribbon(rg, rng)):
+            if _assert_splits_match_built_graphs("gw", copy):
+                seen["two-leg gw"] |= len(copy.legs) == 2
+            for model in ("phi4", "core"):
+                seen["raised"] |= not _assert_splits_match_built_graphs(model, copy)
+    assert all(seen.values()), seen
+
+
+def test_plain_and_ribbon_shapes_never_share_a_label():
+    rg = fixtures.build("ribbonhost")
+    h = HopfAlgebra("core")
+    assert h.label(rg.graph).startswith("G") and h.label(rg).startswith("R")
+    assert h.graph_of(h.label(rg.graph)) is rg.graph and h.graph_of(h.label(rg)) is rg
