@@ -11,42 +11,22 @@ distributes, and any T[...] factor inside the argument is pulled out front,
 
 That pull-out encodes the counterterm factorization rule the subtraction
 operator relies on, and it is exactly what makes the forest formula and the
-twisted-antipode recursion produce identical normal forms.  Beyond this, T
-atoms are opaque: they are keyed by the normal form of their argument.
+twisted-antipode recursion produce identical normal forms.
+
+An atom is its own normal-form text, made once with the atom: "Phi(<label>)",
+or "T[" + the sorted Phi texts joined by "*" + "]" ("T[1]" for the empty
+product).  After the pull-out, T's argument is always one product of Phi
+atoms with coefficient 1, so that text is all a T atom needs.  A product is
+the sorted tuple of its atoms' texts, and its rendering joins them by "*".
+No label contains "(", ")", "[", "]" or "*", so two different products
+never share a text.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from .poly import LinComb
 
-from .poly import LinComb, signed_sum_text
-
-# An atom is ("phi", label) or ("T", nf) where nf is a canonical normal form:
-# a tuple of (term, coeff) pairs, each term a tuple of atoms.
-Atom = tuple
-Term = tuple
-
-
-def _atom_text(atom: Atom) -> str:
-    if atom[0] == "phi":
-        return f"Phi({atom[1]})"
-    return "T[" + signed_sum_text((_term_body(t), c) for t, c in atom[1]) + "]"
-
-
-def _term_body(term: Term) -> str:
-    return "*".join(_atom_text(a) for a in term)
-
-
-def _term_order(term: Term) -> tuple[str, ...]:
-    return tuple(_atom_text(a) for a in term)
-
-
-def _sort_term(atoms: Iterable[Atom]) -> Term:
-    return tuple(sorted(atoms, key=_atom_text))
-
-
-def _canonical_nf(terms: dict[Term, int]) -> tuple:
-    return tuple((t, terms[t]) for t in sorted(terms, key=_term_order) if terms[t])
+_RESERVED = frozenset("()[]*")
 
 
 class FormalAmplitude(LinComb):
@@ -54,9 +34,8 @@ class FormalAmplitude(LinComb):
 
     __slots__ = ()
 
-    _key_mul = staticmethod(lambda t1, t2: _sort_term(t1 + t2))
-    _sort_key = staticmethod(_term_order)
-    _key_text = staticmethod(_term_body)
+    _key_mul = staticmethod(lambda t1, t2: tuple(sorted(t1 + t2)))
+    _key_text = staticmethod("*".join)
 
     # The shared operations bound in this class's own namespace, where
     # perfbench/tracing.py instruments the formal layer alone.
@@ -72,17 +51,17 @@ class FormalAmplitude(LinComb):
 
     @staticmethod
     def phi(label: str) -> FormalAmplitude:
-        return FormalAmplitude({(("phi", label),): 1})
+        if not _RESERVED.isdisjoint(label):
+            raise ValueError(f"formal label {label!r} contains one of ( ) [ ] *")
+        return FormalAmplitude({(f"Phi({label})",): 1})
 
     # -- the projection ----------------------------------------------------------
 
     def project(self) -> FormalAmplitude:
         """Apply T to this amplitude (linear, counterterms pulled out)."""
-        out: dict[Term, int] = {}
+        out: dict[tuple, int] = {}
         for term, coeff in self.terms.items():
-            phis = tuple(a for a in term if a[0] == "phi")
-            ts = tuple(a for a in term if a[0] == "T")
-            inner = _canonical_nf({phis: 1})
-            new_term = _sort_term(ts + (("T", inner),))
+            t = "T[" + ("*".join(a for a in term if a[0] == "P") or "1") + "]"
+            new_term = tuple(sorted([a for a in term if a[0] == "T"] + [t]))
             out[new_term] = out.get(new_term, 0) + coeff
         return FormalAmplitude(out)

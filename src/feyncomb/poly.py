@@ -8,7 +8,7 @@ product and the rendering of a key:
   MultiPoly        packed monomials               (this module)
   GraphSum         multisets of graph labels      (hopf)
   TensorSum        pairs of such multisets        (hopf)
-  FormalAmplitude  products of Phi/T atoms        (formal)
+  FormalAmplitude  sorted tuples of Phi/T texts   (formal)
   ThetaTracked     powers of theta/2              (parametric)
 
 `LinComb.sum` adds any number of elements into one dict, so a sum built
