@@ -47,13 +47,13 @@ class FormalAmplitude(LinComb):
 
     @staticmethod
     def one() -> FormalAmplitude:
-        return FormalAmplitude({(): 1})
+        return FormalAmplitude._of({(): 1})
 
     @staticmethod
     def phi(label: str) -> FormalAmplitude:
         if not _RESERVED.isdisjoint(label):
             raise ValueError(f"formal label {label!r} contains one of ( ) [ ] *")
-        return FormalAmplitude({(f"Phi({label})",): 1})
+        return FormalAmplitude._of({(f"Phi({label})",): 1})
 
     # -- the projection ----------------------------------------------------------
 

@@ -314,37 +314,46 @@ class Graph:
         return [frozenset([ids[i] for i in combo]) for combo, _, k in trees if k == 1]
 
     def spanning_two_trees(self) -> list[TwoTree]:
-        """All spanning two-component forests, with vertex and leg split.
+        """All spanning two-component forests, with vertex and leg split,
+        read off the part masks of `_two_forests`."""
+        ids = self.edge_ids()
+        at = {v: i for i, v in enumerate(self.vertices)}
+        legs = sorted((l.id, at[l.vertex]) for l in self.legs)
+        out = []
+        for combo, _, part in self._two_forests():
+            vs, ls = ([], []), ([], [])  # the vertices and the legs of each part
+            for v, i in at.items():
+                vs[not part >> i & 1].append(v)
+            for lid, i in legs:
+                ls[not part >> i & 1].append(lid)
+            out.append(TwoTree(frozenset([ids[i] for i in combo]), tuple(map(frozenset, vs)), tuple(map(tuple, ls))))
+        return out
 
-        Each forest's parts come from a union-find of its edges, and its
-        legs split in one pass over the legs in id order.
-        """
+    def _two_forests(self) -> Iterator[tuple[list[int], int, int]]:
+        """Each spanning two-component forest as (index list, edge mask, mask
+        of `vertices` positions of its part holding the least vertex id), in
+        `edge_masks` order, the part flooded over the forest's adjacency."""
         if not self.is_connected():
             raise ValueError("spanning_two_trees requires a connected graph")
         verts = self.vertices
-        first = verts.index(min(verts))  # its part comes first
-        pos = {v: i for i, v in enumerate(verts)}
-        legs = sorted((l.id, pos[l.vertex]) for l in self.legs)
-        ids = self.edge_ids()
-        ends = [self._ends[e] for e in ids]
-        out = []
-        for combo, _, k in self.edge_masks((len(verts) - 2,)):
-            if k != 2:
-                continue
-            parent, _ = _union_find(len(verts), [ends[i] for i in combo])
-            for i in range(len(verts)):
-                # parents come first, so parent[i]'s own parent is already its root
-                parent[i] = parent[parent[i]]
-            root = parent[first]
-            parts = ([], [])
-            for v, r in zip(verts, parent):
-                parts[r != root].append(v)
-            split = ([], [])
-            for lid, i in legs:
-                split[parent[i] != root].append(lid)
-            sub = frozenset([ids[i] for i in combo])
-            out.append(TwoTree(sub, tuple(map(frozenset, parts)), tuple(map(tuple, split))))
-        return out
+        n = len(verts)
+        first = 1 << verts.index(min(verts))
+        ends = [self._ends[e] for e in self.edge_ids()]
+        for combo, mask, k in self.edge_masks((n - 2,)):
+            if k == 2:
+                adj = [0] * n
+                for i in combo:
+                    a, b = ends[i]
+                    adj[a] |= 1 << b
+                    adj[b] |= 1 << a
+                part = todo = first
+                while todo:
+                    low = todo & -todo
+                    todo ^= low
+                    grow = adj[low.bit_length() - 1] & ~part
+                    part |= grow
+                    todo |= grow
+                yield combo, mask, part
 
     # -- canonical form -------------------------------------------------------
 

@@ -75,15 +75,15 @@ class GraphSum(LinComb):
 
     @staticmethod
     def unit() -> GraphSum:
-        return GraphSum({(): 1})
+        return GraphSum._of({(): 1})
 
     @staticmethod
     def from_label(label: str) -> GraphSum:
-        return GraphSum({(label,): 1})
+        return GraphSum._of({(label,): 1})
 
     @staticmethod
     def monomial(mono: Iterable[str]) -> GraphSum:
-        return GraphSum({tuple(sorted(mono)): 1})
+        return GraphSum._of({tuple(sorted(mono)): 1})
 
     def counit(self) -> int:
         """epsilon: coefficient of the empty multiset."""
@@ -102,11 +102,11 @@ class TensorSum(LinComb):
 
     @staticmethod
     def unit() -> TensorSum:
-        return TensorSum({((), ()): 1})
+        return TensorSum._of({((), ()): 1})
 
     @staticmethod
     def tensor(left: Iterable[str], right: Iterable[str], coeff: int = 1) -> TensorSum:
-        return TensorSum({(tuple(sorted(left)), tuple(sorted(right))): coeff})
+        return (TensorSum._of if coeff else TensorSum)({(tuple(sorted(left)), tuple(sorted(right))): coeff})
 
 
 # -- structural subgraph machinery ------------------------------------------------

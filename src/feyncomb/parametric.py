@@ -9,21 +9,27 @@ They are assembled in ThetaTracked form: a finite sum of (theta/2)^n times
 a theta-free polynomial, where n may go negative during assembly (the
 2*alpha/theta edge factors) but must be nonnegative by the time a true
 polynomial is rendered.
+
+V, Re V* and Im V* read each term off an enumerator's edge bitmask: its
+alpha key is full - table(mask) from one `poly.mask_keys` table, and its
+momentum weight is memoised within the call by the part's legged vertices
+(V) or by the legs one `HalfEdges.trace` of the mask finds on a face (V*).
 """
 
 from __future__ import annotations
 
 import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from . import linalg
 from .graphs import Graph, class_leaves, edge_classes
-from .poly import Key, LinComb, MultiPoly, Rational, _exact, edge_keys, edge_monomial, exponent_reader
+from .poly import Key, LinComb, MultiPoly, Rational, _exact, edge_keys, edge_monomial, exponent_reader, mask_keys
 from .polynomials import multivariate_br, multivariate_tutte
-from .ribbon import RibbonGraph, RotationState
+from .ribbon import Face, RibbonGraph, RotationState
 
 THETA = "theta"
 
@@ -81,10 +87,7 @@ def validate_assignment(g: Graph, ext: Mapping[str, Iterable[Rational]]) -> dict
         raise ValueError(f"momenta given for unknown legs: {sorted(unknown)}")
     for lid in sorted(leg_ids):
         out[lid] = momentum(ext[lid])
-    net = [0] * 4
-    for l in g.legs:
-        for i in range(4):
-            net[i] += l.sign * out[l.id][i]
+    net = [sum(l.sign * out[l.id][i] for l in g.legs) for i in range(4)]
     if any(c != 0 for c in net):
         raise ValueError(f"momentum conservation violated: net = {net}")
     return out
@@ -97,7 +100,8 @@ def zero_assignment(g: Graph) -> dict[str, Momentum]:
 def load_momenta_json(g: Graph, data: Mapping) -> dict[str, Momentum]:
     """Parse the momenta JSON format {"f1": {"p": [1,0,0,0], "dir": "in"}}.
 
-    Components may be ints or "n/d" strings; floats are rejected.
+    Components may be ints or "n/d" strings (a sign, digits, and optionally
+    "/" and digits); floats and other strings are rejected unconverted.
     """
     if not isinstance(data, dict):
         raise ValueError("momenta must be a JSON object")
@@ -107,7 +111,8 @@ def load_momenta_json(g: Graph, data: Mapping) -> dict[str, Momentum]:
             raise ValueError(f"momenta entry {lid!r} needs a list field 'p'")
         comps = []
         for c in entry["p"]:
-            if not isinstance(c, (int, str)) or isinstance(c, bool):
+            exact = isinstance(c, int) or isinstance(c, str) and re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", c)
+            if isinstance(c, bool) or not exact:
                 raise ValueError(f"momenta for {lid!r} must be exact (int or 'n/d' string)")
             try:
                 comps.append(Fraction(c))
@@ -138,24 +143,37 @@ def symanzik_v(
 
     Each two-tree contributes the complement alpha product times the squared
     total momentum flowing into one of its two components; by conservation
-    the choice of component ("auto", 0, or 1) does not matter.
+    the choice of component ("auto", 0, or 1) does not matter.  Component 0
+    ("auto") is the part that holds the least vertex id.
     """
+    pick = _choice("component", component)
     momenta = validate_assignment(g, ext)
-    signed = {l.id: tuple(l.sign * c for c in momenta[l.id]) for l in g.legs}
-    pick = 0 if component == "auto" else int(component)
-    keys, full = _alpha_keys(g.all_edges())
+    legs = [(1 << g.vertices.index(l.vertex), tuple(l.sign * c for c in momenta[l.id])) for l in g.legs]
+    legged = sum({b for b, _ in legs})
+    keys, full = _alpha_keys(g.edge_ids())
+    table = mask_keys(list(keys.values()))
+    squares: dict[int, Rational] = {}
+    terms = {}
+    for _, mask, part in g._two_forests():
+        side = legged & ~part if pick == 1 else legged & part
+        w = squares.get(side)
+        if w is None:
+            w = squares[side] = _flow_square(p for b, p in legs if side & b)
+        terms[full - table(mask)] = w
+    return MultiPoly(terms)
 
-    def coeff(legs: tuple[str, ...]) -> Rational:
-        flow = [0] * 4
-        for lid in legs:
-            p = signed[lid]
-            for i in range(4):
-                flow[i] += p[i]
-        return dot(flow, flow)  # type: ignore[arg-type]
 
-    return MultiPoly(
-        {full - sum(map(keys.__getitem__, tt.edges)): coeff(tt.legs[pick]) for tt in g.spanning_two_trees()}
-    )
+def _choice(name: str, value: int | str) -> int | None:
+    """A part or face choice: 0 or 1, or None for "auto"."""
+    if value != "auto" and not (type(value) is int and value in (0, 1)):
+        raise ValueError(f"{name} must be 'auto', 0 or 1, not {value!r}")
+    return None if value == "auto" else value
+
+
+def _flow_square(momenta: Iterable[Momentum]) -> Rational:
+    """The square of the sum of `momenta`."""
+    flow = [sum(c) for c in zip(*momenta)]
+    return dot(flow, flow)  # type: ignore[arg-type]
 
 
 def symanzik_u_via_det(g: Graph, drop_vertex: str | None = None) -> MultiPoly:
@@ -400,27 +418,37 @@ def nc_v_real(
     momenta marking one of its two faces; conservation makes the face
     choice irrelevant ("auto" picks the face holding the smallest leg id).
     """
+    pick = _choice("face_choice", face_choice)
+
+    def square(faces: list[Face], momenta: Mapping[str, Momentum]) -> Rational:
+        low = [min(f.leg_ids(), default="~") for f in faces]
+        boundary = rg.face_boundary_order(faces[low[0] > low[1] if pick is None else pick])
+        return _flow_square(tuple(sign * c for c in momenta[lid]) for lid, sign in boundary)
+
+    return _vstar(rg, ext, 2, "nc_v_real", square)
+
+
+def _vstar(rg: RibbonGraph, ext: Mapping[str, Momentum], n_faces: int, name: str, weight: Callable) -> ThetaTracked:
+    """The sum over connected spanning H with `n_faces` faces of (theta/2)^(b
+    + n_faces - 1 - |E - H|) alpha_(E - H) weight(faces of H, momenta), the
+    weight memoised by the legs of the first face, which fix it."""
     if not rg.graph.is_connected():
-        raise ValueError("nc_v_real requires a connected ribbon graph")
+        raise ValueError(f"{name} requires a connected ribbon graph")
     momenta = validate_assignment(rg.graph, ext)
-    b = _b_exponent(rg)
-    n_edges = len(rg.edges)
-    keys, full = _alpha_keys(rg.all_edges())
-
-    def term(tq) -> tuple[int, Key, Rational]:
-        if face_choice == "auto":
-            first = [min(f.leg_ids()) if f.leg_ids() else "~" for f in tq.faces]
-            face = tq.faces[0] if first[0] <= first[1] else tq.faces[1]
-        else:
-            face = tq.faces[int(face_choice)]
-        flow = [0] * 4
-        for lid, sign in rg.face_boundary_order(face):
-            for i in range(4):
-                flow[i] += sign * momenta[lid][i]
-        power = (b + 1) - (n_edges - len(tq.edges))
-        return power, full - sum(map(keys.__getitem__, tq.edges)), dot(flow, flow)  # type: ignore[arg-type]
-
-    return ThetaTracked.from_terms(term(tq) for tq in rg.two_quasi_trees())
+    shift = _b_exponent(rg) + n_faces - 1 - len(rg.edges)
+    keys, full = _alpha_keys(rg.graph.edge_ids())
+    table = mask_keys(list(keys.values()))
+    trace = rg.half_edges().trace
+    weights: dict[tuple[str, ...], Rational] = {}
+    terms = []
+    for combo, mask in rg._connected_with_faces(n_faces):
+        faces = trace(mask, True)
+        legs = faces[0].leg_ids()
+        w = weights.get(legs)
+        if w is None:
+            w = weights[legs] = weight(faces, momenta)
+        terms.append((shift + len(combo), full - table(mask), w))
+    return ThetaTracked.from_terms(terms)
 
 
 def phase_psi(
@@ -434,32 +462,13 @@ def phase_psi(
     result is rotation-invariant.
     """
     ordered = boundary[start:] + boundary[:start]
-    total = 0
-    for i in range(len(ordered)):
-        li, si = ordered[i]
-        for j in range(i + 1, len(ordered)):
-            lj, sj = ordered[j]
-            total += wedge(
-                tuple(si * c for c in momenta[li]),  # type: ignore[arg-type]
-                tuple(sj * c for c in momenta[lj]),  # type: ignore[arg-type]
-            )
-    return total
+    signed = [tuple(sign * c for c in momenta[lid]) for lid, sign in ordered]
+    return sum(wedge(p, q) for i, p in enumerate(signed) for q in signed[i + 1 :])  # type: ignore[arg-type]
 
 
 def nc_v_imag(rg: RibbonGraph, ext: Mapping[str, Momentum]) -> ThetaTracked:
     """Imaginary part of V*: quasi-trees weighted by the face wedge phase."""
-    if not rg.graph.is_connected():
-        raise ValueError("nc_v_imag requires a connected ribbon graph")
-    momenta = validate_assignment(rg.graph, ext)
-    b = _b_exponent(rg)
-    n_edges = len(rg.edges)
-    keys, full = _alpha_keys(rg.all_edges())
-
-    def term(qt: frozenset[str]) -> tuple[int, Key, Rational]:
-        psi = phase_psi(rg.face_boundary_order(rg.faces(qt)[0]), momenta)
-        return b - (n_edges - len(qt)), full - sum(map(keys.__getitem__, qt)), psi
-
-    return ThetaTracked.from_terms(term(qt) for qt in rg.quasi_trees())
+    return _vstar(rg, ext, 1, "nc_v_imag", lambda faces, p: phase_psi(rg.face_boundary_order(faces[0]), p))
 
 
 def nc_u_from_multivariate_br(rg: RibbonGraph) -> ThetaTracked:

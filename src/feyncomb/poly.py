@@ -152,6 +152,13 @@ class LinComb:
         object.__setattr__(self, "_terms", clean)
         object.__setattr__(self, "_hash", None)
 
+    @classmethod
+    def _of(cls, terms: dict):
+        """The element on `terms`, which hold no zero coefficient: no filter."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "_terms", terms)  # `_hash` is set on first use
+        return x
+
     terms = property(operator.attrgetter("_terms"))
 
     def __setattr__(self, name, value):
@@ -186,7 +193,7 @@ class LinComb:
     __radd__ = __add__
 
     def __neg__(self):
-        return self.__class__({k: -c for k, c in self._terms.items()})
+        return self._of({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -205,7 +212,8 @@ class LinComb:
         if type(other) is cls:
             return cls(_products({}, self._terms, other._terms, cls._key_mul))
         if isinstance(other, cls._scalars):
-            return cls({k: c * other for k, c in self._terms.items()})
+            terms = {k: c * other for k, c in self._terms.items()}
+            return cls._of(terms) if type(other) is int and other else cls(terms)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -309,15 +317,18 @@ def mask_keys(keys: Sequence[Key]) -> Callable[[int], Key]:
 
     Two tables, of the sums over every subset of the low half of the bits
     and of the high half, are made once, so a mask costs two lookups and
-    one addition.
+    one addition; past 24 keys, each half is such a function of its own.
     """
     half = len(keys) // 2
+    below = (1 << half) - 1
+    if len(keys) > 24:
+        lower, upper = mask_keys(keys[:half]), mask_keys(keys[half:])
+        return lambda mask: lower(mask & below) + upper(mask >> half)
     low, high = [0], [0]
     for k in keys[:half]:
         low += [t + k for t in low]
     for k in keys[half:]:
         high += [t + k for t in high]
-    below = (1 << half) - 1
     return lambda mask: low[mask & below] + high[mask >> half]
 
 

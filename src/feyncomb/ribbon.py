@@ -54,7 +54,7 @@ class Face:
     vertex: str
 
     def leg_ids(self) -> tuple[str, ...]:
-        return tuple(t[0] for t in self.cycle if is_leg_token(t))
+        return tuple([t[0] for t in self.cycle if t[1] == "x"])
 
     @property
     def broken(self) -> bool:

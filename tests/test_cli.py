@@ -166,6 +166,25 @@ def test_momenta_directory_is_one_error_line(tmp_path):
         assert code == 2 and text.startswith("error: ") and text.count("\n") == 1, name
 
 
+def test_momenta_components_only_in_the_documented_forms(tmp_path):
+    """A component is a JSON int or a string of a sign, digits and
+    optionally "/" and digits; any other string exits 2 before it is
+    converted, even one that `Fraction` would take."""
+    momenta = tmp_path / "momenta.json"
+
+    def v_with(first):
+        doc = {lid: {"p": [0, 0, 0, 0]} for lid in ("f2", "f4")}
+        doc.update({"f1": {"p": [first, 0, 0, 0]}, "f3": {"p": [1000, 0, 0, 0]}})
+        momenta.write_text(json.dumps(doc), encoding="utf-8")
+        return run("param", "v", path("fig3"), "--momenta", str(momenta))
+
+    code, text = v_with(1000)
+    assert code == 0 and text.startswith("1000000*")
+    assert v_with("1000") == v_with("+1000") == v_with("2000/2") == (code, text)
+    for bad in ("1e3", "1000.0", " 1000", "1_000", "2000/+2", "\u0661", "1e999999999"):
+        assert v_with(bad) == (2, "error: momenta for 'f1' must be exact (int or 'n/d' string)\n"), bad
+
+
 def test_zbr_check_on_disconnected_ribbon_is_one_error_line(tmp_path):
     doc = {
         "type": "ribbon",

@@ -665,3 +665,20 @@ def test_plain_and_ribbon_shapes_never_share_a_label():
     h = HopfAlgebra("core")
     assert h.label(rg.graph).startswith("G") and h.label(rg).startswith("R")
     assert h.graph_of(h.label(rg.graph)) is rg.graph and h.graph_of(h.label(rg)) is rg
+
+
+def test_zero_free_constructors_keep_no_zero_term():
+    """Negations, multiples by a nonzero int and the one-term constructors
+    skip the zero filter; a zero coefficient or multiplier still drops."""
+    assert TensorSum.tensor(("a",), ("b",), coeff=0) == TensorSum.zero()
+    assert TensorSum.tensor(("a",), ("b",), coeff=0).terms == {}
+    assert TensorSum.tensor(("b", "a"), (), coeff=-2).terms == {(("a", "b"), ()): -2}
+    t = TensorSum.tensor(("a",), (), 3) + TensorSum.unit()
+    assert (-t).terms == {(("a",), ()): -3, ((), ()): -1}
+    assert (t * -2).terms == {(("a",), ()): -6, ((), ()): -2}
+    assert (t * 0).terms == {} and (0 * t).is_zero()
+    assert (t - t).is_zero()
+    phi = FormalAmplitude.phi("G") + FormalAmplitude.one()
+    assert (2 * phi - phi - phi).terms == {}
+    assert GraphSum.from_label("G").terms == {("G",): 1} and GraphSum.unit().counit() == 1
+    assert hash(-(-t)) == hash(t) and -(-t) == t

@@ -7,6 +7,7 @@ test_packed_properties.py.
 
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -15,13 +16,24 @@ import pytest
 
 from feyncomb.graphs import Graph
 from feyncomb.linalg import divexact
-from feyncomb.poly import MAX_DEGREE, ExponentOverflow, MultiPoly, edge_monomial
+from feyncomb.poly import MAX_DEGREE, ExponentOverflow, MultiPoly, edge_monomial, mask_keys
 from feyncomb.polynomials import multivariate_br, multivariate_tutte
 from feyncomb.ribbon import RibbonGraph
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 X = MultiPoly.var("x")
+
+
+def test_mask_keys_sums_the_selected_keys_at_every_width():
+    """Two half tables up to 24 keys; past that each half splits again, so
+    no table outgrows 2^12 entries."""
+    rng = random.Random(3)
+    for n in (0, 1, 7, 24, 25, 49, 200):
+        keys = [rng.getrandbits(48) for _ in range(n)]
+        table = mask_keys(keys)
+        for mask in [0, (1 << n) - 1] + [rng.getrandbits(n) if n else 0 for _ in range(40)]:
+            assert table(mask) == sum(k for i, k in enumerate(keys) if mask >> i & 1)
 
 
 # -- the overflow contract --------------------------------------------------------

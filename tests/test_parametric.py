@@ -383,6 +383,34 @@ def test_nc_v_real_face_choice_invariance_random():
         assert nc_v_real(rg, ext, face_choice=0) == nc_v_real(rg, ext, face_choice=1)
 
 
+def test_part_and_face_choice_accept_only_auto_0_and_1():
+    g = fixtures.build("fig3")
+    fig6 = fixtures.build("fig6")
+    ext = {"f1": momentum([2, 3, 0, 1]), "f2": momentum([2, 3, 0, 1])}
+    g_ext = random_conserved_momenta(random.Random(5), g)
+    assert symanzik_v(g, g_ext, component=1) == symanzik_v(g, g_ext, component="auto")
+    assert nc_v_real(fig6, ext, face_choice=1) == nc_v_real(fig6, ext, face_choice="auto")
+    for bad in (2, -1, "0", 1.0, True, None):
+        with pytest.raises(ValueError, match="component must be 'auto', 0 or 1"):
+            symanzik_v(g, g_ext, component=bad)
+        with pytest.raises(ValueError, match="face_choice must be 'auto', 0 or 1"):
+            nc_v_real(fig6, ext, face_choice=bad)
+
+
+def test_v_on_a_long_path():
+    """Each two-forest of a path drops one edge e and carries p^2 alpha_e,
+    so V = p^2 * sum_e alpha_e; 300 edges need no 2^150-entry key table."""
+    n = 300
+    g = Graph(
+        [f"v{i}" for i in range(n + 1)],
+        [(f"e{i}", f"v{i}", f"v{i + 1}") for i in range(n)],
+        [("f1", "v0", "in"), ("f2", f"v{n}", "out")],
+    )
+    p = momentum([1, Fraction(1, 2), 0, 2])
+    want = MultiPoly.sum(MultiPoly.var(f"a.e{i}") for i in range(n)) * Fraction(21, 4)
+    assert symanzik_v(g, {"f1": p, "f2": p}) == symanzik_v(g, {"f1": p, "f2": p}, component=1) == want
+
+
 def test_momenta_json_rejects_floats_and_bad_dirs():
     g = fixtures.build("fig6")
     with pytest.raises(ValueError, match="exact"):

@@ -13,6 +13,7 @@ exponents.
 import functools
 import operator
 import random
+from fractions import Fraction
 
 from feyncomb import parametric
 from feyncomb.checks import random_conserved_momenta, random_multigraph, random_ribbon_graph
@@ -88,13 +89,13 @@ def u_by_products(g):
     return MultiPoly.sum(alphas(all_ids - tree) for tree in g.spanning_trees())
 
 
-def v_by_products(g, ext):
+def v_by_products(g, ext, part=0):
     momenta = validate_assignment(g, ext)
     all_ids = g.all_edges()
 
     def term(tt):
         flow = [0] * 4
-        for lid in tt.legs[0]:
+        for lid in tt.legs[part]:
             sign = g.leg(lid).sign
             for i in range(4):
                 flow[i] += sign * momenta[lid][i]
@@ -119,13 +120,13 @@ def nc_u_by_products(rg):
     return ThetaTracked.sum(ThetaTracked.from_poly(alphas(all_ids - qt), b - (n - len(qt))) for qt in rg.quasi_trees())
 
 
-def nc_v_real_by_products(rg, ext):
+def nc_v_real_by_products(rg, ext, choice="auto"):
     momenta = validate_assignment(rg.graph, ext)
     b, n, all_ids = b_exponent(rg), len(rg.edges), rg.all_edges()
 
     def term(tq):
         keys = [min(f.leg_ids()) if f.leg_ids() else "~" for f in tq.faces]
-        face = tq.faces[0] if keys[0] <= keys[1] else tq.faces[1]
+        face = tq.faces[choice if choice != "auto" else keys[0] > keys[1]]
         flow = [0] * 4
         for lid, sign in rg.face_boundary_order(face):
             for i in range(4):
@@ -177,7 +178,7 @@ def graph_routes(g):
     if g.is_connected():
         ext = random_conserved_momenta(random.Random(len(g.edges)), g)
         yield "symanzik_u", parametric.symanzik_u(g), u_by_products(g)
-        yield "symanzik_v", parametric.symanzik_v(g, ext), v_by_products(g, ext)
+        yield from v_routes(g, ext)
         yield "u_from_multivariate_tutte", parametric.u_from_multivariate_tutte(g), u_tutte_limit_by_products(g)
 
 
@@ -185,11 +186,22 @@ def ribbon_routes(rg):
     ext = random_conserved_momenta(random.Random(len(rg.legs)), rg.graph)
     yield "multivariate_br", multivariate_br(rg), zbr_by_products(rg)
     yield "nc_u", parametric.nc_u(rg), nc_u_by_products(rg)
-    yield "nc_v_real", parametric.nc_v_real(rg, ext), nc_v_real_by_products(rg, ext)
-    yield "nc_v_imag", parametric.nc_v_imag(rg, ext), nc_v_imag_by_products(rg, ext)
     yield "nc_u_from_multivariate_br", parametric.nc_u_from_multivariate_br(rg), nc_u_br_by_products(rg)
-    g = rg.graph
-    yield "symanzik_v", parametric.symanzik_v(g, ext), v_by_products(g, ext)
+    yield from vstar_routes(rg, ext)
+    yield from v_routes(rg.graph, ext)
+
+
+def v_routes(g, ext):
+    """V for each choice of part, against the product-built form."""
+    for part in ("auto", 0, 1):
+        yield f"symanzik_v/{part}", parametric.symanzik_v(g, ext, part), v_by_products(g, ext, part == 1)
+
+
+def vstar_routes(rg, ext):
+    """Re V* for each choice of face, and Im V*, against the product-built forms."""
+    for face in ("auto", 0, 1):
+        yield f"nc_v_real/{face}", parametric.nc_v_real(rg, ext, face), nc_v_real_by_products(rg, ext, face)
+    yield "nc_v_imag", parametric.nc_v_imag(rg, ext), nc_v_imag_by_products(rg, ext)
 
 
 def test_graph_routes_match_product_forms():
@@ -207,6 +219,55 @@ def test_ribbon_routes_match_product_forms():
             assert_stored_form(got)
             nonzero_v += name == "nc_v_imag" and not got.is_zero()
     assert nonzero_v  # the phase-weighted sums are not all vacuous
+
+
+def fraction_momenta(rng, g):
+    """Conserved momenta whose i-th components are divided by i + 2."""
+    ext = random_conserved_momenta(rng, g)
+    return {lid: parametric.momentum(Fraction(c, i + 2) for i, c in enumerate(p)) for lid, p in ext.items()}
+
+
+def test_v_routes_match_product_forms_on_workload_sized_ribbons():
+    """Ribbons of up to 9 edges and 4 legs, with int and Fraction momenta."""
+    rng = random.Random(911)
+    fractional = nonzero = 0
+    sizes = set()
+    for i in range(16):
+        rg = random_ribbon_graph(rng, max_vertices=5, max_edges=9, max_legs=4)
+        ext = (fraction_momenta if i % 2 else random_conserved_momenta)(rng, rg.graph)
+        fractional += any(type(c) is Fraction for p in ext.values() for c in p)
+        sizes.add((len(rg.edges), len(rg.legs)))
+        for name, got, want in [*vstar_routes(rg, ext), *v_routes(rg.graph, ext)]:
+            assert got == want, (name, rg.rotation)
+            assert_stored_form(got)
+            nonzero += name == "nc_v_imag" and not got.is_zero()
+    assert fractional and nonzero
+    assert (9, 4) in sizes
+
+
+def test_bouquet_empty_quasi_tree_is_a_bare_vertex_face():
+    """One vertex, two interleaved loops and four legs: the empty edge set
+    is a quasi-tree, whose one face is the vertex with its legs in rotation
+    order, and its Im V* term carries the phase of that order."""
+    legs = [("f1", "v", "in"), ("f2", "v", "out"), ("f3", "v", "in"), ("f4", "v", "out")]
+    g = Graph(["v"], [("e1", "v", "v"), ("e2", "v", "v")], legs)
+    order = ["f3", "e1.t", "f1", "e2.t", "e1.h", "f4", "e2.h", "f2"]
+    rg = RibbonGraph(g, {"v": [(t, "x") if t[0] == "f" else tuple(t.split(".")) for t in order]})
+    assert frozenset() in rg.quasi_trees()
+    assert [f.leg_ids() for f in rg.faces(())] == [("f3", "f1", "f4", "f2")]
+    rng = random.Random(912)
+    phases = set()
+    for make in (random_conserved_momenta, fraction_momenta):
+        for _ in range(4):
+            ext = make(rng, g)
+            for name, got, want in [*vstar_routes(rg, ext), *v_routes(g, ext)]:
+                assert got == want, name
+            # b = 2 (one face, genus 1), so the term of the empty set has theta power 0
+            empty = parametric.nc_v_imag(rg, ext).to_poly().coefficient_of("a.e1", 1).coefficient_of("a.e2", 1)
+            psi = parametric.phase_psi([("f3", 1), ("f1", 1), ("f4", -1), ("f2", -1)], ext)
+            assert empty == MultiPoly.const(psi)
+            phases.add(psi)
+    assert len(phases) > 1
 
 
 def test_edge_monomial_is_stored_form():
