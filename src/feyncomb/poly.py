@@ -42,10 +42,11 @@ terms: a sum takes the larger bound and a product the sum of the two.  A
 product whose bound would pass MAX_DEGREE (2**15 - 1) raises
 `ExponentOverflow`, a ValueError, before any key is added, so no field ever
 carries into the next and no term is ever wrong; there is no per-term test.
-The routes that assemble keys themselves, as sums of per-edge keys, test a
-bound on the total degree of their terms once, before the first sum:
-`edge_keys` the number of edges, and a route that adds further variables
-the largest degree those can bring.
+The routes that assemble keys themselves, as sums of per-edge keys or of
+the keys of an exponent table, test a bound on the total degree of their
+terms once, before the first sum: `edge_keys` the number of edges, a route
+that adds further variables the largest degree those can bring, and a table
+expansion its largest exponent sum.
 
 External form.  Names are the interface: `MultiPoly(...)` accepts monomials
 as tuples of (variable, exponent) pairs, and `.terms`, `sorted_terms`,

@@ -3,7 +3,21 @@
 Every polynomial here has a rank-nullity subset-sum definition (the semantic
 reference) and a deletion/contraction route with terminal forms (the
 cross-check).  The two must agree exactly; the acceptance suite pins them
-together on fixtures and random corpora.
+together on fixtures and random corpora.  Chromatic and flow polynomials are
+checked against brute-force counts instead.
+
+The subset routes count, never multiply.  One walk of `Graph.edge_masks`
+fills an integer table of the number of edge subsets A with each (|A|,
+k(A)); T, and Whitney's sums
+
+    P(k) = sum over A of (-1)^|A| k^k(A),
+    F(k) = sum over A of (-1)^(|E|-|A|) k^(|A|-|V|+k(A)),
+
+are read off that one table, and R off a table over its (x, y, z)
+exponents.  `_expand` then turns a table {exponents e: n} into
+sum n * prod (v_i + s_i)^e_i (s = -1 for the x-1 and y-1 slots of T and R,
+0 otherwise) by exact binomials, straight into packed keys: each polynomial
+is built once, with no product of polynomials.
 
 Tutte and multivariate Tutte delcon step over a whole parallel class P (m
 edges between two vertices) at a time, on the position state of
@@ -12,13 +26,16 @@ folded into a factor first: y each for T, (1 + beta_e) each for Z.  Then
 
     T = (x + y + ... + y^(m-1)) T(G/P)            if P is a bridge class,
     T = T(G-P) + (1 + y + ... + y^(m-1)) T(G/P)   otherwise;
-    Z = Z(G-P) + (prod (1 + beta_e) - 1) Z(G/P)   (Sokal's parallel rule),
+    Z = Z(G-P) + w_P Z(G/P),  w_P = prod (1 + beta_e) - 1   (Sokal's parallel rule),
 
 with terminal forms T = 1 and Z = q^|V| on the edgeless graph (Haggard,
 Pearce & Royle, "Computing Tutte polynomials", 2010; Sokal, math/0503607);
 each polynomial is the sum over the leaves of the terminal form times the
-product of the branch factors on the way.  Z has no series rule without
-division.  Bollobas-Riordan delcon steps one edge at a time, since a ribbon
+product of the branch factors on the way.  Each class carries its w_P, and
+two classes that contraction makes parallel merge as w + w' + w w'; a leaf
+on n vertices is shifted by the key of q^n into one dict.  The bridge factor
+of T is made once per class size.  Z has no series rule without division.
+Bollobas-Riordan delcon steps one edge at a time, since a ribbon
 contraction splices rotations:
 
     R = R(G/e) + R(G-e)   for the first non-loop, non-bridge edge e by id,
@@ -37,24 +54,18 @@ External legs are ignored by everything in this module.
 
 from __future__ import annotations
 
-import functools
+import math
 import operator
 from collections import Counter
-from typing import Callable
+from typing import Callable, Mapping, Sequence
 
 from .graphs import Graph, class_leaves, edge_classes
-from .poly import MultiPoly, Powers, _check_degree, edge_keys, mask_keys, var_key
+from .poly import MultiPoly, Powers, _check_degree, _new, edge_keys, mask_keys, var_key
 from .ribbon import RibbonGraph, RotationState
 
 X = MultiPoly.var("x")
 Y = MultiPoly.var("y")
-Q = MultiPoly.var("q")
 Z = MultiPoly.var("z")
-K = MultiPoly.var("k")
-
-
-def beta_var(edge_id: str) -> MultiPoly:
-    return MultiPoly.var(f"b.{edge_id}")
 
 
 def _beta_product(g: Graph) -> Callable[[int], int]:
@@ -77,16 +88,52 @@ def tutte(g: Graph, method: str = "subset") -> MultiPoly:
     raise ValueError(f"unknown method {method!r}")
 
 
+def _subset_table(g: Graph) -> dict[tuple[int, int], int]:
+    """The number of edge subsets A of each (|A|, k(A)), read off
+    `Graph.edge_masks`: the table the Tutte, chromatic and flow sums share.
+    Each size is counted alone, so the count per subset runs in C."""
+    k_of = operator.itemgetter(2)
+    table: dict[tuple[int, int], int] = {}
+    for size in range(len(g.edges) + 1):
+        for k, n in Counter(map(k_of, g.edge_masks((size,)))).items():
+            table[size, k] = n
+    return table
+
+
+def _expand(table: Mapping[tuple[int, ...], int], slots: Sequence[tuple[str, int]]) -> MultiPoly:
+    """The sum of n * prod_i (v_i + s_i)^e_i over the entries (e, n) of
+    `table`, for the (variable v_i, shift s_i) of `slots`.
+
+    Each power is expanded by exact binomials straight into packed keys, so
+    the polynomial is built once, with no polynomial product.  The total
+    degree is tested once, before the first key is summed.
+    """
+    bound = _check_degree(max(map(sum, table), default=0))
+    # rows[i][e]: the (key, coefficient) terms of (v_i + s_i)^e
+    rows = []
+    for i, (v, s) in enumerate(slots):
+        key = var_key(v)
+        top = max((e[i] for e in table), default=0)
+        rows.append(
+            [[(j * key, c) for j in range(e + 1) if (c := math.comb(e, j) * s ** (e - j))] for e in range(top + 1)]
+        )
+    acc: dict[int, int] = {}
+    get = acc.get
+    for exps, n in table.items():
+        terms = [(0, n)]
+        for row, e in zip(rows, exps):
+            terms = [(k + k2, c * c2) for k, c in terms for k2, c2 in row[e]]
+        for k, c in terms:
+            c0 = get(k)
+            acc[k] = c if c0 is None else c0 + c
+    return _new(acc, bound)
+
+
 def _tutte_subset(g: Graph) -> MultiPoly:
-    n_v = len(g.vertices)
-    r_all = g.rank()
-    counts: Counter[tuple[int, int]] = Counter()
-    for combo, _, k in g.edge_masks():
-        rank = n_v - k
-        counts[r_all - rank, len(combo) - rank] += 1
-    xp = Powers(X - 1)
-    yp = Powers(Y - 1)
-    return MultiPoly.sum(xp[a] * yp[b] * n for (a, b), n in counts.items())
+    """T = sum over A of (x-1)^(k(A)-k(E)) (y-1)^(|A|-|V|+k(A))."""
+    n_v, k_all = len(g.vertices), g.components()
+    table = {(k - k_all, size - n_v + k): n for (size, k), n in _subset_table(g).items()}
+    return _expand(table, (("x", -1), ("y", -1)))
 
 
 def _tutte_delcon(g: Graph) -> MultiPoly:
@@ -97,9 +144,10 @@ def _tutte_delcon(g: Graph) -> MultiPoly:
     series = [MultiPoly.zero(), one]
     for i in range(1, len(g.edges) - len(loops)):
         series.append(series[-1] + yp[i])
+    bridge = [X - 1 + s for s in series]  # x + y + ... + y^(m-1)
 
-    def step(m: int, bridge: Callable[[], bool]) -> tuple:
-        return (None, X - 1 + series[m]) if bridge() else (one, series[m])
+    def step(m: int, is_bridge: Callable[[], bool]) -> tuple:
+        return (None, bridge[m]) if is_bridge() else (one, series[m])
 
     state = {k: len(ids) for k, ids in classes.items()}
     leaves = class_leaves(len(g.vertices), state, operator.add, step, one)
@@ -122,18 +170,38 @@ def multivariate_tutte(g: Graph, method: str = "subset") -> MultiPoly:
     raise ValueError(f"unknown method {method!r}")
 
 
+def _parallel(w: MultiPoly, v: MultiPoly) -> MultiPoly:
+    """The payload of two parallel classes merged: (1 + w)(1 + v) - 1."""
+    return w + v + w * v
+
+
 def _ztutte_delcon(g: Graph) -> MultiPoly:
+    """Each class P carries w_P = prod (1 + beta_e) - 1, and a leaf on n
+    positions adds its weight times q^n, by a key shift, into one dict."""
+    _check_degree(len(g.edges) + len(g.vertices))  # |A| + k(A), before any key is summed
+    keys = edge_keys("b.", g.edge_ids())
     loops, classes = edge_classes(g)
-    one_plus = {e.id: 1 + beta_var(e.id) for e in g.edges}
+
+    def subsets(ids: list[str]) -> list[int]:
+        """The keys of the beta products of the subsets of `ids`, the empty one first."""
+        return list(map(mask_keys([keys[e] for e in ids]), range(1 << len(ids))))
+
     one = MultiPoly.one()
-
-    def product(ids: list[str]) -> MultiPoly:
-        return functools.reduce(operator.mul, (one_plus[e] for e in ids), one)
-
-    state = {k: product(ids) for k, ids in classes.items()}
-    leaves = class_leaves(len(g.vertices), state, operator.mul, lambda p, _: (one, p - 1), one)
-    qp = Powers(Q)
-    return product(loops) * MultiPoly.sum(qp[n] * w for n, w in leaves)
+    state = {k: _new(dict.fromkeys(subsets(ids)[1:], 1), len(ids)) for k, ids in classes.items()}
+    leaves = class_leaves(len(g.vertices), state, _parallel, lambda w, _: (one, w), one)
+    q, loop_keys = var_key("q"), subsets(loops)  # the terms of prod (1 + beta_e) over the loops
+    acc: dict[int, int] = {}
+    get = acc.get
+    bound = 0
+    for n, w in leaves:
+        bound = max(bound, w._bound + n)
+        for loop_key in loop_keys:
+            shift = loop_key + n * q
+            for key, c in w._terms.items():
+                key += shift
+                c0 = get(key)
+                acc[key] = c if c0 is None else c0 + c
+    return _new(acc, bound + len(loops))
 
 
 def check_tutte_relation(g: Graph) -> bool:
@@ -160,13 +228,14 @@ def check_tutte_relation(g: Graph) -> bool:
 
 
 def chromatic(g: Graph) -> MultiPoly:
-    """Chromatic polynomial P(k) of a connected graph."""
+    """Chromatic polynomial P(k) of a connected graph, by Whitney's sum over
+    the edge subsets A: P(k) = sum (-1)^|A| k^k(A)."""
     if not g.is_connected():
         raise ValueError("chromatic requires a connected graph")
-    t = tutte(g, method="subset")
-    p = t.substitute({"x": MultiPoly.one() - K, "y": MultiPoly.zero()})
-    sign = -1 if (len(g.vertices) - 1) % 2 else 1
-    return MultiPoly.const(sign) * K * p
+    table: Counter[tuple[int]] = Counter()
+    for (size, k), n in _subset_table(g).items():
+        table[k,] += -n if size % 2 else n
+    return _expand(table, (("k", 0),))
 
 
 def count_colorings_oracle(g: Graph, k: int) -> int:
@@ -190,13 +259,15 @@ def count_colorings_oracle(g: Graph, k: int) -> int:
 
 
 def flow_poly(g: Graph) -> MultiPoly:
-    """Nowhere-zero flow polynomial F(k) of a connected graph."""
+    """Nowhere-zero flow polynomial F(k) of a connected graph, by Whitney's
+    sum over the edge subsets A: F(k) = sum (-1)^(|E|-|A|) k^(|A|-|V|+k(A))."""
     if not g.is_connected():
         raise ValueError("flow_poly requires a connected graph")
-    t = tutte(g, method="subset")
-    p = t.substitute({"x": MultiPoly.zero(), "y": MultiPoly.one() - K})
-    sign = -1 if (len(g.edges) - len(g.vertices) + 1) % 2 else 1
-    return MultiPoly.const(sign) * p
+    n_e, n_v = len(g.edges), len(g.vertices)
+    table: Counter[tuple[int]] = Counter()
+    for (size, k), n in _subset_table(g).items():
+        table[size - n_v + k,] += -n if (n_e - size) % 2 else n
+    return _expand(table, (("k", 0),))
 
 
 def count_flows_oracle(g: Graph, k: int) -> int:
@@ -256,10 +327,7 @@ def _br_subset(rg: RibbonGraph) -> MultiPoly:
         rank = n_v - k_h
         n_h = len(combo) - rank
         counts[r_all - rank, n_h, k_h - trace(mask, False) + n_h] += 1
-    xp = Powers(X - 1)
-    yp = Powers(Y)
-    zp = Powers(Z)
-    return MultiPoly.sum(xp[a] * yp[b] * zp[c] * n for (a, b, c), n in counts.items())
+    return _expand(counts, (("x", -1), ("y", 0), ("z", 0)))
 
 
 def _br_delcon(rg: RibbonGraph) -> MultiPoly:

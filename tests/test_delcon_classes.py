@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from feyncomb import polynomials
 from feyncomb.graphs import Graph, edge_classes, is_bridge_class
 from feyncomb.parametric import symanzik_u, symanzik_u_delcon
 from feyncomb.polynomials import multivariate_tutte, tutte
@@ -92,6 +93,36 @@ def test_class_reductions_on_small_cases():
     check_routes(class_graph(4, [(0, 1, 2), (1, 2, 3), (0, 2, 1), (2, 3, 2)], [3, 3]))
     check_routes(class_graph(5, [(0, 1, 5), (2, 3, 1)], [4]))
     check_routes(class_graph(1, [], [0, 0]))
+
+
+def test_multivariate_delcon_merges_parallel_classes(monkeypatch):
+    """Contracting a class can make two others parallel; their payloads
+    w = prod (1 + beta_e) - 1 then merge as w + w' + w w'."""
+    merges = []
+    merge = polynomials._parallel
+
+    def counting(w, v):
+        merges.append((w, v))
+        return merge(w, v)
+
+    monkeypatch.setattr(polynomials, "_parallel", counting)
+    k4 = [(a, b, 1) for a in range(4) for b in range(a + 1, 4)]
+    w4 = [(0, i, 1) for i in range(1, 5)] + [(i, i % 4 + 1, 1) for i in range(1, 5)]
+    cases = {
+        "K4": class_graph(4, k4, []),
+        "W4": class_graph(5, w4, []),
+        "triple edge and loop": class_graph(3, [(0, 1, 3), (1, 2, 1), (0, 2, 2)], [2]),
+        "disconnected": class_graph(6, k4 + [(4, 5, 2)], [5]),
+        "isolated vertex": class_graph(5, [(0, 1, 2), (1, 2, 1), (0, 2, 1)], []),
+    }
+    assert features(cases["disconnected"])["disconnected"]
+    assert features(cases["isolated vertex"])["isolated vertex"]
+    for name, g in cases.items():
+        del merges[:]
+        assert multivariate_tutte(g, "delcon") == multivariate_tutte(g, "subset"), name
+        assert merges, name
+        for w, v in merges:
+            assert merge(w, v) == (1 + w) * (1 + v) - 1
 
 
 def test_class_reductions_property():

@@ -14,10 +14,11 @@ from fractions import Fraction
 
 import pytest
 
+from feyncomb import fixtures, poly, polynomials
 from feyncomb.graphs import Graph
 from feyncomb.linalg import divexact
 from feyncomb.poly import MAX_DEGREE, ExponentOverflow, MultiPoly, edge_monomial, mask_keys
-from feyncomb.polynomials import multivariate_br, multivariate_tutte
+from feyncomb.polynomials import bollobas_riordan, chromatic, flow_poly, multivariate_br, multivariate_tutte, tutte
 from feyncomb.ribbon import RibbonGraph
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -74,6 +75,39 @@ def test_sums_of_edge_keys_raise_before_a_field_carries():
     half = isolated[: 1 << 15]
     with pytest.raises(ExponentOverflow, match="total degree 65536 exceeds 32767"):
         multivariate_br(RibbonGraph(Graph(half, []), {v: [] for v in half}))  # x^32768 z^32768
+
+
+def test_table_routes_test_the_bound_before_any_key(monkeypatch):
+    """The routes that assemble keys from integer tables or leaf shifts raise
+    at a bound one below their degree before they fetch a single key, and
+    answer at the bound itself, with a degree bound that holds."""
+    rim = [(f"r{i}", f"v{i}", f"v{i % 4 + 1}") for i in range(1, 5)]
+    w4 = Graph(["h", "v1", "v2", "v3", "v4"], [(f"s{i}", "h", f"v{i}") for i in range(1, 5)] + rim)
+    looped = Graph(w4.vertices, [*w4.edges, ("l", "h", "h")])
+    interleaved = fixtures.build("interleaved")
+    routes = {
+        "tutte subset": (lambda: tutte(w4, "subset"), None),
+        "br subset": (lambda: bollobas_riordan(interleaved, "subset"), None),
+        "chromatic": (lambda: chromatic(w4), None),
+        "flow": (lambda: flow_poly(w4), None),
+        "ztutte delcon": (lambda: multivariate_tutte(looped, "delcon"), len(looped.edges) + len(looped.vertices)),
+    }
+    for name, (route, bound) in routes.items():
+        want = route()
+        assert want._bound >= want.degree(), name
+        bound = bound or want.degree()
+        with monkeypatch.context() as m:
+            m.setattr(poly, "MAX_DEGREE", bound)
+            assert route() == want, name
+
+            def refuse(v):
+                raise AssertionError(f"{name} fetched the key of {v} before testing the bound")
+
+            m.setattr(poly, "MAX_DEGREE", bound - 1)
+            m.setattr(poly, "var_key", refuse)
+            m.setattr(polynomials, "var_key", refuse)
+            with pytest.raises(ExponentOverflow, match=f"total degree {bound} exceeds {bound - 1}"):
+                route()
 
 
 def test_inexact_divisions_raise():

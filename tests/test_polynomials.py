@@ -73,6 +73,8 @@ def test_tutte_relation_examples():
 def test_chromatic_small_values():
     assert chromatic(Graph(["v"], [])) == K
     assert chromatic(bridge_graph()) == K * (K - 1)
+    assert chromatic(parallel_graph()) == K * (K - 1)
+    assert chromatic(loop_graph()).is_zero()
     k3 = fixtures.build("k3")
     p = chromatic(k3)
     assert p.eval_rational({"k": 3}) == 6 == count_colorings_oracle(k3, 3)
@@ -85,6 +87,7 @@ def test_chromatic_small_values():
 
 
 def test_flow_small_values():
+    assert flow_poly(Graph(["v"], [])) == MultiPoly.one()
     assert flow_poly(bridge_graph()).is_zero()
     assert flow_poly(loop_graph()) == K - 1
     assert flow_poly(parallel_graph()) == K - 1

@@ -20,7 +20,7 @@ from feyncomb.checks import random_conserved_momenta, random_multigraph, random_
 from feyncomb.graphs import Graph
 from feyncomb.parametric import ThetaTracked, dot, validate_assignment
 from feyncomb.poly import MultiPoly, edge_monomial
-from feyncomb.polynomials import multivariate_br, multivariate_tutte
+from feyncomb.polynomials import bollobas_riordan, chromatic, flow_poly, multivariate_br, multivariate_tutte, tutte
 from feyncomb.ribbon import RibbonGraph
 
 AWKWARD_IDS = ("e2", "e10", "E1", "q", "x", "theta", "z", "e1", "b", "a.1", "Z")
@@ -299,12 +299,16 @@ def test_routes_multiply_no_polynomials(monkeypatch):
     for g in graphs:
         ext = random_conserved_momenta(random.Random(1), g)
         multivariate_tutte(g, "subset")
+        tutte(g, "subset")
+        chromatic(g)
+        flow_poly(g)
         parametric.symanzik_u(g)
         parametric.symanzik_v(g, ext)
         parametric.u_from_multivariate_tutte(g)
     for rg in ribbons:
         ext = random_conserved_momenta(random.Random(2), rg.graph)
         multivariate_br(rg)
+        bollobas_riordan(rg, "subset")
         parametric.nc_u(rg)
         parametric.nc_v_real(rg, ext)
         parametric.nc_v_imag(rg, ext)
