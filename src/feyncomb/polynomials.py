@@ -13,11 +13,13 @@ k(A)); T, and Whitney's sums
     P(k) = sum over A of (-1)^|A| k^k(A),
     F(k) = sum over A of (-1)^(|E|-|A|) k^(|A|-|V|+k(A)),
 
-are read off that one table, and R off a table over its (x, y, z)
-exponents.  `_expand` then turns a table {exponents e: n} into
-sum n * prod (v_i + s_i)^e_i (s = -1 for the x-1 and y-1 slots of T and R,
-0 otherwise) by exact binomials, straight into packed keys: each polynomial
-is built once, with no product of polynomials.
+are read off that one table.  R is read off the number of subsets H of
+each (|H|, k(H), F(H)), which `RibbonGraph.subset_faces` counts in one
+decision walk with a union-find on corners (the corner rule of `ribbon`)
+instead of tracing the faces of each subset.  `_expand` then turns a table
+{exponents e: n} into sum n * prod (v_i + s_i)^e_i (s = -1 for the x-1 and
+y-1 slots of T and R, 0 otherwise) by exact binomials, straight into packed
+keys: each polynomial is built once, with no product of polynomials.
 
 Tutte and multivariate Tutte delcon step over a whole parallel class P (m
 edges between two vertices) at a time, on the position state of
@@ -70,7 +72,7 @@ Z = MultiPoly.var("z")
 
 def _beta_product(g: Graph) -> Callable[[int], int]:
     """The packed key of the beta product of the edge subset of each
-    `Graph.edge_masks` bitmask."""
+    bitmask, bit i being edge `Graph.edge_ids()[i]`."""
     return mask_keys(list(edge_keys("b.", g.edge_ids()).values()))
 
 
@@ -318,15 +320,14 @@ def bollobas_riordan(rg: RibbonGraph, method: str = "subset") -> MultiPoly:
 
 
 def _br_subset(rg: RibbonGraph) -> MultiPoly:
-    g = rg.graph
-    n_v = len(g.vertices)
-    r_all = g.rank()
-    trace = rg.half_edges().trace
+    """R = sum over H of (x-1)^(k(H)-k(E)) y^n(H) z^(k(H)-F(H)+n(H)), counted
+    by (|H|, k(H), F(H)) off `RibbonGraph.subset_faces`."""
+    n_v, k_all = len(rg.vertices), rg.graph.components()
+    table = Counter((mask.bit_count(), k, f) for mask, k, f in rg.subset_faces())
     counts: Counter[tuple[int, int, int]] = Counter()
-    for combo, mask, k_h in g.edge_masks():
-        rank = n_v - k_h
-        n_h = len(combo) - rank
-        counts[r_all - rank, n_h, k_h - trace(mask, False) + n_h] += 1
+    for (size, k, f), n in table.items():
+        n_h = size - n_v + k
+        counts[k - k_all, n_h, k - f + n_h] += n
     return _expand(counts, (("x", -1), ("y", 0), ("z", 0)))
 
 
@@ -390,8 +391,7 @@ def multivariate_br(rg: RibbonGraph) -> MultiPoly:
     # |H| + k(H) + F(H) <= 2(|H| + k(H)), since each component has at most
     # one face more than it has edges (Euler)
     _check_degree(2 * (len(rg.edges) + len(rg.vertices)))
-    trace = rg.half_edges().trace
-    return MultiPoly({betas(mask) + k * x + trace(mask, False) * z: 1 for _, mask, k in rg.graph.edge_masks()})
+    return MultiPoly({betas(mask) + k * x + f * z: 1 for mask, k, f in rg.subset_faces()})
 
 
 def check_br_tutte_specialization(rg: RibbonGraph) -> bool:

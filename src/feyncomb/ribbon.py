@@ -13,6 +13,19 @@ half-edge contributes one face of its own.  The walk runs on edge subsets
 as bitmasks (`HalfEdges.trace`); `faces` and `face_count` turn id sets into
 masks.
 
+Corner rule.  Corner h is the gap after half-edge h in its vertex's
+rotation, and prev is the inverse of the next-half-edge map.  Between two
+edges a face of (V, H) crosses one vertex, through the gaps from one kept
+half-edge to the next: a half-edge h that H leaves out (a leg, or an edge
+not in H) joins corner prev[h] to corner h.  Along an edge of H with
+half-edges h and h', each side of the ribbon leads from the corner before
+one end to the corner after the other: it joins prev[h] to h' and prev[h']
+to h.  So the faces of H are the classes of corners under these joins; a
+vertex with no half-edge of H is one class, its corners all joined, and F(H)
+is the number of classes plus the number of vertices with no half-edge at
+all.  `RibbonGraph.subset_faces` keeps the classes in a union-find whose
+joins are undone, so it counts faces for every subset in one walk.
+
 Euler size rule.  A connected spanning sub-ribbon-graph H of an orientable
 ribbon graph has V - |H| + F = 2 - 2g, so |H| = V - 2 + F + 2g with g >= 0.
 The quasi-trees (F = 1) and two-quasi-trees (F = 2) are therefore searched
@@ -267,6 +280,128 @@ class RibbonGraph:
         for combo, mask, k in self.graph.edge_masks(range(low, len(self.edges) + 1, 2)):
             if k == 1 and (len(combo) == low or count(mask, False) == n_faces):
                 yield combo, mask
+
+    # -- every subset with its faces ---------------------------------------------
+
+    def subset_faces(self) -> Iterator[tuple[int, int, int]]:
+        """Every edge subset H as (bitmask, k(H), F(H)): its component and
+        face counts, edge i being `edge_ids()[i]` and bit i of the mask.
+
+        One depth-first decision walk over the edges in id order, edge in
+        before edge out, so each subset is one leaf.  Two union-finds, with
+        union by size and no path compression, follow the decisions: one on
+        the vertices, joining an edge's ends when it goes in, and one on the
+        corners by the corner rule of the module docstring.  Each decision's
+        joins are undone when the walk backs out of it.  Both children of
+        the last edge are read off its four corner roots and two vertex
+        roots, without a join.
+        """
+        index = self.half_edges()
+        nxt, mate, start = index.nxt, index.mate, index.start
+        n = len(self.vertices)
+        prev = [0] * len(nxt)
+        for h, q in enumerate(nxt):
+            prev[q] = h
+        vert = [i for i in range(n) for _ in range(start[i], start[i + 1])]
+        tails = [0] * len(index.pos)
+        for h, tok in enumerate(index.token):
+            if tok[1] == "t":
+                tails[index.pos[tok[0]]] = h
+        heads = [mate[t] for t in tails]
+        ends = [(vert[t], vert[h]) for t, h in zip(tails, heads)]
+        # an edge in joins the corners (prev[t], h) and (prev[h], t); out, (prev[t], t) and (prev[h], h)
+        joins_in = [(prev[t], h, prev[h], t) for t, h in zip(tails, heads)]
+        joins_out = [(prev[t], t, prev[h], h) for t, h in zip(tails, heads)]
+
+        vparent, vsize = list(range(n)), [1] * n
+        cparent, csize = list(range(len(nxt))), [1] * len(nxt)
+
+        def join(parent: list[int], size: list[int], a: int, b: int) -> int:
+            """Link the roots of a and b; the root linked under the other, or -1."""
+            while parent[a] != a:
+                a = parent[a]
+            while parent[b] != b:
+                b = parent[b]
+            if a == b:
+                return -1
+            if size[a] < size[b]:
+                a, b = b, a
+            parent[b] = a
+            size[a] += size[b]
+            return b
+
+        # F: the corner components, plus the vertices with no half-edge
+        faces = len(nxt) + sum(1 for i in range(n) if start[i] == start[i + 1])
+        for h, m in enumerate(mate):
+            if m < 0:  # a leg
+                faces -= join(cparent, csize, prev[h], h) >= 0
+        n_edges = len(tails)
+        if not n_edges:
+            yield 0, n, faces
+            return
+
+        k, mask, d, last = n, 0, 0, n_edges - 1
+        linked = [(-1, -1, -1)] * n_edges  # the vertex root and corner roots linked at each depth
+        while True:
+            while d < last:  # take edge d in
+                u, w = ends[d]
+                b = join(vparent, vsize, u, w)
+                k -= b >= 0
+                p, q, r, s = joins_in[d]
+                c1 = join(cparent, csize, p, q)
+                c2 = join(cparent, csize, r, s)
+                faces -= (c1 >= 0) + (c2 >= 0)
+                linked[d] = (b, c1, c2)
+                mask |= 1 << d
+                d += 1
+            # the last edge: roots a, b, r, s of prev[t], t, prev[h], h
+            a, b, r, s = joins_out[d]
+            while cparent[a] != a:
+                a = cparent[a]
+            while cparent[b] != b:
+                b = cparent[b]
+            while cparent[r] != r:
+                r = cparent[r]
+            while cparent[s] != s:
+                s = cparent[s]
+            u, w = ends[d]
+            while vparent[u] != u:
+                u = vparent[u]
+            while vparent[w] != w:
+                w = vparent[w]
+            # in: a-s, then r-b, with s renamed a once joined
+            if a == s:
+                yield mask | 1 << d, k - (u != w), faces - (r != b)
+            else:
+                yield mask | 1 << d, k - (u != w), faces - 1 - ((a if r == s else r) != (a if b == s else b))
+            # out: a-b, then r-s, with b renamed a once joined
+            if a == b:
+                yield mask, k, faces - (r != s)
+            else:
+                yield mask, k, faces - 1 - ((a if r == b else r) != (a if s == b else s))
+            while True:  # back out of the decisions taken
+                d -= 1
+                if d < 0:
+                    return
+                b, c1, c2 = linked[d]
+                for c in (c2, c1):
+                    if c >= 0:
+                        csize[cparent[c]] -= csize[c]
+                        cparent[c] = c
+                        faces += 1
+                if b >= 0:
+                    vsize[vparent[b]] -= vsize[b]
+                    vparent[b] = b
+                    k += 1
+                if mask >> d & 1:  # take edge d out instead
+                    mask ^= 1 << d
+                    p, q, r, s = joins_out[d]
+                    c1 = join(cparent, csize, p, q)
+                    c2 = join(cparent, csize, r, s)
+                    faces -= (c1 >= 0) + (c2 >= 0)
+                    linked[d] = (-1, c1, c2)
+                    d += 1
+                    break
 
     # -- canonical form -----------------------------------------------------------
 

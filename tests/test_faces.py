@@ -4,7 +4,9 @@ The oracle below rebuilds the induced rotation and its successor map for
 every subset and walks the faces on tokens.  `RibbonGraph.faces` must
 return the identical list of `Face` objects, cycles and order included,
 and `face_count` its length; so must the mask walker `HalfEdges.trace` on
-the masks of `Graph.edge_masks`.
+the masks of `Graph.edge_masks`.  The subset walk `RibbonGraph.subset_faces`
+must give every subset once, with the component count of `edge_masks` and
+the face count of `trace`.
 """
 
 import random
@@ -134,6 +136,45 @@ def test_mask_walker_matches_token_tracer_on_every_subset():
             # twice the genus: k - F + nullity
             seen["genus"] |= k - len(want) + len(subset) - len(g.vertices) + k > 0
     assert all(seen.values()), seen
+
+
+def _walk_against_masks(rg):
+    """The subset walk's {mask: (k, F)} against `edge_masks` and `trace`."""
+    trace = rg.half_edges().trace
+    got = [(mask, (k, f)) for mask, k, f in rg.subset_faces()]
+    want = {mask: (k, trace(mask, False)) for _, mask, k in rg.graph.edge_masks()}
+    assert len(got) == len(want) == 1 << len(rg.edges)
+    assert dict(got) == want
+
+
+def test_subset_walk_matches_edge_masks_and_trace():
+    rng = random.Random(4403)
+    corpus = [RibbonGraph(Graph([], []), {}), RibbonGraph(Graph(["v", "w"], []), {"v": [], "w": []})]
+    corpus += [_ribbon(rng, 5, 8, 3) for _ in range(200)]
+    seen = dict.fromkeys(("edgeless", "loop", "parallel", "legs", "disconnected", "bare vertex"), False)
+    for rg in corpus:
+        _walk_against_masks(rg)
+        g = rg.graph
+        pairs = [frozenset((e.tail, e.head)) for e in g.edges]
+        seen["edgeless"] |= not g.edges
+        seen["loop"] |= any(e.is_loop for e in g.edges)
+        seen["parallel"] |= len(set(pairs)) < len(pairs)
+        seen["legs"] |= bool(g.legs)
+        seen["disconnected"] |= g.components() > 1
+        seen["bare vertex"] |= any(not seq for seq in rg.rotation.values())
+    assert all(seen.values()), seen
+
+
+def test_subset_walk_matches_edge_masks_and_trace_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(st.integers(0, 2**32))
+    def check(seed):
+        _walk_against_masks(_ribbon(random.Random(seed), 5, 7, 3))
+
+    check()
 
 
 def test_unknown_edge_id_is_a_key_error():

@@ -125,6 +125,7 @@ def test_multivariate_br_values():
     b1 = MultiPoly.var("b.e1")
     isolated = RibbonGraph(Graph(["v"], []), {"v": ()})
     assert multivariate_br(isolated) == X * Z
+    assert multivariate_br(RibbonGraph(Graph(["v", "w"], []), {"v": (), "w": ()})) == X**2 * Z**2
     assert multivariate_br(fixtures.build("tadpole")) == X * Z + X * b1 * Z**2
     assert multivariate_br(fixtures.build("bridge")) == X**2 * Z**2 + X * b1 * Z
 
@@ -187,6 +188,27 @@ def test_br_delcon_equals_subset_on_a_seeded_corpus():
     assert any(not rg.graph.is_connected() for rg in corpus)
     for rg in corpus:
         assert bollobas_riordan(rg, "delcon") == bollobas_riordan(rg, "subset")
+
+
+def test_br_routes_agree_on_disconnected_and_isolated_vertices():
+    cases = [
+        RibbonGraph(Graph(["v"], []), {"v": ()}),
+        RibbonGraph(Graph(["v", "w"], []), {"v": (), "w": ()}),
+        # a planar loop at v1 and nothing at v2
+        RibbonGraph(Graph(["v1", "v2"], [("e1", "v1", "v1")]), {"v1": [("e1", "t"), ("e1", "h")], "v2": []}),
+        # a vertex with only legs beside an interleaved pair of loops
+        RibbonGraph(
+            Graph(["v", "w"], [("a", "v", "v"), ("b", "v", "v")], [("f1", "w", "in"), ("f2", "w", "out")]),
+            {"v": [("a", "t"), ("b", "t"), ("a", "h"), ("b", "h")], "w": [("f1", "x"), ("f2", "x")]},
+        ),
+        # two bridges in two parts, and an isolated vertex
+        RibbonGraph(
+            Graph(["p", "q", "r", "s", "t"], [("a", "p", "q"), ("b", "r", "s")]),
+            {"p": [("a", "t")], "q": [("a", "h")], "r": [("b", "t")], "s": [("b", "h")], "t": []},
+        ),
+    ]
+    for rg in cases:
+        assert bollobas_riordan(rg, "subset") == bollobas_riordan(rg, "delcon"), rg
 
 
 def test_br_delcon_builds_no_graphs(monkeypatch):
