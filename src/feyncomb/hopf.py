@@ -16,15 +16,22 @@ Divergence models:
   core  every connected 1PI subgraph with at least one internal edge
 
 Subgraphs are edge subsets; their external legs are the cut half-edges plus
-the host's own legs attached inside.  The search walks edge subsets depth
-first as bitmasks and tests each for the leg count and for two half-edges at
-every vertex in O(1), then for 1PI-ness, then (gw) planarity.
+the host's own legs attached inside.  A host is searched as an index of
+integers (`_GraphShapes`, `_RibbonShapes`): edge end positions, half-edge
+numbers for a ribbon host, and members as bitmasks over edge positions.
+The search walks edge subsets depth first on an explicit stack and tests
+each for the leg count and for two half-edges at every vertex in O(1), then
+for 1PI-ness, then (gw) for genus 0 and one broken face, traced on the
+half-edge numbers.
 
 Labels are canonical forms looked up by shape, the integer data the
 canonical-form search reads (`Graph.shape`, `RibbonGraph.shape`): each shape
-is searched once per HopfAlgebra instance.  The coproduct reads the shapes
-of a host's members and cographs off the host's own index, and builds a
-member graph or cograph only for a label it has not met before.
+is searched once per HopfAlgebra instance, and each label keeps the shape
+it was first registered with.  The coproduct, antipode and Rbar read a
+label's members, and the shapes of its members and cographs, off an index
+built from that shape, so they build no graph; `graph_of` builds one from
+the shape only when asked.  `bogoliubov_forest` builds its member graphs
+and cographs and labels them through `label`.
 
 Shrinking a subgraph keeps ribbon structure by reading the cut half-edges
 off the subgraph's single broken face, so the gw model stays inside ribbon
@@ -34,12 +41,13 @@ graphs.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable, Mapping
+import math
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .formal import FormalAmplitude
-from .graphs import Edge, EdgeSubset, Graph, Leg, bridgeless_connected, canonical_code
+from .graphs import Edge, EdgeSubset, Graph, Leg, _union_find, bridgeless_connected, canonical_code
 from .poly import LinComb
-from .ribbon import HalfEdges, RibbonGraph, Token, _cyclic_equal, is_leg_token, rotation_code
+from .ribbon import RibbonGraph, Token, _cyclic_equal, is_leg_token, rotation_code
 
 GraphLike = Graph | RibbonGraph
 
@@ -122,16 +130,6 @@ def member_vertices(g: GraphLike, member: EdgeSubset) -> frozenset[str]:
     return frozenset(verts)
 
 
-def _vertex_mask(ends: Mapping[str, tuple[int, int]], member: EdgeSubset) -> int:
-    """The bitmask of the vertex positions of a member's edges, read off a
-    host's `Graph._ends`."""
-    mask = 0
-    for eid in member:
-        a, b = ends[eid]
-        mask |= 1 << a | 1 << b
-    return mask
-
-
 def _cut_leg_id(base: Graph, edge_id: str, end: str) -> str:
     """The leg id of a cut edge end: "cut.<edge>.<end>", with primes appended
     while a host edge or leg has the name."""
@@ -212,70 +210,141 @@ def cograph(g: GraphLike, family: Iterable[EdgeSubset]) -> GraphLike:
     if isinstance(g, Graph):
         return shrunk
     rot = {v: g.rotation[v] for v in base.vertices if v not in vmap}
-    index = g.half_edges()
-    for m, vs, nid in zip(members, vsets, new_ids):
-        rot[nid] = _broken_face(index, m, vs)
+    index, token = _RibbonShapes.of_graph(g), g.half_edges().token
+    for m, nid in zip(members, new_ids):
+        rot[nid] = tuple(token[h] for h in index.broken_face(index.mask(m)))
     return RibbonGraph(shrunk, rot)
 
 
-def _broken_face(index: HalfEdges, member: EdgeSubset, vs: frozenset[str]) -> tuple[Token, ...]:
-    """The half-edges that a member's one broken face passes by, in face
-    order: the host legs and cut ends at its vertices `vs`, the legs of
-    `member_graph`.  Raises ValueError when the member has two or more."""
-    broken = []
-    for f in index.trace(index.mask(member), True, True):
-        passed = [t for t in f.cycle if is_leg_token(t) or t[0] not in member]
-        if passed and f.vertex in vs:
-            broken.append(passed)
-    if len(broken) > 1:
-        raise ValueError("ribbon shrink needs all subgraph legs on one boundary face")
-    return tuple(broken[0]) if broken else ()
+# -- hosts as integer indices ------------------------------------------------------
 
 
-# -- member and cograph shapes on the host's index ---------------------------------
+_BYTE_BITS = [tuple(i for i in range(8) if m >> i & 1) for m in range(256)]
 
 
-class _GraphShapes:
-    """The shapes of a plain host's members and cographs, read off its edge
-    end positions (`Graph._ends`) without building a graph."""
+def _bits(mask: int) -> tuple[int, ...]:
+    """The positions of the set bits of `mask`, ascending, read a byte at a
+    time."""
+    if mask < 256:
+        return _BYTE_BITS[mask]
+    out: list[int] = []
+    base = 0
+    while mask:
+        out += [base + i for i in _BYTE_BITS[mask & 255]]
+        mask >>= 8
+        base += 8
+    return tuple(out)
+
+
+def _edge_names(count: int) -> list[str]:
+    """Edge ids for edge positions 0..count-1 whose sorted order is the
+    position order: "e0".."e9", or "e00".."e11" and so on."""
+    width = len(str(max(count - 1, 0)))
+    return [f"e{i:0{width}d}" for i in range(count)]
+
+
+class _HostIndex:
+    """A host as integers, and the reader of its members' and cographs' shapes.
+
+    `edges[i]` holds the end vertex positions of edge position i, `ids[i]`
+    its id, and `degree[v]` the half-edges (edge ends and legs) at vertex
+    position v.  Edge positions follow the sorted edge ids, so a member, a
+    bitmask over edge positions, has its least id at its lowest bit.  An
+    index read off a shape has the positions themselves as ids; `build`
+    names edge i by `_edge_names`, whose sorted order is the same.
+    `shape` is the host's shape and `canonical_form()` its label, so an
+    index stands in for its host where `HopfAlgebra.divergent_members`
+    takes one.
+    """
+
+    code: Callable[[Shape], str]
+
+    def __init__(self, shape: Shape, edges: list[tuple[int, int]], degree: list[int], ids: Sequence[str] | range):
+        self.shape = shape
+        self.edges = edges
+        self.degree = degree
+        self.ids = ids
+        self.bit_of = {e: 1 << i for i, e in enumerate(ids)}
+        self.vbits = [1 << a | 1 << b for a, b in edges]  # the vertex bits of each edge position
+
+    def canonical_form(self) -> str:
+        return self.code(self.shape)
+
+    def mask(self, member: Iterable) -> int:
+        return sum(map(self.bit_of.__getitem__, member))
+
+    def edge_set(self, mask: int) -> frozenset:
+        return frozenset(map(self.ids.__getitem__, _bits(mask)))
+
+    def vertex_mask(self, mask: int) -> int:
+        vm = 0
+        for i in _bits(mask):
+            vm |= self.vbits[i]
+        return vm
+
+    def nullity(self) -> int:
+        return len(self.edges) - len(self.degree) + _union_find(len(self.degree), self.edges)[1]
+
+
+class _GraphShapes(_HostIndex):
+    """A plain host's index: its shape (vertex count, end-position pairs,
+    legs per position) with the edges in id order."""
 
     code = staticmethod(lambda shape: canonical_code(*shape))
 
-    def __init__(self, g: Graph):
-        self.ends = g._ends
-        index = {v: i for i, v in enumerate(g.vertices)}
-        self.legs = [0] * len(g.vertices)  # host legs per position
-        for l in g.legs:
-            self.legs[index[l.vertex]] += 1
-        self.degree = self.legs[:]
-        for a, b in self.ends.values():
-            self.degree[a] += 1
-            self.degree[b] += 1
+    def __init__(self, shape: Shape, edges: list[tuple[int, int]], ids: Sequence[str] | range):
+        self.legs = legs = shape[2]  # host legs per position
+        degree = list(legs)
+        for a, b in edges:
+            degree[a] += 1
+            degree[b] += 1
+        super().__init__(shape, edges, degree, ids)
 
-    def member(self, member: EdgeSubset) -> Shape:
+    @staticmethod
+    def of_shape(shape: Shape) -> _GraphShapes:
+        return _GraphShapes(shape, list(shape[1]), range(len(shape[1])))
+
+    @staticmethod
+    def of_graph(g: Graph) -> _GraphShapes:
+        ids = g.edge_ids()
+        return _GraphShapes(g.shape(), [g._ends[e] for e in ids], ids)
+
+    @staticmethod
+    def build(shape: Shape) -> Graph:
+        """The graph on vertices v0.. with edge i at the i-th pair of `shape`
+        (named `_edge_names`) and legs f0..: its shape is `shape`."""
+        n, pairs, legc = shape
+        verts = [f"v{i}" for i in range(n)]
+        edges = [Edge(e, verts[a], verts[b]) for e, (a, b) in zip(_edge_names(len(pairs)), pairs)]
+        at = [v for v, count in enumerate(legc) for _ in range(count)]
+        return Graph(verts, edges, [Leg(f"f{k}", verts[v], "in") for k, v in enumerate(at)])
+
+    def member(self, mask: int) -> Shape:
         """The shape of `member_graph`: the member's vertices in host order,
         with the host degree less the member's own half-edges as legs."""
-        ends = self.ends
+        ends = [self.edges[i] for i in _bits(mask)]
         own: dict[int, int] = {}  # host position -> the member's half-edges there
-        for eid in member:
-            a, b = ends[eid]
+        for a, b in ends:
             own[a] = own.get(a, 0) + 1
             own[b] = own.get(b, 0) + 1
         verts = sorted(own)
         at = {v: i for i, v in enumerate(verts)}
-        pairs = sorted((at[a], at[b]) if a <= b else (at[b], at[a]) for a, b in map(ends.__getitem__, member))
+        pairs = sorted((at[a], at[b]) if a <= b else (at[b], at[a]) for a, b in ends)
         return len(verts), tuple(pairs), tuple(self.degree[v] - own[v] for v in verts)
 
-    def cograph(self, family: tuple[EdgeSubset, ...]) -> Shape:
+    def cograph(self, family: Iterable[int]) -> Shape:
         """The shape of `cograph`: the kept vertices in host order, then one
-        position per member in `cograph`'s order, carrying the legs of the
-        member's vertices; the other edges are mapped through."""
-        ends, legs = self.ends, self.legs
-        members = sorted(family, key=sorted)
+        position per member in `cograph`'s order (by least edge id),
+        carrying the legs of the member's vertices; the other edges are
+        mapped through."""
+        edges, legs = self.edges, self.legs
         shrunk: dict[int, int] = {}  # host position -> index of its member
+        union = 0
+        members = sorted(family, key=lambda m: m & -m)
         for i, m in enumerate(members):
-            for eid in m:
-                a, b = ends[eid]
+            union |= m
+            for j in _bits(m):
+                a, b = edges[j]
                 shrunk[a] = shrunk[b] = i
         at = [0] * len(legs)
         legc = []
@@ -288,52 +357,160 @@ class _GraphShapes:
         for v, i in shrunk.items():
             at[v] = kept + i
             legc[kept + i] += legs[v]
-        union = frozenset().union(*members)
         pairs = sorted(
-            (at[a], at[b]) if at[a] <= at[b] else (at[b], at[a]) for e, (a, b) in ends.items() if e not in union
+            (at[a], at[b]) if at[a] <= at[b] else (at[b], at[a])
+            for j, (a, b) in enumerate(edges)
+            if not union >> j & 1
         )
         return len(legc), tuple(pairs), tuple(legc)
 
 
-class _RibbonShapes:
-    """The shapes of a ribbon host's members and cographs, read off its
-    `HalfEdges` without building a graph."""
+class _RibbonShapes(_HostIndex):
+    """A ribbon host's index: its half-edges numbered vertex by vertex in
+    rotation order (as `HalfEdges` numbers them), with `mate[h]` the other
+    end of h's edge (-1 for a leg), `nxt[h]` the next half-edge in its
+    vertex's rotation and `bit[h]` the bit of h's edge position (0 for a
+    leg).  An index read off a shape numbers its edges in the order of
+    their first half-edge."""
 
     code = staticmethod(rotation_code)
 
-    def __init__(self, g: RibbonGraph):
-        self.index = index = g.half_edges()
-        self.at = {t: h for h, t in enumerate(index.token)}
-        self.blocks = [range(lo, hi) for lo, hi in zip(index.start, index.start[1:])]
+    def __init__(
+        self,
+        shape: Shape,
+        start: list[int],
+        mate: list[int],
+        nxt: list[int],
+        bit: list[int],
+        ids: Sequence[str] | range,
+    ):
+        self.mate, self.nxt, self.bit = mate, nxt, bit
+        self.blocks = [range(lo, hi) for lo, hi in zip(start, start[1:])]
+        vertex = [v for v, block in enumerate(self.blocks) for _ in block]
+        self.vmask = [0] * len(self.blocks)
+        edges = [(0, 0)] * len(ids)
+        for h, q in enumerate(mate):
+            self.vmask[vertex[h]] |= bit[h]
+            if h < q:
+                edges[bit[h].bit_length() - 1] = (vertex[h], vertex[q])
+        super().__init__(shape, edges, [len(block) for block in self.blocks], ids)
+
+    @staticmethod
+    def of_shape(blocks: Shape) -> _RibbonShapes:
+        mate = [q for block in blocks for q in block]
+        start, nxt = [0], []
+        for block in blocks:
+            lo = start[-1]
+            nxt += [lo + (i + 1) % len(block) for i in range(len(block))]
+            start.append(lo + len(block))
+        bit = [0] * len(mate)
+        count = 0
+        for h, q in enumerate(mate):
+            if h < q:
+                bit[h] = bit[q] = 1 << count
+                count += 1
+        return _RibbonShapes(blocks, start, mate, nxt, bit, range(count))
+
+    @staticmethod
+    def of_graph(g: RibbonGraph) -> _RibbonShapes:
+        index = g.half_edges()
+        return _RibbonShapes(g.shape(), index.start, index.mate, index.nxt, index.bit, g.graph.edge_ids())
+
+    @staticmethod
+    def build(blocks: Shape) -> RibbonGraph:
+        """The ribbon graph on vertices v0.. whose rotations list the
+        half-edges of `blocks`, edge i (named `_edge_names`) running from
+        its first half-edge to its second, and legs f0..: its shape is
+        `blocks`."""
+        index = _RibbonShapes.of_shape(blocks)
+        names = _edge_names(len(index.edges))
+        verts = [f"v{i}" for i in range(len(blocks))]
+        edges = [Edge(e, verts[a], verts[b]) for e, (a, b) in zip(names, index.edges)]
+        legs = []
+        rotation = {}
+        for v, block in zip(verts, index.blocks):
+            seq = []
+            for h in block:
+                q = index.mate[h]
+                if q < 0:
+                    seq.append((f"f{len(legs)}", "x"))
+                    legs.append(Leg(seq[-1][0], v, "in"))
+                else:
+                    seq.append((names[index.bit[h].bit_length() - 1], "t" if h < q else "h"))
+            rotation[v] = seq
+        return RibbonGraph(Graph(verts, edges, legs), rotation)
+
+    def _faces(self, mask: int) -> list[list[int]]:
+        """Per face of the member `mask`, the half-edges it passes by in face
+        order: those at the member's vertices whose edge is not in `mask`,
+        legs included.  Faces start at each untraced half-edge of `mask` in
+        number order, as `HalfEdges.trace` starts them."""
+        bit, mate, nxt = self.bit, self.mate, self.nxt
+        seen = bytearray(len(bit))
+        faces = []
+        for first, b in enumerate(bit):
+            if not b & mask or seen[first]:
+                continue
+            passed = []
+            cur = first
+            while True:
+                seen[cur] = 1
+                step = nxt[mate[cur]]
+                while not bit[step] & mask:
+                    passed.append(step)
+                    step = nxt[step]
+                cur = step
+                if cur == first:
+                    break
+            faces.append(passed)
+        return faces
+
+    def broken_face(self, mask: int) -> tuple[int, ...]:
+        """The half-edges that a member's one broken face passes by, in face
+        order: the legs of `member_graph`.  Raises ValueError when the member
+        has two or more broken faces."""
+        broken = [f for f in self._faces(mask) if f]
+        if len(broken) > 1:
+            raise ValueError("ribbon shrink needs all subgraph legs on one boundary face")
+        return tuple(broken[0]) if broken else ()
+
+    def planar_regular(self, mask: int, n_verts: int) -> bool:
+        """`member_graph(...).is_planar_regular()` for a connected member:
+        genus 0 (V - E + F = 2) and one broken face."""
+        faces = self._faces(mask)
+        return n_verts - mask.bit_count() + len(faces) == 2 and sum(1 for f in faces if f) == 1
 
     def _layout(self, blocks: list[Iterable[int]], mask: int) -> Shape:
         """The shape of the ribbon graph whose vertices hold the host
         half-edges `blocks`, in order: the flat position there of each
         half-edge's mate, -1 for a leg or an edge whose bit is not in `mask`."""
-        bit, mate = self.index.bit, self.index.mate
+        bit, mate = self.bit, self.mate
         flat = {h: i for i, h in enumerate(h for block in blocks for h in block)}
         return tuple(tuple(flat[mate[h]] if bit[h] & mask else -1 for h in block) for block in blocks)
 
-    def member(self, member: EdgeSubset) -> Shape:
+    def member(self, mask: int) -> Shape:
         """The shape of `member_graph`: the host blocks at the member's
         vertices, each in host rotation order, with the other edges' ends
         as legs."""
-        mask = self.index.mask(member)
-        return self._layout([block for block, vm in zip(self.blocks, self.index.vmask) if vm & mask], mask)
+        return self._layout([block for block, vm in zip(self.blocks, self.vmask) if vm & mask], mask)
 
-    def cograph(self, family: tuple[EdgeSubset, ...]) -> Shape:
+    def cograph(self, family: Iterable[int]) -> Shape:
         """The shape of `cograph`: the kept host blocks, then per member, in
-        `cograph`'s order, the half-edges its one broken face passes by."""
-        index, at = self.index, self.at
+        `cograph`'s order (by least edge id), the half-edges its one broken
+        face passes by."""
         union = 0
         faces = []
-        for m in sorted(family, key=sorted):
-            mask = index.mask(m)
-            union |= mask
-            vs = frozenset(index.vertices[i] for i, vm in enumerate(index.vmask) if vm & mask)
-            faces.append([at[t] for t in _broken_face(index, m, vs)])
-        kept = [block for block, vm in zip(self.blocks, index.vmask) if not vm & union]
+        for m in sorted(family, key=lambda m: m & -m):
+            union |= m
+            faces.append(self.broken_face(m))
+        kept = [block for block, vm in zip(self.blocks, self.vmask) if not vm & union]
         return self._layout(kept + faces, ~union)
+
+
+def _host_index(g: GraphLike | _HostIndex) -> _HostIndex:
+    if isinstance(g, _HostIndex):
+        return g
+    return _RibbonShapes.of_graph(g) if isinstance(g, RibbonGraph) else _GraphShapes.of_graph(g)
 
 
 # -- graph insertion (the dual of shrinking) -----------------------------------------
@@ -523,6 +700,41 @@ def _bfs_rank(n: int, ends: list[tuple[int, int]]) -> list[int]:
     return rank
 
 
+def _grow(clash: list[int]) -> list[tuple[int, ...]]:
+    """Every nonempty ascending tuple of indices below `len(clash)` no two of
+    which clash (`clash[i]` has bit j set when i and j clash), in
+    depth-first order: a tuple, then the tuples that extend it, then the
+    next choice at its last place.  Pending choices wait on a stack."""
+    out: list[tuple[int, ...]] = []
+    stack: list[tuple[int, tuple[int, ...], int]] = [(0, (), 0)]  # (next index, tuple, its index bits)
+    while stack:
+        start, chosen, bits = stack.pop()
+        for i in range(start, len(clash)):
+            if not clash[i] & bits:
+                picked = chosen + (i,)
+                out.append(picked)
+                stack.append((i + 1, chosen, bits))
+                stack.append((i + 1, picked, bits | 1 << i))
+                break
+    return out
+
+
+def _sharing(vmasks: list[int]) -> list[int]:
+    """Per member, the bitmask of the members that share a vertex with it
+    (itself included), from members' vertex bitmasks `vmasks`."""
+    at: dict[int, int] = {}  # vertex position -> the members there
+    for i, vm in enumerate(vmasks):
+        for v in _bits(vm):
+            at[v] = at.get(v, 0) | 1 << i
+    out = []
+    for vm in vmasks:
+        share = 0
+        for v in _bits(vm):
+            share |= at[v]
+        out.append(share)
+    return out
+
+
 # -- the Hopf algebra ---------------------------------------------------------------
 
 
@@ -542,6 +754,8 @@ class HopfAlgebra:
         self.include_tadpoles = include_tadpoles
         self.products = products
         self._shape_labels: dict[Shape, str] = {}
+        self._hosts: dict[str, tuple[type[_HostIndex], Shape]] = {}  # label -> its first shape
+        self._indices: dict[str, _HostIndex] = {}
         self._graphs: dict[str, GraphLike] = {}
         self._split_cache: dict[str, list[tuple[Mono, str]]] = {}
         self._coproducts: dict[str, TensorSum] = {}
@@ -552,29 +766,44 @@ class HopfAlgebra:
 
     def label(self, g: GraphLike) -> str:
         """The canonical form of `g`, looked up by `g.shape()`: each shape is
-        searched once on this instance.  A new label is registered to `g`."""
-        code = _RibbonShapes.code if isinstance(g, RibbonGraph) else _GraphShapes.code
-        return self._label_shape(g.shape(), code, lambda: g)
+        searched once on this instance.  A new label keeps `g`'s shape, and
+        `graph_of` returns `g` itself for it."""
+        return self._label_shape(g.shape(), _RibbonShapes if isinstance(g, RibbonGraph) else _GraphShapes, g)
 
-    def _label_shape(self, shape: Shape, code: Callable[[Shape], str], build: Callable[[], GraphLike]) -> str:
-        """The label `code(shape)`, searched once per shape; `build()` makes
-        the graph that `graph_of` returns, only for a label not yet
-        registered."""
+    def _label_shape(self, shape: Shape, kind: type[_HostIndex], g: GraphLike | None = None) -> str:
+        """The label `kind.code(shape)`, searched once per shape.  A new label
+        keeps `(kind, shape)`, and `g` when it is given."""
         lbl = self._shape_labels.get(shape)
         if lbl is None:
-            lbl = self._shape_labels[shape] = code(shape)
-            if lbl not in self._graphs:
-                self._graphs[lbl] = build()
+            lbl = self._shape_labels[shape] = kind.code(shape)
+            if lbl not in self._hosts:
+                self._hosts[lbl] = (kind, shape)
+                if g is not None:
+                    self._graphs[lbl] = g
         return lbl
 
+    def _index(self, label: str) -> _HostIndex:
+        """The index of the shape `label` was first registered with."""
+        index = self._indices.get(label)
+        if index is None:
+            kind, shape = self._hosts[label]
+            index = self._indices[label] = kind.of_shape(shape)
+        return index
+
     def graph_of(self, label: str) -> GraphLike:
-        try:
-            return self._graphs[label]
-        except KeyError:
-            raise KeyError(f"label {label!r} was never registered") from None
+        """The graph of a registered label: the one `label(g)` first met it
+        in, or else one built from its shape on first use and kept."""
+        g = self._graphs.get(label)
+        if g is None:
+            try:
+                kind, shape = self._hosts[label]
+            except KeyError:
+                raise KeyError(f"label {label!r} was never registered") from None
+            g = self._graphs[label] = kind.build(shape)
+        return g
 
     def grading_label(self, label: str) -> int:
-        return underlying(self.graph_of(label)).nullity()
+        return self._index(label).nullity()
 
     def grading_monomial(self, mono: Mono) -> int:
         return sum(self.grading_label(l) for l in mono)
@@ -586,151 +815,156 @@ class HopfAlgebra:
 
     # -- divergent subgraphs ---------------------------------------------------
 
-    def divergent_members(self, g: GraphLike) -> list[EdgeSubset]:
+    def divergent_members(self, g: GraphLike | _HostIndex) -> list[EdgeSubset]:
         """Connected 1PI proper subgraphs that are divergent under the model,
-        in (size, sorted ids) order.
+        in (size, sorted ids) order: `_search` on `g`'s index, each bitmask
+        mapped back to its edge ids.  `g` may be an index itself; one read
+        off a shape has its edge positions as ids."""
+        index = _host_index(g)
+        return [index.edge_set(m) for m in self._search(index)]
+
+    def _search(self, index: _HostIndex) -> list[int]:
+        """The divergent members of a host as bitmasks over its edge
+        positions, in (size, sorted positions) order.
 
         A depth-first walk adds edges in a fixed order, so each subset extends
         the one without its last edge: its vertex mask, the mask of vertices
-        that carry two or more of its half-edges (a self-loop gives two) and
-        its degree sum each follow in O(1).  Two filters read them before the
-        bridge test: the 2 or 4 leg count (phi4, gw: the degree sum minus
-        twice the size), and the necessary condition that every vertex of a
-        bridgeless subgraph carries two of its half-edges.  A vertex short of
-        two that no later edge touches stays short, so the walk leaves that
-        branch; edges go in breadth-first order of their later end, so
-        vertices run out of edges early.  Self-loops are never added when
-        tadpoles are excluded.
+        that carry two or more of its half-edges (a self-loop gives two), its
+        degree sum and the legs it keeps in every extension each follow in
+        O(1).  A subset keeps the legs and the ends of skipped edges at its
+        vertices: no later edge can take them in.  Two filters read them
+        before the bridge test: the 2 or 4 leg count (phi4, gw: the degree
+        sum minus twice the size), and the necessary condition that every
+        vertex of a bridgeless subgraph carries two of its half-edges.  A
+        vertex short of two that no later edge touches stays short, and
+        (phi4, gw) a subset that keeps more than 4 legs keeps them, so the
+        walk leaves such a branch; edges go in breadth-first order of their
+        later end, so vertices run out of edges early.  Self-loops are never
+        added when tadpoles are excluded.  The walk goes on with the next
+        edge taken; the subset without it waits on a stack.
         """
-        if self.model == "gw" and not isinstance(g, RibbonGraph):
+        planar = self.model == "gw"
+        if planar and not isinstance(index, _RibbonShapes):
             raise ValueError("the gw model is defined on ribbon graphs")
-        base = underlying(g)
-        n = len(base.vertices)
-        index = {v: i for i, v in enumerate(base.vertices)}
-        deg = [0] * n
-        for e in base.edges:
-            deg[index[e.tail]] += 1
-            deg[index[e.head]] += 1
-        for l in base.legs:
-            deg[index[l.vertex]] += 1
-        edges = [e for e in base.edges if self.include_tadpoles or not e.is_loop]
-        ends = [(index[e.tail], index[e.head]) for e in edges]
-        rank = _bfs_rank(n, ends)
-        order = sorted(range(len(edges)), key=lambda i: sorted((rank[x] for x in ends[i]), reverse=True))
-        edges = [edges[i] for i in order]
-        ends = [ends[i] for i in order]
+        ends, deg = index.edges, index.degree
+        n = len(deg)
+        order = [i for i, (a, b) in enumerate(ends) if self.include_tadpoles or a != b]
+        rank = _bfs_rank(n, [ends[i] for i in order])
+        order.sort(key=lambda i: sorted((rank[ends[i][0]], rank[ends[i][1]]), reverse=True))
+        # per walk position j: the end vertex bits, the degrees the ends add (a
+        # loop's second end adds none), the half-edges at each end's vertex
+        # that no edge from j on holds (legs, and the ends of skipped edges),
+        # and the edge position
+        later = [0] * n
+        steps = []
+        for i in reversed(order):
+            a, b = ends[i]
+            later[a] += 1
+            later[b] += 1
+            loop = a == b
+            steps.append(
+                (1 << a, 1 << b, deg[a], 0 if loop else deg[b], deg[a] - later[a], 0 if loop else deg[b] - later[b], i)
+            )
+        steps.reverse()
         # untouched[j]: the vertices no edge from walk position j on touches
-        untouched = [0] * (len(edges) + 1)
+        untouched = [0] * (len(steps) + 1)
         untouched[-1] = (1 << n) - 1
-        for j in range(len(edges) - 1, -1, -1):
-            a, b = ends[j]
-            untouched[j] = untouched[j + 1] & ~(1 << a) & ~(1 << b)
+        for j in range(len(steps) - 1, -1, -1):
+            untouched[j] = untouched[j + 1] & ~(steps[j][0] | steps[j][1])
         count_legs = self.model != "core"
-        proper = len(base.edges)
-        combo: list[int] = []
-        out: list[EdgeSubset] = []
+        cap = 4 if count_legs else math.inf  # the most legs a member may keep
+        proper = len(ends)
+        found: list[tuple[int, list[int], int]] = []  # (size, sorted edge positions, edge mask)
+        combo: list[int] = []  # the edge positions of the current subset, in walk order
+        # the subsets still to extend without an edge: (walk position, vertex mask,
+        # twice mask, degree sum, edge mask, size, legs it keeps in every extension)
+        stack: list[tuple[int, int, int, int, int, int, int]] = []
+        j = verts = twice = degsum = mask = r = kept = 0
+        while True:
+            if j == len(steps) or verts & ~twice & untouched[j] or kept > cap:
+                if not stack:
+                    break
+                j, verts, twice, degsum, mask, r, kept = stack.pop()
+                del combo[r:]
+                continue
+            bit_a, bit_b, deg_a, deg_b, held_a, held_b, i = steps[j]
+            # without edge j, its ends at the subset's vertices stay legs
+            stack.append((j + 1, verts, twice, degsum, mask, r, kept + (verts & bit_a != 0) + (verts & bit_b != 0)))
+            if not verts & bit_a:
+                degsum += deg_a
+                kept += held_a
+            if not verts & bit_b:
+                degsum += deg_b
+                kept += held_b
+            both = bit_a | bit_b
+            twice |= (verts & both) | (bit_a & bit_b)
+            verts |= both
+            mask |= 1 << i
+            combo.append(i)
+            r += 1
+            j += 1
+            if (
+                twice == verts
+                and r < proper
+                and (not count_legs or degsum - 2 * r in (2, 4))
+                and bridgeless_connected(_bits(verts), [ends[c] for c in combo])
+                and (not planar or index.planar_regular(mask, verts.bit_count()))
+            ):
+                found.append((r, sorted(combo), mask))
+        found.sort()
+        return [m for _, _, m in found]
 
-        def walk(start: int, verts: int, twice: int, degsum: int) -> None:
-            for j in range(start, len(edges)):
-                if verts & ~twice & untouched[j]:
-                    return
-                a, b = ends[j]
-                bit_a, bit_b = 1 << a, 1 << b
-                now_verts = verts | bit_a | bit_b
-                now_twice = twice | (verts & (bit_a | bit_b)) | (bit_a & bit_b)
-                now_deg = degsum
-                if not verts & bit_a:
-                    now_deg += deg[a]
-                if a != b and not verts & bit_b:
-                    now_deg += deg[b]
-                combo.append(j)
-                r = len(combo)
-                if (
-                    now_twice == now_verts
-                    and r < proper
-                    and (not count_legs or now_deg - 2 * r in (2, 4))
-                    and bridgeless_connected({v for c in combo for v in ends[c]}, [ends[c] for c in combo])
-                ):
-                    member = frozenset(edges[c].id for c in combo)
-                    if self.model != "gw" or member_graph(g, member).is_planar_regular():
-                        out.append(member)
-                walk(j + 1, now_verts, now_twice, now_deg)
-                combo.pop()
+    def _members(self, g: GraphLike | _HostIndex) -> tuple[list[EdgeSubset], list[int], list[int]]:
+        """`g`'s divergent members with their edge and vertex bitmasks.  Every
+        route reads its members from `divergent_members`."""
+        index = _host_index(g)
+        found = self.divergent_members(index)
+        masks = [index.mask(m) for m in found]
+        return found, masks, [index.vertex_mask(m) for m in masks]
 
-        walk(0, 0, 0, 0)
-        out.sort(key=lambda m: (len(m), sorted(m)))
-        return out
-
-    def families(self, g: GraphLike) -> list[tuple[EdgeSubset, ...]]:
+    def families(self, g: GraphLike | _HostIndex) -> list[tuple[EdgeSubset, ...]]:
         """Nonempty sets of pairwise vertex-disjoint divergent subgraphs."""
-        members = self.divergent_members(g)
+        found, _, vmasks = self._members(g)
         if not self.products:
-            return [(m,) for m in members]
-        ends = underlying(g)._ends
-        vmasks = [_vertex_mask(ends, m) for m in members]
-        out: list[tuple[EdgeSubset, ...]] = []
-
-        def grow(start: int, chosen: list[EdgeSubset], used: int):
-            for i in range(start, len(members)):
-                if vmasks[i] & used:
-                    continue
-                picked = chosen + [members[i]]
-                out.append(tuple(picked))
-                grow(i + 1, picked, used | vmasks[i])
-
-        grow(0, [], 0)
-        return out
+            return [(m,) for m in found]
+        return [tuple(found[i] for i in fam) for fam in _grow(_sharing(vmasks))]
 
     def zimmermann_forests(self, g: GraphLike) -> list[tuple[EdgeSubset, ...]]:
         """All sets of divergent subgraphs that are pairwise nested or disjoint."""
-        members = self.divergent_members(g)
-        ends = underlying(g)._ends
-        vmasks = {m: _vertex_mask(ends, m) for m in members}
-
-        def compatible(a: EdgeSubset, b: EdgeSubset) -> bool:
-            return not vmasks[a] & vmasks[b] or a < b or b < a
-
-        out: list[tuple[EdgeSubset, ...]] = [()]
-
-        def grow(start: int, chosen: list[EdgeSubset]):
-            for i in range(start, len(members)):
-                m = members[i]
-                if all(compatible(m, c) for c in chosen):
-                    picked = chosen + [m]
-                    out.append(tuple(picked))
-                    grow(i + 1, picked)
-
-        grow(0, [])
-        return out
+        found, masks, vmasks = self._members(g)
+        # members clash when they share a vertex and neither holds the other
+        clash = [
+            sum(1 << j for j in _bits(share) if masks[i] & masks[j] not in (masks[i], masks[j]))
+            for i, share in enumerate(_sharing(vmasks))
+        ]
+        return [()] + [tuple(found[i] for i in forest) for forest in _grow(clash)]
 
     # -- coproduct, counit, antipode ----------------------------------------------
 
-    def _splits(self, g: GraphLike, lbl: str) -> list[tuple[Mono, str]]:
-        """(labels of the members, label of the cograph) for every family.
+    def _splits(self, lbl: str) -> list[tuple[Mono, str]]:
+        """(labels of the members, label of the cograph) for every family of
+        the registered label `lbl`.
 
-        Kept per label of `g`, since isomorphic graphs have the same splits.
-        Each member and cograph is labelled by its shape, read off the
-        host's index (`_GraphShapes`, `_RibbonShapes`); `member_graph` or
-        `cograph` runs only for a label not yet registered.
+        Kept per label, since isomorphic graphs have the same splits.
+        `families` runs on the index of the shape `lbl` was first registered
+        with, and each member's and cograph's shape is read off that index
+        and labelled by shape, so no graph is built.
         """
-        if lbl not in self._split_cache:
-            families = self.families(g)
-            shapes = _RibbonShapes(g) if isinstance(g, RibbonGraph) else _GraphShapes(g)
-            code = shapes.code
-            # every member is also a family on its own: label each member once
-            member_label = {
-                fam[0]: self._label_shape(shapes.member(fam[0]), code, lambda m=fam[0]: member_graph(g, m))
-                for fam in families
-                if len(fam) == 1
-            }
-            self._split_cache[lbl] = [
+        splits = self._split_cache.get(lbl)
+        if splits is None:
+            index = self._index(lbl)
+            kind = type(index)
+            families = self.families(index)
+            masks = {m: index.mask(m) for fam in families for m in fam}
+            member_label = {m: self._label_shape(index.member(mask), kind) for m, mask in masks.items()}
+            splits = self._split_cache[lbl] = [
                 (
                     tuple(sorted(member_label[m] for m in fam)),
-                    self._label_shape(shapes.cograph(fam), code, lambda fam=fam: cograph(g, fam)),
+                    self._label_shape(index.cograph([masks[m] for m in fam]), kind),
                 )
                 for fam in families
             ]
-        return self._split_cache[lbl]
+        return splits
 
     def coproduct(self, g: GraphLike) -> TensorSum:
         if not underlying(g).is_one_pi():
@@ -744,7 +978,7 @@ class HopfAlgebra:
         total = TensorSum.sum(
             itertools.chain(
                 (TensorSum.tensor((lbl,), ()), TensorSum.tensor((), (lbl,))),
-                (TensorSum.tensor(mono, (co,)) for mono, co in self._splits(self.graph_of(lbl), lbl)),
+                (TensorSum.tensor(mono, (co,)) for mono, co in self._splits(lbl)),
             )
         )
         self._coproducts[lbl] = total
@@ -773,7 +1007,7 @@ class HopfAlgebra:
                 (GraphSum.from_label(lbl),),
                 (
                     self.antipode_monomial(mono) * GraphSum.from_label(co)
-                    for mono, co in self._splits(self.graph_of(lbl), lbl)
+                    for mono, co in self._splits(lbl)
                 ),
             )
         )
@@ -844,7 +1078,7 @@ class HopfAlgebra:
         cached = self._phi_minus.get(lbl)
         if cached is not None:
             return cached
-        result = -(self._rbar(self.graph_of(lbl), lbl).project())
+        result = -(self._rbar(lbl).project())
         self._phi_minus[lbl] = result
         return result
 
@@ -870,15 +1104,15 @@ class HopfAlgebra:
 
     def bogoliubov_hopf(self, g: GraphLike) -> FormalAmplitude:
         """Rbar(Gamma) = phi(Gamma) + sum phi_minus(gamma) phi(Gamma/gamma)."""
-        return self._rbar(g, self.label(g))
+        return self._rbar(self.label(g))
 
-    def _rbar(self, g: GraphLike, lbl: str) -> FormalAmplitude:
+    def _rbar(self, lbl: str) -> FormalAmplitude:
         return FormalAmplitude.sum(
             itertools.chain(
                 (FormalAmplitude.phi(lbl),),
                 (
                     self.twisted_antipode_monomial(mono) * FormalAmplitude.phi(co)
-                    for mono, co in self._splits(g, lbl)
+                    for mono, co in self._splits(lbl)
                 ),
             )
         )

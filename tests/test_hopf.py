@@ -115,49 +115,44 @@ def test_coproduct_monomial_reuses_labels(h, monkeypatch):
         h.coproduct(Graph(["a", "b"], [("e1", "a", "b")]))
 
 
-@pytest.mark.parametrize(
-    "name, model", [("nestedchain", "phi4"), ("fig5", "core"), ("twobubble", "core"), ("ribbonhost", "gw")]
-)
+def _fixture_models():
+    """(fixture, model) for every fixture whose coproduct the model answers:
+    the others are not 1PI, plain under gw, or have a member with two broken
+    faces, which a ribbon shrink refuses."""
+    out = []
+    for name in sorted(fixtures.FIXTURES):
+        for model in hopf.MODELS:
+            try:
+                HopfAlgebra(model).coproduct(fixtures.build(name))
+            except ValueError:
+                continue
+            out.append((name, model))
+    return out
+
+
+@pytest.mark.parametrize("name, model", _fixture_models())
 def test_each_graph_is_labelled_once_per_algebra(monkeypatch, name, model):
-    # Labels are memoised by shape: no shape is searched twice on one algebra,
-    # and a member graph or cograph is built only for a label not yet registered.
+    # Labels are memoised by shape, and each label's splits are read off the
+    # index of its shape: no shape is searched twice on one algebra, and the
+    # label routes build no member graph, cograph, Graph or RibbonGraph.
     g = fixtures.build(name)
     h = HopfAlgebra(model)
     searched = []
     for cls in (hopf._GraphShapes, hopf._RibbonShapes):
         monkeypatch.setattr(cls, "code", staticmethod(lambda shape, real=cls.code: searched.append(shape) or real(shape)))
     built = []
-    searching = []  # nonempty inside divergent_members, whose gw planarity test builds member graphs
-    find = HopfAlgebra.divergent_members
-
-    def divergent_members(self, x):
-        searching.append(x)
-        try:
-            return find(self, x)
-        finally:
-            searching.pop()
-
-    def counted(real):
-        def build(*args):
-            out = real(*args)
-            if not searching:
-                assert out.canonical_form() not in h._graphs  # only for a new label
-                built.append(out.canonical_form())
-            return out
-
-        return build
-
-    monkeypatch.setattr(HopfAlgebra, "divergent_members", divergent_members)
-    for name_ in ("member_graph", "cograph"):
-        monkeypatch.setattr(hopf, name_, counted(getattr(hopf, name_)))
+    for owner, attr in ((hopf, "member_graph"), (hopf, "cograph"), (Graph, "__init__"), (RibbonGraph, "__init__")):
+        real = getattr(owner, attr)
+        monkeypatch.setattr(owner, attr, lambda *a, real=real, attr=attr: built.append(attr) or real(*a))
     host = h.label(g)
     h.coproduct(g)
     assert h.check_coassociativity(g) and h.check_hopf_axioms(g)
     assert h.check_counit(g) and h.check_grading(g)
+    h.antipode(g)
+    assert h.renormalized(g) == h.bogoliubov_hopf(g) - h.bogoliubov_hopf(g).project()
+    assert built == []
     assert len(set(searched)) == len(searched)  # no shape twice
     assert searched[0] == g.shape() and h.graph_of(host) is g  # the host is labelled
-    assert h.divergent_members(g) and built
-    assert sorted(built) == sorted(set(h._graphs) - {host})  # one build per other label
 
 
 def test_ribbon_hash_agrees_with_cyclic_equality():
@@ -604,29 +599,34 @@ def _assert_splits_match_built_graphs(model, g, include_tadpoles=True):
     h = HopfAlgebra(model, include_tadpoles=include_tadpoles)
     families = h.families(g)
     assert families == _families_by_vertex_sets(h, g)
-    shapes = hopf._RibbonShapes(g) if isinstance(g, RibbonGraph) else hopf._GraphShapes(g)
+    shapes = hopf._host_index(g)
+    assert shapes.shape == g.shape()
     errors = set()
     for fam in families:
-        for m in fam:
-            assert shapes.member(m) == member_graph(g, m).shape()
+        masks = [shapes.mask(m) for m in fam]
+        for m, mask in zip(fam, masks):
+            assert shapes.edge_set(mask) == m
+            assert shapes.member(mask) == member_graph(g, m).shape()
         try:
             shrunk = cograph(g, fam)
         except ValueError as exc:
             errors.add(str(exc))
             with pytest.raises(ValueError) as caught:
-                shapes.cograph(fam)
+                shapes.cograph(masks)
             assert str(caught.value) == str(exc)
             continue
-        assert shapes.cograph(fam) == shrunk.shape()  # the very shape, not just an isomorphic one
+        assert shapes.cograph(masks) == shrunk.shape()  # the very shape, not just an isomorphic one
     try:
-        splits = h._splits(g, h.label(g))
+        splits = h._splits(h.label(g))
     except ValueError as exc:
         assert str(exc) in errors
         return False
-    assert not errors and len(splits) == len(families)
-    for (mono, co), fam in zip(splits, families):
-        assert co == cograph(g, fam).canonical_form()
-        assert mono == tuple(sorted(member_graph(g, m).canonical_form() for m in fam))
+    # `_splits` reads the index of the label's shape, whose edge order may differ from `g`'s
+    built = [
+        (tuple(sorted(member_graph(g, m).canonical_form() for m in fam)), cograph(g, fam).canonical_form())
+        for fam in families
+    ]
+    assert not errors and sorted(splits) == sorted(built)
     for lbl in {co for _, co in splits} | {m for mono, _ in splits for m in mono}:
         assert h.graph_of(lbl).canonical_form() == lbl
     return True
@@ -658,6 +658,36 @@ def test_split_labels_match_the_built_graphs():
             for model in ("phi4", "core"):
                 seen["raised"] |= not _assert_splits_match_built_graphs(model, copy)
     assert all(seen.values()), seen
+
+
+def test_labels_met_by_coproduct_and_antipode_are_closed():
+    """Each label that coproduct and antipode meet is the canonical form of
+    its `graph_of` graph, and the splits read off its first shape are those
+    a fresh algebra reads off that graph, off a relabelled copy of it, and
+    off the member graphs and cographs built from the copy."""
+    rng = random.Random(2207)
+    cases = []
+    for _ in range(10):
+        g = random_phi4_graph(rng, max_loops=4)
+        cases += [(model, tadpoles, g) for model in ("phi4", "core") for tadpoles in (True, False)]
+    cases += [("gw", True, _ribbonize(random_phi4_graph(rng, max_loops=4), rng)) for _ in range(10)]
+    cases.append(("gw", True, _two_leg_ribbon_host()))
+    built_from_shape = 0
+    for model, tadpoles, g in cases:
+        h = HopfAlgebra(model, include_tadpoles=tadpoles)
+        h.coproduct(g)
+        h.antipode(g)
+        for lbl in list(h._hosts):
+            built_from_shape += lbl not in h._graphs
+            graph = h.graph_of(lbl)
+            assert graph.canonical_form() == lbl
+            splits = sorted(h._splits(lbl))
+            copy = _relabelled_ribbon(graph, rng)
+            for host in (graph, copy):
+                fresh = HopfAlgebra(model, include_tadpoles=tadpoles)
+                assert sorted(fresh._splits(fresh.label(host))) == splits
+            assert _assert_splits_match_built_graphs(model, copy, tadpoles)
+    assert built_from_shape > 100
 
 
 def test_plain_and_ribbon_shapes_never_share_a_label():
