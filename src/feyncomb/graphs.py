@@ -393,12 +393,26 @@ def canonical_code(n: int, pairs: Sequence[tuple[int, int]], legc: Sequence[int]
 
     Vertices get positions class by class, in the order of their
     (degree, self-loops, legs) signatures; the key is the least sorted
-    list of (min, max) edge position pairs over every such assignment,
-    found by `least_code` with one level per position.  The leg
-    positions follow from the signatures alone.  With positions 0..k-1
-    placed, an edge from position p to an unplaced vertex is at least
-    (p, k) and an edge with no placed end at least (k, k).  A pair (a, b)
-    is coded as a * n + b, so lists of codes compare as lists of pairs.
+    list of (min, max) edge position pairs over every such assignment.
+    The leg positions follow from the signatures alone.  A pair (a, b) is
+    coded as a * n + b, so lists of codes compare as lists of pairs.
+
+    Placed-neighbour rule.  With positions 0..k-1 placed, position k takes
+    only those unplaced vertices of its class whose edge multiplicities to
+    positions 0, 1, ..., k-1 are lexicographically greatest (more edges to
+    an earlier position win).  This keeps the least key: say v beats w
+    first at position p, and a completion puts w at k and v at a later j of
+    the same class.  Swapping v and w leaves the groups of pairs (q, x) for
+    q < p unchanged, since v and w have equal multiplicities there.  Group
+    p then gains a (p, k) pair where the completion has a larger entry, so
+    the swapped key is smaller and that completion's key is never the
+    least.
+
+    Twin pruning.  Twins share a signature and have equal multiplicities
+    to every third vertex, so swapping two is an automorphism and gives the
+    same key; of tied twins only one is tried.  The search branches over
+    what remains on an explicit stack and keeps the least key among the
+    leaves.
     """
     nbrs: list[list[int]] = [[] for _ in range(n)]  # the far end of each non-loop edge
     loops = [0] * n
@@ -410,66 +424,83 @@ def canonical_code(n: int, pairs: Sequence[tuple[int, int]], legc: Sequence[int]
             nbrs[b].append(a)
     sig = [(len(nbrs[v]) + 2 * loops[v] + legc[v], loops[v], legc[v]) for v in range(n)]
     by_sig = sorted(range(n), key=sig.__getitem__)
+    same_sig: dict[tuple, list[int]] = {}
+    for v in by_sig:
+        same_sig.setdefault(sig[v], []).append(v)
+    level_class = [same_sig[sig[v]] for v in by_sig]
+    twin: list[int] | None = None  # found on the first tie
 
     at = [-1] * n  # position of each vertex, -1 while unplaced
+    # per unplaced vertex, -p for each edge to a placed position p, in placing
+    # order: the greatest of these lists has the greatest multiplicities
+    seen: list[list[int]] = [[] for _ in range(n)]
     groups: list[list[int]] = [[] for _ in range(n)]  # codes of placed pairs, by smaller position
-    open_ends = [0] * n  # per position, edges to unplaced vertices
-    free = len(pairs)  # edges with no placed end
     placed: list[int] = []
-
-    def place(v: int) -> None:
-        nonlocal free
+    best: list[int] = []
+    stack: list[list[int]] = []  # per placed position, the choices left to try
+    while True:
+        k = len(placed)
+        if k < n:
+            todo = [w for w in level_class[k] if at[w] < 0]
+            if len(todo) > 1:
+                top = max(seen[w] for w in todo)
+                todo = [w for w in todo if seen[w] == top]
+                if len(todo) > 1:
+                    twin = twin or _twins(nbrs, sig)
+                    todo = list({twin[w]: w for w in todo}.values())
+            stack.append(todo)
+        else:
+            leaf = [c for group in groups for c in group]
+            if not best or leaf < best:
+                best = leaf
+            if not any(stack):
+                break
+            while True:  # take back choices up to the last position with one left
+                v = placed.pop()
+                at[v] = -1
+                for w in nbrs[v]:
+                    p = at[w]
+                    if p < 0:
+                        seen[w].pop()
+                    else:
+                        groups[p].pop()
+                groups[len(placed)].clear()
+                if stack[-1]:
+                    break
+                stack.pop()
+        v = stack[-1].pop()
         k = len(placed)
         placed.append(v)
         at[v] = k
         groups[k].extend([k * n + k] * loops[v])
-        free -= loops[v]
         for w in nbrs[v]:
             p = at[w]
             if p < 0:
-                open_ends[k] += 1
-                free -= 1
+                seen[w].append(-k)
             else:
                 groups[p].append(p * n + k)  # k exceeds every code already in the group
-                open_ends[p] -= 1
-
-    def unplace(v: int) -> None:
-        nonlocal free
-        placed.pop()
-        at[v] = -1
-        k = len(placed)
-        for w in nbrs[v]:
-            p = at[w]
-            if p < 0:
-                free += 1
-            else:
-                groups[p].pop()
-                open_ends[p] += 1
-        open_ends[k] = 0
-        groups[k].clear()
-        free += loops[v]
-
-    def bound() -> list[int]:
-        k = len(placed)
-        out: list[int] = []
-        for p in range(k):
-            out += groups[p]
-            if open_ends[p]:
-                out += [p * n + k] * open_ends[p]
-        out += [k * n + k] * free
-        return out
-
-    same_sig: dict[tuple, list[int]] = {}
-    for v in by_sig:
-        same_sig.setdefault(sig[v], []).append(v)
-
-    def choices(k: int) -> list[int]:
-        return [v for v in same_sig[sig[by_sig[k]]] if at[v] < 0]
-
-    best = least_code(n, choices, place, unplace, bound)
     edges_txt = ",".join(f"{c // n}-{c % n}" for c in best)
     legs_txt = ",".join(str(k) for k, v in enumerate(by_sig) for _ in range(legc[v]))
     return f"G{n}|{edges_txt}|{legs_txt}"
+
+
+def _twins(nbrs: list[list[int]], sig: list[tuple]) -> list[int]:
+    """Per vertex, the least vertex of its twin class.  Twins share a
+    signature and have equal multiplicities to every third vertex.  Twins
+    with no edge between them have the same neighbour lists; twins joined by
+    m edges v-w have N(v) + m * [v] equal to N(w) + m * [w]."""
+    twin = list(range(len(nbrs)))
+    first: dict[tuple, int] = {}
+    rows = [sorted(row) for row in nbrs]
+    for v, row in enumerate(rows):
+        twin[v] = first.setdefault((sig[v], tuple(row)), v)
+    for v, row in enumerate(rows):
+        for w in set(row):
+            if v < w == twin[w] and sig[v] == sig[w]:
+                m = row.count(w)
+                if sorted(row + [v] * m) == sorted(rows[w] + [w] * m):
+                    twin[w] = twin[v]
+    return twin
 
 
 def bridgeless_connected(verts: Iterable[Hashable], ends: Sequence[tuple]) -> bool:
@@ -508,59 +539,6 @@ def bridgeless_connected(verts: Iterable[Hashable], ends: Sequence[tuple]) -> bo
                     return False  # the tree edge u-v is a bridge
                 low[u] = min(low[u], low[v])
     return len(disc) == len(adj)
-
-
-def least_code(
-    levels: int,
-    choices: Callable[[int], list],
-    place: Callable[[Any], None],
-    unplace: Callable[[Any], None],
-    bound: Callable[[], list[int]],
-) -> list[int]:
-    """The least code list over every way to make one choice per level, by
-    branch and bound.
-
-    Level k offers `choices(k)` (which may depend on the choices placed);
-    `place` and `unplace` apply and undo a choice.  `bound()` is an
-    entrywise lower bound on the code list of every completion of the
-    choices placed, and the exact list once all levels are placed.  A
-    partial choice is dropped once its bound reaches the best complete list:
-    entrywise lower bounds are lexicographic ones too.  The choices of a
-    level are tried in the order of their bounds, so a good list is found
-    early; a level with one choice skips the bound.
-    """
-    best: list[int] | None = None
-
-    def search(k: int) -> None:
-        nonlocal best
-        if k == levels:
-            leaf = bound()
-            if best is None or leaf < best:
-                best = leaf
-            return
-        todo = choices(k)
-        if len(todo) == 1:
-            place(todo[0])
-            search(k + 1)
-            unplace(todo[0])
-            return
-        scored = []
-        for c in todo:
-            place(c)
-            low = bound()
-            unplace(c)
-            if best is None or low < best:
-                scored.append((low, c))
-        scored.sort()
-        for low, c in scored:
-            if best is not None and low >= best:
-                break
-            place(c)
-            search(k + 1)
-            unplace(c)
-
-    search(0)
-    return best
 
 
 # -- parallel classes, the state of the deletion/contraction walk ------------------

@@ -27,7 +27,9 @@ half-edge numbers.
 Labels are canonical forms looked up by shape, the integer data the
 canonical-form search reads (`Graph.shape`, `RibbonGraph.shape`): each shape
 is searched once per HopfAlgebra instance, and each label keeps the shape
-it was first registered with.  The coproduct, antipode and Rbar read a
+it was first registered with.  The instance also keeps each graph object's
+label and the labels found 1PI, so repeated calls on one graph read its
+shape and test it for 1PI once.  The coproduct, antipode and Rbar read a
 label's members, and the shapes of its members and cographs, off an index
 built from that shape, so they build no graph; `graph_of` builds one from
 the shape only when asked.  `bogoliubov_forest` builds its member graphs
@@ -754,6 +756,9 @@ class HopfAlgebra:
         self.include_tadpoles = include_tadpoles
         self.products = products
         self._shape_labels: dict[Shape, str] = {}
+        # id(g) -> (g, its label), holding g so that its id is not reused
+        self._object_labels: dict[int, tuple[GraphLike, str]] = {}
+        self._one_pi: set[str] = set()  # labels whose graphs were found 1PI
         self._hosts: dict[str, tuple[type[_HostIndex], Shape]] = {}  # label -> its first shape
         self._indices: dict[str, _HostIndex] = {}
         self._graphs: dict[str, GraphLike] = {}
@@ -766,9 +771,15 @@ class HopfAlgebra:
 
     def label(self, g: GraphLike) -> str:
         """The canonical form of `g`, looked up by `g.shape()`: each shape is
-        searched once on this instance.  A new label keeps `g`'s shape, and
-        `graph_of` returns `g` itself for it."""
-        return self._label_shape(g.shape(), _RibbonShapes if isinstance(g, RibbonGraph) else _GraphShapes, g)
+        searched once on this instance, and each graph object's shape is read
+        once.  A new label keeps `g`'s shape, and `graph_of` returns `g`
+        itself for it."""
+        known = self._object_labels.get(id(g))
+        if known is not None:
+            return known[1]
+        lbl = self._label_shape(g.shape(), _RibbonShapes if isinstance(g, RibbonGraph) else _GraphShapes, g)
+        self._object_labels[id(g)] = (g, lbl)
+        return lbl
 
     def _label_shape(self, shape: Shape, kind: type[_HostIndex], g: GraphLike | None = None) -> str:
         """The label `kind.code(shape)`, searched once per shape.  A new label
@@ -967,9 +978,13 @@ class HopfAlgebra:
         return splits
 
     def coproduct(self, g: GraphLike) -> TensorSum:
-        if not underlying(g).is_one_pi():
-            raise ValueError("coproduct requires a 1PI graph")
-        return self._coproduct_label(self.label(g))
+        """The coproduct of the 1PI graph `g`; 1PI-ness is tested once per label."""
+        lbl = self.label(g)
+        if lbl not in self._one_pi:
+            if not underlying(g).is_one_pi():
+                raise ValueError("coproduct requires a 1PI graph")
+            self._one_pi.add(lbl)
+        return self._coproduct_label(lbl)
 
     def _coproduct_label(self, lbl: str) -> TensorSum:
         cached = self._coproducts.get(lbl)

@@ -36,9 +36,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
-from .graphs import Edge, EdgeSubset, Graph, Leg, graph_from_json_dict, least_code
+from .graphs import Edge, EdgeSubset, Graph, Leg, graph_from_json_dict
 
 Token = tuple[str, str]  # (edge_id, "t"|"h") or (leg_id, "x")
 
@@ -498,6 +498,66 @@ def rotation_code(blocks: Sequence[Sequence[int]]) -> str:
     best = least_code(len(blocks), choices, place, unplace, bound)
     sizes = "/".join(str(sig[v][0]) for v in by_sig)
     return f"R{sizes}|{','.join(str(c) for c in best)}"
+
+
+def least_code(
+    levels: int,
+    choices: Callable[[int], list],
+    place: Callable[[Any], None],
+    unplace: Callable[[Any], None],
+    bound: Callable[[], list[int]],
+) -> list[int]:
+    """The least code list over every way to make one choice per level, by
+    branch and bound on an explicit stack.
+
+    Level k offers `choices(k)` (which may depend on the choices placed);
+    `place` and `unplace` apply and undo a choice.  `bound()` is an
+    entrywise lower bound on the code list of every completion of the
+    choices placed, and the exact list once all levels are placed.  A
+    partial choice is dropped once its bound reaches the best complete list:
+    entrywise lower bounds are lexicographic ones too.  The choices of a
+    level are tried in the order of their bounds, so a good list is found
+    early; a level with one choice skips the bound.
+    """
+    best: list[int] | None = None
+
+    def scored(k: int) -> list[tuple[Any, Any]]:
+        """Level k's (bound, choice) pairs, the first to try last."""
+        todo = choices(k)
+        if len(todo) == 1:
+            return [(None, todo[0])]
+        out = []
+        for c in todo:
+            place(c)
+            low = bound()
+            unplace(c)
+            if best is None or low < best:
+                out.append((low, c))
+        out.sort(reverse=True)
+        return out
+
+    if not levels:
+        return bound()
+    stack = [scored(0)]  # per level, the (bound, choice) pairs left to try
+    placed: list[Any] = []
+    while stack:
+        k = len(stack) - 1
+        if len(placed) > k:
+            unplace(placed.pop())
+        todo = stack[-1]
+        if not todo or (best is not None and todo[-1][0] is not None and todo[-1][0] >= best):
+            stack.pop()
+            continue
+        c = todo.pop()[1]
+        place(c)
+        placed.append(c)
+        if k + 1 < levels:
+            stack.append(scored(k + 1))
+        else:
+            leaf = bound()
+            if best is None or leaf < best:
+                best = leaf
+    return best
 
 
 class HalfEdges:

@@ -1,9 +1,12 @@
-"""Canonical forms against the exhaustive search they replaced.
+"""Canonical forms against the searches they replaced.
 
-The oracle below tries every vertex bijection that respects the signatures
-(and, for ribbon graphs, every product of cyclic starting points) and keeps
-the least encoding.  The branch-and-bound search in `graphs` and `ribbon`
-must return the identical string, since the labels are printed and pinned.
+The exhaustive oracle below tries every vertex bijection that respects the
+signatures (and, for ribbon graphs, every product of cyclic starting points)
+and keeps the least encoding.  `branch_and_bound_code` is the graph search
+that the placed-neighbour search of `graphs.canonical_code` replaced, and it
+pins that search on graphs too large for the exhaustive oracle.  Every
+search must return the identical string, since the labels are printed and
+pinned.
 """
 
 import itertools
@@ -13,7 +16,7 @@ import pytest
 
 from feyncomb.checks import random_multigraph
 from feyncomb.graphs import Graph, canonical_code
-from feyncomb.ribbon import RibbonGraph, is_leg_token, partner, rotation_code
+from feyncomb.ribbon import RibbonGraph, is_leg_token, least_code, partner, rotation_code
 
 # -- the exhaustive oracle ----------------------------------------------------------
 
@@ -78,6 +81,83 @@ def oracle_ribbon_key(rg):
                 best = enc
     blocks, codes = best
     return f"R{'/'.join(str(b) for b in blocks)}|{','.join(str(c) for c in codes)}"
+
+
+def branch_and_bound_code(n, pairs, legc):
+    """The graph code by the branch and bound over every signature-respecting
+    assignment that `graphs.canonical_code` ran before its placed-neighbour
+    rule: the least sorted pair list, positions placed one level at a time,
+    with an entrywise lower bound on every completion."""
+    nbrs = [[] for _ in range(n)]
+    loops = [0] * n
+    for a, b in pairs:
+        if a == b:
+            loops[a] += 1
+        else:
+            nbrs[a].append(b)
+            nbrs[b].append(a)
+    sig = [(len(nbrs[v]) + 2 * loops[v] + legc[v], loops[v], legc[v]) for v in range(n)]
+    by_sig = sorted(range(n), key=sig.__getitem__)
+
+    at = [-1] * n
+    groups = [[] for _ in range(n)]
+    open_ends = [0] * n
+    free = len(pairs)
+    placed = []
+
+    def place(v):
+        nonlocal free
+        k = len(placed)
+        placed.append(v)
+        at[v] = k
+        groups[k].extend([k * n + k] * loops[v])
+        free -= loops[v]
+        for w in nbrs[v]:
+            p = at[w]
+            if p < 0:
+                open_ends[k] += 1
+                free -= 1
+            else:
+                groups[p].append(p * n + k)
+                open_ends[p] -= 1
+
+    def unplace(v):
+        nonlocal free
+        placed.pop()
+        at[v] = -1
+        k = len(placed)
+        for w in nbrs[v]:
+            p = at[w]
+            if p < 0:
+                free += 1
+            else:
+                groups[p].pop()
+                open_ends[p] += 1
+        open_ends[k] = 0
+        groups[k].clear()
+        free += loops[v]
+
+    def bound():
+        k = len(placed)
+        out = []
+        for p in range(k):
+            out += groups[p]
+            if open_ends[p]:
+                out += [p * n + k] * open_ends[p]
+        out += [k * n + k] * free
+        return out
+
+    same_sig = {}
+    for v in by_sig:
+        same_sig.setdefault(sig[v], []).append(v)
+
+    def choices(k):
+        return [v for v in same_sig[sig[by_sig[k]]] if at[v] < 0]
+
+    best = least_code(n, choices, place, unplace, bound)
+    edges_txt = ",".join(f"{c // n}-{c % n}" for c in best)
+    legs_txt = ",".join(str(k) for k, v in enumerate(by_sig) for _ in range(legc[v]))
+    return f"G{n}|{edges_txt}|{legs_txt}"
 
 
 # -- shapes, read off the public fields ------------------------------------------------
@@ -170,6 +250,58 @@ def cut_circulant(n):
     return Graph([f"v{i}" for i in range(1, n + 1)], edges, [("f1", "v1", "in"), ("f2", "v2", "out")])
 
 
+def box_ladder(n):
+    """n rungs, 2n vertices, 3n-2 edges and a leg at each corner."""
+    edges = [(f"u{i}", f"t{i}", f"b{i}") for i in range(n)]
+    edges += [(f"{side}{i}", f"{side}{i - 1}", f"{side}{i}") for side in "tb" for i in range(1, n)]
+    legs = [("f1", "t0", "in"), ("f2", "b0", "in"), ("f3", f"t{n - 1}", "out"), ("f4", f"b{n - 1}", "out")]
+    return Graph([f"{side}{i}" for side in "tb" for i in range(n)], edges, legs)
+
+
+def wheel(n):
+    """A hub joined by n spokes to an n-cycle rim."""
+    edges = [(f"s{i}", "h", f"v{i}") for i in range(n)] + [(f"r{i}", f"v{i}", f"v{(i + 1) % n}") for i in range(n)]
+    return Graph(["h"] + [f"v{i}" for i in range(n)], edges)
+
+
+def complete(n, legs=False):
+    """K_n, with one incoming and one outgoing leg when `legs`."""
+    edges = [(f"e{i}_{j}", f"v{i}", f"v{j}") for i, j in itertools.combinations(range(n), 2)]
+    return Graph([f"v{i}" for i in range(n)], edges, [("f1", "v0", "in"), ("f2", f"v{n - 1}", "out")] if legs else [])
+
+
+def complete_bipartite(a, b):
+    edges = [(f"e{i}_{j}", f"a{i}", f"b{j}") for i in range(a) for j in range(b)]
+    return Graph([f"a{i}" for i in range(a)] + [f"b{j}" for j in range(b)], edges)
+
+
+def cube():
+    """Q_3 on the 3-bit words, joined when they differ in one bit."""
+    edges = [(f"e{v}_{v ^ bit}", f"v{v}", f"v{v ^ bit}") for v in range(8) for bit in (1, 2, 4) if v < v ^ bit]
+    return Graph([f"v{v}" for v in range(8)], edges)
+
+
+def _medium_multigraph(rng):
+    """7-10 vertices with random ends and legs (loops, parallel edges and
+    isolated vertices among them), or two disjoint copies of one smaller
+    such graph, whose swap and ties the search must see through."""
+
+    def ends(n, max_edges, max_legs):
+        verts = [f"v{i}" for i in range(n)]
+        edges = [(f"e{i}", rng.choice(verts), rng.choice(verts)) for i in range(rng.randint(0, max_edges))]
+        legs = [(f"f{i}", rng.choice(verts), "in") for i in range(rng.randint(0, max_legs))]
+        return verts, edges, legs
+
+    if rng.random() < 0.5:
+        return Graph(*ends(rng.randint(7, 10), 16, 4))
+    verts, edges, legs = ends(rng.randint(4, 5), 8, 2)
+    return Graph(
+        [c + v for c in "xy" for v in verts],
+        [(c + e, c + a, c + b) for c in "xy" for e, a, b in edges],
+        [(c + l, c + v, d) for c in "xy" for l, v, d in legs],
+    )
+
+
 def _features(g):
     base = g.graph if isinstance(g, RibbonGraph) else g
     touched = {v for e in base.edges for v in (e.tail, e.head)}
@@ -223,6 +355,46 @@ def test_canonical_form_matches_exhaustive_search_on_cut_circulants():
         assert g.canonical_form() == key
         assert _relabelled(g, rng).canonical_form() == key
         assert_codes_of_shapes(g, key)
+
+
+def test_graph_code_matches_branch_and_bound_on_random_multigraphs():
+    rng = random.Random(2714)
+    seen = dict.fromkeys(("loop", "parallel", "legs", "isolated", "disconnected"), False)
+    for _ in range(240):
+        g = _medium_multigraph(rng)
+        for kind, present in _features(g).items():
+            seen[kind] |= present
+        key = branch_and_bound_code(*plain_shape(g))
+        assert_codes_of_shapes(g, key)
+        assert _relabelled(g, rng).canonical_form() == key
+    assert all(seen.values()), seen
+
+
+SYMMETRIC_FAMILIES = (
+    [(f"cut C{n}", cut_circulant(n)) for n in range(8, 13)]
+    + [(f"box ladder {n}", box_ladder(n)) for n in range(3, 7)]
+    + [(f"W{n}", wheel(n)) for n in range(4, 9)]
+    + [(f"K{n}{' legs' * legs}", complete(n, legs)) for n in range(1, 8) for legs in (False, True)]
+    + [("K3,3", complete_bipartite(3, 3)), ("K4,4", complete_bipartite(4, 4)), ("Q3", cube())]
+)
+
+
+@pytest.mark.parametrize("name, g", SYMMETRIC_FAMILIES, ids=[name for name, _ in SYMMETRIC_FAMILIES])
+def test_graph_code_matches_branch_and_bound_on_symmetric_families(name, g):
+    key = branch_and_bound_code(*plain_shape(g))
+    assert_codes_of_shapes(g, key)
+    assert _relabelled(g, random.Random(name)).canonical_form() == key
+
+
+def test_graph_code_of_k9():
+    pairs = ",".join(f"{a}-{b}" for a, b in itertools.combinations(range(9), 2))
+    assert complete(9).canonical_form() == f"G9|{pairs}|"
+
+
+def test_relabelled_cut_c30_share_one_label():
+    rng = random.Random(2715)
+    g = cut_circulant(30)
+    assert {_relabelled(g, rng).canonical_form() for _ in range(4)} == {g.canonical_form()}
 
 
 def test_canonical_form_of_empty_graphs():
@@ -281,3 +453,23 @@ def test_canonical_form_matches_exhaustive_search_property():
 
     check_graph()
     check_ribbon()
+
+
+def test_graph_code_matches_branch_and_bound_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def shapes(draw):
+        n = draw(st.integers(7, 10))
+        vertex = st.integers(0, n - 1)
+        pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=16))
+        legc = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        return n, pairs, legc
+
+    @hypothesis.settings(max_examples=50, deadline=None)
+    @hypothesis.given(shapes())
+    def check(shape):
+        assert canonical_code(*shape) == branch_and_bound_code(*shape)
+
+    check()

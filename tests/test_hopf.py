@@ -52,8 +52,9 @@ def test_divergent_members_examples(h):
 
 def test_divergent_members_require_one_pi(h):
     bridge = Graph(["a", "b"], [("e1", "a", "b")])
-    with pytest.raises(ValueError):
-        h.coproduct(bridge)
+    for _ in range(2):  # the label is kept, the refusal too
+        with pytest.raises(ValueError, match="coproduct requires a 1PI graph"):
+            h.coproduct(bridge)
 
 
 def test_subgraph_external_legs(h):
@@ -134,9 +135,15 @@ def _fixture_models():
 def test_each_graph_is_labelled_once_per_algebra(monkeypatch, name, model):
     # Labels are memoised by shape, and each label's splits are read off the
     # index of its shape: no shape is searched twice on one algebra, and the
-    # label routes build no member graph, cograph, Graph or RibbonGraph.
+    # label routes build no member graph, cograph, Graph or RibbonGraph.  The
+    # algebra keeps each graph object's label and the labels found 1PI, so the
+    # coproduct and the four axiom checks read the shape and test 1PI once.
     g = fixtures.build(name)
     h = HopfAlgebra(model)
+    reads = []
+    for owner in (Graph, RibbonGraph):
+        monkeypatch.setattr(owner, "shape", lambda x, real=owner.shape: reads.append(("shape", x)) or real(x))
+    monkeypatch.setattr(Graph, "is_one_pi", lambda x, real=Graph.is_one_pi: reads.append(("1pi", x)) or real(x))
     searched = []
     for cls in (hopf._GraphShapes, hopf._RibbonShapes):
         monkeypatch.setattr(cls, "code", staticmethod(lambda shape, real=cls.code: searched.append(shape) or real(shape)))
@@ -144,10 +151,11 @@ def test_each_graph_is_labelled_once_per_algebra(monkeypatch, name, model):
     for owner, attr in ((hopf, "member_graph"), (hopf, "cograph"), (Graph, "__init__"), (RibbonGraph, "__init__")):
         real = getattr(owner, attr)
         monkeypatch.setattr(owner, attr, lambda *a, real=real, attr=attr: built.append(attr) or real(*a))
-    host = h.label(g)
     h.coproduct(g)
     assert h.check_coassociativity(g) and h.check_hopf_axioms(g)
     assert h.check_counit(g) and h.check_grading(g)
+    assert [(what, id(x)) for what, x in reads] == [("shape", id(g)), ("1pi", id(hopf.underlying(g)))]
+    host = h.label(g)
     h.antipode(g)
     assert h.renormalized(g) == h.bogoliubov_hopf(g) - h.bogoliubov_hopf(g).project()
     assert built == []
