@@ -230,8 +230,8 @@ def run(argv: list[str]) -> tuple[int, str]:
         return code, buf.getvalue()
     except (OSError, ValueError, KeyError) as exc:
         return 2, buf.getvalue() + f"error: {exc}\n"
-    except RecursionError:  # a valid input too deep for a recursive route
-        return 2, buf.getvalue() + "error: input too large for this route (recursion limit reached)\n"
+    except RecursionError:  # json.load on a fixture or momenta file nested too deeply
+        return 2, buf.getvalue() + "error: JSON input nested too deeply to read (recursion limit reached)\n"
     except AssertionError as exc:  # an internal invariant broke: report it like a failed check
         return 1, buf.getvalue() + f"FAIL internal invariant: {exc or 'assertion failed'}\n"
     text = buf.getvalue() + "\n".join(lines) + ("\n" if lines else "")

@@ -36,7 +36,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from itertools import accumulate
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .graphs import Edge, EdgeSubset, Graph, Leg, graph_from_json_dict
 
@@ -438,126 +439,81 @@ def rotation_code(blocks: Sequence[Sequence[int]]) -> str:
     flat position of each half-edge's mate (-1 for a leg), half-edges being
     numbered block after block.
 
-    Vertices are laid out as blocks, class by class in the order of their
-    (rotation length, self-loops, legs) signatures, each block being the
-    vertex's rotation read from some starting half-edge.  The key is the
-    least code list over every such layout, where each half-edge's code is
-    the flat position of its partner (-1 for a leg).  It is found by
-    `least_code` with one level per block.  A half-edge whose partner sits
-    in an unplaced block is at least the offset of the first unplaced
-    block; a half-edge in an unplaced block is at least -1.
+    A layout puts the vertices in blocks, class by class in the order of
+    their (rotation length, self-loops, legs) signatures, each block being
+    the vertex's rotation read from some starting half-edge.  The key is the
+    least code list over every layout, the code of a half-edge being the
+    flat position of its partner in the layout (-1 for a leg).
+
+    It is found by forced placement.  Every block of a class has the same
+    length, so each block's flat offset is fixed before any choice is made.
+    The scan reads the flat positions in order; at position p, with h the
+    half-edge there and q its mate, every entry before p is already fixed.
+    If q lies at a vertex u not placed yet, u goes to the first free block
+    of its class, read starting from q.  That gives entry p the block's
+    offset + 0, and any other completion gives it more: another start adds
+    i >= 1, and a later block starts at least one block length further on.
+    So no least key is lost, each entry is exact once it is scanned, and the
+    blocks of a class fill in order.  Only when the scan reaches a block
+    that is still empty (the first block of each component) does it branch,
+    over each unplaced vertex of that block's class and each start.  The
+    branches go on an explicit stack, and one is dropped once its fixed
+    prefix is greater than the best key.
     """
+    sizes = [len(block) for block in blocks]
     mate = [q for block in blocks for q in block]
-    seqs = []  # half-edges per vertex
-    lo = 0
-    for block in blocks:
-        seqs.append(list(range(lo, lo + len(block))))
-        lo += len(block)
-    sig = []
-    for seq in seqs:
-        loops = sum(1 for t in seq if seq[0] <= mate[t] < t)
-        sig.append((len(seq), loops, sum(1 for t in seq if mate[t] < 0)))
+    vertex = [v for v, n in enumerate(sizes) for _ in range(n)]
+    first = list(accumulate(sizes, initial=0))  # block v holds half-edges first[v] .. first[v + 1] - 1
+    loops = [sum(first[v] <= q < first[v] + i for i, q in enumerate(block)) for v, block in enumerate(blocks)]
+    sig = [(n, loops[v], blocks[v].count(-1)) for v, n in enumerate(sizes)]
     by_sig = sorted(range(len(blocks)), key=sig.__getitem__)
+    offset: list[int] = []  # per block position, its flat offset
+    owner: list[tuple] = []  # per flat position, its block's class
+    members: dict[tuple, list[int]] = {}  # per class, its vertices
+    free: dict[tuple, int] = {}  # per class, its first free block position
+    for k, v in enumerate(by_sig):
+        offset.append(len(owner))
+        owner += [sig[v]] * sizes[v]
+        members.setdefault(sig[v], []).append(v)
+        free.setdefault(sig[v], k)
 
-    at = [-1] * len(mate)  # flat position of each placed half-edge
-    flat: list[int] = []  # placed half-edges in flat order
-    used = [False] * len(blocks)
+    def place(u: int, s: int, at: list[int], flat: list[int], free: dict) -> None:
+        """Vertex u in the first free block of its class, read from half-edge s."""
+        lo, n, base = first[u], sizes[u], offset[free[sig[u]]]
+        free[sig[u]] += 1
+        for i in range(n):
+            t = lo + (s - lo + i) % n
+            at[t] = base + i
+            flat[base + i] = t
 
-    same_sig: dict[tuple, list[int]] = {}
-    for v in by_sig:
-        same_sig.setdefault(sig[v], []).append(v)
-
-    def choices(k: int) -> list[tuple[int, list[int]]]:
-        """(vertex, its rotation read from one start) for block k."""
-        out = []
-        for v in same_sig[sig[by_sig[k]]]:
-            if not used[v]:
-                seq = seqs[v]
-                out += [(v, seq[s:] + seq[:s]) for s in range(max(1, len(seq)))]
-        return out
-
-    def place(choice: tuple[int, list[int]]) -> None:
-        v, rolled = choice
-        used[v] = True
-        for t in rolled:
-            at[t] = len(flat)
-            flat.append(t)
-
-    def unplace(choice: tuple[int, list[int]]) -> None:
-        v, rolled = choice
-        used[v] = False
-        del flat[len(flat) - len(rolled) :]
-        for t in rolled:
-            at[t] = -1
-
-    def bound() -> list[int]:
-        nxt = len(flat)
-        low = [-1 if q < 0 else (at[q] if at[q] >= 0 else nxt) for q in (mate[t] for t in flat)]
-        return low + [-1] * (len(mate) - nxt)
-
-    best = least_code(len(blocks), choices, place, unplace, bound)
-    sizes = "/".join(str(sig[v][0]) for v in by_sig)
-    return f"R{sizes}|{','.join(str(c) for c in best)}"
-
-
-def least_code(
-    levels: int,
-    choices: Callable[[int], list],
-    place: Callable[[Any], None],
-    unplace: Callable[[Any], None],
-    bound: Callable[[], list[int]],
-) -> list[int]:
-    """The least code list over every way to make one choice per level, by
-    branch and bound on an explicit stack.
-
-    Level k offers `choices(k)` (which may depend on the choices placed);
-    `place` and `unplace` apply and undo a choice.  `bound()` is an
-    entrywise lower bound on the code list of every completion of the
-    choices placed, and the exact list once all levels are placed.  A
-    partial choice is dropped once its bound reaches the best complete list:
-    entrywise lower bounds are lexicographic ones too.  The choices of a
-    level are tried in the order of their bounds, so a good list is found
-    early; a level with one choice skips the bound.
-    """
-    best: list[int] | None = None
-
-    def scored(k: int) -> list[tuple[Any, Any]]:
-        """Level k's (bound, choice) pairs, the first to try last."""
-        todo = choices(k)
-        if len(todo) == 1:
-            return [(None, todo[0])]
-        out = []
-        for c in todo:
-            place(c)
-            low = bound()
-            unplace(c)
-            if best is None or low < best:
-                out.append((low, c))
-        out.sort(reverse=True)
-        return out
-
-    if not levels:
-        return bound()
-    stack = [scored(0)]  # per level, the (bound, choice) pairs left to try
-    placed: list[Any] = []
+    best = [len(mate)] * len(mate)  # greater than every code
+    stack = [(0, [-1] * len(mate), [-1] * len(mate), free, [])]
     while stack:
-        k = len(stack) - 1
-        if len(placed) > k:
-            unplace(placed.pop())
-        todo = stack[-1]
-        if not todo or (best is not None and todo[-1][0] is not None and todo[-1][0] >= best):
-            stack.pop()
+        p, at, flat, free, code = stack.pop()
+        if code > best[:p]:
             continue
-        c = todo.pop()[1]
-        place(c)
-        placed.append(c)
-        if k + 1 < levels:
-            stack.append(scored(k + 1))
+        tight = code == best[:p]
+        while p < len(mate):
+            if flat[p] < 0:  # an empty block: branch over its class
+                for u in reversed(members[owner[p]]):
+                    if at[first[u]] < 0:
+                        for s in reversed(range(first[u], first[u + 1])):
+                            state = at[:], flat[:], dict(free)
+                            place(u, s, *state)
+                            stack.append((p, *state, code[:]))
+                break
+            q = mate[flat[p]]
+            if q >= 0 and at[q] < 0:
+                place(vertex[q], q, at, flat, free)
+            c = at[q] if q >= 0 else -1
+            if tight and c > best[p]:
+                break
+            tight = tight and c == best[p]
+            code.append(c)
+            p += 1
         else:
-            leaf = bound()
-            if best is None or leaf < best:
-                best = leaf
-    return best
+            best = code
+    return f"R{'/'.join(str(sizes[v]) for v in by_sig)}|{','.join(map(str, best))}"
 
 
 class HalfEdges:
@@ -606,16 +562,15 @@ class HalfEdges:
         except KeyError as exc:
             raise KeyError(f"unknown edge id {exc.args[0]!r}") from None
 
-    def trace(self, mask: int, record: bool, cuts: bool = False) -> list[Face] | int:
+    def trace(self, mask: int, record: bool) -> list[Face] | int:
         """The faces of (V, the edges of `mask`), or with `record` false only
         their number.
 
         A face starts at each untraced half-edge of the mask in index order.
         From the mate of its last half-edge the walk goes forward through
-        that vertex's rotation, noting legs (with `cuts`, every half-edge it
-        skips) and skipping the half-edges h with `bit[h] & mask` zero, to
-        the next half-edge it keeps.  A vertex with no half-edge of the mask
-        is a face of its own.
+        that vertex's rotation, noting legs and skipping the half-edges h
+        with `bit[h] & mask` zero, to the next half-edge it keeps.  A vertex
+        with no half-edge of the mask is a face of its own.
         """
         bit, mate, nxt, token = self.bit, self.mate, self.nxt, self.token
         seen = bytearray(len(bit))
@@ -633,7 +588,7 @@ class HalfEdges:
                     cycle.append(token[cur])
                 step = nxt[mate[cur]]
                 while not bit[step] & mask:
-                    if record and (cuts or mate[step] < 0):
+                    if record and mate[step] < 0:
                         cycle.append(token[step])
                     step = nxt[step]
                 cur = step

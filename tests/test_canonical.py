@@ -2,11 +2,13 @@
 
 The exhaustive oracle below tries every vertex bijection that respects the
 signatures (and, for ribbon graphs, every product of cyclic starting points)
-and keeps the least encoding.  `branch_and_bound_code` is the graph search
-that the placed-neighbour search of `graphs.canonical_code` replaced, and it
-pins that search on graphs too large for the exhaustive oracle.  Every
-search must return the identical string, since the labels are printed and
-pinned.
+and keeps the least encoding.  `least_code` is the branch and bound that
+both replaced searches ran on: `branch_and_bound_code`, the graph search
+that the placed-neighbour search of `graphs.canonical_code` replaced, and
+`branch_and_bound_rotation_code`, the ribbon search that the forced-placement
+scan of `ribbon.rotation_code` replaced.  They pin those searches on graphs
+too large for the exhaustive oracle.  Every search must return the
+identical string, since the labels are printed and pinned.
 """
 
 import itertools
@@ -16,7 +18,7 @@ import pytest
 
 from feyncomb.checks import random_multigraph
 from feyncomb.graphs import Graph, canonical_code
-from feyncomb.ribbon import RibbonGraph, is_leg_token, least_code, partner, rotation_code
+from feyncomb.ribbon import RibbonGraph, is_leg_token, partner, rotation_code
 
 # -- the exhaustive oracle ----------------------------------------------------------
 
@@ -81,6 +83,60 @@ def oracle_ribbon_key(rg):
                 best = enc
     blocks, codes = best
     return f"R{'/'.join(str(b) for b in blocks)}|{','.join(str(c) for c in codes)}"
+
+
+def least_code(levels, choices, place, unplace, bound):
+    """The least code list over every way to make one choice per level, by
+    branch and bound on an explicit stack.
+
+    Level k offers `choices(k)` (which may depend on the choices placed);
+    `place` and `unplace` apply and undo a choice.  `bound()` is an
+    entrywise lower bound on the code list of every completion of the
+    choices placed, and the exact list once all levels are placed.  A
+    partial choice is dropped once its bound reaches the best complete list:
+    entrywise lower bounds are lexicographic ones too.  The choices of a
+    level are tried in the order of their bounds, so a good list is found
+    early; a level with one choice skips the bound.
+    """
+    best = None
+
+    def scored(k):
+        """Level k's (bound, choice) pairs, the first to try last."""
+        todo = choices(k)
+        if len(todo) == 1:
+            return [(None, todo[0])]
+        out = []
+        for c in todo:
+            place(c)
+            low = bound()
+            unplace(c)
+            if best is None or low < best:
+                out.append((low, c))
+        out.sort(reverse=True)
+        return out
+
+    if not levels:
+        return bound()
+    stack = [scored(0)]  # per level, the (bound, choice) pairs left to try
+    placed = []
+    while stack:
+        k = len(stack) - 1
+        if len(placed) > k:
+            unplace(placed.pop())
+        todo = stack[-1]
+        if not todo or (best is not None and todo[-1][0] is not None and todo[-1][0] >= best):
+            stack.pop()
+            continue
+        c = todo.pop()[1]
+        place(c)
+        placed.append(c)
+        if k + 1 < levels:
+            stack.append(scored(k + 1))
+        else:
+            leaf = bound()
+            if best is None or leaf < best:
+                best = leaf
+    return best
 
 
 def branch_and_bound_code(n, pairs, legc):
@@ -160,6 +216,66 @@ def branch_and_bound_code(n, pairs, legc):
     return f"G{n}|{edges_txt}|{legs_txt}"
 
 
+def branch_and_bound_rotation_code(blocks):
+    """The ribbon code by the branch and bound that `ribbon.rotation_code`
+    ran before its forced-placement scan: `least_code` with one level per
+    block, each level choosing an unplaced vertex of the block's signature
+    class and a cyclic start.  A half-edge whose partner sits in an unplaced
+    block is at least the offset of the first unplaced block; a half-edge in
+    an unplaced block is at least -1."""
+    mate = [q for block in blocks for q in block]
+    seqs = []
+    lo = 0
+    for block in blocks:
+        seqs.append(list(range(lo, lo + len(block))))
+        lo += len(block)
+    sig = []
+    for seq in seqs:
+        loops = sum(1 for t in seq if seq[0] <= mate[t] < t)
+        sig.append((len(seq), loops, sum(1 for t in seq if mate[t] < 0)))
+    by_sig = sorted(range(len(blocks)), key=sig.__getitem__)
+
+    at = [-1] * len(mate)  # flat position of each placed half-edge
+    flat = []  # placed half-edges in flat order
+    used = [False] * len(blocks)
+
+    same_sig = {}
+    for v in by_sig:
+        same_sig.setdefault(sig[v], []).append(v)
+
+    def choices(k):
+        """(vertex, its rotation read from one start) for block k."""
+        out = []
+        for v in same_sig[sig[by_sig[k]]]:
+            if not used[v]:
+                seq = seqs[v]
+                out += [(v, seq[s:] + seq[:s]) for s in range(max(1, len(seq)))]
+        return out
+
+    def place(choice):
+        v, rolled = choice
+        used[v] = True
+        for t in rolled:
+            at[t] = len(flat)
+            flat.append(t)
+
+    def unplace(choice):
+        v, rolled = choice
+        used[v] = False
+        del flat[len(flat) - len(rolled) :]
+        for t in rolled:
+            at[t] = -1
+
+    def bound():
+        nxt = len(flat)
+        low = [-1 if q < 0 else (at[q] if at[q] >= 0 else nxt) for q in (mate[t] for t in flat)]
+        return low + [-1] * (len(mate) - nxt)
+
+    best = least_code(len(blocks), choices, place, unplace, bound)
+    sizes = "/".join(str(sig[v][0]) for v in by_sig)
+    return f"R{sizes}|{','.join(str(c) for c in best)}"
+
+
 # -- shapes, read off the public fields ------------------------------------------------
 
 
@@ -198,15 +314,17 @@ def _with_legs(g, rng, max_legs):
     return Graph(g.vertices, g.edges, legs)
 
 
-def _ribbonize(g, rng):
+def _ribbonize(g, rng=None):
+    """A rotation system on g: insertion order, shuffled when `rng` is given."""
     rotation = {v: [] for v in g.vertices}
     for e in g.edges:
         rotation[e.tail].append((e.id, "t"))
         rotation[e.head].append((e.id, "h"))
     for l in g.legs:
         rotation[l.vertex].append((l.id, "x"))
-    for seq in rotation.values():
-        rng.shuffle(seq)
+    if rng is not None:
+        for seq in rotation.values():
+            rng.shuffle(seq)
     return RibbonGraph(g, rotation)
 
 
@@ -264,6 +382,14 @@ def wheel(n):
     return Graph(["h"] + [f"v{i}" for i in range(n)], edges)
 
 
+def planar_wheel(n):
+    """`wheel(n)` with its plane embedding: spokes in rim order around the hub."""
+    rotation = {"h": [(f"s{i}", "t") for i in range(n)]}
+    for i in range(n):
+        rotation[f"v{i}"] = [(f"s{i}", "h"), (f"r{(i - 1) % n}", "h"), (f"r{i}", "t")]
+    return RibbonGraph(wheel(n), rotation)
+
+
 def complete(n, legs=False):
     """K_n, with one incoming and one outgoing leg when `legs`."""
     edges = [(f"e{i}_{j}", f"v{i}", f"v{j}") for i, j in itertools.combinations(range(n), 2)]
@@ -300,6 +426,22 @@ def _medium_multigraph(rng):
         [(c + e, c + a, c + b) for c in "xy" for e, a, b in edges],
         [(c + l, c + v, d) for c in "xy" for l, v, d in legs],
     )
+
+
+def _medium_ribbon_graph(rng):
+    """Up to 7 vertices with shuffled rotations (loops, parallel edges, legs
+    and isolated vertices among them), or two disjoint copies of one smaller
+    ribbon graph with the same rotations, which the scan must branch over."""
+    if rng.random() < 0.5:
+        return _ribbonize(_with_legs(random_multigraph(rng, max_vertices=7, max_edges=11, min_edges=0), rng, 3), rng)
+    rg = _ribbonize(_with_legs(random_multigraph(rng, max_vertices=4, max_edges=5, min_edges=0), rng, 2), rng)
+    g = rg.graph
+    copy = Graph(
+        [c + v for c in "xy" for v in g.vertices],
+        [(c + e.id, c + e.tail, c + e.head) for c in "xy" for e in g.edges],
+        [(c + l.id, c + l.vertex, l.dir) for c in "xy" for l in g.legs],
+    )
+    return RibbonGraph(copy, {c + v: [(c + t[0], t[1]) for t in seq] for c in "xy" for v, seq in rg.rotation.items()})
 
 
 def _features(g):
@@ -384,6 +526,45 @@ def test_graph_code_matches_branch_and_bound_on_symmetric_families(name, g):
     key = branch_and_bound_code(*plain_shape(g))
     assert_codes_of_shapes(g, key)
     assert _relabelled(g, random.Random(name)).canonical_form() == key
+
+
+def test_ribbon_code_matches_branch_and_bound_on_random_ribbon_graphs():
+    rng = random.Random(2716)
+    seen = dict.fromkeys(("loop", "parallel", "legs", "isolated", "disconnected"), False)
+    for _ in range(400):
+        rg = _medium_ribbon_graph(rng)
+        for kind, present in _features(rg).items():
+            seen[kind] |= present
+        key = branch_and_bound_rotation_code(rg.shape())
+        assert_codes_of_shapes(rg, key)
+        assert _relabelled(rg, rng).canonical_form() == key
+    assert all(seen.values()), seen
+
+
+RIBBON_FAMILIES = (
+    [(f"planar W{n}", planar_wheel(n)) for n in range(3, 7)]
+    + [(f"ribbonized cut C{n}", _ribbonize(cut_circulant(n))) for n in range(5, 9)]
+    + [(f"ribbonized box ladder {n}", _ribbonize(box_ladder(n))) for n in range(2, 6)]
+    + [(f"ribbonized K{n} legs", _ribbonize(complete(n, True))) for n in range(3, 8)]
+)
+
+
+@pytest.mark.parametrize("name, rg", RIBBON_FAMILIES, ids=[name for name, _ in RIBBON_FAMILIES])
+def test_ribbon_code_matches_branch_and_bound_on_families(name, rg):
+    key = branch_and_bound_rotation_code(rg.shape())
+    assert_codes_of_shapes(rg, key)
+    assert _relabelled(rg, random.Random(name)).canonical_form() == key
+
+
+def test_shifted_and_renamed_planar_w40_share_one_label():
+    rg = planar_wheel(40)
+    vren = {v: f"w{i}" for i, v in enumerate(reversed(rg.graph.vertices))}
+    eren = {e.id: f"d{i}" for i, e in enumerate(reversed(rg.graph.edges))}
+    copy = RibbonGraph(
+        Graph(list(vren.values()), [(eren[e.id], vren[e.tail], vren[e.head]) for e in rg.graph.edges]),
+        {vren[v]: [(eren[t[0]], t[1]) for t in seq[1:] + seq[:1]] for v, seq in rg.rotation.items()},
+    )
+    assert copy.canonical_form() == rg.canonical_form()
 
 
 def test_graph_code_of_k9():
@@ -471,5 +652,33 @@ def test_graph_code_matches_branch_and_bound_property():
     @hypothesis.given(shapes())
     def check(shape):
         assert canonical_code(*shape) == branch_and_bound_code(*shape)
+
+    check()
+
+
+def test_ribbon_code_matches_branch_and_bound_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def shapes(draw):
+        """Block lists of ribbon graphs on up to 7 vertices: mates paired at
+        random positions, the rest legs, some blocks empty."""
+        sizes = draw(st.lists(st.integers(0, 4), max_size=7))
+        slots = draw(st.permutations(range(sum(sizes))))
+        mate = [-1] * len(slots)
+        pairs = draw(st.integers(0, len(slots) // 2))
+        for a, b in zip(slots[: 2 * pairs : 2], slots[1 : 2 * pairs : 2]):
+            mate[a], mate[b] = b, a
+        blocks, lo = [], 0
+        for n in sizes:
+            blocks.append(mate[lo : lo + n])
+            lo += n
+        return blocks
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(shapes())
+    def check(blocks):
+        assert rotation_code(blocks) == branch_and_bound_rotation_code(blocks)
 
     check()

@@ -362,6 +362,16 @@ def test_deep_recursion_is_one_error_line(tmp_path):
     assert run("hopf", "forests", cycle_file, "--model", "core") == (0, "{}\n")
 
 
+def test_deeply_nested_json_is_one_error_line(tmp_path):
+    # json.load is the one recursive reader left: nesting this deep in a
+    # fixture or a momenta file is reported, not raised
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200000, encoding="utf-8")
+    message = "error: JSON input nested too deeply to read (recursion limit reached)\n"
+    assert run("param", "v", str(deep)) == (2, message)
+    assert run("param", "v", path("fig3"), "--momenta", str(deep)) == (2, message)
+
+
 def _ribbon_path(tmp_path, n=1100):
     """A fixture file of a ribbon path with n edges."""
     rotation = {f"v{i}": [] for i in range(n + 1)}
