@@ -49,7 +49,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .formal import FormalAmplitude
 from .graphs import Edge, EdgeSubset, Graph, Leg, _union_find, bridgeless_connected, canonical_code
 from .poly import LinComb
-from .ribbon import RibbonGraph, Token, _cyclic_equal, is_leg_token, rotation_code
+from .ribbon import HalfEdges, RibbonGraph, Token, _cyclic_equal, is_leg_token, rotation_code
 
 GraphLike = Graph | RibbonGraph
 
@@ -368,55 +368,27 @@ class _GraphShapes(_HostIndex):
 
 
 class _RibbonShapes(_HostIndex):
-    """A ribbon host's index: its half-edges numbered vertex by vertex in
-    rotation order (as `HalfEdges` numbers them), with `mate[h]` the other
-    end of h's edge (-1 for a leg), `nxt[h]` the next half-edge in its
-    vertex's rotation and `bit[h]` the bit of h's edge position (0 for a
-    leg).  An index read off a shape numbers its edges in the order of
-    their first half-edge."""
+    """A ribbon host's index: its `HalfEdges`, whose `mate`, `nxt`, `bit`
+    and `vmask` it reads, with `blocks[v]` the range of half-edge numbers at
+    vertex position v.  An index read off a shape numbers its edges in the
+    order of their first half-edge (`HalfEdges.of_shape`)."""
 
     code = staticmethod(rotation_code)
 
-    def __init__(
-        self,
-        shape: Shape,
-        start: list[int],
-        mate: list[int],
-        nxt: list[int],
-        bit: list[int],
-        ids: Sequence[str] | range,
-    ):
-        self.mate, self.nxt, self.bit = mate, nxt, bit
-        self.blocks = [range(lo, hi) for lo, hi in zip(start, start[1:])]
-        vertex = [v for v, block in enumerate(self.blocks) for _ in block]
-        self.vmask = [0] * len(self.blocks)
-        edges = [(0, 0)] * len(ids)
-        for h, q in enumerate(mate):
-            self.vmask[vertex[h]] |= bit[h]
-            if h < q:
-                edges[bit[h].bit_length() - 1] = (vertex[h], vertex[q])
-        super().__init__(shape, edges, [len(block) for block in self.blocks], ids)
+    def __init__(self, index: HalfEdges, ids: Sequence[str] | range):
+        self.mate, self.nxt, self.bit, self.vmask = index.mate, index.nxt, index.bit, index.vmask
+        self.blocks = [range(lo, hi) for lo, hi in zip(index.start, index.start[1:])]
+        super().__init__(index.blocks, index.ends, list(map(len, index.blocks)), ids)
 
     @staticmethod
     def of_shape(blocks: Shape) -> _RibbonShapes:
-        mate = [q for block in blocks for q in block]
-        start, nxt = [0], []
-        for block in blocks:
-            lo = start[-1]
-            nxt += [lo + (i + 1) % len(block) for i in range(len(block))]
-            start.append(lo + len(block))
-        bit = [0] * len(mate)
-        count = 0
-        for h, q in enumerate(mate):
-            if h < q:
-                bit[h] = bit[q] = 1 << count
-                count += 1
-        return _RibbonShapes(blocks, start, mate, nxt, bit, range(count))
+        index = HalfEdges.of_shape(blocks)
+        return _RibbonShapes(index, range(len(index.tail)))
 
     @staticmethod
     def of_graph(g: RibbonGraph) -> _RibbonShapes:
         index = g.half_edges()
-        return _RibbonShapes(g.shape(), index.start, index.mate, index.nxt, index.bit, g.graph.edge_ids())
+        return _RibbonShapes(index, index.ids)
 
     @staticmethod
     def build(blocks: Shape) -> RibbonGraph:
@@ -819,11 +791,6 @@ class HopfAlgebra:
     def grading_monomial(self, mono: Mono) -> int:
         return sum(self.grading_label(l) for l in mono)
 
-    @staticmethod
-    def grading(g: GraphLike) -> int:
-        """Loop-number grading: the nullity."""
-        return underlying(g).nullity()
-
     # -- divergent subgraphs ---------------------------------------------------
 
     def divergent_members(self, g: GraphLike | _HostIndex) -> list[EdgeSubset]:
@@ -1085,9 +1052,6 @@ class HopfAlgebra:
         for lbl in mono:
             total = total * FormalAmplitude.phi(lbl)
         return total
-
-    def twisted_antipode(self, g: GraphLike) -> FormalAmplitude:
-        return self._phi_minus_label(self.label(g))
 
     def _phi_minus_label(self, lbl: str) -> FormalAmplitude:
         cached = self._phi_minus.get(lbl)

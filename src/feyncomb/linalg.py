@@ -5,10 +5,9 @@ promoted).  The determinant uses fraction-free Bareiss elimination, whose
 divisions are exact by construction, with full pivoting: each step takes
 the nonzero entry of the trailing block with the fewest terms, then the
 lowest total degree (the first in row-major order on a tie), so constants
-are eliminated first and with constant divisors.  A cofactor expansion is
-kept as an independent route for cross-checks.  The Pfaffian is a signed
-sum over perfect matchings, with a recursive first-row expansion as the
-second route.
+are eliminated first and with constant divisors.  Its oracle, a cofactor
+expansion, lives in the tests.  The Pfaffian is a signed sum over perfect
+matchings, with a recursive first-row expansion as the second route.
 """
 
 from __future__ import annotations
@@ -184,27 +183,6 @@ def det(matrix: Sequence[Sequence]) -> MultiPoly:
                     row[j] = _divide(x * pivot, prev)
         prev = pivot
     return prev if sign == 1 else -prev
-
-
-def det_cofactor(matrix: Sequence[Sequence]) -> MultiPoly:
-    """Determinant by first-row cofactor expansion (cross-check route)."""
-    a = promote_matrix(matrix)
-
-    def rec(rows: list[list[MultiPoly]]) -> MultiPoly:
-        m = len(rows)
-        if m == 0:
-            return MultiPoly.one()
-        if m == 1:
-            return rows[0][0]
-
-        def cofactor(j: int) -> MultiPoly:
-            minor = [[row[c] for c in range(m) if c != j] for row in rows[1:]]
-            piece = rows[0][j] * rec(minor)
-            return piece if j % 2 == 0 else -piece
-
-        return MultiPoly.sum(cofactor(j) for j in range(m) if not rows[0][j].is_zero())
-
-    return rec(a)
 
 
 # -- Pfaffian ---------------------------------------------------------------------

@@ -29,7 +29,7 @@ from . import linalg
 from .graphs import Graph, class_leaves, edge_classes
 from .poly import Key, LinComb, MultiPoly, Rational, _exact, edge_keys, edge_monomial, exponent_reader, mask_keys
 from .polynomials import multivariate_br, multivariate_tutte
-from .ribbon import Face, RibbonGraph, RotationState
+from .ribbon import Face, RibbonGraph, rotation_leaves
 
 THETA = "theta"
 
@@ -369,37 +369,23 @@ def nc_u_delcon(rg: RibbonGraph) -> ThetaTracked:
     """U* via deletion/contraction on the first non-loop edge by id.
 
     U*(G) = alpha_e U*(G - e) + U*(G / e), where the deletion term is
-    skipped for a bridge e (G - e is disconnected).  The walk runs on one
-    `ribbon.RotationState`: contractions continue in place, and deletions
-    wait on a list as (state, start, alpha monomial of the edges deleted on
-    the way), the remaining edges before `start` being loops, which stay
-    loops.  Each leaf is one vertex with L loops, where V - E + F = 2 - 2g
-    makes b = F - 1 + 2g equal L, so a one-face subset S of its loops is a
-    quasi-tree with theta power |S| and the alpha product of the loops
-    outside S and of the edges deleted on the way.
+    skipped for a bridge e (G - e is disconnected): the walk of
+    `ribbon.rotation_leaves`, shared with Bollobas-Riordan.  Each leaf is
+    one vertex with L loops, where V - E + F = 2 - 2g makes b = F - 1 + 2g
+    equal L, so a one-face subset S of its loops is a quasi-tree with theta
+    power |S| and the alpha product of the loops outside S and of the edges
+    deleted on the way.
     """
     if not rg.graph.is_connected():
         raise ValueError("nc_u_delcon requires a connected ribbon graph")
-    state = RotationState(rg)
-    keys = _alpha_keys(state.ids)[0]
-    alphas = [keys[e] for e in state.ids]
+    ids = rg.graph.edge_ids()
+    keys = _alpha_keys(ids)[0]
+    alphas = [keys[e] for e in ids]
+    table = mask_keys(alphas)
     terms: list[tuple[int, Key, Rational]] = []
-    pending = [(state, 0, 0)]
-    while pending:
-        state, start, deleted = pending.pop()
-        vert, tail, head, edges = state.vert, state.tail, state.head, state.edges
-        while start < len(edges):
-            k = edges[start]
-            if vert[tail[k]] == vert[head[k]]:
-                start += 1
-                continue
-            if not state.is_bridge(k):
-                other = state.copy()
-                other.delete(k)
-                pending.append((other, start, deleted + alphas[k]))
-            state.contract(k)
+    for state, _, deleted in rotation_leaves(rg):
         loops = [alphas[k] for k in state.edges]
-        every = deleted + sum(loops)
+        every = table(deleted) + sum(loops)
         for mask, faces in enumerate(state.loop_faces(state.edges)):
             if faces == 1:
                 inside = sum(a for i, a in enumerate(loops) if mask >> i & 1)

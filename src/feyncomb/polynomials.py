@@ -38,16 +38,16 @@ two classes that contraction makes parallel merge as w + w' + w w'; a leaf
 on n vertices is shifted by the key of q^n into one dict.  The bridge factor
 of T is made once per class size.  Z has no series rule without division.
 Bollobas-Riordan delcon steps one edge at a time, since a ribbon
-contraction splices rotations:
+contraction splices rotations.  For the first non-loop edge e by id,
 
-    R = R(G/e) + R(G-e)   for the first non-loop, non-bridge edge e by id,
-    R = x R(G/e)          for the first bridge e when every non-loop is one,
+    R = R(G/e) + R(G-e)   if e is not a bridge,
+    R = x R(G/e)          if e is a bridge,
 
-on one integer `ribbon.RotationState`, with pending deletions on a list, so
-no route recurses.  When only loops remain, R is the product over vertices
-of the sums of y^|H| z^2g(H) over the loop sets H at the vertex, read from
-the face counts of its chord diagram.  The terms are counted by their
-(x, y, z) exponents, and the polynomial is built once.
+the walk of `ribbon.rotation_leaves`, shared with Moyal U*, so no route
+recurses.  When only loops remain, R is the product over vertices of the
+sums of y^|H| z^2g(H) over the loop sets H at the vertex, read from the
+face counts of its chord diagram.  The terms are counted by their (x, y,
+z) exponents, and the polynomial is built once.
 
 Variables: "x", "y" (Tutte), "q" and per-edge "b.<edge>" (multivariate
 Tutte), "z" (Bollobas-Riordan face tracker), "k" (chromatic/flow argument).
@@ -63,7 +63,7 @@ from typing import Callable, Mapping, Sequence
 
 from .graphs import Graph, class_leaves, edge_classes
 from .poly import MultiPoly, Powers, _check_degree, _new, edge_keys, mask_keys, var_key
-from .ribbon import RibbonGraph, RotationState
+from .ribbon import RibbonGraph, RotationState, rotation_leaves
 
 X = MultiPoly.var("x")
 Y = MultiPoly.var("y")
@@ -332,29 +332,10 @@ def _br_subset(rg: RibbonGraph) -> MultiPoly:
 
 
 def _br_delcon(rg: RibbonGraph) -> MultiPoly:
-    """Pending deletions wait on a list of (state, bridges, x power), where
-    `bridges` has a bit set for each edge known to be a bridge: an edge
-    stays a bridge when other edges are deleted or contracted, so it is
-    never tested again.  Each contraction continues in place."""
+    """Each leaf of `rotation_leaves` adds its terms, its x power being the
+    number of bridges contracted on its path."""
     counts: Counter[tuple[int, int, int]] = Counter()
-    pending = [(RotationState(rg), 0, 0)]
-    while pending:
-        state, bridges, x_power = pending.pop()
-        while nonloops := [k for k in state.edges if not state.is_loop(k)]:
-            for k in nonloops:
-                if bridges >> k & 1:
-                    continue
-                if state.is_bridge(k):
-                    bridges |= 1 << k
-                    continue
-                other = state.copy()
-                other.delete(k)
-                pending.append((other, bridges, x_power))
-                state.contract(k)
-                break
-            else:  # every non-loop edge is a bridge
-                state.contract(nonloops[0])
-                x_power += 1
+    for state, x_power, _ in rotation_leaves(rg):
         _br_terminal(state, x_power, counts)
     x, y, z = map(var_key, "xyz")
     _check_degree(max(map(sum, counts), default=0))

@@ -5,6 +5,11 @@ incident to it: two half-edges per internal edge, one per external leg.
 Half-edge tokens are pairs: (edge_id, "t") / (edge_id, "h") for the tail and
 head ends of an internal edge, (leg_id, "x") for an external leg.
 
+`HalfEdges` is the one integer index of a rotation system: half-edge
+numbers, mates, rotation links, vertex positions and edge ends and bits.
+Face tracing, `subset_faces`, the shape, `RotationState` and the Hopf host
+index all read it.
+
 Faces are traced with the next-half-edge map: from an internal half-edge,
 follow the edge to its partner half-edge, then walk forward in that vertex's
 rotation; legs encountered on the way are recorded as face markers but do
@@ -30,6 +35,14 @@ Euler size rule.  A connected spanning sub-ribbon-graph H of an orientable
 ribbon graph has V - |H| + F = 2 - 2g, so |H| = V - 2 + F + 2g with g >= 0.
 The quasi-trees (F = 1) and two-quasi-trees (F = 2) are therefore searched
 among the subsets of sizes V - 2 + F, V + F, V + 2 + F, ... only.
+
+Deletion/contraction.  `rotation_leaves` walks the one edge-at-a-time
+tree that the Bollobas-Riordan polynomial and Moyal U* share: for the
+first non-loop edge e by id, R = R(G/e) + R(G-e) and U* = U*(G/e) +
+alpha_e U*(G-e) when e is not a bridge, and R = x R(G/e) and U* = U*(G/e)
+when it is, at any step (Bollobas & Riordan, Math. Ann. 323 (2002);
+Krajewski, Rivasseau, Tanasa & Wang, arXiv:0811.0186).  Its leaves hold
+only loops, whose faces `chord_faces` counts.
 """
 
 from __future__ import annotations
@@ -158,10 +171,17 @@ class RibbonGraph:
     # -- face tracing ----------------------------------------------------------
 
     def half_edges(self) -> HalfEdges:
-        """The half-edge index, built on first use."""
+        """The half-edge index, built on first use: the half-edges numbered
+        vertex by vertex in rotation order, the edges in `edge_ids` order."""
         index = self._index
         if index is None:
-            index = HalfEdges(self.graph.vertices, self.rotation, self.graph.edge_ids())
+            vertices, rotation, ids = self.graph.vertices, self.rotation, self.graph.edge_ids()
+            token = [t for v in vertices for t in rotation[v]]
+            at = {t: h for h, t in enumerate(token)}
+            blocks = tuple(tuple(-1 if is_leg_token(t) else at[partner(t)] for t in rotation[v]) for v in vertices)
+            index = HalfEdges(blocks, [at[e, "t"] for e in ids])
+            index.token, index.vertices, index.ids = token, vertices, ids
+            index.pos = {e: i for i, e in enumerate(ids)}
             object.__setattr__(self, "_index", index)
         return index
 
@@ -298,24 +318,14 @@ class RibbonGraph:
         roots, without a join.
         """
         index = self.half_edges()
-        nxt, mate, start = index.nxt, index.mate, index.start
+        mate, prev, start, ends = index.mate, index.prev, index.start, index.ends
         n = len(self.vertices)
-        prev = [0] * len(nxt)
-        for h, q in enumerate(nxt):
-            prev[q] = h
-        vert = [i for i in range(n) for _ in range(start[i], start[i + 1])]
-        tails = [0] * len(index.pos)
-        for h, tok in enumerate(index.token):
-            if tok[1] == "t":
-                tails[index.pos[tok[0]]] = h
-        heads = [mate[t] for t in tails]
-        ends = [(vert[t], vert[h]) for t, h in zip(tails, heads)]
         # an edge in joins the corners (prev[t], h) and (prev[h], t); out, (prev[t], t) and (prev[h], h)
-        joins_in = [(prev[t], h, prev[h], t) for t, h in zip(tails, heads)]
-        joins_out = [(prev[t], t, prev[h], h) for t, h in zip(tails, heads)]
+        joins_in = [(prev[t], h, prev[h], t) for t, h in zip(index.tail, index.head)]
+        joins_out = [(prev[t], t, prev[h], h) for t, h in zip(index.tail, index.head)]
 
         vparent, vsize = list(range(n)), [1] * n
-        cparent, csize = list(range(len(nxt))), [1] * len(nxt)
+        cparent, csize = list(range(len(mate))), [1] * len(mate)
 
         def join(parent: list[int], size: list[int], a: int, b: int) -> int:
             """Link the roots of a and b; the root linked under the other, or -1."""
@@ -332,11 +342,11 @@ class RibbonGraph:
             return b
 
         # F: the corner components, plus the vertices with no half-edge
-        faces = len(nxt) + sum(1 for i in range(n) if start[i] == start[i + 1])
+        faces = len(mate) + sum(1 for i in range(n) if start[i] == start[i + 1])
         for h, m in enumerate(mate):
             if m < 0:  # a leg
                 faces -= join(cparent, csize, prev[h], h) >= 0
-        n_edges = len(tails)
+        n_edges = len(ends)
         if not n_edges:
             yield 0, n, faces
             return
@@ -410,9 +420,7 @@ class RibbonGraph:
         """What the canonical form reads: one block per vertex, in vertex
         order, holding for each half-edge of its rotation the flat position
         (in `HalfEdges` numbering) of its mate, -1 for a leg."""
-        index = self.half_edges()
-        mate, start = index.mate, index.start
-        return tuple(tuple(mate[lo:hi]) for lo, hi in zip(start, start[1:]))
+        return self.half_edges().blocks
 
     def canonical_form(self) -> str:
         """Isomorphism-class key including the rotation system (orientation
@@ -517,40 +525,52 @@ def rotation_code(blocks: Sequence[Sequence[int]]) -> str:
 
 
 class HalfEdges:
-    """The half-edges of a ribbon graph as integers 0..H-1, numbered vertex
-    by vertex in rotation order.
+    """The integer index of a rotation system: its half-edges as integers
+    0..H-1, numbered block by block, and the edges they pair into.
 
-    `token[h]` is the token, `vertex[h]` its vertex, `nxt[h]` the half-edge
-    after h in its vertex's rotation (cyclically) and `mate[h]` the other
-    end of its edge (-1 for a leg); the half-edges of the i-th vertex are
-    start[i] .. start[i+1]-1.  An edge subset is a bitmask over `edge_ids`
-    (the order of `Graph.edge_masks`): `bit[h]` is the bit of h's edge (0
-    for a leg) and `vmask[i]` the union of the bits at the i-th vertex.
+    It is built from shape blocks (`RibbonGraph.shape`: block i lists, in
+    rotation order, the number of each half-edge's mate at the i-th vertex,
+    -1 for a leg) and the tail half-edge of each edge.  `mate[h]` is the
+    other end of h's edge (-1 for a leg), `vert[h]` h's vertex position,
+    `nxt[h]` the half-edge after h in its vertex's rotation (cyclically) and
+    `prev` its inverse; the half-edges of the i-th vertex are start[i] ..
+    start[i+1]-1.  Edge k has the half-edges `tail[k]` and `head[k]` and the
+    end positions `ends[k]`.  An edge subset is a bitmask over the edges:
+    `bit[h]` is the bit of h's edge (0 for a leg) and `vmask[i]` the union
+    of the bits at the i-th vertex.
+
+    `RibbonGraph.half_edges` numbers the edges in `edge_ids` order (the
+    order of `Graph.edge_masks`) and adds the names: `token[h]`, `ids`, the
+    `vertices` and `pos`, each edge id's number.
     """
 
-    __slots__ = ("vertices", "token", "vertex", "nxt", "mate", "start", "pos", "bit", "vmask")
+    __slots__ = (
+        "blocks", "start", "mate", "nxt", "prev", "vert", "tail", "head", "bit", "vmask", "ends",
+        "token", "vertices", "ids", "pos",
+    )
 
-    def __init__(self, vertices: Sequence[str], rotation: Mapping[str, Sequence[Token]], edge_ids: Sequence[str]):
-        self.vertices = vertices
-        self.token: list[Token] = []
-        self.vertex: list[str] = []
-        self.nxt: list[int] = []
-        self.start = [0]
-        for v in vertices:
-            seq = rotation[v]
-            lo = len(self.token)
-            self.token += seq
-            self.vertex += [v] * len(seq)
-            self.nxt += [lo + (i + 1) % len(seq) for i in range(len(seq))]
-            self.start.append(len(self.token))
-        at = {t: h for h, t in enumerate(self.token)}
-        self.mate = [-1 if is_leg_token(t) else at[partner(t)] for t in self.token]
-        self.pos = {e: i for i, e in enumerate(edge_ids)}
-        self.bit = [0 if m < 0 else 1 << self.pos[t[0]] for t, m in zip(self.token, self.mate)]
-        self.vmask = [0] * len(vertices)
-        for i, (lo, hi) in enumerate(zip(self.start, self.start[1:])):
-            for b in self.bit[lo:hi]:
-                self.vmask[i] |= b
+    def __init__(self, blocks: Sequence[Sequence[int]], tail: Sequence[int]):
+        self.blocks = blocks
+        self.start = start = list(accumulate(map(len, blocks), initial=0))
+        self.mate = mate = [q for block in blocks for q in block]
+        self.vert = vert = [i for i, block in enumerate(blocks) for _ in block]
+        self.nxt = [lo + (i + 1) % (hi - lo) for lo, hi in zip(start, start[1:]) for i in range(hi - lo)]
+        self.prev = [lo + (i - 1) % (hi - lo) for lo, hi in zip(start, start[1:]) for i in range(hi - lo)]
+        self.tail = list(tail)
+        self.head = [mate[t] for t in self.tail]
+        self.ends = [(vert[t], vert[h]) for t, h in zip(self.tail, self.head)]
+        self.bit = [0] * len(mate)
+        self.vmask = [0] * len(blocks)
+        for k, (t, h) in enumerate(zip(self.tail, self.head)):
+            self.bit[t] = self.bit[h] = 1 << k
+            self.vmask[vert[t]] |= 1 << k
+            self.vmask[vert[h]] |= 1 << k
+
+    @staticmethod
+    def of_shape(blocks: Sequence[Sequence[int]]) -> HalfEdges:
+        """The index of a shape alone, each edge numbered by, and running
+        from, its first half-edge."""
+        return HalfEdges(blocks, [h for h, q in enumerate(q for block in blocks for q in block) if h < q])
 
     def mask(self, subset: Iterable[str] | None) -> int:
         """The bitmask of an edge-id subset (every edge when None)."""
@@ -595,7 +615,7 @@ class HalfEdges:
                 if cur == first:
                     break
             if record:
-                faces.append(Face(tuple(cycle), self.vertex[first]))
+                faces.append(Face(tuple(cycle), self.vertices[self.vert[first]]))
         start = self.start
         for i, vm in enumerate(self.vmask):
             if not vm & mask:
@@ -607,12 +627,12 @@ class HalfEdges:
 
 
 class RotationState:
-    """The integer state of the two ribbon deletion/contraction walks (BR and
-    U*): each contracts one state in place and keeps a `copy` per pending
-    deletion on a list.
+    """The integer state of the ribbon deletion/contraction walk
+    (`rotation_leaves`), which contracts one state in place and keeps a
+    `copy` per pending deletion.
 
-    It is built once from `HalfEdges`, with the legs dropped: they carry no
-    face in U* or in the Bollobas-Riordan polynomial.  `nxt`/`prv` link the
+    It is read off `HalfEdges`, with the legs dropped: they carry no face in
+    U* or in the Bollobas-Riordan polynomial.  `nxt`/`prv` link the
     remaining half-edges of each vertex cyclically in rotation order,
     `mate[h]` is the other end of h's edge and `vert[h]` a label of h's
     vertex.  Edges are numbered in id order: edge k has id `ids[k]` and the
@@ -625,20 +645,11 @@ class RotationState:
 
     def __init__(self, rg: RibbonGraph):
         index = rg.half_edges()
-        mate = index.mate
-        self.nxt = list(index.nxt)
-        self.prv = [0] * len(mate)
-        for h, n in enumerate(self.nxt):
-            self.prv[n] = h
-        self.vert = [i for i, (lo, hi) in enumerate(zip(index.start, index.start[1:])) for _ in range(lo, hi)]
-        for h, m in enumerate(mate):
+        self.nxt, self.prv, self.vert = index.nxt[:], index.prev[:], index.vert[:]
+        self.mate, self.ids, self.tail, self.head = index.mate, index.ids, index.tail, index.head
+        for h, m in enumerate(self.mate):
             if m < 0:
                 self._splice(h)
-        self.mate = mate
-        at = {t: h for h, t in enumerate(index.token)}
-        self.ids = sorted(e.id for e in rg.edges)
-        self.tail = [at[(e, "t")] for e in self.ids]
-        self.head = [at[(e, "h")] for e in self.ids]
         self.edges = list(range(len(self.ids)))
         self.shapes: dict[tuple[int, ...], list[int]] = {}
 
@@ -654,9 +665,6 @@ class RotationState:
         p, n = self.prv[h], self.nxt[h]
         self.nxt[p] = n
         self.prv[n] = p
-
-    def is_loop(self, k: int) -> bool:
-        return self.vert[self.tail[k]] == self.vert[self.head[k]]
 
     def delete(self, k: int) -> None:
         """Delete edge k: splice both its half-edges out of their cycles."""
@@ -746,6 +754,37 @@ class RotationState:
         if faces is None:
             faces = self.shapes[key] = chord_faces(key)
         return faces
+
+
+def rotation_leaves(rg: RibbonGraph) -> Iterator[tuple[RotationState, int, int]]:
+    """The leaves of the deletion/contraction tree of a ribbon graph, walked
+    without recursion on `RotationState`s.
+
+    At each state the first non-loop edge e by id is contracted in place;
+    unless e is a bridge, a copy with e deleted is first put on a list of
+    pending states.  The remaining edges before that first non-loop are
+    loops, and stay loops under surgery, so the scan for it never goes
+    back.  Each leaf, where only loops remain, yields its state, the number
+    of bridges contracted on its path and the bitmask (bit k for edge k) of
+    the edges deleted on it.
+    """
+    pending = [(RotationState(rg), 0, 0, 0)]
+    while pending:
+        state, start, bridges, deleted = pending.pop()
+        vert, tail, head, edges = state.vert, state.tail, state.head, state.edges
+        while start < len(edges):
+            k = edges[start]
+            if vert[tail[k]] == vert[head[k]]:
+                start += 1
+                continue
+            if state.is_bridge(k):
+                bridges += 1
+            else:
+                other = state.copy()
+                other.delete(k)
+                pending.append((other, start, bridges, deleted | 1 << k))
+            state.contract(k)
+        yield state, bridges, deleted
 
 
 def chord_faces(shape: Sequence[int]) -> list[int]:

@@ -6,7 +6,8 @@ return the identical list of `Face` objects, cycles and order included,
 and `face_count` its length; so must the mask walker `HalfEdges.trace` on
 the masks of `Graph.edge_masks`.  The subset walk `RibbonGraph.subset_faces`
 must give every subset once, with the component count of `edge_masks` and
-the face count of `trace`.
+the face count of `trace`.  A graph's `half_edges()` must be the index
+`HalfEdges.of_shape` reads off its shape, up to the numbering of the edges.
 """
 
 import random
@@ -15,7 +16,7 @@ import pytest
 
 from feyncomb.checks import random_multigraph
 from feyncomb.graphs import Graph
-from feyncomb.ribbon import Face, RibbonGraph, is_leg_token, partner
+from feyncomb.ribbon import Face, HalfEdges, RibbonGraph, is_leg_token, partner
 
 # -- the token-dict oracle -------------------------------------------------------------
 
@@ -208,3 +209,36 @@ def test_faces_match_token_tracer_property():
         _check(rg, subset)
 
     check()
+
+
+def test_half_edge_index_of_a_graph_is_the_index_of_its_shape():
+    rng = random.Random(4404)
+    corpus = [RibbonGraph(Graph([], []), {}), RibbonGraph(Graph(["v", "w"], []), {"v": [], "w": []})]
+    corpus += [_ribbon(rng, 5, 8, 3) for _ in range(200)]
+    seen = dict.fromkeys(("legs", "loop", "bare vertex", "disconnected"), False)
+    for rg in corpus:
+        g = rg.graph
+        index, twin = rg.half_edges(), HalfEdges.of_shape(rg.shape())
+        for field in ("blocks", "start", "nxt", "prev", "vert"):
+            assert getattr(index, field) == getattr(twin, field), field
+        assert all(index.prev[index.nxt[h]] == h for h in range(len(index.mate)))
+        ids = g.edge_ids()
+        assert len(index.tail) == len(index.head) == len(index.ends) == len(ids)
+        bits = [0] * len(index.mate)
+        vmask = [0] * len(index.blocks)
+        for k, (t, h) in enumerate(zip(index.tail, index.head)):
+            assert index.mate[t] == h and index.mate[h] == t
+            assert index.ends[k] == (index.vert[t], index.vert[h])
+            assert index.token[t] == (ids[k], "t") and index.token[h] == (ids[k], "h")
+            bits[t] = bits[h] = 1 << k
+            vmask[index.vert[t]] |= 1 << k
+            vmask[index.vert[h]] |= 1 << k
+        assert index.bit == bits and index.vmask == vmask
+        # the shape's own index runs each edge from its first half-edge
+        pairs = [(min(t, h), max(t, h)) for t, h in zip(index.tail, index.head)]
+        assert sorted(zip(twin.tail, twin.head)) == sorted(pairs)
+        seen["legs"] |= bool(g.legs)
+        seen["loop"] |= any(e.is_loop for e in g.edges)
+        seen["bare vertex"] |= any(not seq for seq in rg.rotation.values())
+        seen["disconnected"] |= g.components() > 1
+    assert all(seen.values()), seen

@@ -11,15 +11,36 @@ from feyncomb.graphs import Graph
 from feyncomb.linalg import (
     build_skew_assembly,
     det,
-    det_cofactor,
     det_d_plus_a_identity,
     divexact,
     matrix_tree_count,
     pfaffian,
     pfaffian_recursive,
     pfaffian_sign_constant,
+    promote_matrix,
 )
 from feyncomb.poly import MultiPoly
+
+
+def det_cofactor(matrix):
+    """Determinant by first-row cofactor expansion (the oracle of `det`)."""
+    a = promote_matrix(matrix)
+
+    def rec(rows):
+        m = len(rows)
+        if m == 0:
+            return MultiPoly.one()
+        if m == 1:
+            return rows[0][0]
+
+        def cofactor(j):
+            minor = [[row[c] for c in range(m) if c != j] for row in rows[1:]]
+            piece = rows[0][j] * rec(minor)
+            return piece if j % 2 == 0 else -piece
+
+        return MultiPoly.sum(cofactor(j) for j in range(m) if not rows[0][j].is_zero())
+
+    return rec(a)
 
 
 def test_det_identity_and_diagonal():

@@ -7,7 +7,16 @@ import pytest
 from feyncomb import fixtures
 from feyncomb.checks import random_multigraph, random_ribbon_graph, random_rotation
 from feyncomb.graphs import Graph
-from feyncomb.ribbon import HalfEdges, RibbonGraph, RotationState, chord_faces, is_leg_token, load_fixture
+from feyncomb.linalg import matrix_tree_count
+from feyncomb.ribbon import (
+    HalfEdges,
+    RibbonGraph,
+    RotationState,
+    chord_faces,
+    is_leg_token,
+    load_fixture,
+    rotation_leaves,
+)
 
 
 def test_fig6_has_two_faces_both_broken():
@@ -121,7 +130,7 @@ def _assert_state_matches(state: RotationState, oracle: RibbonGraph, at: dict) -
     g = oracle.graph
     for e in oracle.edges:
         k = index[e.id]
-        assert state.is_loop(k) == e.is_loop
+        assert (state.vert[state.tail[k]] == state.vert[state.head[k]]) == e.is_loop
         if not e.is_loop:
             assert state.is_bridge(k) == (g.classify_edge(e.id) == "bridge"), e.id
     others = len(g.vertices) - 1
@@ -156,6 +165,29 @@ def test_rotation_state_surgery_matches_the_ribbon_oracles():
                 oracle = oracle.ribbon_contract(e.id)
                 assert k in twin.edges  # a copy is not changed by surgery on the original
             _assert_state_matches(state, oracle, at)
+
+
+def test_rotation_leaves_are_the_spanning_trees():
+    # Each leaf contracted a spanning tree, deleted the edges outside it that
+    # are not left as loops, and holds only loops on one vertex.
+    rng = random.Random(67)
+    corpus = [fixtures.build(name) for name in ("fig6", "interleaved", "ribbonhost", "tadpole", "bridge")]
+    corpus += [random_ribbon_graph(rng, max_vertices=5, max_edges=8, max_legs=2) for _ in range(60)]
+    corpus.append(RibbonGraph(Graph(["v"], []), {"v": ()}))
+    for rg in corpus:
+        g = rg.graph
+        ids = g.edge_ids()
+        leaves = list(rotation_leaves(rg))
+        assert len(leaves) == matrix_tree_count(g)
+        trees = []
+        for state, bridges, deleted in leaves:
+            assert len({state.vert[h] for k in state.edges for h in (state.tail[k], state.head[k])}) <= 1
+            left = sum(1 << k for k in state.edges)
+            assert not left & deleted
+            tree = frozenset(ids[k] for k in range(len(ids)) if not (left | deleted) >> k & 1)
+            assert bridges <= len(tree) == len(g.vertices) - 1
+            trees.append(tree)
+        assert sorted(map(sorted, trees)) == sorted(map(sorted, g.spanning_trees()))
 
 
 def test_chord_faces_examples():
