@@ -45,7 +45,7 @@ def _oracle_agrees(p: MultiPoly, oracle, g: Graph, ks: range) -> bool:
 
 
 def _zbr_one_face_slice(rg: RibbonGraph, p: MultiPoly, _extra) -> bool:
-    one_face = p.substitute({"x": MultiPoly.one()}).coefficient_of("z", 1)
+    one_face = p.coefficient_of("z", 1).substitute({"x": MultiPoly.one()})
     subsets = {frozenset(v[2:] for v, _ in mono) for mono in one_face.terms}
     return subsets == set(rg.quasi_trees())
 

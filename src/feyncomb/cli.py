@@ -12,7 +12,11 @@ Commands:
 `OPERATIONS` is the one list of operations: each entry gives its command,
 its input (any fixture, a ribbon fixture, or a ribbon fixture under
 `--model gw`), whether it reads `--momenta`, its route and its display.  The
-parser's choices, the input checks and the output all come from it.
+parser's choices, the input checks and the output all come from it.  A
+display returns the output lines and a function of no arguments that writes
+the `--json` text, called only under `--json`.  A polynomial is sorted once
+per display, and its line and its JSON block are both written from those
+sorted terms.
 
 `--check`/`--check-all` print one PASS/FAIL line per entry of
 `checks.ROUTE_CHECKS` for the operation: the same cross-checks, by the same
@@ -33,57 +37,78 @@ import io
 import json
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, NamedTuple
 
 from . import checks, parametric, polynomials
 from .graphs import Graph
 from .hopf import HopfAlgebra, underlying
-from .poly import MultiPoly
+from .poly import Monomial, MultiPoly, Rational, terms_text
 from .ribbon import RibbonGraph, load_fixture
 
 
-def _poly_json(p: MultiPoly) -> dict:
-    return {
-        "polynomial": [
-            {"coeff": str(c), "monomial": {v: e for v, e in mono}}
-            for mono, c in p.sorted_terms()
-        ]
-    }
+# -- displays: a route's value -> (output lines, a function returning the --json text) --
+
+# The one writer of JSON payloads of the Hopf displays, whose payloads are small.
+_dumps = functools.partial(json.dumps, indent=2, sort_keys=True)
 
 
-# -- displays: a route's value -> (output lines, --json payload) -------------------
+def _poly_block(rows: list[tuple[Monomial, Rational]], pad: str = "") -> str:
+    """The JSON object {"polynomial": [{"coeff": "c", "monomial": {v: e}}, ...]}
+    of sorted (monomial, coeff) rows, written as `_dumps` writes it, every line
+    after the first indented by `pad`.  One f-string per term, the line of each
+    (variable, exponent) pair made once: a monomial's names are already sorted,
+    and a coefficient's text ([-0-9/]) needs no escaping."""
+    if not rows:
+        return f'{{\n{pad}  "polynomial": []\n{pad}}}'
+    inner = pad + "        "
+    line = {pair: f"{inner}{_quote(pair[0])}: {pair[1]}" for pair in {pair for mono, _ in rows for pair in mono}}
+    close = f"\n{pad}      }}"
+    items = []
+    for mono, c in rows:
+        body = "{\n" + ",\n".join(map(line.__getitem__, mono)) + close if mono else "{}"
+        items.append(f'{pad}    {{\n{pad}      "coeff": "{c}",\n{pad}      "monomial": {body}\n{pad}    }}')
+    return f'{{\n{pad}  "polynomial": [\n' + ",\n".join(items) + f"\n{pad}  ]\n{pad}}}"
 
 
-def _show_poly(value) -> tuple[list[str], dict]:
+def _show_poly(value) -> tuple[list[str], Callable[[], str]]:
     p = value if isinstance(value, MultiPoly) else value.to_poly()  # U* and V* are theta-tracked
-    return [p.canonical_string()], _poly_json(p)
+    rows = p.sorted_terms()
+    return [terms_text(rows)], lambda: _poly_block(rows)
 
 
-def _show_integrand(rec) -> tuple[list[str], dict]:
-    parts = (("U", rec.u), ("V", rec.v), ("mass", rec.mass_term))
-    return [f"{key}: {p.canonical_string()}" for key, p in parts], {key: _poly_json(p) for key, p in parts}
+def _show_integrand(rec) -> tuple[list[str], Callable[[], str]]:
+    parts = [(key, p.sorted_terms()) for key, p in (("U", rec.u), ("V", rec.v), ("mass", rec.mass_term))]
+
+    def json_text() -> str:  # U, V, mass: already the order of sort_keys
+        return "{\n" + ",\n".join(f'  "{key}": {_poly_block(rows, "  ")}' for key, rows in parts) + "\n}"
+
+    return [f"{key}: {terms_text(rows)}" for key, rows in parts], json_text
 
 
-def _show_coproduct(delta) -> tuple[list[str], dict]:
-    terms = [{"left": list(a), "right": list(b), "coeff": c} for (a, b), c in sorted(delta.terms.items())]
-    return [delta.render()], {"terms": terms}
+def _show_coproduct(delta) -> tuple[list[str], Callable[[], str]]:
+    return [delta.render()], lambda: _dumps(
+        {"terms": [{"left": list(a), "right": list(b), "coeff": c} for (a, b), c in sorted(delta.terms.items())]}
+    )
 
 
-def _show_antipode(s) -> tuple[list[str], dict]:
-    return [s.render()], {"terms": [{"monomial": list(m), "coeff": c} for m, c in sorted(s.terms.items())]}
+def _show_antipode(s) -> tuple[list[str], Callable[[], str]]:
+    return [s.render()], lambda: _dumps(
+        {"terms": [{"monomial": list(m), "coeff": c} for m, c in sorted(s.terms.items())]}
+    )
 
 
-def _show_forests(forests) -> tuple[list[str], dict]:
+def _show_forests(forests) -> tuple[list[str], Callable[[], str]]:
     lines = sorted(
         "{" + ", ".join("{" + ",".join(sorted(m)) + "}" for m in sorted(f, key=sorted)) + "}"
         for f in forests
     )
-    return lines, {"forests": sorted([sorted([sorted(m) for m in f]) for f in forests])}
+    return lines, lambda: _dumps({"forests": sorted([sorted([sorted(m) for m in f]) for f in forests])})
 
 
-def _show_amplitude(amp) -> tuple[list[str], dict]:
+def _show_amplitude(amp) -> tuple[list[str], Callable[[], str]]:
     text = amp.render()
-    return [text], {"normal_form": text}
+    return [text], lambda: _dumps({"normal_form": text})
 
 
 # -- the operation table ---------------------------------------------------------------
@@ -94,7 +119,7 @@ class Operation(NamedTuple):
     input: str  # graph (any fixture), ribbon (a ribbon fixture), model (a ribbon fixture under --model gw)
     momenta: bool  # reads --momenta
     route: Callable  # (input, args, extra) -> value; extra is the momenta or the HopfAlgebra
-    display: Callable  # value -> (lines, JSON payload)
+    display: Callable  # value -> (lines, a function of no arguments returning the --json text)
 
 
 # Routes look functions up as module attributes at call time, so a patched or
@@ -154,14 +179,14 @@ def _cmd_operation(args) -> tuple[int, list[str]]:
     else:
         extra = _momenta_for(args, g) if op.momenta else None
     value = op.route(x, args, extra)
-    lines, payload = op.display(value)
+    lines, json_text = op.display(value)
     failed = False
     if args.check and args.operation in checks.ROUTE_CHECKS:
         for name, ok, _ in checks.route_checks(args.operation, x, value, extra):
             lines.append(f"{'PASS' if ok else 'FAIL'} {name}")
             failed |= not ok
     if args.json:
-        lines.append(json.dumps(payload, indent=2, sort_keys=True))
+        lines.append(json_text())
     return int(failed), lines
 
 

@@ -460,8 +460,10 @@ def nc_v_imag(rg: RibbonGraph, ext: Mapping[str, Momentum]) -> ThetaTracked:
 def nc_u_from_multivariate_br(rg: RibbonGraph) -> ThetaTracked:
     """U* from the multivariate Bollobas-Riordan polynomial.
 
-    Evaluate at x := 1, take the single-face coefficient (z^1), replace each
-    subset monomial prod beta_e by (theta/2)^|H| times the complement alpha
+    Take the single-face coefficient (z^1), evaluate it at x := 1 (which
+    leaves z alone, so the order of the two steps does not change the value,
+    and the substitution meets only the one-face terms), replace each subset
+    monomial prod beta_e by (theta/2)^|H| times the complement alpha
     product, and normalize by (theta/2)^(1-|V|).  The normalization exponent
     1-|V| equals b - |E| for connected graphs by the Euler relation.  The
     subset H is read off the beta fields of each packed key.
@@ -469,7 +471,7 @@ def nc_u_from_multivariate_br(rg: RibbonGraph) -> ThetaTracked:
     if not rg.graph.is_connected():
         raise ValueError("nc_u_from_multivariate_br requires a connected ribbon graph")
     z3 = multivariate_br(rg)
-    one_face = z3.substitute({"x": 1}).coefficient_of("z", 1)
+    one_face = z3.coefficient_of("z", 1).substitute({"x": 1})
     shift = 1 - len(rg.vertices)
     ids = rg.graph.edge_ids()
     keys, full = _alpha_keys(ids)

@@ -54,7 +54,13 @@ as tuples of (variable, exponent) pairs, and `.terms`, `sorted_terms`,
 `eval_rational` speak variable names.  `.terms` is decoded from the packed
 keys on first use and kept: each monomial a tuple of (variable, exponent)
 pairs sorted by name, with zero exponents omitted, the empty tuple being the
-constant.  No output depends on the interning order or on hash order.
+constant.  The decode splits the sorted names into two halves, each with
+its own field mask; a key masked to a half is read once per call and its
+half-tuple kept, so a monomial is the concatenation of its two half-tuples.
+`sorted_terms` orders the terms by descending total degree, read off field
+0 of each key, then by monomial; `canonical_string` is written from that
+list, and so is the CLI's `--json` block.  No output depends on the
+interning order or on hash order.
 
 Variables are plain strings.  By convention the rest of the package uses
 "x", "y", "z", "q", "w", "k", "theta" for global polynomial variables and
@@ -77,7 +83,6 @@ import functools
 import operator
 import struct
 from fractions import Fraction
-from itertools import compress
 from typing import Callable, Iterable, Mapping, Sequence
 
 Monomial = tuple[tuple[str, int], ...]  # the external form
@@ -137,8 +142,7 @@ class LinComb:
     """Immutable finite combination of keys with nonzero coefficients.
 
     Subclasses set `_key_mul` (the product of two keys), `_scalars` (the
-    types `*` scales every coefficient by), `_sort_key` (the render order
-    of keys; None is the keys' own order) and `_key_text` (the text of one
+    types `*` scales every coefficient by) and `_key_text` (the text of one
     key, empty for the unit key).  The stored terms are `_terms`; `terms`
     is their external form, the same dict unless a subclass says otherwise.
     """
@@ -146,7 +150,6 @@ class LinComb:
     __slots__ = ("_terms", "_hash")
 
     _scalars: tuple[type, ...] = (int,)
-    _sort_key = None
 
     def __init__(self, terms: Mapping | None = None):
         clean = {k: c for k, c in terms.items() if c} if terms else {}
@@ -241,10 +244,10 @@ class LinComb:
     # -- canonical output ----------------------------------------------
 
     def render(self) -> str:
-        """Deterministic signed-sum rendering, keys in `_sort_key` order."""
+        """Deterministic signed-sum rendering, keys in their own order."""
         key_text = self._key_text
         terms = self.terms
-        return signed_sum_text((key_text(k), terms[k]) for k in sorted(terms, key=self._sort_key))
+        return signed_sum_text((key_text(k), terms[k]) for k in sorted(terms))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.render()})"
@@ -388,10 +391,33 @@ def exponent_reader(names: Sequence[str]) -> Callable[[Key], tuple[int, ...]]:
 
 
 def _decode(terms: Mapping[Key, Rational]) -> dict[Monomial, Rational]:
-    """`terms` with every packed key replaced by its name-tuple monomial."""
-    names = sorted(_NAMES[i] for i in _fields(functools.reduce(operator.or_, terms, 0)))
-    read = exponent_reader(names)
-    return {tuple(compress(zip(names, exps), exps)): c for exps, c in zip(map(read, terms), terms.values())}
+    """`terms` with every packed key replaced by its name-tuple monomial.
+
+    The sorted names are split into two halves, each with its own field
+    mask.  Each distinct key masked to a half is read once, field by field,
+    to that half's pairs, and a monomial is the concatenation of its two
+    halves: over n names a multiaffine polynomial has at most 2 * 2^(n/2)
+    distinct halves.
+    """
+    fields = _fields(functools.reduce(operator.or_, terms, 0))
+    fields.sort(key=_NAMES.__getitem__)
+    named = [(_NAMES[i], FIELD * (i + 1)) for i in fields]
+    half = len(named) // 2
+    pairs: dict[Key, Monomial] = {}
+    masks = []
+    for part in (named[:half], named[half:]):
+        mask = sum(FIELD_MASK << shift for _, shift in part)
+        masks.append(mask)
+        for h in {k & mask for k in terms}:
+            pairs[h] = tuple((v, e) for v, shift in part if (e := h >> shift & FIELD_MASK))
+    low, high = masks
+    return {pairs[k & low] + pairs[k & high]: c for k, c in terms.items()}
+
+
+def terms_text(rows: Iterable[tuple[Monomial, Rational]]) -> str:
+    """The signed-sum text of (monomial, coeff) rows, in their order, e.g.
+    "x^2*y - x + 1"."""
+    return signed_sum_text(("*".join(v if e == 1 else f"{v}^{e}" for v, e in mono), c) for mono, c in rows)
 
 
 def _exact(c) -> Rational:
@@ -440,15 +466,6 @@ class MultiPoly(LinComb):
 
     _scalars = (int, Fraction)
     _key_mul = staticmethod(operator.add)
-
-    @staticmethod
-    def _sort_key(mono: Monomial):
-        """Descending total degree, then the (variable, exponent) sequence."""
-        return (-sum(e for _, e in mono), mono)
-
-    @staticmethod
-    def _key_text(mono: Monomial) -> str:
-        return "*".join(v if e == 1 else f"{v}^{e}" for v, e in mono)
 
     def __init__(self, terms: Mapping[Monomial | Key, Rational] | None = None):
         """From a mapping of monomials to coefficients.  Its keys are either
@@ -522,9 +539,12 @@ class MultiPoly(LinComb):
 
     __rmul__ = __mul__
 
-    # Examples: "0", "x^2 + x + y", "x*y - x - y + 1", "1/4*theta^2"; the
-    # golden-file contract of the CLI.
-    canonical_string = LinComb.render
+    def canonical_string(self) -> str:
+        """The text of `sorted_terms`: "0", "x^2 + x + y", "x*y - x - y + 1",
+        "1/4*theta^2"; the golden-file contract of the CLI."""
+        return terms_text(self.sorted_terms())
+
+    render = canonical_string
 
     # -- constructors -------------------------------------------------
 
@@ -649,16 +669,16 @@ class MultiPoly(LinComb):
         missing = set(names) - set(bindings)
         if missing:
             raise ValueError(f"unbound variables in evaluation: {sorted(missing)}")
-        values = [Fraction(bindings[v]) for v in names]
+        values = [x if type(x) is int else Fraction(x) for x in map(bindings.__getitem__, names)]
         read = exponent_reader(names)
-        total = Fraction(0)
+        total = 0
         for mono, coeff in self._terms.items():
             val = coeff
             for x, e in zip(values, read(mono)):
                 if e:
                     val *= x**e
             total += val
-        return total
+        return Fraction(total)
 
     def divexact_monomial(self, exps: Mapping[str, int]) -> MultiPoly:
         """Divide by a monomial, erroring if any term is not divisible."""
@@ -673,9 +693,13 @@ class MultiPoly(LinComb):
         return _new(out, self._bound)
 
     def sorted_terms(self) -> list[tuple[Monomial, Rational]]:
-        """Terms in canonical_string order."""
-        terms = self.terms
-        return [(m, terms[m]) for m in sorted(terms, key=self._sort_key)]
+        """The (monomial, coeff) terms in canonical_string order: descending
+        total degree, then the monomial.  The rows sorted are (-degree,
+        (monomial, coeff)), the degree read off field 0 of the key (`.terms`
+        is decoded in the order of the stored keys), so no key function runs;
+        no two monomials are equal, so no coefficient is compared."""
+        rows = sorted(zip([-(k & FIELD_MASK) for k in self._terms], self.terms.items()))
+        return [term for _, term in rows]
 
 
 class Powers(dict):

@@ -7,6 +7,7 @@ import re
 import pytest
 
 from feyncomb import cli, fixtures
+from feyncomb.poly import MultiPoly
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -57,6 +58,116 @@ def test_poly_json_block():
     assert lines[0] == "x^2 + x + y"
     payload = json.loads("\n".join(lines[1:]))
     assert payload["polynomial"][0] == {"coeff": "1", "monomial": {"x": 2}}
+
+
+# -- the --json text against json.dumps of each display's payload as a dict ----------
+
+
+def _poly_json(p):
+    return {"polynomial": [{"coeff": str(c), "monomial": {v: e for v, e in mono}} for mono, c in p.sorted_terms()]}
+
+
+def _old_payload(operation, value):
+    """The payload of a display as a dict: its --json text must equal
+    json.dumps(payload, indent=2, sort_keys=True)."""
+    if operation == "integrand":
+        return {key: _poly_json(p) for key, p in (("U", value.u), ("V", value.v), ("mass", value.mass_term))}
+    if operation == "coproduct":
+        return {"terms": [{"left": list(a), "right": list(b), "coeff": c} for (a, b), c in sorted(value.terms.items())]}
+    if operation == "antipode":
+        return {"terms": [{"monomial": list(m), "coeff": c} for m, c in sorted(value.terms.items())]}
+    if operation == "forests":
+        return {"forests": sorted([sorted([sorted(m) for m in f]) for f in value])}
+    if operation in ("rbar", "renorm"):
+        return {"normal_form": value.render()}
+    return _poly_json(value if isinstance(value, MultiPoly) else value.to_poly())
+
+
+def _json_cases():
+    momenta = os.path.join(FIXTURE_DIR, "fig3_momenta.json")
+    for name in fixtures.names():
+        for operation, op in cli.OPERATIONS.items():
+            argv = [op.command, operation, path(name)]
+            if op.command == "hopf":
+                yield from (argv + ["--model", model] for model in ("phi4", "gw", "core"))
+            else:
+                yield argv
+                if op.momenta and name == "fig3":
+                    yield argv + ["--momenta", momenta]
+
+
+def _check_json_against_old_payloads(monkeypatch, cases) -> set:
+    """Run each command with and without --json; the --json run must print the
+    same text followed by json.dumps of the old payload.  Returns the
+    operations covered, commands the input does not admit skipped."""
+    values = []
+    for operation, op in list(cli.OPERATIONS.items()):
+        def display(value, show=op.display):
+            values.append(value)
+            return show(value)
+
+        monkeypatch.setitem(cli.OPERATIONS, operation, op._replace(display=display))
+    covered = set()
+    for argv in cases:
+        code, plain = run(*argv)
+        if code == 2:  # the operation is not defined on this fixture or model
+            continue
+        values.clear()
+        code_json, text = run(*argv, "--json")
+        assert code_json == code == 0, argv
+        [value] = values
+        want = json.dumps(_old_payload(argv[1], value), indent=2, sort_keys=True)
+        assert text == plain + want + "\n", argv
+        covered.add(argv[1] + (" --momenta" if "--momenta" in argv else ""))
+    return covered
+
+
+def test_json_blocks_match_json_dumps_of_the_old_payloads(monkeypatch):
+    covered = _check_json_against_old_payloads(monkeypatch, _json_cases())
+    assert covered == set(cli.OPERATIONS) | {"v --momenta", "integrand --momenta"}
+
+
+def test_json_blocks_escape_names_like_json_dumps(tmp_path, monkeypatch):
+    # edge ids with a quote, a backslash and a non-ASCII letter name the variables
+    edges = [("e\"1", "v1", "v2"), ("\u00fc\\2", "v1", "v2"), ("e3", "v2", "v1"), ("e4", "v1", "v1")]
+    fixture = tmp_path / "names.json"
+    fixture.write_text(
+        json.dumps({"type": "graph", "vertices": ["v1", "v2"], "edges": [{"id": i, "tail": t, "head": h} for i, t, h in edges]}),
+        encoding="utf-8",
+    )
+    cases = [["poly", op, str(fixture)] for op in ("tutte", "ztutte")] + [["param", op, str(fixture)] for op in ("u", "v", "integrand")]
+    assert _check_json_against_old_payloads(monkeypatch, cases) == {"tutte", "ztutte", "u", "v", "integrand"}
+
+
+def test_json_text_is_built_only_under_json(monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a --json text was built")
+
+    monkeypatch.setattr(cli, "_poly_block", refuse)
+    monkeypatch.setattr(cli, "_dumps", refuse)
+    for argv in _json_cases():
+        code, text = run(*argv)
+        assert code in (0, 2) and "a --json text was built" not in text, argv
+
+
+def test_a_display_sorts_each_polynomial_once(monkeypatch):
+    calls = []
+    sorted_terms = MultiPoly.sorted_terms
+
+    def counted(self):
+        calls.append(self)
+        return sorted_terms(self)
+
+    monkeypatch.setattr(MultiPoly, "sorted_terms", counted)
+    momenta = os.path.join(FIXTURE_DIR, "fig3_momenta.json")
+    for argv, n in (
+        (("poly", "ztutte", path("nestedchain")), 1),
+        (("param", "ustar", path("ribbonhost")), 1),
+        (("param", "integrand", path("fig3"), "--momenta", momenta), 3),
+    ):
+        calls.clear()
+        code, _ = run(*argv, "--json")
+        assert code == 0 and len(calls) == n, argv
 
 
 def test_hopf_commands():

@@ -1,4 +1,5 @@
-"""Packed monomials: the ring operations against a name-tuple oracle.
+"""Packed monomials: the ring operations against a name-tuple oracle, and the
+external form (decode, row order, evaluation) against direct definitions.
 
 The oracle keeps every polynomial as a dict from name-tuple monomials to
 Fractions and multiplies monomials by merging their exponents in a dict and
@@ -10,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from feyncomb.linalg import det, divexact
-from feyncomb.poly import MultiPoly
+from feyncomb.poly import _NAMES, FIELD, FIELD_MASK, MultiPoly, _decode, monomial_key, var_key
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -151,3 +152,59 @@ def test_divexact_matches_the_oracle(p, d):
 @hypothesis.given(st.integers(1, 3).flatmap(lambda n: st.lists(st.lists(polys, min_size=n, max_size=n), min_size=n, max_size=n)))
 def test_det_matches_the_oracle(rows):
     assert_matches(det([[MultiPoly(e) for e in row] for row in rows]), o_det(rows))
+
+
+# -- the external form: decode, row order and evaluation ------------------------------
+
+# 30 names, interned in an order unlike their sorted one, so the fields of a key
+# are not in name order and each decode half spans fields far apart.
+DECODE_NAMES = tuple(f"dec.{i:02d}" for i in range(30))
+for _name in DECODE_NAMES[1::2] + DECODE_NAMES[::-2]:
+    var_key(_name)
+
+
+def naive_decode(key):
+    """The monomial of a packed key, one interned variable at a time."""
+    pairs = [(name, key >> FIELD * (i + 1) & FIELD_MASK) for i, name in enumerate(_NAMES)]
+    return tuple(sorted((v, e) for v, e in pairs if e))
+
+
+def sort_key(mono):
+    """The render order: descending total degree, then the (variable, exponent) sequence."""
+    return (-sum(e for _, e in mono), mono)
+
+
+wide_monos = st.dictionaries(st.sampled_from(DECODE_NAMES + VARS), st.integers(1, 5), max_size=12)
+wide_polys = st.dictionaries(wide_monos.map(lambda d: tuple(sorted(d.items()))), coeffs, max_size=24).map(o_clean)
+
+
+@settings
+@hypothesis.given(st.lists(wide_monos, max_size=24))
+@hypothesis.example([{}])  # the constant alone: both halves empty
+@hypothesis.example([{"dec.07": 3}])  # one variable: the lower half empty
+@hypothesis.example([{}, {"x": 2}, {v: 1 for v in DECODE_NAMES}])  # 30 names in one term
+def test_decode_matches_a_per_variable_decode(monos):
+    terms = {monomial_key(m.items()): i + 1 for i, m in enumerate(monos)}
+    assert list(_decode(terms).items()) == [(naive_decode(k), c) for k, c in terms.items()]
+
+
+@settings
+@hypothesis.given(st.one_of(polys, wide_polys))
+def test_sorted_terms_match_the_sort_key_order(p):
+    poly = MultiPoly(p)
+    assert poly.sorted_terms() == [(m, poly.terms[m]) for m in sorted(poly.terms, key=sort_key)]
+
+
+@settings
+@hypothesis.given(polys, st.fixed_dictionaries({v: st.integers(-3, 3) for v in VARS}))
+def test_eval_rational_is_the_same_at_int_and_fraction_points(p, point):
+    poly = MultiPoly(p)
+    at_ints = poly.eval_rational(point)
+    at_fractions = poly.eval_rational({v: Fraction(x) for v, x in point.items()})
+    want = Fraction(0)
+    for mono, c in p.items():
+        for v, e in mono:
+            c *= Fraction(point[v]) ** e
+        want += c
+    assert type(at_ints) is type(at_fractions) is Fraction
+    assert at_ints == at_fractions == want
