@@ -162,87 +162,102 @@ class Graph:
         return sorted((frozenset(vs) for vs in groups.values()), key=min)
 
     def edge_ids(self) -> list[str]:
-        """The edge ids in sorted order: edge i of `edge_masks` is the i-th."""
+        """The edge ids in sorted order: edge i of `edge_walk` is the i-th."""
         return sorted(self._ends)
 
-    def edge_masks(self, sizes: Iterable[int] | None = None) -> Iterator[tuple[list[int], int, int]]:
-        """Every edge subset as (index list, bitmask, component count of (V, subset)).
+    def edge_walk(self, components: int | None = None, forests: bool = False) -> Iterator[tuple[int, int]]:
+        """Edge subsets as (bitmask, component count), bit i being edge
+        `edge_ids()[i]`: every subset, or with c = `components` the spanning
+        subsets with c components, or with `forests` the forests among them.
 
-        Edge i is `edge_ids()[i]` and bit i of the mask.  Subsets come size
-        by size (every size, or those of `sizes` in their order), and within
-        a size in lexicographic order of their ascending index lists.  The
-        index list is reused from one subset to the next: copy it to keep it.
-
-        Each size is one depth-first walk over index lists.  A union-find
-        with union by size and no path compression joins the ends of each
-        edge the walk adds and undoes the join when the walk removes it, so
-        a subset costs one join beyond its prefix of one edge less.
+        One in/out decision walk over the edges in id order, on an explicit
+        stack, so subsets of one size come in lexicographic order, with a
+        union-find (by size, no path compression) undone on the way back.
+        With c set, every branch ends in an answer: no edge is taken that
+        leaves fewer than c parts or closes a forest's cycle, and an edge is
+        left out only while the later edges can still make the joins left (a
+        flood over the taken forest and the later edges' components tells).
+        A forest one join short takes each later edge that makes it; else
+        both children of the last edge are read off its two roots.
         """
         ends = [self._ends[e] for e in self.edge_ids()]
-        n_edges = len(ends)
-        n = len(self.vertices)
-        parent = list(range(n))
-        weight = [1] * n
-        for r in range(n_edges + 1) if sizes is None else sizes:
-            if not 0 <= r <= n_edges:
-                continue
-            if r == 0:
-                yield [], 0, n
-                continue
-            combo = [0] * r
-            joined = [-1] * r  # the root linked under another by combo[d], or -1
-            k, mask, depth, i = n, 0, 0, 0
-            leaf = r - 1
-            while True:
-                top = n_edges - r + depth  # the largest index with room after it
-                if depth == leaf:
-                    for i in range(i, top + 1):
-                        a, b = ends[i]
-                        while parent[a] != a:
-                            a = parent[a]
-                        while parent[b] != b:
-                            b = parent[b]
-                        combo[depth] = i
-                        yield combo, mask | 1 << i, k if a == b else k - 1
-                elif i <= top:
-                    a, b = ends[i]
-                    while parent[a] != a:
-                        a = parent[a]
-                    while parent[b] != b:
-                        b = parent[b]
-                    if a == b:
-                        joined[depth] = -1
-                    else:
-                        if weight[a] < weight[b]:
-                            a, b = b, a
-                        parent[b] = a
-                        weight[a] += weight[b]
-                        joined[depth] = b
-                        k -= 1
-                    combo[depth] = i
-                    mask |= 1 << i
-                    depth += 1
-                    i += 1
-                    continue
-                if depth == 0:
-                    break
-                depth -= 1
-                i = combo[depth]
-                mask ^= 1 << i
-                b = joined[depth]
+        n, last = len(self.vertices), len(ends) - 1
+        every = components is None
+        c = 0 if every else components
+        spans = _union_find(n, ends)[1]  # the parts left by the taken and the later edges
+        if not (every or spans <= c <= n):
+            return
+        # later[d][v]: the vertices of v's component under the edges after edge d
+        later = [[1 << v for v in range(n)]]
+        for a, b in reversed(ends[1:]):
+            joined = later[-1][a] | later[-1][b]
+            later.append([joined if r & joined else r for r in later[-1]])
+        later.reverse()
+        near = [0] * n  # the vertices joined to each by the taken edges that linked two parts
+        parent, weight = list(range(n)), [1] * n
+        linked = [(0, -1)] * last  # per edge decided: `spans` on reaching it, and the root it linked or -1
+        k, mask, d, stop = n, 0, 0, c + 1 if forests else 0
+        while True:
+            while d < last and k > stop:
+                u, w = a, b = ends[d]
+                while parent[a] != a:
+                    a = parent[a]
+                while parent[b] != b:
+                    b = parent[b]
+                linked[d] = spans, -1
+                if a != b and k > c:
+                    if weight[a] < weight[b]:
+                        a, b = b, a
+                    parent[b] = a
+                    weight[a] += weight[b]
+                    linked[d] = spans, b
+                    k -= 1
+                    near[u] |= 1 << w
+                    near[w] |= 1 << u
+                    mask |= 1 << d
+                elif a == b and not forests:
+                    mask |= 1 << d
+                d += 1
+            for i in range(d, last + 1):  # the last edge, or each later edge a forest one join short may take
+                a, b = ends[i]
+                while parent[a] != a:
+                    a = parent[a]
+                while parent[b] != b:
+                    b = parent[b]
+                if a != b and k > c or a == b and not forests:
+                    yield mask | 1 << i, k - (a != b)
+            if every or k == c:
+                yield mask, k
+            while True:  # back out of the decisions taken
+                d -= 1
+                if d < 0:
+                    return
+                spans, b = linked[d]
                 if b >= 0:
                     weight[parent[b]] -= weight[b]
                     parent[b] = b
                     k += 1
-                i += 1
-
-    def edge_subsets(self, size: int | None = None) -> Iterator[tuple[EdgeSubset, int]]:
-        """Every edge subset as a frozenset of ids, with the component count
-        of (V, subset), in `edge_masks` order; with `size`, only the subsets
-        of that many edges."""
-        ids = self.edge_ids()
-        for combo, _, k in self.edge_masks(None if size is None else (size,)):
-            yield frozenset([ids[i] for i in combo]), k
+                    u, w = ends[d]
+                    near[u] ^= 1 << w
+                    near[w] ^= 1 << u
+                if mask >> d & 1:  # leave edge d out instead, if the later edges allow
+                    mask ^= 1 << d
+                    linked[d] = spans, -1
+                    if b >= 0 and not every:
+                        row = later[d]
+                        seen = todo = row[u]
+                        while todo and not seen >> w & 1:
+                            v = (todo & -todo).bit_length() - 1
+                            todo &= todo - 1
+                            new = (row[v] | near[v]) & ~seen
+                            seen |= new
+                            todo |= new
+                        if not seen >> w & 1:  # edge d is a bridge of the taken and later edges
+                            if spans == c:
+                                continue
+                            spans += 1
+                    d += 1
+                    break
 
     def is_connected(self) -> bool:
         return len(self.vertices) > 0 and self.components() == 1
@@ -310,50 +325,45 @@ class Graph:
         if not self.is_connected():
             raise ValueError("spanning_trees requires a connected graph")
         ids = self.edge_ids()
-        trees = self.edge_masks((len(self.vertices) - 1,))
-        return [frozenset([ids[i] for i in combo]) for combo, _, k in trees if k == 1]
+        return [mask_edges(ids, mask) for mask, _ in self.edge_walk(1, True)]
 
     def spanning_two_trees(self) -> list[TwoTree]:
         """All spanning two-component forests, with vertex and leg split,
         read off the part masks of `_two_forests`."""
+        if not self.is_connected():
+            raise ValueError("spanning_two_trees requires a connected graph")
         ids = self.edge_ids()
         at = {v: i for i, v in enumerate(self.vertices)}
         legs = sorted((l.id, at[l.vertex]) for l in self.legs)
         out = []
-        for combo, _, part in self._two_forests():
+        for mask, part in self._two_forests():
             vs, ls = ([], []), ([], [])  # the vertices and the legs of each part
             for v, i in at.items():
                 vs[not part >> i & 1].append(v)
             for lid, i in legs:
                 ls[not part >> i & 1].append(lid)
-            out.append(TwoTree(frozenset([ids[i] for i in combo]), tuple(map(frozenset, vs)), tuple(map(tuple, ls))))
+            out.append(TwoTree(mask_edges(ids, mask), tuple(map(frozenset, vs)), tuple(map(tuple, ls))))
         return out
 
-    def _two_forests(self) -> Iterator[tuple[list[int], int, int]]:
-        """Each spanning two-component forest as (index list, edge mask, mask
-        of `vertices` positions of its part holding the least vertex id), in
-        `edge_masks` order, the part flooded over the forest's adjacency."""
-        if not self.is_connected():
-            raise ValueError("spanning_two_trees requires a connected graph")
-        verts = self.vertices
-        n = len(verts)
-        first = 1 << verts.index(min(verts))
+    def _two_forests(self) -> Iterator[tuple[int, int]]:
+        """Each spanning two-component forest of a connected graph as (edge
+        mask, mask of the `vertices` positions of its part holding the least
+        vertex id), in `edge_walk` order, the part flooded over its edges."""
+        start = self.vertices.index(min(self.vertices))
         ends = [self._ends[e] for e in self.edge_ids()]
-        for combo, mask, k in self.edge_masks((n - 2,)):
-            if k == 2:
-                adj = [0] * n
-                for i in combo:
-                    a, b = ends[i]
-                    adj[a] |= 1 << b
-                    adj[b] |= 1 << a
-                part = todo = first
-                while todo:
-                    low = todo & -todo
-                    todo ^= low
-                    grow = adj[low.bit_length() - 1] & ~part
-                    part |= grow
-                    todo |= grow
-                yield combo, mask, part
+        at = [[] for _ in self.vertices]  # per vertex position, the bit and far end of each edge there
+        for i, (a, b) in enumerate(ends):
+            at[a].append((1 << i, b))
+            at[b].append((1 << i, a))
+        for mask, _ in self.edge_walk(2, True):
+            part, todo, left = 1 << start, [start], mask
+            while todo:
+                for bit, w in at[todo.pop()]:
+                    if left & bit:
+                        left ^= bit
+                        part |= 1 << w
+                        todo.append(w)
+            yield mask, part
 
     # -- canonical form -------------------------------------------------------
 
@@ -637,6 +647,11 @@ def class_leaves(
             if keep is not one:
                 weight = weight * keep
         yield n, weight
+
+
+def mask_edges(ids: Sequence[str], mask: int) -> EdgeSubset:
+    """The ids of the set bits of `mask`, bit i being ids[i]."""
+    return frozenset([e for i, e in enumerate(ids) if mask >> i & 1])
 
 
 def _union_find(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[list[int], int]:

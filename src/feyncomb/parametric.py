@@ -10,10 +10,11 @@ a theta-free polynomial, where n may go negative during assembly (the
 2*alpha/theta edge factors) but must be nonnegative by the time a true
 polynomial is rendered.
 
-V, Re V* and Im V* read each term off an enumerator's edge bitmask: its
-alpha key is full - table(mask) from one `poly.mask_keys` table, and its
-momentum weight is memoised within the call by the part's legged vertices
-(V) or by the legs one `HalfEdges.trace` of the mask finds on a face (V*).
+U, V, U*, Re V* and Im V* read each term off a `Graph.edge_walk` mask:
+its alpha key is full - table(mask) from one `poly.mask_keys` table, and
+the momentum weight of V and V* is memoised within the call by the part's
+legged vertices (V) or by the legs one `HalfEdges.trace` of the mask finds
+on a face (V*).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from itertools import compress
 from typing import Callable, Iterable, Mapping
 
 from . import linalg
-from .graphs import Graph, class_leaves, edge_classes
+from .graphs import Graph, class_leaves, edge_classes, mask_edges
 from .poly import Key, LinComb, MultiPoly, Rational, _exact, edge_keys, edge_monomial, exponent_reader, mask_keys
 from .polynomials import multivariate_br, multivariate_tutte
 from .ribbon import Face, RibbonGraph, rotation_leaves
@@ -44,12 +45,12 @@ def alpha_product(edge_ids: Iterable[str]) -> MultiPoly:
     return MultiPoly({edge_monomial("a.", set(edge_ids)): 1})
 
 
-def _alpha_keys(edge_ids: Iterable[str]) -> tuple[dict[str, Key], Key]:
-    """The packed key of each alpha variable, and the key of their product:
-    the alpha monomial of the edges outside a set S is the product's key
-    minus the keys of S.  `edge_keys` has checked the product's degree."""
-    keys = edge_keys("a.", edge_ids)
-    return keys, sum(keys.values())
+def _alpha_keys(g: Graph) -> tuple[list[Key], Key, Callable[[int], Key]]:
+    """The alpha variable keys in `edge_ids` order, the key of their product
+    and their `mask_keys` table: the alpha monomial of the edges outside S is
+    the product's key minus the keys of S.  `edge_keys` checked the degree."""
+    alphas = list(edge_keys("a.", g.edge_ids()).values())
+    return alphas, sum(alphas), mask_keys(alphas)
 
 
 # -- momenta -----------------------------------------------------------------
@@ -130,8 +131,10 @@ def load_momenta_json(g: Graph, data: Mapping) -> dict[str, Momentum]:
 
 def symanzik_u(g: Graph) -> MultiPoly:
     """First Symanzik polynomial: sum over spanning trees of the complement product."""
-    keys, full = _alpha_keys(g.all_edges())
-    return MultiPoly({full - sum(map(keys.__getitem__, tree)): 1 for tree in g.spanning_trees()})
+    if not g.is_connected():
+        raise ValueError("symanzik_u requires a connected graph")
+    _, full, table = _alpha_keys(g)
+    return MultiPoly({full - table(mask): 1 for mask, _ in g.edge_walk(1, True)})
 
 
 def symanzik_v(
@@ -147,14 +150,15 @@ def symanzik_v(
     ("auto") is the part that holds the least vertex id.
     """
     pick = _choice("component", component)
+    if not g.is_connected():
+        raise ValueError("symanzik_v requires a connected graph")
     momenta = validate_assignment(g, ext)
     legs = [(1 << g.vertices.index(l.vertex), tuple(l.sign * c for c in momenta[l.id])) for l in g.legs]
     legged = sum({b for b, _ in legs})
-    keys, full = _alpha_keys(g.edge_ids())
-    table = mask_keys(list(keys.values()))
+    _, full, table = _alpha_keys(g)
     squares: dict[int, Rational] = {}
     terms = {}
-    for _, mask, part in g._two_forests():
+    for mask, part in g._two_forests():
         side = legged & ~part if pick == 1 else legged & part
         w = squares.get(side)
         if w is None:
@@ -261,11 +265,9 @@ def u_from_multivariate_tutte(g: Graph) -> MultiPoly:
         raise ValueError("u_from_multivariate_tutte requires a connected graph")
     z = multivariate_tutte(g, method="subset")
     spanning = z.coefficient_of("q", 1)
-    ids = g.edge_ids()
-    beta_vars = [f"b.{e}" for e in ids]
+    beta_vars = [f"b.{e}" for e in g.edge_ids()]
     forest = spanning.lowest_homogeneous_part(beta_vars) if not spanning.is_zero() else spanning
-    keys, full = _alpha_keys(ids)
-    alphas = list(keys.values())
+    alphas, full, _ = _alpha_keys(g)
     read = exponent_reader(beta_vars)
     return MultiPoly({full - sum(compress(alphas, read(m))): c for m, c in forest._terms.items()})
 
@@ -350,19 +352,7 @@ def _b_exponent(rg: RibbonGraph) -> int:
 
 def nc_u(rg: RibbonGraph) -> ThetaTracked:
     """Moyal U*: (theta/2)^b sum over quasi-trees of prod 2 alpha_e / theta."""
-    if not rg.graph.is_connected():
-        raise ValueError("nc_u requires a connected ribbon graph")
-    b = _b_exponent(rg)
-    n_edges = len(rg.edges)
-    keys, full = _alpha_keys(rg.all_edges())
-
-    def term(qt: frozenset[str]) -> tuple[int, Key, Rational]:
-        power = b - (n_edges - len(qt))
-        if power < 0:
-            raise AssertionError(f"negative theta power {power} for quasi-tree {sorted(qt)}")
-        return power, full - sum(map(keys.__getitem__, qt)), 1
-
-    return ThetaTracked.from_terms(term(qt) for qt in rg.quasi_trees())
+    return _face_sum(rg, 1, "nc_u", None, None)
 
 
 def nc_u_delcon(rg: RibbonGraph) -> ThetaTracked:
@@ -378,10 +368,7 @@ def nc_u_delcon(rg: RibbonGraph) -> ThetaTracked:
     """
     if not rg.graph.is_connected():
         raise ValueError("nc_u_delcon requires a connected ribbon graph")
-    ids = rg.graph.edge_ids()
-    keys = _alpha_keys(ids)[0]
-    alphas = [keys[e] for e in ids]
-    table = mask_keys(alphas)
+    alphas, _, table = _alpha_keys(rg.graph)
     terms: list[tuple[int, Key, Rational]] = []
     for state, _, deleted in rotation_leaves(rg):
         loops = [alphas[k] for k in state.edges]
@@ -411,29 +398,33 @@ def nc_v_real(
         boundary = rg.face_boundary_order(faces[low[0] > low[1] if pick is None else pick])
         return _flow_square(tuple(sign * c for c in momenta[lid]) for lid, sign in boundary)
 
-    return _vstar(rg, ext, 2, "nc_v_real", square)
+    return _face_sum(rg, 2, "nc_v_real", ext, square)
 
 
-def _vstar(rg: RibbonGraph, ext: Mapping[str, Momentum], n_faces: int, name: str, weight: Callable) -> ThetaTracked:
+def _face_sum(rg: RibbonGraph, n_faces: int, name: str, ext: Mapping | None, weight: Callable | None) -> ThetaTracked:
     """The sum over connected spanning H with `n_faces` faces of (theta/2)^(b
-    + n_faces - 1 - |E - H|) alpha_(E - H) weight(faces of H, momenta), the
-    weight memoised by the legs of the first face, which fix it."""
+    + n_faces - 1 - |E - H|) alpha_(E - H), times any weight(faces of H,
+    momenta), memoised by the legs of the first face, which fix it."""
     if not rg.graph.is_connected():
         raise ValueError(f"{name} requires a connected ribbon graph")
-    momenta = validate_assignment(rg.graph, ext)
+    momenta = None if weight is None else validate_assignment(rg.graph, ext)
     shift = _b_exponent(rg) + n_faces - 1 - len(rg.edges)
-    keys, full = _alpha_keys(rg.graph.edge_ids())
-    table = mask_keys(list(keys.values()))
+    _, full, table = _alpha_keys(rg.graph)
     trace = rg.half_edges().trace
     weights: dict[tuple[str, ...], Rational] = {}
     terms = []
-    for combo, mask in rg._connected_with_faces(n_faces):
-        faces = trace(mask, True)
-        legs = faces[0].leg_ids()
-        w = weights.get(legs)
-        if w is None:
-            w = weights[legs] = weight(faces, momenta)
-        terms.append((shift + len(combo), full - table(mask), w))
+    for mask in rg._connected_with_faces(n_faces):
+        w = 1
+        if weight is not None:
+            faces = trace(mask, True)
+            legs = faces[0].leg_ids()
+            w = weights.get(legs)
+            if w is None:
+                w = weights[legs] = weight(faces, momenta)
+        power = shift + mask.bit_count()
+        if power < 0:
+            raise AssertionError(f"negative theta power {power} for {sorted(mask_edges(rg.graph.edge_ids(), mask))}")
+        terms.append((power, full - table(mask), w))
     return ThetaTracked.from_terms(terms)
 
 
@@ -454,7 +445,7 @@ def phase_psi(
 
 def nc_v_imag(rg: RibbonGraph, ext: Mapping[str, Momentum]) -> ThetaTracked:
     """Imaginary part of V*: quasi-trees weighted by the face wedge phase."""
-    return _vstar(rg, ext, 1, "nc_v_imag", lambda faces, p: phase_psi(rg.face_boundary_order(faces[0]), p))
+    return _face_sum(rg, 1, "nc_v_imag", ext, lambda faces, p: phase_psi(rg.face_boundary_order(faces[0]), p))
 
 
 def nc_u_from_multivariate_br(rg: RibbonGraph) -> ThetaTracked:
@@ -473,10 +464,8 @@ def nc_u_from_multivariate_br(rg: RibbonGraph) -> ThetaTracked:
     z3 = multivariate_br(rg)
     one_face = z3.coefficient_of("z", 1).substitute({"x": 1})
     shift = 1 - len(rg.vertices)
-    ids = rg.graph.edge_ids()
-    keys, full = _alpha_keys(ids)
-    alphas = list(keys.values())
-    read = exponent_reader([f"b.{e}" for e in ids])
+    alphas, full, _ = _alpha_keys(rg.graph)
+    read = exponent_reader([f"b.{e}" for e in rg.graph.edge_ids()])
 
     def term(mono: Key, coeff: Rational) -> tuple[int, Key, Rational]:
         exps = read(mono)

@@ -6,20 +6,21 @@ cross-check).  The two must agree exactly; the acceptance suite pins them
 together on fixtures and random corpora.  Chromatic and flow polynomials are
 checked against brute-force counts instead.
 
-The subset routes count, never multiply.  One walk of `Graph.edge_masks`
-fills an integer table of the number of edge subsets A with each (|A|,
-k(A)); T, and Whitney's sums
+The subset routes count, never multiply.  One walk of `Graph.edge_walk`
+over every edge subset fills an integer table of the number of edge subsets
+A with each (|A|, k(A)); T, and Whitney's sums
 
     P(k) = sum over A of (-1)^|A| k^k(A),
     F(k) = sum over A of (-1)^(|E|-|A|) k^(|A|-|V|+k(A)),
 
-are read off that one table.  R is read off the number of subsets H of
-each (|H|, k(H), F(H)), which `RibbonGraph.subset_faces` counts in one
-decision walk with a union-find on corners (the corner rule of `ribbon`)
-instead of tracing the faces of each subset.  `_expand` then turns a table
-{exponents e: n} into sum n * prod (v_i + s_i)^e_i (s = -1 for the x-1 and
-y-1 slots of T and R, 0 otherwise) by exact binomials, straight into packed
-keys: each polynomial is built once, with no product of polynomials.
+are read off that one table; Z sums one packed key per subset of the walk.
+R is read off the number of subsets H of each (|H|, k(H), F(H)), which
+`RibbonGraph.subset_faces` counts in one decision walk with a union-find on
+corners (the corner rule of `ribbon`) instead of tracing the faces of each
+subset.  `_expand` then turns a table {exponents e: n} into sum n * prod
+(v_i + s_i)^e_i (s = -1 for the x-1 and y-1 slots of T and R, 0 otherwise)
+by exact binomials, straight into packed keys: each polynomial is built
+once, with no product of polynomials.
 
 Tutte and multivariate Tutte delcon step over a whole parallel class P (m
 edges between two vertices) at a time, on the position state of
@@ -90,16 +91,10 @@ def tutte(g: Graph, method: str = "subset") -> MultiPoly:
     raise ValueError(f"unknown method {method!r}")
 
 
-def _subset_table(g: Graph) -> dict[tuple[int, int], int]:
-    """The number of edge subsets A of each (|A|, k(A)), read off
-    `Graph.edge_masks`: the table the Tutte, chromatic and flow sums share.
-    Each size is counted alone, so the count per subset runs in C."""
-    k_of = operator.itemgetter(2)
-    table: dict[tuple[int, int], int] = {}
-    for size in range(len(g.edges) + 1):
-        for k, n in Counter(map(k_of, g.edge_masks((size,)))).items():
-            table[size, k] = n
-    return table
+def _subset_table(g: Graph) -> Counter[tuple[int, int]]:
+    """The number of edge subsets A of each (|A|, k(A)), counted off
+    `Graph.edge_walk`: the table the Tutte, chromatic and flow sums share."""
+    return Counter((mask.bit_count(), k) for mask, k in g.edge_walk())
 
 
 def _expand(table: Mapping[tuple[int, ...], int], slots: Sequence[tuple[str, int]]) -> MultiPoly:
@@ -166,7 +161,7 @@ def multivariate_tutte(g: Graph, method: str = "subset") -> MultiPoly:
     if method == "subset":
         betas, q = _beta_product(g), var_key("q")
         _check_degree(len(g.edges) + len(g.vertices))  # |A| + k(A), before any key is summed
-        return MultiPoly({betas(mask) + k * q: 1 for _, mask, k in g.edge_masks()})
+        return MultiPoly({betas(mask) + k * q: 1 for mask, k in g.edge_walk()})
     if method == "delcon":
         return _ztutte_delcon(g)
     raise ValueError(f"unknown method {method!r}")

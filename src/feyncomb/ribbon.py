@@ -33,8 +33,8 @@ joins are undone, so it counts faces for every subset in one walk.
 
 Euler size rule.  A connected spanning sub-ribbon-graph H of an orientable
 ribbon graph has V - |H| + F = 2 - 2g, so |H| = V - 2 + F + 2g with g >= 0.
-The quasi-trees (F = 1) and two-quasi-trees (F = 2) are therefore searched
-among the subsets of sizes V - 2 + F, V + F, V + 2 + F, ... only.
+Of the connected spanning subsets, only those of sizes V - 2 + F, V + F,
+V + 2 + F, ... can be quasi-trees (F = 1) or two-quasi-trees (F = 2).
 
 Deletion/contraction.  `rotation_leaves` walks the one edge-at-a-time
 tree that the Bollobas-Riordan polynomial and Moyal U* share: for the
@@ -47,12 +47,13 @@ only loops, whose faces `chord_faces` counts.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .graphs import Edge, EdgeSubset, Graph, Leg, graph_from_json_dict
+from .graphs import Edge, EdgeSubset, Graph, Leg, graph_from_json_dict, mask_edges
 
 Token = tuple[str, str]  # (edge_id, "t"|"h") or (leg_id, "x")
 
@@ -273,7 +274,7 @@ class RibbonGraph:
         if not self.graph.is_connected():
             raise ValueError("quasi_trees requires a connected ribbon graph")
         ids = self.graph.edge_ids()
-        return [frozenset([ids[i] for i in combo]) for combo, _ in self._connected_with_faces(1)]
+        return [mask_edges(ids, mask) for mask in self._connected_with_faces(1)]
 
     def two_quasi_trees(self) -> list[TwoQuasiTree]:
         """Spanning connected sub-ribbon-graphs with exactly two faces."""
@@ -282,25 +283,26 @@ class RibbonGraph:
         ids = self.graph.edge_ids()
         trace = self.half_edges().trace
         out = []
-        for combo, mask in self._connected_with_faces(2):
+        for mask in self._connected_with_faces(2):
             first, second = trace(mask, True)
-            out.append(TwoQuasiTree(frozenset([ids[i] for i in combo]), (first, second)))
+            out.append(TwoQuasiTree(mask_edges(ids, mask), (first, second)))
         return out
 
-    def _connected_with_faces(self, n_faces: int) -> Iterator[tuple[list[int], int]]:
+    def _connected_with_faces(self, n_faces: int) -> Iterator[int]:
         """The connected spanning edge subsets with `n_faces` (1 or 2)
-        faces, as (index list, mask) in `Graph.edge_masks` order.
+        faces, as masks in `Graph.edge_walk` order.
 
-        Only the sizes V - 2 + n_faces + 2g are enumerated (the Euler size
-        rule of the module docstring).  At the smallest size no face is
+        Faces are counted only at the sizes V - 2 + n_faces + 2g (the Euler
+        size rule of the module docstring).  At the smallest size no face is
         counted: there a connected H has n_faces - 2g(H) >= 1 faces, so
         g(H) = 0.
         """
         count = self.half_edges().trace
         low = len(self.vertices) - 2 + n_faces
-        for combo, mask, k in self.graph.edge_masks(range(low, len(self.edges) + 1, 2)):
-            if k == 1 and (len(combo) == low or count(mask, False) == n_faces):
-                yield combo, mask
+        for mask, _ in self.graph.edge_walk(1):
+            size = mask.bit_count()
+            if not (size - low) & 1 and (size == low or count(mask, False) == n_faces):
+                yield mask
 
     # -- every subset with its faces ---------------------------------------------
 
@@ -539,9 +541,9 @@ class HalfEdges:
     `bit[h]` is the bit of h's edge (0 for a leg) and `vmask[i]` the union
     of the bits at the i-th vertex.
 
-    `RibbonGraph.half_edges` numbers the edges in `edge_ids` order (the
-    order of `Graph.edge_masks`) and adds the names: `token[h]`, `ids`, the
-    `vertices` and `pos`, each edge id's number.
+    `RibbonGraph.half_edges` numbers the edges in `edge_ids` order, as the
+    bits of a `Graph.edge_walk` mask, and adds the names: `token[h]`, `ids`,
+    the `vertices` and `pos`, each edge id's number.
     """
 
     __slots__ = (
@@ -637,11 +639,10 @@ class RotationState:
     `mate[h]` is the other end of h's edge and `vert[h]` a label of h's
     vertex.  Edges are numbered in id order: edge k has id `ids[k]` and the
     half-edges `tail[k]` and `head[k]`, and `edges` lists the remaining
-    ones.  `copy` shares everything that surgery does not change, and
-    `shapes`, the face counts of each chord diagram met by `loop_faces`.
+    ones.  `copy` shares everything that surgery does not change.
     """
 
-    __slots__ = ("nxt", "prv", "mate", "vert", "ids", "tail", "head", "edges", "shapes")
+    __slots__ = ("nxt", "prv", "mate", "vert", "ids", "tail", "head", "edges")
 
     def __init__(self, rg: RibbonGraph):
         index = rg.half_edges()
@@ -651,13 +652,11 @@ class RotationState:
             if m < 0:
                 self._splice(h)
         self.edges = list(range(len(self.ids)))
-        self.shapes: dict[tuple[int, ...], list[int]] = {}
 
     def copy(self) -> RotationState:
         other = object.__new__(RotationState)
         other.nxt, other.prv, other.vert, other.edges = self.nxt[:], self.prv[:], self.vert[:], self.edges[:]
         other.mate, other.ids, other.tail, other.head = self.mate, self.ids, self.tail, self.head
-        other.shapes = self.shapes
         return other
 
     def _splice(self, h: int) -> None:
@@ -725,7 +724,7 @@ class RotationState:
                     break
         return True
 
-    def loop_faces(self, loops: Sequence[int]) -> list[int]:
+    def loop_faces(self, loops: Sequence[int]) -> tuple[int, ...]:
         """The face counts of one vertex with some of its loops, by subset.
 
         `loops` are remaining loops at one vertex.  Entry `mask` of the
@@ -733,7 +732,7 @@ class RotationState:
         loops[i] for the bits i of mask.  Read from the tail of loops[0],
         the vertex's cycle restricted to these loops is a chord diagram, the
         sequence of their positions i in `loops`; the counts depend on
-        nothing else and are computed once per diagram.
+        nothing else and are those of `chord_faces`.
         """
         bit = {}
         for i, k in enumerate(loops):
@@ -749,11 +748,7 @@ class RotationState:
                 x = nxt[x]
                 if x == first:
                     break
-        key = tuple(shape)
-        faces = self.shapes.get(key)
-        if faces is None:
-            faces = self.shapes[key] = chord_faces(key)
-        return faces
+        return chord_faces(tuple(shape))
 
 
 def rotation_leaves(rg: RibbonGraph) -> Iterator[tuple[RotationState, int, int]]:
@@ -787,13 +782,15 @@ def rotation_leaves(rg: RibbonGraph) -> Iterator[tuple[RotationState, int, int]]
         yield state, bridges, deleted
 
 
-def chord_faces(shape: Sequence[int]) -> list[int]:
+@functools.lru_cache(maxsize=1024)
+def chord_faces(shape: tuple[int, ...]) -> tuple[int, ...]:
     """Face counts of a one-vertex ribbon graph, by subset of its loops.
 
     `shape` is the vertex's rotation as the loop number (0..L-1) of each
     half-edge.  Entry `mask` counts the faces with the loops of the bits of
     mask: a count-only walk of p -> (the next kept half-edge after the other
-    end of p's loop).  The empty subset has one face.
+    end of p's loop).  The empty subset has one face.  Cached per process,
+    so the counts come as a tuple.
     """
     ends: dict[int, list[int]] = {}
     for p, i in enumerate(shape):
@@ -818,7 +815,7 @@ def chord_faces(shape: Sequence[int]) -> list[int]:
                     seen |= 1 << p
                     p = succ[opposite[p]]
         faces[mask] = count
-    return faces
+    return tuple(faces)
 
 
 def _cyclic_equal(a: Sequence, b: Sequence) -> bool:

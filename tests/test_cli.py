@@ -296,6 +296,13 @@ def test_momenta_components_only_in_the_documented_forms(tmp_path):
         assert v_with(bad) == (2, "error: momenta for 'f1' must be exact (int or 'n/d' string)\n"), bad
 
 
+def test_symanzik_routes_on_a_disconnected_graph_name_themselves(tmp_path):
+    disc = tmp_path / "disc.json"
+    disc.write_text(json.dumps({"type": "graph", "vertices": ["a", "b"], "edges": []}), encoding="utf-8")
+    for op, route in (("u", "symanzik_u"), ("udet", "symanzik_u_via_det"), ("v", "symanzik_v"), ("integrand", "symanzik_u")):
+        assert run("param", op, str(disc)) == (2, f"error: {route} requires a connected graph\n"), op
+
+
 def test_zbr_check_on_disconnected_ribbon_is_one_error_line(tmp_path):
     doc = {
         "type": "ribbon",

@@ -4,8 +4,8 @@ The oracle below rebuilds the induced rotation and its successor map for
 every subset and walks the faces on tokens.  `RibbonGraph.faces` must
 return the identical list of `Face` objects, cycles and order included,
 and `face_count` its length; so must the mask walker `HalfEdges.trace` on
-the masks of `Graph.edge_masks`.  The subset walk `RibbonGraph.subset_faces`
-must give every subset once, with the component count of `edge_masks` and
+the masks of `Graph.edge_walk`.  The subset walk `RibbonGraph.subset_faces`
+must give every subset once, with the component count of `edge_walk` and
 the face count of `trace`.  A graph's `half_edges()` must be the index
 `HalfEdges.of_shape` reads off its shape, up to the numbering of the edges.
 """
@@ -15,7 +15,7 @@ import random
 import pytest
 
 from feyncomb.checks import random_multigraph
-from feyncomb.graphs import Graph
+from feyncomb.graphs import Graph, mask_edges
 from feyncomb.ribbon import Face, HalfEdges, RibbonGraph, is_leg_token, partner
 
 # -- the token-dict oracle -------------------------------------------------------------
@@ -123,8 +123,8 @@ def test_mask_walker_matches_token_tracer_on_every_subset():
         g = rg.graph
         index = rg.half_edges()
         ids = g.edge_ids()
-        for combo, mask, k in g.edge_masks():
-            subset = frozenset(ids[i] for i in combo)
+        for mask, k in g.edge_walk():
+            subset = mask_edges(ids, mask)
             want = oracle_faces(rg, subset)
             assert index.mask(subset) == mask
             assert index.trace(mask, True) == want
@@ -140,15 +140,15 @@ def test_mask_walker_matches_token_tracer_on_every_subset():
 
 
 def _walk_against_masks(rg):
-    """The subset walk's {mask: (k, F)} against `edge_masks` and `trace`."""
+    """The subset walk's {mask: (k, F)} against `edge_walk` and `trace`."""
     trace = rg.half_edges().trace
     got = [(mask, (k, f)) for mask, k, f in rg.subset_faces()]
-    want = {mask: (k, trace(mask, False)) for _, mask, k in rg.graph.edge_masks()}
+    want = {mask: (k, trace(mask, False)) for mask, k in rg.graph.edge_walk()}
     assert len(got) == len(want) == 1 << len(rg.edges)
     assert dict(got) == want
 
 
-def test_subset_walk_matches_edge_masks_and_trace():
+def test_subset_walk_matches_edge_walk_and_trace():
     rng = random.Random(4403)
     corpus = [RibbonGraph(Graph([], []), {}), RibbonGraph(Graph(["v", "w"], []), {"v": [], "w": []})]
     corpus += [_ribbon(rng, 5, 8, 3) for _ in range(200)]
@@ -166,7 +166,7 @@ def test_subset_walk_matches_edge_masks_and_trace():
     assert all(seen.values()), seen
 
 
-def test_subset_walk_matches_edge_masks_and_trace_property():
+def test_subset_walk_matches_edge_walk_and_trace_property():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 

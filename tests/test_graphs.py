@@ -1,16 +1,15 @@
 """Multigraph structure: connectivity, surgery, spanning sets, canonical form."""
 
-import itertools
 import json
 import random
-from collections import deque
 
 import pytest
 
 from feyncomb import fixtures
-from feyncomb.graphs import Graph, graph_from_json_dict
+from feyncomb.graphs import Graph, graph_from_json_dict, mask_edges
 from feyncomb.linalg import matrix_tree_count
 from feyncomb.ribbon import load_fixture
+from subset_oracle import bfs_components, edge_subsets
 
 
 def fig3():
@@ -100,6 +99,13 @@ def test_spanning_trees():
         Graph(["a", "b"], []).spanning_trees()
 
 
+def test_trees_and_two_forests_keep_lexicographic_order():
+    g3 = fig3()
+    trees = [("e1", "e2"), ("e1", "e3"), ("e1", "e4"), ("e2", "e3"), ("e2", "e4")]
+    assert g3.spanning_trees() == [frozenset(t) for t in trees]
+    assert [t.edges for t in g3.spanning_two_trees()] == [frozenset({e}) for e in ("e1", "e2", "e3", "e4")]
+
+
 def test_spanning_trees_count_matches_kirchhoff():
     rng = random.Random(5)
     for _ in range(25):
@@ -142,9 +148,9 @@ def test_spanning_two_trees_match_component_split():
         if not g.is_connected():
             continue
         expected = []
-        for sub, k in g.edge_subsets(len(verts) - 2):
+        for sub, k in edge_subsets(g, len(verts) - 2):
             if k == 2:
-                a, b = _bfs_components(g, sub)
+                a, b = bfs_components(g, sub)
                 split = tuple(tuple(sorted(l.id for l in g.legs if l.vertex in part)) for part in (a, b))
                 expected.append((sub, (a, b), split))
         assert [(t.edges, t.parts, t.legs) for t in g.spanning_two_trees()] == expected
@@ -215,53 +221,41 @@ def test_is_one_pi_matches_bridge_classification_property():
     check()
 
 
-def _bfs_components(g, subset):
-    """Components of (V, subset) by breadth-first search, ordered by smallest vertex id."""
-    adj = {v: [] for v in g.vertices}
-    for eid in subset:
-        e = g.edge(eid)
-        adj[e.tail].append(e.head)
-        adj[e.head].append(e.tail)
-    seen = set()
-    comps = []
-    for v in g.vertices:
-        if v in seen:
-            continue
-        seen.add(v)
-        comp = [v]
-        queue = deque([v])
-        while queue:
-            for w in adj[queue.popleft()]:
-                if w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-                    queue.append(w)
-        comps.append(frozenset(comp))
-    return sorted(comps, key=min)
-
-
 def _named_multigraph(names, pairs):
     """Vertices in the given (unsorted) order; edge ids listed against their sorted order."""
     n = len(pairs)
     return Graph(names, [(f"e{n - 1 - i}", names[a], names[b]) for i, (a, b) in enumerate(pairs)])
 
 
-def _check_edge_subsets(g):
-    ids = sorted(g.all_edges())
-    expected = [
-        (frozenset(combo), len(_bfs_components(g, combo)))
-        for r in range(len(ids) + 1)
-        for combo in itertools.combinations(ids, r)
-    ]
-    assert list(g.edge_subsets()) == expected
-    for r in range(len(ids) + 1):
-        assert list(g.edge_subsets(r)) == [(sub, k) for sub, k in expected if len(sub) == r]
+def _check_edge_walk(g):
+    """Each mode of `Graph.edge_walk` against the brute-force oracle.
+
+    Every mode must give each of its subsets once (sorted lists, so a
+    subset given twice fails), and the subsets of one size in the oracle's
+    lexicographic order; so trees and two-forests, all of one size, come in
+    exactly the oracle's order.
+    """
+    ids = g.edge_ids()
+    expected = list(edge_subsets(g))
+    n = len(g.vertices)
+    modes = [(None, False)] + [(c, forests) for c in (1, 2, 3) for forests in (False, True)]
+    for c, forests in modes:
+        want = [(sub, k) for sub, k in expected if c is None or k == c and (not forests or len(sub) == n - k)]
+        got = [(mask_edges(ids, mask), k) for mask, k in g.edge_walk(c, forests)]
+        assert sorted(got, key=_by_ids) == sorted(want, key=_by_ids), (c, forests)
+        for r in range(len(ids) + 1):
+            assert [x for x in got if len(x[0]) == r] == [x for x in want if len(x[0]) == r], (c, forests, r)
     for sub, _ in expected:
-        assert g.component_vertex_sets(sub) == _bfs_components(g, sub)
-    assert g.component_vertex_sets() == _bfs_components(g, ids)
+        assert g.component_vertex_sets(sub) == bfs_components(g, sub)
+    assert g.component_vertex_sets() == bfs_components(g, ids)
+
+
+def _by_ids(pair):
+    return sorted(pair[0]), pair[1]
 
 
 def test_edge_subsets_match_bfs_oracle():
+    """The subsets of every `edge_walk` mode match the oracle on a seeded corpus."""
     rng = random.Random(2011)
     corpus = [Graph([], []), _named_multigraph(["b", "a", "c"], [])]
     for _ in range(150):
@@ -272,7 +266,7 @@ def test_edge_subsets_match_bfs_oracle():
         corpus.append(_named_multigraph(names, pairs))
     seen = set()
     for g in corpus:
-        _check_edge_subsets(g)
+        _check_edge_walk(g)
         touched = {v for e in g.edges for v in (e.tail, e.head)}
         pairs = [frozenset((e.tail, e.head)) for e in g.edges]
         seen |= {
@@ -280,8 +274,12 @@ def test_edge_subsets_match_bfs_oracle():
             ("parallel", len(set(pairs)) < len(pairs)),
             ("isolated", len(touched) < len(g.vertices)),
             ("unsorted", list(g.vertices) != sorted(g.vertices)),
+            ("disconnected", g.components() > 1),
+            ("edgeless", not g.edges),
+            ("two-forests", g.is_connected() and len(g.vertices) > 2 and len(g.edges) >= len(g.vertices)),
         }
-    assert all((kind, True) in seen for kind in ("self_loop", "parallel", "isolated", "unsorted"))
+    kinds = ("self_loop", "parallel", "isolated", "unsorted", "disconnected", "edgeless", "two-forests")
+    assert all((kind, True) in seen for kind in kinds)
 
 
 def test_edge_subsets_match_bfs_oracle_property():
@@ -300,7 +298,7 @@ def test_edge_subsets_match_bfs_oracle_property():
     @hypothesis.settings(max_examples=150, deadline=None)
     @hypothesis.given(multigraphs())
     def check(g):
-        _check_edge_subsets(g)
+        _check_edge_walk(g)
 
     check()
 

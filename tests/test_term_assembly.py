@@ -22,6 +22,7 @@ from feyncomb.parametric import ThetaTracked, dot, validate_assignment
 from feyncomb.poly import MultiPoly, edge_monomial
 from feyncomb.polynomials import bollobas_riordan, chromatic, flow_poly, multivariate_br, multivariate_tutte, tutte
 from feyncomb.ribbon import RibbonGraph
+from subset_oracle import edge_subsets
 
 AWKWARD_IDS = ("e2", "e10", "E1", "q", "x", "theta", "z", "e1", "b", "a.1", "Z")
 
@@ -77,11 +78,11 @@ def betas(ids):
 
 
 def ztutte_by_products(g):
-    return MultiPoly.sum(Q**k * betas(subset) for subset, k in g.edge_subsets())
+    return MultiPoly.sum(Q**k * betas(subset) for subset, k in edge_subsets(g))
 
 
 def zbr_by_products(rg):
-    return MultiPoly.sum(X**k * Z ** rg.face_count(subset) * betas(subset) for subset, k in rg.graph.edge_subsets())
+    return MultiPoly.sum(X**k * Z ** rg.face_count(subset) * betas(subset) for subset, k in edge_subsets(rg.graph))
 
 
 def u_by_products(g):

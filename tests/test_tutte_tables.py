@@ -17,6 +17,7 @@ import pytest
 from feyncomb.checks import random_rotation
 from feyncomb.poly import MultiPoly, Powers
 from feyncomb.polynomials import bollobas_riordan, chromatic, flow_poly, tutte
+from subset_oracle import edge_subsets
 from test_delcon_classes import FEATURES, class_graph, features, random_class_graph
 
 X, Y, Z, K = (MultiPoly.var(v) for v in "xyzk")
@@ -29,9 +30,9 @@ def tutte_by_powers(g):
     n_v = len(g.vertices)
     r_all = g.rank()
     counts = Counter()
-    for combo, _, k in g.edge_masks():
+    for subset, k in edge_subsets(g):
         rank = n_v - k
-        counts[r_all - rank, len(combo) - rank] += 1
+        counts[r_all - rank, len(subset) - rank] += 1
     xp = Powers(X - 1)
     yp = Powers(Y - 1)
     return MultiPoly.sum(xp[a] * yp[b] * n for (a, b), n in counts.items())
@@ -42,7 +43,7 @@ def br_by_powers(rg):
     n_v = len(g.vertices)
     r_all = g.rank()
     counts = Counter()
-    for subset, k_h in g.edge_subsets():
+    for subset, k_h in edge_subsets(g):
         rank = n_v - k_h
         n_h = len(subset) - rank
         counts[r_all - rank, n_h, k_h - rg.face_count(subset) + n_h] += 1
