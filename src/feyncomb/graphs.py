@@ -166,19 +166,29 @@ class Graph:
         return sorted(self._ends)
 
     def edge_walk(self, components: int | None = None, forests: bool = False) -> Iterator[tuple[int, int]]:
-        """Edge subsets as (bitmask, component count), bit i being edge
-        `edge_ids()[i]`: every subset, or with c = `components` the spanning
-        subsets with c components, or with `forests` the forests among them.
+        """Edge subsets as bitmasks, bit i being edge `edge_ids()[i]`: every
+        subset as (mask, component count), or with c = `components` the
+        spanning subsets with c components, or with `forests` the forests
+        among them, as (mask, part), where part is the mask of the vertex
+        positions in the component of position 0.
 
         One in/out decision walk over the edges in id order, on an explicit
         stack, so subsets of one size come in lexicographic order, with a
         union-find (by size, no path compression) undone on the way back.
+        Each root keeps the positions of its tree, OR-ed in on a link and
+        XOR-ed out on an undo; a vertex that is not a root keeps those of its
+        subtree, which no later link changes.
         With c set, every branch ends in an answer: no edge is taken that
         leaves fewer than c parts or closes a forest's cycle, and an edge is
         left out only while the later edges can still make the joins left (a
         flood over the taken forest and the later edges' components tells).
-        A forest one join short takes each later edge that makes it; else
-        both children of the last edge are read off its two roots.
+        While no earlier decision has changed since the first descent, the
+        taken forest joins what the earlier edges join, so such a flood runs
+        over the whole graph but the edge: when it finds a bridge, one DFS
+        (`bridge_mask`) marks every bridge of the graph, and no bridge is
+        flooded for again.  So a long path walks in linear time.  A forest
+        one join short takes each later edge that makes it; else both
+        children of the last edge are read off its two roots.
         """
         ends = [self._ends[e] for e in self.edge_ids()]
         n, last = len(self.vertices), len(ends) - 1
@@ -187,75 +197,109 @@ class Graph:
         spans = _union_find(n, ends)[1]  # the parts left by the taken and the later edges
         if not (every or spans <= c <= n):
             return
-        # later[d][v]: the vertices of v's component under the edges after edge d
-        later = [[1 << v for v in range(n)]]
-        for a, b in reversed(ends[1:]):
-            joined = later[-1][a] | later[-1][b]
-            later.append([joined if r & joined else r for r in later[-1]])
-        later.reverse()
-        near = [0] * n  # the vertices joined to each by the taken edges that linked two parts
+        bridges = 0  # the graph's bridges, found once a flood shows there is one
+        fresh = last  # no decision before this edge has changed since the first descent
+        # later[d][v]: the vertices of v's component under the edges after
+        # edge d, made from later[last] down to d when a flood first needs it
+        later: list = [None] * last + [[1 << v for v in range(n)]]
+        built = last
+        # per root the positions of its tree, per other vertex those of its
+        # subtree; part[n] holds every position, the one part when c is 1
+        part = [1 << v for v in range(n)] + [(1 << n) - 1]
         parent, weight = list(range(n)), [1] * n
         linked = [(0, -1)] * last  # per edge decided: `spans` on reaching it, and the root it linked or -1
         k, mask, d, stop = n, 0, 0, c + 1 if forests else 0
         while True:
             while d < last and k > stop:
-                u, w = a, b = ends[d]
+                a, b = ends[d]
                 while parent[a] != a:
                     a = parent[a]
                 while parent[b] != b:
                     b = parent[b]
-                linked[d] = spans, -1
                 if a != b and k > c:
                     if weight[a] < weight[b]:
                         a, b = b, a
                     parent[b] = a
                     weight[a] += weight[b]
+                    part[a] |= part[b]
                     linked[d] = spans, b
                     k -= 1
-                    near[u] |= 1 << w
-                    near[w] |= 1 << u
                     mask |= 1 << d
-                elif a == b and not forests:
-                    mask |= 1 << d
+                else:
+                    linked[d] = spans, -1
+                    if a == b and not forests:
+                        mask |= 1 << d
                 d += 1
-            for i in range(d, last + 1):  # the last edge, or each later edge a forest one join short may take
-                a, b = ends[i]
-                while parent[a] != a:
-                    a = parent[a]
-                while parent[b] != b:
-                    b = parent[b]
-                if a != b and k > c or a == b and not forests:
-                    yield mask | 1 << i, k - (a != b)
-            if every or k == c:
+            if every:  # d is the last edge
+                if last >= 0:
+                    a, b = ends[last]
+                    while parent[a] != a:
+                        a = parent[a]
+                    while parent[b] != b:
+                        b = parent[b]
+                    yield mask | 1 << last, k - (a != b)
                 yield mask, k
+            else:
+                s = n  # the root of position 0, or n when c is 1
+                if c > 1:
+                    s = 0
+                    while parent[s] != s:
+                        s = parent[s]
+                whole = part[s]
+                for i in range(d, last + 1):  # the last edge, or each later edge a forest one join short may take
+                    a, b = ends[i]
+                    while parent[a] != a:
+                        a = parent[a]
+                    while parent[b] != b:
+                        b = parent[b]
+                    if a != b and k > c:
+                        yield mask | 1 << i, part[a] | part[b] if s == a or s == b else whole
+                    elif a == b and not forests:
+                        yield mask | 1 << i, whole
+                if k == c:
+                    yield mask, whole
             while True:  # back out of the decisions taken
                 d -= 1
                 if d < 0:
                     return
                 spans, b = linked[d]
                 if b >= 0:
-                    weight[parent[b]] -= weight[b]
+                    a = parent[b]
+                    weight[a] -= weight[b]
+                    part[a] ^= part[b]
                     parent[b] = b
                     k += 1
-                    u, w = ends[d]
-                    near[u] ^= 1 << w
-                    near[w] ^= 1 << u
                 if mask >> d & 1:  # leave edge d out instead, if the later edges allow
                     mask ^= 1 << d
                     linked[d] = spans, -1
                     if b >= 0 and not every:
-                        row = later[d]
-                        seen = todo = row[u]
-                        while todo and not seen >> w & 1:
-                            v = (todo & -todo).bit_length() - 1
-                            todo &= todo - 1
-                            new = (row[v] | near[v]) & ~seen
-                            seen |= new
-                            todo |= new
-                        if not seen >> w & 1:  # edge d is a bridge of the taken and later edges
+                        cut = bridges >> d & 1
+                        if not cut:
+                            row = later[d]
+                            if row is None:
+                                while built > d:
+                                    row = later[built]
+                                    x, y = ends[built]
+                                    joined = row[x] | row[y]
+                                    built -= 1
+                                    later[built] = row = [joined if r & joined else r for r in row]
+                            u, w = ends[d]
+                            seen = todo = row[u]
+                            while todo and not seen >> w & 1:
+                                v = (todo & -todo).bit_length() - 1
+                                todo &= todo - 1
+                                new = (row[v] | part[v] | 1 << parent[v]) & ~seen
+                                seen |= new
+                                todo |= new
+                            cut = not seen >> w & 1
+                            if cut and d <= fresh:  # the flood ran over every edge but d
+                                bridges = bridge_mask(n, ends)
+                        if cut:  # edge d is a bridge of the taken and later edges
                             if spans == c:
                                 continue
                             spans += 1
+                        if d < fresh:
+                            fresh = d
                     d += 1
                     break
 
@@ -348,22 +392,12 @@ class Graph:
     def _two_forests(self) -> Iterator[tuple[int, int]]:
         """Each spanning two-component forest of a connected graph as (edge
         mask, mask of the `vertices` positions of its part holding the least
-        vertex id), in `edge_walk` order, the part flooded over its edges."""
+        vertex id), in `edge_walk` order: the walk's part of position 0, or
+        the other part."""
         start = self.vertices.index(min(self.vertices))
-        ends = [self._ends[e] for e in self.edge_ids()]
-        at = [[] for _ in self.vertices]  # per vertex position, the bit and far end of each edge there
-        for i, (a, b) in enumerate(ends):
-            at[a].append((1 << i, b))
-            at[b].append((1 << i, a))
-        for mask, _ in self.edge_walk(2, True):
-            part, todo, left = 1 << start, [start], mask
-            while todo:
-                for bit, w in at[todo.pop()]:
-                    if left & bit:
-                        left ^= bit
-                        part |= 1 << w
-                        todo.append(w)
-            yield mask, part
+        every = (1 << len(self.vertices)) - 1
+        for mask, part in self.edge_walk(2, True):
+            yield mask, part if part >> start & 1 else every ^ part
 
     # -- canonical form -------------------------------------------------------
 
@@ -549,6 +583,44 @@ def bridgeless_connected(verts: Iterable[Hashable], ends: Sequence[tuple]) -> bo
                     return False  # the tree edge u-v is a bridge
                 low[u] = min(low[u], low[v])
     return len(disc) == len(adj)
+
+
+def bridge_mask(n: int, ends: Sequence[tuple[int, int]]) -> int:
+    """The bridges of the graph on positions 0..n-1 with the edges `ends`,
+    as a mask over the edge indices: one iterative DFS with low-links
+    (Tarjan 1974) from each unreached position."""
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for i, (a, b) in enumerate(ends):
+        if a != b:
+            adj[a].append((b, i))
+            adj[b].append((a, i))
+    disc, low = [-1] * n, [0] * n
+    out = t = 0
+    for root in range(n):
+        if disc[root] >= 0:
+            continue
+        disc[root] = low[root] = t
+        t += 1
+        stack = [(root, -1, iter(adj[root]))]
+        while stack:
+            v, via, todo = stack[-1]
+            for w, i in todo:
+                if disc[w] < 0:
+                    disc[w] = low[w] = t
+                    t += 1
+                    stack.append((w, i, iter(adj[w])))
+                    break
+                if i != via and disc[w] < low[v]:
+                    low[v] = disc[w]
+            else:
+                stack.pop()
+                if stack:
+                    u = stack[-1][0]
+                    if low[v] > disc[u]:
+                        out |= 1 << via
+                    elif low[v] < low[u]:
+                        low[u] = low[v]
+    return out
 
 
 # -- parallel classes, the state of the deletion/contraction walk ------------------

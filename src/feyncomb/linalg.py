@@ -5,7 +5,9 @@ promoted).  The determinant uses fraction-free Bareiss elimination, whose
 divisions are exact by construction, with full pivoting: each step takes
 the nonzero entry of the trailing block with the fewest terms, then the
 lowest total degree (the first in row-major order on a tie), so constants
-are eliminated first and with constant divisors.  Its oracle, a cofactor
+are eliminated first and with constant divisors.  A negative constant
+pivot has its row negated, so a block of unit pivots (the incidence part
+of a graph matrix) runs at pivot 1 throughout.  Its oracle, a cofactor
 expansion, lives in the tests.  The Pfaffian is a signed sum over perfect
 matchings, with a recursive first-row expansion as the second route.
 """
@@ -150,6 +152,17 @@ def det(matrix: Sequence[Sequence]) -> MultiPoly:
     polynomial work is left to what remains.  An update whose cross term
     vanishes only rescales a[i][j] by pivot / previous pivot, so it is
     skipped when a[i][j] is zero or that ratio is 1.
+
+    A constant pivot that comes out negative has its row negated, and the
+    sign flips.  This is exact: at step k, row k of the working matrix is
+    linear in row k of the (permuted) input, since each of its entries is a
+    (k+1)-minor whose last row is that input row, and no earlier pivot
+    reads it.  Negating the working row is therefore negating that input
+    row from the start: the determinant changes sign, every earlier pivot
+    is unchanged, and every later entry is a minor of the negated matrix,
+    so the divisions stay exact.  The +-1 pivots of a graph matrix's
+    incidence block then all read +1, and those steps divide by 1 and
+    rescale nothing.
     """
     a = promote_matrix(matrix)
     n = len(a)
@@ -167,9 +180,15 @@ def det(matrix: Sequence[Sequence]) -> MultiPoly:
             for row in a[k:]:
                 row[k], row[q] = row[q], row[k]
             sign = -sign
-        pivot = a[k][k]
-        same = pivot == prev
         row_k = a[k]
+        pivot = row_k[k]
+        if pivot._terms.get(0, 0) < 0 and len(pivot._terms) == 1:
+            for j in range(k, n):
+                if row_k[j]:
+                    row_k[j] = -row_k[j]
+            sign = -sign
+            pivot = row_k[k]
+        same = pivot == prev
         for i in range(k + 1, n):
             row = a[i]
             aik = row[k]

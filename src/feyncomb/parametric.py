@@ -189,23 +189,33 @@ def symanzik_u_via_det(g: Graph, drop_vertex: str | None = None) -> MultiPoly:
     is independent of which vertex is dropped.
 
     `linalg.det` pivots on the constant incidence entries first: 2(|V|-1)
-    steps with constant divisors.  The L x L block they leave is, up to
-    sign, the loop matrix sum_e alpha_e c_e c_e^T, where c_e holds the
-    signed multiplicity of edge e in each of L independent cycles (Bogner &
-    Weinzierl, arXiv:1002.3458).  So this route costs about what a
-    determinant of the loop matrix costs, not one of size E + |V| - 1.
+    steps, each pivot made +1 by negating its row, so every division in
+    them is by 1 and no step rescales the trailing block.  The L x L block
+    they leave is, up to sign, the loop matrix sum_e alpha_e c_e c_e^T,
+    where c_e holds the signed multiplicity of edge e in each of L
+    independent cycles (Bogner & Weinzierl, arXiv:1002.3458).  So this
+    route costs about what a determinant of the loop matrix costs, not one
+    of size E + |V| - 1.
     """
     if not g.is_connected():
         raise ValueError("symanzik_u_via_det requires a connected graph")
+    peel = alpha_product(e.id for e in g.edges if e.is_loop)
+    sign = -1 if (len(g.vertices) - 1) % 2 else 1
+    return MultiPoly.const(sign) * peel * linalg.det(graph_matrix(g, drop_vertex))
+
+
+def graph_matrix(g: Graph, drop_vertex: str | None = None) -> list[list[MultiPoly]]:
+    """The graph matrix of `symanzik_u_via_det`: alpha_e on the diagonal of
+    the non-loop edges e, and the negated signed incidence of e with every
+    vertex but `drop_vertex` (the largest id when None) off it."""
     verts = list(g.vertices)
     drop = max(verts) if drop_vertex is None else drop_vertex
     if drop not in verts:
         raise ValueError(f"unknown vertex {drop!r}")
     cols = [v for v in verts if v != drop]
     nonloops = [e for e in g.edges if not e.is_loop]
-    peel = alpha_product(e.id for e in g.edges if e.is_loop)
-    ne, nv = len(nonloops), len(cols)
-    size = ne + nv
+    ne = len(nonloops)
+    size = ne + len(cols)
     zero = MultiPoly.zero()
     q = [[zero] * size for _ in range(size)]
     for i, e in enumerate(nonloops):
@@ -215,9 +225,7 @@ def symanzik_u_via_det(g: Graph, drop_vertex: str | None = None) -> MultiPoly:
             if eps:
                 q[i][ne + j] = MultiPoly.const(-eps)
                 q[ne + j][i] = MultiPoly.const(-eps)
-    d = linalg.det(q)
-    sign = -1 if (len(verts) - 1) % 2 else 1
-    return MultiPoly.const(sign) * peel * d
+    return q
 
 
 def symanzik_u_delcon(g: Graph) -> MultiPoly:

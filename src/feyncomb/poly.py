@@ -54,8 +54,10 @@ as tuples of (variable, exponent) pairs, and `.terms`, `sorted_terms`,
 `eval_rational` speak variable names.  `.terms` is decoded from the packed
 keys on first use and kept: each monomial a tuple of (variable, exponent)
 pairs sorted by name, with zero exponents omitted, the empty tuple being the
-constant.  The decode splits the sorted names into two halves, each with
-its own field mask; a key masked to a half is read once per call and its
+constant.  The decode reads each key once over the sorted names, or, when
+there are more terms than a multiaffine polynomial's two halves of the
+names can have, splits the names into those halves, each with its own
+field mask; a key masked to a half is read once per call and its
 half-tuple kept, so a monomial is the concatenation of its two half-tuples.
 `sorted_terms` orders the terms by descending total degree, read off field
 0 of each key, then by monomial; `canonical_string` is written from that
@@ -94,6 +96,7 @@ FIELD = 16
 FIELD_MASK = (1 << FIELD) - 1
 GUARD = 1 << FIELD - 1  # the top bit of a field, above every stored exponent
 MAX_DEGREE = GUARD - 1
+CHUNK = 8  # the keys per table of `mask_keys` past 24 keys
 
 
 class ExponentOverflow(ValueError):
@@ -319,21 +322,49 @@ def mask_keys(keys: Sequence[Key]) -> Callable[[int], Key]:
     """A function from a bitmask to the sum of `keys[i]` over its set bits i:
     the key of the product of the variables the mask selects.
 
-    Two tables, of the sums over every subset of the low half of the bits
-    and of the high half, are made once, so a mask costs two lookups and
-    one addition; past 24 keys, each half is such a function of its own.
+    Up to 24 keys, two tables, of the sums over every subset of the low half
+    of the bits and of the high half, are made once, so a mask costs two
+    lookups and one addition.  Past 24 keys, the keys go in chunks of
+    `CHUNK`, each with a table of its 2^CHUNK subset sums held short: a key
+    k is split at `base`, the lowest bit of the chunk's variable fields,
+    into k >> base and its bits below base (the degree field), and an entry
+    holds the sum of the first, shifted left past the largest sum of the
+    second, plus that sum.  A lookup shifts each part back into place.  So
+    the tables take about 2^CHUNK short ints per CHUNK keys, however high
+    the keys' fields lie, and a mask costs one lookup per chunk.
     """
     half = len(keys) // 2
     below = (1 << half) - 1
-    if len(keys) > 24:
-        lower, upper = mask_keys(keys[:half]), mask_keys(keys[half:])
-        return lambda mask: lower(mask & below) + upper(mask >> half)
-    low, high = [0], [0]
-    for k in keys[:half]:
-        low += [t + k for t in low]
-    for k in keys[half:]:
-        high += [t + k for t in high]
-    return lambda mask: low[mask & below] + high[mask >> half]
+    if len(keys) <= 24:
+        low, high = [0], [0]
+        for k in keys[:half]:
+            low += [t + k for t in low]
+        for k in keys[half:]:
+            high += [t + k for t in high]
+        return lambda mask: low[mask & below] + high[mask >> half]
+    chunks = []
+    for at in range(0, len(keys), CHUNK):
+        part = keys[at : at + CHUNK]
+        fields = functools.reduce(operator.or_, (k >> FIELD for k in part))
+        base = FIELD + max((fields & -fields).bit_length() - 1, 0)
+        lows = (1 << base) - 1
+        gap = sum(k & lows for k in part).bit_length()
+        table = [0]
+        for k in part:
+            x = (k >> base << gap) + (k & lows)
+            table += [t + x for t in table]
+        chunks.append((table, gap, (1 << gap) - 1, base))
+    width = (1 << CHUNK) - 1
+
+    def lookup(mask: int) -> Key:
+        key = 0
+        for table, gap, lows, base in chunks:
+            e = table[mask & width]
+            mask >>= CHUNK
+            key += (e >> gap << base) + (e & lows)
+        return key
+
+    return lookup
 
 
 @functools.cache
@@ -393,16 +424,19 @@ def exponent_reader(names: Sequence[str]) -> Callable[[Key], tuple[int, ...]]:
 def _decode(terms: Mapping[Key, Rational]) -> dict[Monomial, Rational]:
     """`terms` with every packed key replaced by its name-tuple monomial.
 
-    The sorted names are split into two halves, each with its own field
-    mask.  Each distinct key masked to a half is read once, field by field,
-    to that half's pairs, and a monomial is the concatenation of its two
-    halves: over n names a multiaffine polynomial has at most 2 * 2^(n/2)
-    distinct halves.
+    Each key is read field by field over the sorted names of the variables
+    in use.  When there are more terms than a multiaffine polynomial's
+    halves can have (2^h + 2^(n-h) over n names split into h and n - h),
+    the names are split into those two halves instead, each with its own
+    field mask: each distinct key masked to a half is read once to that
+    half's pairs, and a monomial is the concatenation of its two halves.
     """
     fields = _fields(functools.reduce(operator.or_, terms, 0))
     fields.sort(key=_NAMES.__getitem__)
     named = [(_NAMES[i], FIELD * (i + 1)) for i in fields]
     half = len(named) // 2
+    if len(terms) <= (1 << half) + (1 << len(named) - half):
+        return {tuple((v, e) for v, shift in named if (e := k >> shift & FIELD_MASK)): c for k, c in terms.items()}
     pairs: dict[Key, Monomial] = {}
     masks = []
     for part in (named[:half], named[half:]):

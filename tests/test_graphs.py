@@ -5,11 +5,14 @@ import random
 
 import pytest
 
-from feyncomb import fixtures
-from feyncomb.graphs import Graph, graph_from_json_dict, mask_edges
+from feyncomb import fixtures, graphs
+from feyncomb.checks import random_conserved_momenta
+from feyncomb.graphs import Graph, bridge_mask, graph_from_json_dict, mask_edges
 from feyncomb.linalg import matrix_tree_count
+from feyncomb.parametric import alpha_product, symanzik_v
+from feyncomb.poly import MultiPoly
 from feyncomb.ribbon import load_fixture
-from subset_oracle import bfs_components, edge_subsets
+from subset_oracle import bfs_components, edge_subsets, flooded_two_forests
 
 
 def fig3():
@@ -227,20 +230,32 @@ def _named_multigraph(names, pairs):
     return Graph(names, [(f"e{n - 1 - i}", names[a], names[b]) for i, (a, b) in enumerate(pairs)])
 
 
+def _part_of_first(g, sub):
+    """The positions of the component of (V, sub) holding position 0, as a mask."""
+    (part,) = [p for p in bfs_components(g, sub) if g.vertices[0] in p]
+    return sum(1 << i for i, v in enumerate(g.vertices) if v in part)
+
+
 def _check_edge_walk(g):
-    """Each mode of `Graph.edge_walk` against the brute-force oracle.
+    """Each mode of `Graph.edge_walk` against the brute-force oracle, and
+    the two-forest parts and V against the flooded parts.
 
     Every mode must give each of its subsets once (sorted lists, so a
     subset given twice fails), and the subsets of one size in the oracle's
     lexicographic order; so trees and two-forests, all of one size, come in
-    exactly the oracle's order.
+    exactly the oracle's order.  With c set, each subset comes with the
+    part of position 0.
     """
     ids = g.edge_ids()
     expected = list(edge_subsets(g))
     n = len(g.vertices)
     modes = [(None, False)] + [(c, forests) for c in (1, 2, 3) for forests in (False, True)]
     for c, forests in modes:
-        want = [(sub, k) for sub, k in expected if c is None or k == c and (not forests or len(sub) == n - k)]
+        want = [
+            (sub, k if c is None else _part_of_first(g, sub))
+            for sub, k in expected
+            if c is None or k == c and (not forests or len(sub) == n - k)
+        ]
         got = [(mask_edges(ids, mask), k) for mask, k in g.edge_walk(c, forests)]
         assert sorted(got, key=_by_ids) == sorted(want, key=_by_ids), (c, forests)
         for r in range(len(ids) + 1):
@@ -248,6 +263,32 @@ def _check_edge_walk(g):
     for sub, _ in expected:
         assert g.component_vertex_sets(sub) == bfs_components(g, sub)
     assert g.component_vertex_sets() == bfs_components(g, ids)
+    pos = {v: i for i, v in enumerate(g.vertices)}
+    bridges = bridge_mask(n, [(pos[g.edge(e).tail], pos[g.edge(e).head]) for e in ids])
+    assert mask_edges(ids, bridges) == {e for e in ids if g.classify_edge(e) == "bridge"}
+    if g.is_connected():
+        flooded = list(flooded_two_forests(g))
+        assert list(g._two_forests()) == flooded
+        _check_v_against_flooded_parts(g, flooded)
+
+
+def _check_v_against_flooded_parts(g, flooded):
+    """V of `g` with a leg at each vertex, under both part choices, against
+    the sum over the flooded two-forests of the complement alpha product
+    times the squared momentum into the chosen part."""
+    legs = [(f"f{i}", v, "in" if i % 2 else "out") for i, v in enumerate(g.vertices)]
+    legged = Graph(g.vertices, g.edges, legs)
+    ext = random_conserved_momenta(random.Random(len(g.edges)), legged)
+    ids = g.edge_ids()
+    flow = [tuple(l.sign * c for c in ext[l.id]) for l in legged.legs]  # leg i sits at vertex position i
+    for choice in (0, 1):
+        want = []
+        for mask, part in flooded:
+            side = part if choice == 0 else ~part
+            p = [sum(c) for c in zip((0, 0, 0, 0), *(q for i, q in enumerate(flow) if side >> i & 1))]
+            alphas = alpha_product(e for i, e in enumerate(ids) if not mask >> i & 1)
+            want.append(alphas * sum(x * x for x in p))
+        assert symanzik_v(legged, ext, component=choice) == MultiPoly.sum(want), choice
 
 
 def _by_ids(pair):
@@ -301,6 +342,32 @@ def test_edge_subsets_match_bfs_oracle_property():
         _check_edge_walk(g)
 
     check()
+
+
+def test_edge_walk_on_a_long_path_between_two_triangles(monkeypatch):
+    """Every path edge is a bridge, so each walk finds the bridges once, by
+    one DFS, and then never floods for them: the counts are those of the
+    two triangles (3 trees and 4 connected spanning subsets each), and a
+    two-forest cuts one path edge or splits one triangle.  The ids sort out
+    of path order."""
+    dfs = []
+    monkeypatch.setattr(graphs, "bridge_mask", lambda n, ends: dfs.append(n) or bridge_mask(n, ends))
+    n = 100
+    path = [(f"e{i}", f"p{i}", f"p{i + 1}") for i in range(n)]
+    ends = [("a1", "p0", "x1"), ("a2", "x1", "x2"), ("a3", "x2", "p0")]
+    ends += [("b1", f"p{n}", "y1"), ("b2", "y1", "y2"), ("b3", "y2", f"p{n}")]
+    g = Graph([f"p{i}" for i in range(n + 1)] + ["x1", "x2", "y1", "y2"], path + ends)
+    ids = g.edge_ids()
+    trees = [mask_edges(ids, mask) for mask, _ in g.edge_walk(1, True)]
+    assert len(trees) == 9 and all(len(t) == len(g.vertices) - 1 and g.components(t) == 1 for t in trees)
+    assert len(list(g.edge_walk(1))) == 16
+    forests = list(g._two_forests())
+    assert len(forests) == n * 9 + 2 * 3 * 3
+    for mask, part in forests[:: n // 4]:
+        sub = mask_edges(ids, mask)
+        first = min(bfs_components(g, sub), key=min)
+        assert part == sum(1 << i for i, v in enumerate(g.vertices) if v in first)
+    assert len(dfs) == 3
 
 
 def test_reorient_preserves_structure():

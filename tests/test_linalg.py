@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from feyncomb import fixtures
+from feyncomb import fixtures, linalg
 from feyncomb.checks import random_diag_matrix, random_poly, random_skew_matrix
 from feyncomb.graphs import Graph
 from feyncomb.linalg import (
@@ -19,6 +19,7 @@ from feyncomb.linalg import (
     pfaffian_sign_constant,
     promote_matrix,
 )
+from feyncomb.parametric import graph_matrix, symanzik_u, symanzik_u_via_det
 from feyncomb.poly import MultiPoly
 
 
@@ -255,6 +256,114 @@ def test_det_matches_cofactor_property():
         assert det(m) == det_cofactor(m)
 
     check()
+
+
+def _multigraph(rng: random.Random, n: int, n_edges: int) -> Graph:
+    """A random multigraph on v0..v(n-1): any ends, loops and parallels included."""
+    verts = [f"v{i}" for i in range(n)]
+    return Graph(verts, [(f"e{i}", rng.choice(verts), rng.choice(verts)) for i in range(n_edges)])
+
+
+def _check_graph_matrices(g: Graph) -> None:
+    """For every dropped vertex: det of the graph matrix against the
+    cofactor oracle, and U by the determinant against U by trees."""
+    u = symanzik_u(g)
+    for v in g.vertices:
+        m = graph_matrix(g, v)
+        assert det(m) == det_cofactor(m), v
+        assert symanzik_u_via_det(g, v) == u, v
+
+
+def _negative_pivot_matrix(rng: random.Random, n: int) -> list[list[MultiPoly]]:
+    """Integer entries, with the first nonzero one in row-major order (the
+    first pivot) negative, and a few polynomial entries."""
+    m = [[MultiPoly.const(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
+    i, j = rng.randrange(n), rng.randrange(n)
+    for r in range(n):
+        for c in range(n):
+            if (r, c) < (i, j):
+                m[r][c] = MultiPoly.zero()
+    m[i][j] = MultiPoly.const(-rng.randint(1, 3))
+    for _ in range(rng.randint(0, n)):
+        r, c = rng.randrange(n), rng.randrange(n)
+        if (r, c) > (i, j):
+            m[r][c] = random_poly(rng, ["x", "y"], terms=rng.randint(1, 2))
+    return m
+
+
+def test_det_matches_cofactor_on_graph_matrices_and_negative_pivots():
+    rng = random.Random(1968)
+    for _ in range(60):
+        g = _multigraph(rng, rng.randint(1, 5), rng.randint(0, 7))
+        if g.is_connected():
+            _check_graph_matrices(g)
+    for n in range(1, 6):
+        for _ in range(8):
+            m = _negative_pivot_matrix(rng, n)
+            assert det(m) == det_cofactor(m)
+    # every pivot constant and negative
+    m = [[MultiPoly.const(c) for c in row] for row in ([-1, 2, 0], [3, -2, 1], [0, 1, -3])]
+    assert det(m) == det_cofactor(m) == MultiPoly.const(13)
+
+
+def test_det_matches_cofactor_on_graph_matrices_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def connected_multigraphs(draw):
+        n = draw(st.integers(1, 4))
+        index = st.integers(0, n - 1)
+        # a spanning path first, so the graph is connected, then any edges
+        pairs = [(i, i + 1) for i in range(n - 1)] + draw(st.lists(st.tuples(index, index), max_size=3))
+        order = draw(st.permutations(pairs))
+        return Graph([f"v{i}" for i in range(n)], [(f"e{k}", f"v{a}", f"v{b}") for k, (a, b) in enumerate(order)])
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(connected_multigraphs())
+    def check_graph(g):
+        _check_graph_matrices(g)
+
+    constants = st.integers(-3, 3).map(MultiPoly.const)
+    monomials = st.dictionaries(st.sampled_from(["x", "y"]), st.integers(1, 2), max_size=2)
+    polys = st.lists(st.tuples(monomials, st.integers(-3, 3)), min_size=1, max_size=2).map(
+        lambda terms: MultiPoly.sum(MultiPoly.from_exponents(m, c) for m, c in terms)
+    )
+    entries = st.one_of(constants, constants, polys)
+    matrices = st.integers(1, 5).flatmap(
+        lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(matrices)
+    def check_integer(m):
+        assert det(m) == det_cofactor(m)
+
+    check_graph()
+    check_integer()
+
+
+def test_incidence_pivots_make_no_rescale_only_update(monkeypatch):
+    """On W5's graph matrix every pivot of the incidence block is made +1,
+    so no division is by a constant other than 1.  Left as they come, its
+    pivots alternate -1, +1, and each step would rescale every nonzero
+    trailing entry by -1."""
+    calls = []
+    divide = linalg._divide
+
+    def counted(p, d):
+        calls.append(d)
+        return divide(p, d)
+
+    monkeypatch.setattr(linalg, "_divide", counted)
+    rim = [f"v{i}" for i in range(5)]
+    spokes = [(f"s{i}", "h", v) for i, v in enumerate(rim)]
+    w5 = Graph(["h"] + rim, spokes + [(f"r{i}", v, rim[(i + 1) % 5]) for i, v in enumerate(rim)])
+    m = graph_matrix(w5)
+    assert -det(m) == symanzik_u(w5)  # |V| - 1 = 5 is odd
+    constant = [d for d in calls if not d.variables()]
+    assert constant and all(d == 1 for d in constant)
+    assert len(constant) < len(calls)  # the polynomial block divides by polynomials
 
 
 def test_pfaffian_small_cases():

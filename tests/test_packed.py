@@ -17,7 +17,7 @@ import pytest
 from feyncomb import fixtures, poly, polynomials
 from feyncomb.graphs import Graph
 from feyncomb.linalg import divexact
-from feyncomb.poly import MAX_DEGREE, ExponentOverflow, MultiPoly, edge_monomial, mask_keys
+from feyncomb.poly import FIELD, MAX_DEGREE, ExponentOverflow, MultiPoly, edge_monomial, mask_keys
 from feyncomb.polynomials import bollobas_riordan, chromatic, flow_poly, multivariate_br, multivariate_tutte, tutte
 from feyncomb.ribbon import RibbonGraph
 
@@ -27,14 +27,22 @@ X = MultiPoly.var("x")
 
 
 def test_mask_keys_sums_the_selected_keys_at_every_width():
-    """Two half tables up to 24 keys; past that each half splits again, so
-    no table outgrows 2^12 entries."""
+    """Two half tables up to 24 keys; past that one table per chunk of 8
+    keys, its entries shifted into place at lookup.  Random keys, and keys
+    shaped like variables far up the fields (a degree of 1 or 2 in field 0
+    and the exponent in one high field, some fields skipped), where the
+    shift is what keeps the entries short."""
     rng = random.Random(3)
     for n in (0, 1, 7, 24, 25, 49, 200):
-        keys = [rng.getrandbits(48) for _ in range(n)]
-        table = mask_keys(keys)
-        for mask in [0, (1 << n) - 1] + [rng.getrandbits(n) if n else 0 for _ in range(40)]:
-            assert table(mask) == sum(k for i, k in enumerate(keys) if mask >> i & 1)
+        fields = sorted(rng.sample(range(300, 300 + 2 * n), n))
+        exps = [rng.choice((1, 1, 2)) for _ in range(n)]
+        for keys in (
+            [rng.getrandbits(48) for _ in range(n)],
+            [e << FIELD * f | e for f, e in zip(fields, exps)],
+        ):
+            table = mask_keys(keys)
+            for mask in [0, (1 << n) - 1] + [rng.getrandbits(n) if n else 0 for _ in range(40)]:
+                assert table(mask) == sum(k for i, k in enumerate(keys) if mask >> i & 1)
 
 
 # -- the overflow contract --------------------------------------------------------
