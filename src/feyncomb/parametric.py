@@ -13,8 +13,8 @@ polynomial is rendered.
 U, V, U*, Re V* and Im V* read each term off a `Graph.edge_walk` mask:
 its alpha key is full - table(mask) from one `poly.mask_keys` table, and
 the momentum weight of V and V* is memoised within the call by the part's
-legged vertices (V) or by the legs one `HalfEdges.trace` of the mask finds
-on a face (V*).
+legged vertices (V) or by the legs of the first face, which the counting
+`HalfEdges.trace` of the mask notes (V*).
 """
 
 from __future__ import annotations
@@ -353,11 +353,6 @@ class ThetaTracked(LinComb):
 # -- Moyal-space polynomials -------------------------------------------------------------
 
 
-def _b_exponent(rg: RibbonGraph) -> int:
-    """b = F - 1 + 2g of the full ribbon graph."""
-    return rg.face_count() - 1 + 2 * rg.genus()
-
-
 def nc_u(rg: RibbonGraph) -> ThetaTracked:
     """Moyal U*: (theta/2)^b sum over quasi-trees of prod 2 alpha_e / theta."""
     return _face_sum(rg, 1, "nc_u", None, None)
@@ -412,23 +407,26 @@ def nc_v_real(
 def _face_sum(rg: RibbonGraph, n_faces: int, name: str, ext: Mapping | None, weight: Callable | None) -> ThetaTracked:
     """The sum over connected spanning H with `n_faces` faces of (theta/2)^(b
     + n_faces - 1 - |E - H|) alpha_(E - H), times any weight(faces of H,
-    momenta), memoised by the legs of the first face, which fix it."""
+    momenta).  Here b = F - 1 + 2g of the whole graph, which V - E + F = 2 -
+    2g makes E - V + 1, so the power is |H| + n_faces - V.  The legs of the
+    first face fix the weight, so it is memoised by the legs that the
+    counting trace of `_connected_with_faces` notes, and the faces are
+    traced (`HalfEdges.trace(mask, True)`) and weighed only for the first H
+    of each key."""
     if not rg.graph.is_connected():
         raise ValueError(f"{name} requires a connected ribbon graph")
     momenta = None if weight is None else validate_assignment(rg.graph, ext)
-    shift = _b_exponent(rg) + n_faces - 1 - len(rg.edges)
+    shift = n_faces - len(rg.vertices)
     _, full, table = _alpha_keys(rg.graph)
     trace = rg.half_edges().trace
     weights: dict[tuple[str, ...], Rational] = {}
     terms = []
-    for mask in rg._connected_with_faces(n_faces):
+    for mask, legs in rg._connected_with_faces(n_faces, weight is not None):
         w = 1
         if weight is not None:
-            faces = trace(mask, True)
-            legs = faces[0].leg_ids()
             w = weights.get(legs)
             if w is None:
-                w = weights[legs] = weight(faces, momenta)
+                w = weights[legs] = weight(trace(mask, True), momenta)
         power = shift + mask.bit_count()
         if power < 0:
             raise AssertionError(f"negative theta power {power} for {sorted(mask_edges(rg.graph.edge_ids(), mask))}")

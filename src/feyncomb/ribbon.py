@@ -192,8 +192,10 @@ class RibbonGraph:
         return index.trace(index.mask(subset), True)
 
     def face_count(self, subset: Iterable[str] | None = None) -> int:
+        """The number of faces of (V, subset), from a count-mode
+        `HalfEdges.trace`, which records no face."""
         index = self.half_edges()
-        return index.trace(index.mask(subset), False)
+        return index.trace(index.mask(subset), False)[0]
 
     def genus(self, subset: Iterable[str] | None = None) -> int:
         """Total genus, per connected component via V - E + F = 2 - 2g."""
@@ -274,7 +276,7 @@ class RibbonGraph:
         if not self.graph.is_connected():
             raise ValueError("quasi_trees requires a connected ribbon graph")
         ids = self.graph.edge_ids()
-        return [mask_edges(ids, mask) for mask in self._connected_with_faces(1)]
+        return [mask_edges(ids, mask) for mask, _ in self._connected_with_faces(1)]
 
     def two_quasi_trees(self) -> list[TwoQuasiTree]:
         """Spanning connected sub-ribbon-graphs with exactly two faces."""
@@ -283,26 +285,37 @@ class RibbonGraph:
         ids = self.graph.edge_ids()
         trace = self.half_edges().trace
         out = []
-        for mask in self._connected_with_faces(2):
+        for mask, _ in self._connected_with_faces(2):
             first, second = trace(mask, True)
             out.append(TwoQuasiTree(mask_edges(ids, mask), (first, second)))
         return out
 
-    def _connected_with_faces(self, n_faces: int) -> Iterator[int]:
+    def _connected_with_faces(self, n_faces: int, legs: bool = False) -> Iterator[tuple[int, tuple[str, ...] | None]]:
         """The connected spanning edge subsets with `n_faces` (1 or 2)
-        faces, as masks in `Graph.edge_walk` order.
+        faces, as masks in `Graph.edge_walk` order, each with the leg ids of
+        its first face (the legs of `faces(...)[0]`) or None.
 
-        Faces are counted only at the sizes V - 2 + n_faces + 2g (the Euler
-        size rule of the module docstring).  At the smallest size no face is
-        counted: there a connected H has n_faces - 2g(H) >= 1 faces, so
-        g(H) = 0.
+        Each candidate gets one count-mode `HalfEdges.trace`, which notes the
+        first face's legs as it counts, and only at the sizes V - 2 +
+        n_faces + 2g (the Euler size rule of the module docstring).  Above
+        the smallest size it stops at n_faces + 1 faces, enough to reject.
+        At the smallest size no face needs counting: there a connected H has
+        n_faces - 2g(H) >= 1 faces, so g(H) = 0.  There the trace walks the
+        first face only, and only when `legs` asks for its legs; otherwise
+        None stands in for them.
         """
-        count = self.half_edges().trace
+        trace = self.half_edges().trace
         low = len(self.vertices) - 2 + n_faces
         for mask, _ in self.graph.edge_walk(1):
             size = mask.bit_count()
-            if not (size - low) & 1 and (size == low or count(mask, False) == n_faces):
-                yield mask
+            if (size - low) & 1:
+                continue
+            if size == low:
+                yield mask, trace(mask, False, 1)[1] if legs else None
+            else:
+                count, first = trace(mask, False, n_faces + 1)
+                if count == n_faces:
+                    yield mask, first
 
     # -- every subset with its faces ---------------------------------------------
 
@@ -584,33 +597,46 @@ class HalfEdges:
         except KeyError as exc:
             raise KeyError(f"unknown edge id {exc.args[0]!r}") from None
 
-    def trace(self, mask: int, record: bool) -> list[Face] | int:
-        """The faces of (V, the edges of `mask`), or with `record` false only
-        their number.
+    def trace(self, mask: int, record: bool, most: int = -1) -> list[Face] | tuple[int, tuple[str, ...]]:
+        """The faces of (V, the edges of `mask`), or with `record` false
+        their number and the leg ids of the first face, in face order.  With
+        `most` positive the walk stops after `most` faces: it gives the
+        first `most` faces, or min(F, most) and the same legs.
 
-        A face starts at each untraced half-edge of the mask in index order.
-        From the mate of its last half-edge the walk goes forward through
-        that vertex's rotation, noting legs and skipping the half-edges h
-        with `bit[h] & mask` zero, to the next half-edge it keeps.  A vertex
-        with no half-edge of the mask is a face of its own.
+        A face starts at each untraced half-edge of the mask in index order,
+        until all 2|mask| of them are traced.  From the mate of its last
+        half-edge the walk goes forward through that vertex's rotation,
+        noting legs and skipping the half-edges h with `bit[h] & mask` zero,
+        to the next half-edge it keeps.  A vertex with no half-edge of the
+        mask is a face of its own, after those.  So the first face, whose
+        legs the count mode notes as it walks, is the face of the lowest
+        half-edge of the mask, or for a mask with no edge the face of the
+        first vertex: the legs of `trace(mask, True)[0].leg_ids()`, () when
+        there is no vertex.  `mask` holds only edge bits.
         """
         bit, mate, nxt, token = self.bit, self.mate, self.nxt, self.token
         seen = bytearray(len(bit))
         faces: list[Face] = []
+        legs: list[Token] = []
         count = 0
-        for first, b in enumerate(bit):
-            if not b & mask or seen[first]:
+        left = 2 * mask.bit_count()
+        first = -1
+        while left and count != most:
+            first += 1
+            if not bit[first] & mask or seen[first]:
                 continue
             count += 1
-            cycle = []
+            note = record or count == 1
+            cycle = [] if record else legs
             cur = first
             while True:
                 seen[cur] = 1
+                left -= 1
                 if record:
                     cycle.append(token[cur])
                 step = nxt[mate[cur]]
                 while not bit[step] & mask:
-                    if record and mate[step] < 0:
+                    if note and mate[step] < 0:
                         cycle.append(token[step])
                     step = nxt[step]
                 cur = step
@@ -620,12 +646,18 @@ class HalfEdges:
                 faces.append(Face(tuple(cycle), self.vertices[self.vert[first]]))
         start = self.start
         for i, vm in enumerate(self.vmask):
-            if not vm & mask:
-                count += 1
+            if count == most:
+                break
+            if vm & mask:
+                continue
+            count += 1
+            if record or count == 1:
+                cycle = [token[h] for h in range(start[i], start[i + 1]) if mate[h] < 0]
                 if record:
-                    legs = tuple(token[h] for h in range(start[i], start[i + 1]) if mate[h] < 0)
-                    faces.append(Face(legs, self.vertices[i]))
-        return faces if record else count
+                    faces.append(Face(tuple(cycle), self.vertices[i]))
+                else:
+                    legs = cycle
+        return faces if record else (count, tuple([t[0] for t in legs]))
 
 
 class RotationState:

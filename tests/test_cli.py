@@ -337,13 +337,13 @@ def test_check_failure_exit_code(tmp_path, monkeypatch):
 
 
 def test_internal_invariant_failure_is_one_fail_line(monkeypatch):
-    # `param ustar` reaches RibbonGraph.genus through parametric.nc_u
-    from feyncomb.ribbon import RibbonGraph
+    # `param ustar` reaches HalfEdges.trace through parametric.nc_u
+    from feyncomb.ribbon import HalfEdges
 
-    def broken(self, subset=None):
+    def broken(self, mask, record, most=-1):
         raise AssertionError("bad Euler characteristic 3")
 
-    monkeypatch.setattr(RibbonGraph, "genus", broken)
+    monkeypatch.setattr(HalfEdges, "trace", broken)
     code, text = run("param", "ustar", path("interleaved"))
     assert code == 1
     assert text == "FAIL internal invariant: bad Euler characteristic 3\n"

@@ -4,7 +4,9 @@ The oracle below rebuilds the induced rotation and its successor map for
 every subset and walks the faces on tokens.  `RibbonGraph.faces` must
 return the identical list of `Face` objects, cycles and order included,
 and `face_count` its length; so must the mask walker `HalfEdges.trace` on
-the masks of `Graph.edge_walk`.  The subset walk `RibbonGraph.subset_faces`
+the masks of `Graph.edge_walk`, whose count mode gives the number of faces
+and the leg ids of the first face, and which can stop after a given number
+of faces.  The subset walk `RibbonGraph.subset_faces`
 must give every subset once, with the component count of `edge_walk` and
 the face count of `trace`.  A graph's `half_edges()` must be the index
 `HalfEdges.of_shape` reads off its shape, up to the numbering of the edges.
@@ -80,20 +82,39 @@ def _ribbon(rng, max_vertices, max_edges, max_legs):
 
 def _features(rg, subset):
     g = rg.graph
+    index = rg.half_edges()
     touched = {v for e in g.edges if e.id in subset for v in (e.tail, e.head)}
+    kept = [h for h, b in enumerate(index.bit) if b & index.mask(subset)]
     return {
         "loop": any(e.is_loop for e in g.edges if e.id in subset),
         "legs": bool(g.legs),
         "isolated": any(v not in touched for v in g.vertices),
         "leg-only vertex": any(v not in touched for v in (l.vertex for l in g.legs)),
         "proper subset": len(subset) < len(g.edges),
+        # the first face's last leg, met only as the walk closes the face
+        "leg before first": bool(kept) and index.mate[index.prev[kept[0]]] < 0,
+        "legs on an edgeless first face": not kept and bool(g.vertices) and bool(rg.faces(subset)[0].leg_ids()),
     }
+
+
+def _check_count(rg, mask):
+    """The count mode of `HalfEdges.trace` against its record mode: the
+    number of faces and the leg ids of the first face (() with no face);
+    stopped after `most` faces, the first `most` faces or min(F, most)."""
+    trace = rg.half_edges().trace
+    faces = trace(mask, True)
+    legs = faces[0].leg_ids() if faces else ()
+    assert trace(mask, False) == (len(faces), legs)
+    for most in range(1, len(faces) + 2):
+        assert trace(mask, True, most) == faces[:most]
+        assert trace(mask, False, most) == (min(len(faces), most), legs)
 
 
 def _check(rg, subset):
     want = oracle_faces(rg, subset)
     assert rg.faces(subset) == want
     assert rg.face_count(subset) == len(want)
+    _check_count(rg, rg.half_edges().mask(subset))
 
 
 # -- tests -------------------------------------------------------------------------------
@@ -101,7 +122,8 @@ def _check(rg, subset):
 
 def test_faces_match_token_tracer_on_random_subsets():
     rng = random.Random(4401)
-    seen = dict.fromkeys(("loop", "legs", "isolated", "leg-only vertex", "proper subset"), False)
+    seen = dict.fromkeys(("loop", "legs", "isolated", "leg-only vertex", "proper subset", "leg before first"), False)
+    seen["legs on an edgeless first face"] = False
     for _ in range(300):
         rg = _ribbon(rng, 5, 8, 4)
         _check(rg, None)
@@ -117,7 +139,8 @@ def test_faces_match_token_tracer_on_random_subsets():
 
 def test_mask_walker_matches_token_tracer_on_every_subset():
     rng = random.Random(4402)
-    seen = dict.fromkeys(("loop", "legs", "isolated", "disconnected", "genus"), False)
+    seen = dict.fromkeys(("loop", "legs", "isolated", "disconnected", "genus", "leg before first"), False)
+    seen["legs on an edgeless first face"] = False
     for _ in range(80):
         rg = _ribbon(rng, 4, 6, 3)
         g = rg.graph
@@ -128,11 +151,11 @@ def test_mask_walker_matches_token_tracer_on_every_subset():
             want = oracle_faces(rg, subset)
             assert index.mask(subset) == mask
             assert index.trace(mask, True) == want
-            assert index.trace(mask, False) == len(want)
+            assert index.trace(mask, False) == (len(want), want[0].leg_ids() if want else ())
+            _check_count(rg, mask)
             features = _features(rg, subset)
-            seen["loop"] |= features["loop"]
-            seen["legs"] |= features["legs"]
-            seen["isolated"] |= features["isolated"]
+            for kind in ("loop", "legs", "isolated", "leg before first", "legs on an edgeless first face"):
+                seen[kind] |= features[kind]
             seen["disconnected"] |= k > 1
             # twice the genus: k - F + nullity
             seen["genus"] |= k - len(want) + len(subset) - len(g.vertices) + k > 0
@@ -143,7 +166,7 @@ def _walk_against_masks(rg):
     """The subset walk's {mask: (k, F)} against `edge_walk` and `trace`."""
     trace = rg.half_edges().trace
     got = [(mask, (k, f)) for mask, k, f in rg.subset_faces()]
-    want = {mask: (k, trace(mask, False)) for mask, k in rg.graph.edge_walk()}
+    want = {mask: (k, trace(mask, False)[0]) for mask, k in rg.graph.edge_walk()}
     assert len(got) == len(want) == 1 << len(rg.edges)
     assert dict(got) == want
 
@@ -194,6 +217,23 @@ def test_faces_of_empty_and_bare_graphs():
     })
     _check(bare, None)
     assert [f.cycle for f in bare.faces()] == [(("f2", "x"), ("f1", "x")), ()]
+    assert RibbonGraph(Graph([], []), {}).half_edges().trace(0, False) == (0, ())
+    assert bare.half_edges().trace(0, False) == (2, ("f2", "f1"))
+
+
+def test_count_mode_notes_the_first_face_legs_of_fig6():
+    """One vertex, a loop between two legs: the empty mask is the vertex's
+    face with both legs, and with the loop in, the first face starts at
+    e1.t and meets f2, the leg just before it, only as it closes."""
+    rg = RibbonGraph(Graph(["v1"], [("e1", "v1", "v1")], [("f1", "v1", "in"), ("f2", "v1", "out")]), {
+        "v1": [("e1", "t"), ("f1", "x"), ("e1", "h"), ("f2", "x")],
+    })
+    trace = rg.half_edges().trace
+    assert trace(0, False) == (1, ("f1", "f2"))
+    assert trace(1, False) == (2, ("f2",))
+    assert [f.leg_ids() for f in trace(1, True)] == [("f2",), ("f1",)]
+    for mask in (0, 1):
+        _check_count(rg, mask)
 
 
 def test_faces_match_token_tracer_property():

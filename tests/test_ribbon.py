@@ -269,9 +269,9 @@ def test_quasi_trees_record_no_faces(monkeypatch):
     walks = []
     trace = HalfEdges.trace
 
-    def counted(self, mask, record):
+    def counted(self, mask, record, *most):
         walks.append(record)
-        return trace(self, mask, record)
+        return trace(self, mask, record, *most)
 
     monkeypatch.setattr(HalfEdges, "trace", counted)
     rg = fixtures.build("interleaved")  # its two-loop quasi-tree is above the smallest size

@@ -21,7 +21,7 @@ from feyncomb.graphs import Graph
 from feyncomb.parametric import ThetaTracked, dot, validate_assignment
 from feyncomb.poly import MultiPoly, edge_monomial
 from feyncomb.polynomials import bollobas_riordan, chromatic, flow_poly, multivariate_br, multivariate_tutte, tutte
-from feyncomb.ribbon import RibbonGraph
+from feyncomb.ribbon import HalfEdges, RibbonGraph
 from subset_oracle import edge_subsets
 
 AWKWARD_IDS = ("e2", "e10", "E1", "q", "x", "theta", "z", "e1", "b", "a.1", "Z")
@@ -244,6 +244,54 @@ def test_v_routes_match_product_forms_on_workload_sized_ribbons():
             nonzero += name == "nc_v_imag" and not got.is_zero()
     assert fractional and nonzero
     assert (9, 4) in sizes
+
+
+def _spy_traces(monkeypatch):
+    """Record the `record` flag of every `HalfEdges.trace` call."""
+    calls = []
+    trace = HalfEdges.trace
+
+    def spy(self, mask, record, *most):
+        calls.append(record)
+        return trace(self, mask, record, *most)
+
+    monkeypatch.setattr(HalfEdges, "trace", spy)
+    return calls
+
+
+def test_face_sums_trace_each_candidate_once_and_each_key_in_full_once(monkeypatch):
+    """Re V* (both face choices) and Im V* against their per-answer,
+    full-trace sums, on seeded ribbons with conserved momenta, planar and
+    not.  Each connected subset of an allowed size gets one counting trace;
+    V* adds one recording trace per distinct first-face leg key and U* none."""
+    rng = random.Random(913)
+    genera, shared = set(), 0
+    for _ in range(24):
+        rg = random_ribbon_graph(rng, max_vertices=5, max_edges=8, max_legs=4)
+        ext = random_conserved_momenta(rng, rg.graph)
+        genera.add(rg.genus() > 0)
+        for face in ("auto", 0, 1):
+            assert parametric.nc_v_real(rg, ext, face) == nc_v_real_by_products(rg, ext, face), rg.rotation
+        assert parametric.nc_v_imag(rg, ext) == nc_v_imag_by_products(rg, ext), rg.rotation
+        two = {tq.faces[0].leg_ids() for tq in rg.two_quasi_trees()}
+        one = [rg.faces(qt)[0].leg_ids() for qt in rg.quasi_trees()]
+        shared += len(one) > len(set(one))
+        n_v = len(rg.vertices)
+        sizes = [mask.bit_count() for mask, _ in rg.graph.edge_walk(1)]
+        calls = _spy_traces(monkeypatch)
+        for run, n_faces, keys, weighed in (
+            (lambda: parametric.nc_v_real(rg, ext), 2, len(two), True),
+            (lambda: parametric.nc_v_imag(rg, ext), 1, len(set(one)), True),
+            (lambda: parametric.nc_u(rg), 1, 0, False),
+        ):
+            calls.clear()
+            run()
+            low = n_v - 2 + n_faces
+            # the smallest size is traced only for a weight
+            counted = sum(not (size - low) & 1 and (weighed or size > low) for size in sizes)
+            assert calls.count(True) == keys and calls.count(False) == counted
+        monkeypatch.undo()
+    assert genera == {False, True} and shared
 
 
 def test_bouquet_empty_quasi_tree_is_a_bare_vertex_face():
