@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 EdgeSubset = frozenset[str]
 
@@ -293,7 +293,7 @@ class Graph:
                                 todo |= new
                             cut = not seen >> w & 1
                             if cut and d <= fresh:  # the flood ran over every edge but d
-                                bridges = bridge_mask(n, ends)
+                                bridges = bridge_mask(n, ends)[0]
                         if cut:  # edge d is a bridge of the taken and later edges
                             if spans == c:
                                 continue
@@ -326,8 +326,9 @@ class Graph:
         return "regular"
 
     def is_one_pi(self) -> bool:
-        """1PI: connected and bridgeless.  Disconnected graphs are not 1PI."""
-        return bridgeless_connected(self.vertices, [(e.tail, e.head) for e in self.edges])
+        """1PI: connected (the empty graph is not) and bridgeless, by one `bridge_mask` DFS."""
+        n = len(self.vertices)
+        return n > 0 and bridge_mask(n, list(self._ends.values())) == (0, 1)
 
     def delete_edge(self, edge_id: str) -> Graph:
         self.edge(edge_id)
@@ -547,58 +548,24 @@ def _twins(nbrs: list[list[int]], sig: list[tuple]) -> list[int]:
     return twin
 
 
-def bridgeless_connected(verts: Iterable[Hashable], ends: Sequence[tuple]) -> bool:
-    """Whether the graph on `verts` (indices or ids) with the (tail, head)
-    edges `ends` is connected and bridgeless.
-
-    One iterative DFS with low-links (Tarjan 1974).  The edge a vertex was
-    reached by is skipped by its index, so a parallel edge closes a cycle.
-    Self-loops are never bridges; an empty vertex set is not connected.
-    """
-    adj: dict[Hashable, list[tuple[Hashable, int]]] = {v: [] for v in verts}
-    for i, (a, b) in enumerate(ends):
-        if a != b:
-            adj[a].append((b, i))
-            adj[b].append((a, i))
-    if not adj:
-        return False
-    root = next(iter(adj))
-    disc = {root: 0}
-    low = {root: 0}
-    stack = [(root, -1, iter(adj[root]))]
-    while stack:
-        v, via, todo = stack[-1]
-        for w, i in todo:
-            if w not in disc:
-                disc[w] = low[w] = len(disc)
-                stack.append((w, i, iter(adj[w])))
-                break
-            if i != via:
-                low[v] = min(low[v], disc[w])
-        else:
-            stack.pop()
-            if stack:
-                u = stack[-1][0]
-                if low[v] > disc[u]:
-                    return False  # the tree edge u-v is a bridge
-                low[u] = min(low[u], low[v])
-    return len(disc) == len(adj)
-
-
-def bridge_mask(n: int, ends: Sequence[tuple[int, int]]) -> int:
+def bridge_mask(n: int, ends: Sequence[tuple[int, int]]) -> tuple[int, int]:
     """The bridges of the graph on positions 0..n-1 with the edges `ends`,
-    as a mask over the edge indices: one iterative DFS with low-links
-    (Tarjan 1974) from each unreached position."""
+    as a mask over the edge indices, and its number of components, so it is
+    1PI when this is (0, 1): one iterative DFS with low-links (Tarjan 1974)
+    from each unreached position, the starts counted.  The edge a position
+    was reached by is skipped by its index, so a parallel edge closes a
+    cycle; self-loops are never bridges."""
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for i, (a, b) in enumerate(ends):
         if a != b:
             adj[a].append((b, i))
             adj[b].append((a, i))
     disc, low = [-1] * n, [0] * n
-    out = t = 0
+    out = t = parts = 0
     for root in range(n):
         if disc[root] >= 0:
             continue
+        parts += 1
         disc[root] = low[root] = t
         t += 1
         stack = [(root, -1, iter(adj[root]))]
@@ -620,7 +587,7 @@ def bridge_mask(n: int, ends: Sequence[tuple[int, int]]) -> int:
                         out |= 1 << via
                     elif low[v] < low[u]:
                         low[u] = low[v]
-    return out
+    return out, parts
 
 
 # -- parallel classes, the state of the deletion/contraction walk ------------------

@@ -21,8 +21,9 @@ integers (`_GraphShapes`, `_RibbonShapes`): edge end positions, half-edge
 numbers for a ribbon host, and members as bitmasks over edge positions.
 The search walks edge subsets depth first on an explicit stack and tests
 each for the leg count and for two half-edges at every vertex in O(1), then
-for 1PI-ness, then (gw) for genus 0 and one broken face, traced on the
-half-edge numbers.
+for 1PI-ness by one low-link DFS (`graphs.bridge_mask`), then (gw) for
+genus 0 and one broken face, read off the face walks of the host's
+`HalfEdges.trace`.
 
 Labels are canonical forms looked up by shape, the integer data the
 canonical-form search reads (`Graph.shape`, `RibbonGraph.shape`): each shape
@@ -36,8 +37,8 @@ the shape only when asked.  `bogoliubov_forest` builds its member graphs
 and cographs and labels them through `label`.
 
 Shrinking a subgraph keeps ribbon structure by reading the cut half-edges
-off the subgraph's single broken face, so the gw model stays inside ribbon
-graphs.
+off the subgraph's single broken face, the same walks, so the gw model stays
+inside ribbon graphs.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ import math
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .formal import FormalAmplitude
-from .graphs import Edge, EdgeSubset, Graph, Leg, _union_find, bridgeless_connected, canonical_code
+from .graphs import Edge, EdgeSubset, Graph, Leg, _union_find, bridge_mask, canonical_code
 from .poly import LinComb
 from .ribbon import HalfEdges, RibbonGraph, Token, _cyclic_equal, is_leg_token, rotation_code
 
@@ -368,7 +369,7 @@ class _GraphShapes(_HostIndex):
 
 
 class _RibbonShapes(_HostIndex):
-    """A ribbon host's index: its `HalfEdges`, whose `mate`, `nxt`, `bit`
+    """A ribbon host's index: its `HalfEdges`, whose `trace`, `mate`, `bit`
     and `vmask` it reads, with `blocks[v]` the range of half-edge numbers at
     vertex position v.  An index read off a shape numbers its edges in the
     order of their first half-edge (`HalfEdges.of_shape`)."""
@@ -376,7 +377,7 @@ class _RibbonShapes(_HostIndex):
     code = staticmethod(rotation_code)
 
     def __init__(self, index: HalfEdges, ids: Sequence[str] | range):
-        self.mate, self.nxt, self.bit, self.vmask = index.mate, index.nxt, index.bit, index.vmask
+        self.trace, self.mate, self.bit, self.vmask = index.trace, index.mate, index.bit, index.vmask
         self.blocks = [range(lo, hi) for lo, hi in zip(index.start, index.start[1:])]
         super().__init__(index.blocks, index.ends, list(map(len, index.blocks)), ids)
 
@@ -414,36 +415,19 @@ class _RibbonShapes(_HostIndex):
             rotation[v] = seq
         return RibbonGraph(Graph(verts, edges, legs), rotation)
 
-    def _faces(self, mask: int) -> list[list[int]]:
+    def _passed(self, mask: int) -> list[list[int]]:
         """Per face of the member `mask`, the half-edges it passes by in face
-        order: those at the member's vertices whose edge is not in `mask`,
-        legs included.  Faces start at each untraced half-edge of `mask` in
-        number order, as `HalfEdges.trace` starts them."""
-        bit, mate, nxt = self.bit, self.mate, self.nxt
-        seen = bytearray(len(bit))
-        faces = []
-        for first, b in enumerate(bit):
-            if not b & mask or seen[first]:
-                continue
-            passed = []
-            cur = first
-            while True:
-                seen[cur] = 1
-                step = nxt[mate[cur]]
-                while not bit[step] & mask:
-                    passed.append(step)
-                    step = nxt[step]
-                cur = step
-                if cur == first:
-                    break
-            faces.append(passed)
-        return faces
+        order (`HalfEdges.trace`): those at the member's vertices whose edge
+        is not in `mask`, legs included.  The faces of the host vertices
+        that the member does not touch are dropped."""
+        bit, vmask = self.bit, self.vmask
+        return [[h for h in walk if not bit[h] & mask] for v, walk in self.trace(mask, True) if vmask[v] & mask]
 
     def broken_face(self, mask: int) -> tuple[int, ...]:
         """The half-edges that a member's one broken face passes by, in face
         order: the legs of `member_graph`.  Raises ValueError when the member
         has two or more broken faces."""
-        broken = [f for f in self._faces(mask) if f]
+        broken = [f for f in self._passed(mask) if f]
         if len(broken) > 1:
             raise ValueError("ribbon shrink needs all subgraph legs on one boundary face")
         return tuple(broken[0]) if broken else ()
@@ -451,7 +435,7 @@ class _RibbonShapes(_HostIndex):
     def planar_regular(self, mask: int, n_verts: int) -> bool:
         """`member_graph(...).is_planar_regular()` for a connected member:
         genus 0 (V - E + F = 2) and one broken face."""
-        faces = self._faces(mask)
+        faces = self._passed(mask)
         return n_verts - mask.bit_count() + len(faces) == 2 and sum(1 for f in faces if f) == 1
 
     def _layout(self, blocks: list[Iterable[int]], mask: int) -> Shape:
@@ -819,7 +803,10 @@ class HopfAlgebra:
         walk leaves such a branch; edges go in breadth-first order of their
         later end, so vertices run out of edges early.  Self-loops are never
         added when tadpoles are excluded.  The walk goes on with the next
-        edge taken; the subset without it waits on a stack.
+        edge taken; the subset without it waits on a stack.  The bridge test
+        is `bridge_mask` over all the host's positions: the subset is 1PI
+        when it has no bridge and n - |its vertices| + 1 components, each
+        position it does not touch being one.
         """
         planar = self.model == "gw"
         if planar and not isinstance(index, _RibbonShapes):
@@ -885,7 +872,7 @@ class HopfAlgebra:
                 twice == verts
                 and r < proper
                 and (not count_legs or degsum - 2 * r in (2, 4))
-                and bridgeless_connected(_bits(verts), [ends[c] for c in combo])
+                and bridge_mask(n, [ends[c] for c in combo]) == (0, n - verts.bit_count() + 1)
                 and (not planar or index.planar_regular(mask, verts.bit_count()))
             ):
                 found.append((r, sorted(combo), mask))

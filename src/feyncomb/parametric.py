@@ -13,8 +13,8 @@ polynomial is rendered.
 U, V, U*, Re V* and Im V* read each term off a `Graph.edge_walk` mask:
 its alpha key is full - table(mask) from one `poly.mask_keys` table, and
 the momentum weight of V and V* is memoised within the call by the part's
-legged vertices (V) or by the legs of the first face, which the counting
-`HalfEdges.trace` of the mask notes (V*).
+legged vertices (V) or by the leg half-edges of the first face, which the
+counting `HalfEdges.trace` of the mask gives (V*).
 """
 
 from __future__ import annotations
@@ -397,8 +397,8 @@ def nc_v_real(
     pick = _choice("face_choice", face_choice)
 
     def square(faces: list[Face], momenta: Mapping[str, Momentum]) -> Rational:
-        low = [min(f.leg_ids(), default="~") for f in faces]
-        boundary = rg.face_boundary_order(faces[low[0] > low[1] if pick is None else pick])
+        least = [min(f.leg_ids(), default="~") for f in faces]
+        boundary = rg.face_boundary_order(faces[least[0] > least[1] if pick is None else pick])
         return _flow_square(tuple(sign * c for c in momenta[lid]) for lid, sign in boundary)
 
     return _face_sum(rg, 2, "nc_v_real", ext, square)
@@ -409,24 +409,23 @@ def _face_sum(rg: RibbonGraph, n_faces: int, name: str, ext: Mapping | None, wei
     + n_faces - 1 - |E - H|) alpha_(E - H), times any weight(faces of H,
     momenta).  Here b = F - 1 + 2g of the whole graph, which V - E + F = 2 -
     2g makes E - V + 1, so the power is |H| + n_faces - V.  The legs of the
-    first face fix the weight, so it is memoised by the legs that the
-    counting trace of `_connected_with_faces` notes, and the faces are
-    traced (`HalfEdges.trace(mask, True)`) and weighed only for the first H
-    of each key."""
+    first face fix the weight, so it is memoised by the leg half-edges that
+    the counting trace of `_connected_with_faces` gives, and the faces are
+    traced (`RibbonGraph._mask_faces`, one recording `HalfEdges.trace`) and
+    weighed only for the first H of each key."""
     if not rg.graph.is_connected():
         raise ValueError(f"{name} requires a connected ribbon graph")
     momenta = None if weight is None else validate_assignment(rg.graph, ext)
     shift = n_faces - len(rg.vertices)
     _, full, table = _alpha_keys(rg.graph)
-    trace = rg.half_edges().trace
-    weights: dict[tuple[str, ...], Rational] = {}
+    weights: dict[tuple[int, ...], Rational] = {}
     terms = []
     for mask, legs in rg._connected_with_faces(n_faces, weight is not None):
         w = 1
         if weight is not None:
             w = weights.get(legs)
             if w is None:
-                w = weights[legs] = weight(trace(mask, True), momenta)
+                w = weights[legs] = weight(rg._mask_faces(mask), momenta)
         power = shift + mask.bit_count()
         if power < 0:
             raise AssertionError(f"negative theta power {power} for {sorted(mask_edges(rg.graph.edge_ids(), mask))}")

@@ -336,12 +336,12 @@ def mask_keys(keys: Sequence[Key]) -> Callable[[int], Key]:
     half = len(keys) // 2
     below = (1 << half) - 1
     if len(keys) <= 24:
-        low, high = [0], [0]
+        lower, upper = [0], [0]
         for k in keys[:half]:
-            low += [t + k for t in low]
+            lower += [t + k for t in lower]
         for k in keys[half:]:
-            high += [t + k for t in high]
-        return lambda mask: low[mask & below] + high[mask >> half]
+            upper += [t + k for t in upper]
+        return lambda mask: lower[mask & below] + upper[mask >> half]
     chunks = []
     for at in range(0, len(keys), CHUNK):
         part = keys[at : at + CHUNK]

@@ -14,9 +14,11 @@ Faces are traced with the next-half-edge map: from an internal half-edge,
 follow the edge to its partner half-edge, then walk forward in that vertex's
 rotation; legs encountered on the way are recorded as face markers but do
 not connect faces.  A vertex whose induced rotation carries no internal
-half-edge contributes one face of its own.  The walk runs on edge subsets
-as bitmasks (`HalfEdges.trace`); `faces` and `face_count` turn id sets into
-masks.
+half-edge contributes one face of its own.  The one walk runs on edge
+subsets as bitmasks and on half-edge numbers (`HalfEdges.trace`), and gives
+each face as the half-edges it walks; `faces` and `face_count` turn id sets
+into masks, and `faces` turns the walks into `Face`s of tokens.  The Hopf
+layer reads the same walks for a member's broken faces.
 
 Corner rule.  Corner h is the gap after half-edge h in its vertex's
 rotation, and prev is the inverse of the next-half-edge map.  Between two
@@ -188,8 +190,18 @@ class RibbonGraph:
 
     def faces(self, subset: Iterable[str] | None = None) -> list[Face]:
         """Boundary components of the spanning sub-ribbon-graph (V, subset)."""
+        return self._mask_faces(self.half_edges().mask(subset))
+
+    def _mask_faces(self, mask: int) -> list[Face]:
+        """The faces of (V, the edges of `mask`): each walk of a recording
+        `HalfEdges.trace` as a `Face`, whose cycle holds the tokens of the
+        walk's legs and half-edges of the mask, at the walk's vertex."""
         index = self.half_edges()
-        return index.trace(index.mask(subset), True)
+        token, vertices, bit, mate = index.token, index.vertices, index.bit, index.mate
+        return [
+            Face(tuple([token[h] for h in walk if bit[h] & mask or mate[h] < 0]), vertices[v])
+            for v, walk in index.trace(mask, True)
+        ]
 
     def face_count(self, subset: Iterable[str] | None = None) -> int:
         """The number of faces of (V, subset), from a count-mode
@@ -283,17 +295,17 @@ class RibbonGraph:
         if not self.graph.is_connected():
             raise ValueError("two_quasi_trees requires a connected ribbon graph")
         ids = self.graph.edge_ids()
-        trace = self.half_edges().trace
         out = []
         for mask, _ in self._connected_with_faces(2):
-            first, second = trace(mask, True)
+            first, second = self._mask_faces(mask)
             out.append(TwoQuasiTree(mask_edges(ids, mask), (first, second)))
         return out
 
-    def _connected_with_faces(self, n_faces: int, legs: bool = False) -> Iterator[tuple[int, tuple[str, ...] | None]]:
+    def _connected_with_faces(self, n_faces: int, legs: bool = False) -> Iterator[tuple[int, tuple[int, ...] | None]]:
         """The connected spanning edge subsets with `n_faces` (1 or 2)
-        faces, as masks in `Graph.edge_walk` order, each with the leg ids of
-        its first face (the legs of `faces(...)[0]`) or None.
+        faces, as masks in `Graph.edge_walk` order, each with the leg
+        half-edges of its first face (those of `faces(...)[0].leg_ids()`, in
+        `half_edges` numbering) or None.
 
         Each candidate gets one count-mode `HalfEdges.trace`, which notes the
         first face's legs as it counts, and only at the sizes V - 2 +
@@ -556,7 +568,8 @@ class HalfEdges:
 
     `RibbonGraph.half_edges` numbers the edges in `edge_ids` order, as the
     bits of a `Graph.edge_walk` mask, and adds the names: `token[h]`, `ids`,
-    the `vertices` and `pos`, each edge id's number.
+    the `vertices` and `pos`, each edge id's number.  `trace` reads no name,
+    so an index of a shape alone traces faces too.
     """
 
     __slots__ = (
@@ -597,27 +610,30 @@ class HalfEdges:
         except KeyError as exc:
             raise KeyError(f"unknown edge id {exc.args[0]!r}") from None
 
-    def trace(self, mask: int, record: bool, most: int = -1) -> list[Face] | tuple[int, tuple[str, ...]]:
-        """The faces of (V, the edges of `mask`), or with `record` false
-        their number and the leg ids of the first face, in face order.  With
-        `most` positive the walk stops after `most` faces: it gives the
-        first `most` faces, or min(F, most) and the same legs.
+    def trace(self, mask: int, record: bool, most: int = -1) -> list[tuple[int, list[int]]] | tuple[int, tuple[int, ...]]:
+        """The faces of (V, the edges of `mask`, which holds only edge bits)
+        as walks, or with `record` false their number and the leg half-edges
+        of the first face.  With `most` positive the walk stops after `most`
+        faces: it gives the first `most` walks, or min(F, most) and the same
+        legs.
 
-        A face starts at each untraced half-edge of the mask in index order,
-        until all 2|mask| of them are traced.  From the mate of its last
-        half-edge the walk goes forward through that vertex's rotation,
-        noting legs and skipping the half-edges h with `bit[h] & mask` zero,
-        to the next half-edge it keeps.  A vertex with no half-edge of the
-        mask is a face of its own, after those.  So the first face, whose
-        legs the count mode notes as it walks, is the face of the lowest
-        half-edge of the mask, or for a mask with no edge the face of the
-        first vertex: the legs of `trace(mask, True)[0].leg_ids()`, () when
-        there is no vertex.  `mask` holds only edge bits.
+        A walk is (vertex position, the half-edges it walks in order): those
+        of the mask and the ones it passes, legs and the ends of edges
+        outside the mask, so every half-edge is in exactly one walk.  A face
+        starts at each untraced half-edge of the mask in number order, at
+        its vertex, until all 2|mask| of them are traced.  From the mate of
+        its last half-edge the walk goes forward through that vertex's
+        rotation, passing the half-edges h with `bit[h] & mask` zero, to the
+        next one it keeps.  A vertex with no half-edge of the mask is a face
+        of its own, after those, walking its rotation.  So the first face,
+        whose passed half-edges the count mode notes, is the face of the
+        lowest half-edge of the mask, or with no edge that of the first
+        vertex (no legs when there is no vertex).
         """
-        bit, mate, nxt, token = self.bit, self.mate, self.nxt, self.token
+        bit, mate, nxt = self.bit, self.mate, self.nxt
         seen = bytearray(len(bit))
-        faces: list[Face] = []
-        legs: list[Token] = []
+        walks: list[tuple[int, list[int]]] = []
+        passed: Sequence[int] = []  # in count mode, the half-edges the first face passes
         count = 0
         left = 2 * mask.bit_count()
         first = -1
@@ -627,23 +643,23 @@ class HalfEdges:
                 continue
             count += 1
             note = record or count == 1
-            cycle = [] if record else legs
+            walk = [] if record else passed
             cur = first
             while True:
                 seen[cur] = 1
                 left -= 1
                 if record:
-                    cycle.append(token[cur])
+                    walk.append(cur)
                 step = nxt[mate[cur]]
                 while not bit[step] & mask:
-                    if note and mate[step] < 0:
-                        cycle.append(token[step])
+                    if note:
+                        walk.append(step)
                     step = nxt[step]
                 cur = step
                 if cur == first:
                     break
             if record:
-                faces.append(Face(tuple(cycle), self.vertices[self.vert[first]]))
+                walks.append((self.vert[first], walk))
         start = self.start
         for i, vm in enumerate(self.vmask):
             if count == most:
@@ -651,13 +667,13 @@ class HalfEdges:
             if vm & mask:
                 continue
             count += 1
-            if record or count == 1:
-                cycle = [token[h] for h in range(start[i], start[i + 1]) if mate[h] < 0]
-                if record:
-                    faces.append(Face(tuple(cycle), self.vertices[i]))
-                else:
-                    legs = cycle
-        return faces if record else (count, tuple([t[0] for t in legs]))
+            if record:
+                walks.append((i, list(range(start[i], start[i + 1]))))
+            elif count == 1:
+                passed = range(start[i], start[i + 1])
+        if record:
+            return walks
+        return count, tuple([h for h in passed if mate[h] < 0])
 
 
 class RotationState:

@@ -3,10 +3,12 @@
 The oracle below rebuilds the induced rotation and its successor map for
 every subset and walks the faces on tokens.  `RibbonGraph.faces` must
 return the identical list of `Face` objects, cycles and order included,
-and `face_count` its length; so must the mask walker `HalfEdges.trace` on
-the masks of `Graph.edge_walk`, whose count mode gives the number of faces
-and the leg ids of the first face, and which can stop after a given number
-of faces.  The subset walk `RibbonGraph.subset_faces`
+and `face_count` its length; so must the `Face`s built from the walks of
+the mask walker `HalfEdges.trace` on the masks of `Graph.edge_walk`.  Its
+walks hold every half-edge exactly once, and its count mode gives the
+number of faces and the leg half-edges of the first face, which name the
+leg ids of `faces()[0]`; either mode can stop after a given number of
+faces.  The subset walk `RibbonGraph.subset_faces`
 must give every subset once, with the component count of `edge_walk` and
 the face count of `trace`.  A graph's `half_edges()` must be the index
 `HalfEdges.of_shape` reads off its shape, up to the numbering of the edges.
@@ -97,16 +99,31 @@ def _features(rg, subset):
     }
 
 
+def _leg_ids(rg, legs):
+    """The leg ids that leg half-edge numbers name."""
+    token = rg.half_edges().token
+    return tuple(token[h][0] for h in legs)
+
+
 def _check_count(rg, mask):
-    """The count mode of `HalfEdges.trace` against its record mode: the
-    number of faces and the leg ids of the first face (() with no face);
-    stopped after `most` faces, the first `most` faces or min(F, most)."""
-    trace = rg.half_edges().trace
-    faces = trace(mask, True)
-    legs = faces[0].leg_ids() if faces else ()
-    assert trace(mask, False) == (len(faces), legs)
+    """The integer contract of `HalfEdges.trace`: the record mode's walks
+    hold every half-edge once, each at its walk's vertex, and turn into the
+    faces; the count mode gives the number of faces and the leg half-edges
+    of the first face, which name its leg ids (() with no face); stopped
+    after `most` faces, the first `most` walks or min(F, most)."""
+    index = rg.half_edges()
+    trace = index.trace
+    walks = trace(mask, True)
+    assert sorted(h for _, walk in walks for h in walk) == list(range(len(index.mate)))
+    assert all(index.vert[h] == v for v, walk in walks for h in walk[:1])
+    faces = rg._mask_faces(mask)
+    assert faces == rg.faces(mask_edges(rg.graph.edge_ids(), mask)) and len(faces) == len(walks)
+    count, legs = trace(mask, False)
+    assert count == len(faces)
+    assert all(index.mate[h] < 0 for h in legs)
+    assert _leg_ids(rg, legs) == (faces[0].leg_ids() if faces else ())
     for most in range(1, len(faces) + 2):
-        assert trace(mask, True, most) == faces[:most]
+        assert trace(mask, True, most) == walks[:most]
         assert trace(mask, False, most) == (min(len(faces), most), legs)
 
 
@@ -150,8 +167,9 @@ def test_mask_walker_matches_token_tracer_on_every_subset():
             subset = mask_edges(ids, mask)
             want = oracle_faces(rg, subset)
             assert index.mask(subset) == mask
-            assert index.trace(mask, True) == want
-            assert index.trace(mask, False) == (len(want), want[0].leg_ids() if want else ())
+            assert rg._mask_faces(mask) == want
+            count, legs = index.trace(mask, False)
+            assert (count, _leg_ids(rg, legs)) == (len(want), want[0].leg_ids() if want else ())
             _check_count(rg, mask)
             features = _features(rg, subset)
             for kind in ("loop", "legs", "isolated", "leg before first", "legs on an edgeless first face"):
@@ -218,7 +236,9 @@ def test_faces_of_empty_and_bare_graphs():
     _check(bare, None)
     assert [f.cycle for f in bare.faces()] == [(("f2", "x"), ("f1", "x")), ()]
     assert RibbonGraph(Graph([], []), {}).half_edges().trace(0, False) == (0, ())
-    assert bare.half_edges().trace(0, False) == (2, ("f2", "f1"))
+    assert RibbonGraph(Graph([], []), {}).half_edges().trace(0, True) == []
+    assert bare.half_edges().trace(0, False) == (2, (0, 1))
+    assert bare.half_edges().trace(0, True) == [(0, [0, 1]), (1, [])]
 
 
 def test_count_mode_notes_the_first_face_legs_of_fig6():
@@ -229,9 +249,10 @@ def test_count_mode_notes_the_first_face_legs_of_fig6():
         "v1": [("e1", "t"), ("f1", "x"), ("e1", "h"), ("f2", "x")],
     })
     trace = rg.half_edges().trace
-    assert trace(0, False) == (1, ("f1", "f2"))
-    assert trace(1, False) == (2, ("f2",))
-    assert [f.leg_ids() for f in trace(1, True)] == [("f2",), ("f1",)]
+    assert trace(0, False) == (1, (1, 3))
+    assert trace(1, False) == (2, (3,))
+    assert trace(1, True) == [(0, [0, 3]), (0, [2, 1])]
+    assert [f.leg_ids() for f in rg._mask_faces(1)] == [("f2",), ("f1",)]
     for mask in (0, 1):
         _check_count(rg, mask)
 

@@ -204,6 +204,46 @@ def test_is_one_pi_matches_bridge_classification():
     assert ("one_pi", False) in seen and ("one_pi", True) in seen
 
 
+def _one_pi_by_reachability(g):
+    """Brute force: (V, E) is one component, and so is (V, E - e) for each
+    non-loop edge e, by breadth-first search."""
+    ids = g.all_edges()
+    return len(bfs_components(g, ids)) == 1 and all(
+        len(bfs_components(g, ids - {e.id})) == 1 for e in g.edges if not e.is_loop
+    )
+
+
+def test_is_one_pi_matches_reachability_oracle():
+    """`is_one_pi`, one `bridge_mask` DFS, against removing each non-loop
+    edge in turn, on seeded multigraphs with loops, parallel edges, isolated
+    vertices and vertices that have only legs, and on 0 and 1 vertices."""
+    rng = random.Random(1975)
+    corpus = [Graph([], []), Graph(["a"], []), Graph(["a"], [], [("f1", "a", "in")])]
+    corpus += [Graph(["a"], [("e1", "a", "a"), ("e2", "a", "a")], [("f1", "a", "out")])]
+    for _ in range(400):
+        n = rng.randint(1, 6)
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 10))]
+        g = _multigraph(n, pairs)
+        legs = [(f"f{i}", rng.choice(g.vertices), rng.choice(["in", "out"])) for i in range(rng.randint(0, 3))]
+        corpus.append(Graph(g.vertices, g.edges, legs))
+    seen = set()
+    for g in corpus:
+        expected = _one_pi_by_reachability(g)
+        assert g.is_one_pi() == expected == _one_pi_by_classification(g), g.to_json()
+        touched = {v for e in g.edges for v in (e.tail, e.head)}
+        pairs = [frozenset((e.tail, e.head)) for e in g.edges]
+        seen |= {
+            ("one_pi", expected),
+            ("self_loop", any(e.is_loop for e in g.edges)),
+            ("parallel", len(set(pairs)) < len(pairs)),
+            ("isolated", any(v not in touched for v in g.vertices) and len(g.vertices) > 1),
+            ("legs only", any(l.vertex not in touched for l in g.legs) and len(g.vertices) > 1),
+            ("vertices", min(len(g.vertices), 2)),
+        }
+    assert {("vertices", 0), ("vertices", 1), ("vertices", 2), ("one_pi", False), ("one_pi", True)} <= seen
+    assert all((kind, True) in seen for kind in ("self_loop", "parallel", "isolated", "legs only"))
+
+
 def test_is_one_pi_matches_bridge_classification_property():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
@@ -264,8 +304,9 @@ def _check_edge_walk(g):
         assert g.component_vertex_sets(sub) == bfs_components(g, sub)
     assert g.component_vertex_sets() == bfs_components(g, ids)
     pos = {v: i for i, v in enumerate(g.vertices)}
-    bridges = bridge_mask(n, [(pos[g.edge(e).tail], pos[g.edge(e).head]) for e in ids])
+    bridges, parts = bridge_mask(n, [(pos[g.edge(e).tail], pos[g.edge(e).head]) for e in ids])
     assert mask_edges(ids, bridges) == {e for e in ids if g.classify_edge(e) == "bridge"}
+    assert parts == g.components() == len(bfs_components(g, ids))
     if g.is_connected():
         flooded = list(flooded_two_forests(g))
         assert list(g._two_forests()) == flooded

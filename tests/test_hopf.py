@@ -6,7 +6,7 @@ import random
 import pytest
 
 from feyncomb import fixtures, hopf
-from feyncomb.checks import random_multigraph, random_phi4_graph
+from feyncomb.checks import random_multigraph, random_phi4_graph, random_ribbon_graph
 from feyncomb.formal import FormalAmplitude
 from feyncomb.graphs import Graph
 from feyncomb.hopf import (
@@ -18,9 +18,10 @@ from feyncomb.hopf import (
     member_graph,
     member_vertices,
 )
-from feyncomb.ribbon import RibbonGraph
+from feyncomb.ribbon import RibbonGraph, _cyclic_equal
 from test_canonical import _relabelled as _relabelled_ribbon
 from test_canonical import cut_circulant
+from test_faces import oracle_faces
 
 GAMMA5 = frozenset({"e1", "e2"})
 
@@ -489,6 +490,51 @@ def test_gw_shrinks_inside_a_stored_subgraph_with_cut_legs():
     assert not h_gw.antipode(rg).is_zero()
     assert h_gw.check_coassociativity(rg)
     assert h_gw.check_hopf_axioms(rg)
+
+
+def test_ribbon_face_reader_matches_the_member_graph_faces():
+    """`_RibbonShapes.planar_regular` and `broken_face`, which read
+    `HalfEdges.trace` on the host, against the token-dict faces of
+    `member_graph` for every connected member, on the host's own index and
+    on the index of its shape.  `broken_face` gives the broken face's legs
+    in cyclic order, the host legs and the cut ends, or raises ValueError
+    when the member has two broken faces."""
+    rng = random.Random(3101)
+    hosts = [_two_leg_ribbon_host(), fixtures.build("ribbonhost")]
+    hosts += [random_ribbon_graph(rng, max_vertices=4, max_edges=6, max_legs=4) for _ in range(40)]
+    seen = set()
+    for g in hosts:
+        named, bare = hopf._RibbonShapes.of_graph(g), hopf._RibbonShapes.of_shape(g.shape())
+        index = g.half_edges()
+        ids = g.graph.edge_ids()
+        # the shape's index numbers each edge by its first half-edge: its bit per host edge
+        shape_bit = [bare.bit[t] for t in index.tail]
+        for mask in range(1, 1 << len(ids)):
+            member = frozenset(e for i, e in enumerate(ids) if mask >> i & 1)
+            sub = member_graph(g, member)
+            if not sub.graph.is_connected():
+                continue
+            faces = oracle_faces(sub)
+            broken = [f for f in faces if f.broken]
+            n_verts = len(sub.vertices)
+            want = n_verts - len(member) + len(faces) == 2 and len(broken) == 1
+            other = sum(b for i, b in enumerate(shape_bit) if mask >> i & 1)
+            assert named.planar_regular(mask, n_verts) == bare.planar_regular(other, n_verts) == want
+            seen.add(("planar regular", want))
+            if len(broken) > 1:
+                for reader, m in ((named, mask), (bare, other)):
+                    with pytest.raises(ValueError, match="one boundary face"):
+                        reader.broken_face(m)
+                seen.add("two broken faces")
+                continue
+            passed = named.broken_face(mask)
+            assert bare.broken_face(other) == passed
+            legs = [t[0] if t[1] == "x" else hopf._cut_leg_id(g.graph, *t) for t in map(index.token.__getitem__, passed)]
+            assert _cyclic_equal(legs, broken[0].leg_ids() if broken else ())
+            seen.add(("legs", min(len(legs), 3)))
+            seen.add(("untouched vertex", n_verts < len(g.vertices)))
+    assert {("planar regular", True), ("planar regular", False), "two broken faces"} <= seen
+    assert {("legs", 0), ("legs", 2), ("legs", 3), ("untouched vertex", True)} <= seen
 
 
 def _brute_divergent_members(g, model, include_tadpoles=True):
